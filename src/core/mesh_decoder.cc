@@ -424,53 +424,28 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     ++e.cycle;
 }
 
-Correction
-MeshDecoder::decode(const Syndrome &syndrome)
-{
-    Correction corr;
-    const Syndrome *syn = &syndrome;
-    Correction *out = &corr;
-    batchStats_.resize(1);
-    decodeLanes(scalar_, &syn, 1, &out, batchStats_.data());
-    return corr;
-}
-
-void
-MeshDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
-{
-    ws.correction.clear();
-    const Syndrome *syn = &syndrome;
-    Correction *out = &ws.correction;
-    batchStats_.resize(1);
-    decodeLanes(scalar_, &syn, 1, &out, batchStats_.data());
-}
-
 void
 MeshDecoder::decodeBatch(const Syndrome *const *syndromes,
-                         std::size_t count, TrialWorkspace &ws)
+                         std::size_t count, Correction *out,
+                         TrialWorkspace &)
 {
     if (count == 0)
         return;
-    if (ws.laneCorrections.size() < count)
-        ws.laneCorrections.resize(count);
     batchStats_.resize(count);
-    outScratch_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        ws.laneCorrections[i].clear();
-        outScratch_[i] = &ws.laneCorrections[i];
+    const int n = static_cast<int>(count);
+    if (count == 1) {
+        decodeLanes(scalar_, syndromes, n, out, batchStats_.data());
+        return;
     }
     switch (width_) {
       case simd::Width::Scalar:
-        decodeLanes(batch64_, syndromes, static_cast<int>(count),
-                    outScratch_.data(), batchStats_.data());
+        decodeLanes(batch64_, syndromes, n, out, batchStats_.data());
         break;
       case simd::Width::V256:
-        decodeLanes(batch256_, syndromes, static_cast<int>(count),
-                    outScratch_.data(), batchStats_.data());
+        decodeLanes(batch256_, syndromes, n, out, batchStats_.data());
         break;
       case simd::Width::V512:
-        decodeLanes(batch512_, syndromes, static_cast<int>(count),
-                    outScratch_.data(), batchStats_.data());
+        decodeLanes(batch512_, syndromes, n, out, batchStats_.data());
         break;
     }
 }
@@ -553,7 +528,7 @@ template <typename W>
 void
 MeshDecoder::decodeLanes(LaneEngine<W> &e,
                          const Syndrome *const *syndromes, int count,
-                         Correction *const *outs, MeshDecodeStats *stats)
+                         Correction *out, MeshDecodeStats *stats)
 {
     for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
         for (auto &plane : *planes)
@@ -595,7 +570,8 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e,
                             "MeshDecoder: syndrome type mismatch");
                     stats[next] = MeshDecodeStats{};
                     laneStats[l] = &stats[next];
-                    laneOut[l] = outs[next];
+                    laneOut[l] = &out[next];
+                    out[next].clear();
                     start[l] = e.cycle;
                     e.lastFire[l] = e.cycle;
                     e.hotCount[l] = syn.weight();

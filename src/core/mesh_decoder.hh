@@ -19,8 +19,8 @@
  * The mesh state is bit-packed one row per machine word, so each cycle
  * is a handful of bitwise operations per row. A row spans only
  * 2d + 1 <= 19 columns for the distances the experiments run, so most
- * of every word is dead weight in a single-trial decode; the batch
- * entry point reclaims it by *lane packing*: decodeBatch() simulates L
+ * of every word is dead weight in a single-trial decode; batches of
+ * more than one syndrome reclaim it by *lane packing*: they simulate L
  * independent Monte Carlo trials per word, each in its own span-wide
  * lane. The batch word is a 4 x 64-bit SIMD-friendly vector (GNU
  * vector extension, lowered to SSE/AVX or plain scalar pairs by the
@@ -37,8 +37,8 @@
  * lanes never idle waiting for a slow sibling, and the amortized cost
  * per trial is one L-th of a mesh step per cycle. Every lane's
  * corrections and telemetry are bit-identical to a scalar decode of
- * the same syndrome; the scalar decode() runs the same stepping core
- * with a single lane in a plain 64-bit word.
+ * the same syndrome; a batch of one runs the same stepping core with a
+ * single lane in a plain 64-bit word.
  */
 
 #ifndef NISQPP_CORE_MESH_DECODER_HH
@@ -80,20 +80,19 @@ class MeshDecoder : public Decoder
     MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
                 const MeshConfig &config = MeshConfig::finalDesign());
 
-    Correction decode(const Syndrome &syndrome) override;
-    void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
+    using Decoder::decodeBatch;
 
     /**
-     * Lane-packed batch decode: up to batchLanes() syndromes advance
-     * through the mesh planes together, one lane each, and every
-     * freed lane is refilled from the remaining batch, so @p count
-     * may (and for throughput should) exceed batchLanes().
-     * Corrections land in ws.laneCorrections[0..count), per-lane
-     * telemetry in meshStats(lane) — both bit-identical to scalar
-     * decodes of the same syndromes.
+     * A batch of one steps the single-lane scalar engine; larger
+     * batches run the lane-packed engine: up to batchLanes() syndromes
+     * advance through the mesh planes together, one lane each, and
+     * every freed lane is refilled from the remaining batch, so
+     * @p count may (and for throughput should) exceed batchLanes().
+     * Corrections land in out[0..count), per-lane telemetry in
+     * meshStats(lane) — both bit-identical across the two engines.
      */
     void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
-                     TrialWorkspace &ws) override;
+                     Correction *out, TrialWorkspace &ws) override;
 
     const MeshDecodeStats *meshStats(std::size_t lane = 0) const override;
 
@@ -165,7 +164,7 @@ class MeshDecoder : public Decoder
      * geometry (masks replicated into every lane of every element,
      * shift guards), the mesh planes, per-step scratch and the
      * per-lane control state. Two engines exist — LaneEngine<uint64_t>
-     * serves scalar decode() with a single lane (bit layout identical
+     * serves batches of one with a single lane (bit layout identical
      * to the historical scalar decoder) and LaneEngine<BatchWord>
      * packs batchLanes() trials — and both run the exact same
      * (templated) stepping code. All per-lane control state is
@@ -222,7 +221,7 @@ class MeshDecoder : public Decoder
     template <typename W>
     void decodeLanes(LaneEngine<W> &e,
                      const Syndrome *const *syndromes, int count,
-                     Correction *const *outs, MeshDecodeStats *stats);
+                     Correction *out, MeshDecodeStats *stats);
 
     MeshConfig config_;
     int span_;      ///< grid size + 2 (boundary ring included)
@@ -232,7 +231,7 @@ class MeshDecoder : public Decoder
     /** Dispatch width latched at construction (simd::activeWidth). */
     simd::Width width_;
 
-    LaneEngine<std::uint64_t> scalar_; ///< one lane: decode()
+    LaneEngine<std::uint64_t> scalar_; ///< one lane: batches of one
     /** Packed-lane engines; only the latched width's is built. @{ */
     LaneEngine<simd::W64> batch64_;
     LaneEngine<simd::W256> batch256_;
@@ -253,9 +252,6 @@ class MeshDecoder : public Decoder
     std::uint64_t cappedTotal_ = 0;
     std::uint64_t quiescedTotal_ = 0;
     /** @} */
-
-    /** decodeBatch() per-trial output pointers (reused, no alloc). */
-    std::vector<Correction *> outScratch_;
 };
 
 } // namespace nisqpp

@@ -7,37 +7,36 @@
 namespace nisqpp {
 
 void
+Decoder::decodeWindowBatch(const SyndromeWindow *const *windows,
+                           std::size_t count, Correction *out,
+                           TrialWorkspace &ws)
+{
+    // The vote scratch only grows: the decoder's lattice and type are
+    // fixed, so it can never go stale (majorityVote still checks each
+    // window against the scratch's family).
+    while (voteScratch_.size() < count)
+        voteScratch_.emplace_back(*lattice_, type_);
+    votePtrs_.resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        windows[i]->majorityVote(voteScratch_[i]);
+        votePtrs_[i] = &voteScratch_[i];
+    }
+    decodeBatch(votePtrs_.data(), count, out, ws);
+}
+
+Correction
+Decoder::decode(const Syndrome &syndrome)
+{
+    TrialWorkspace ws;
+    decode(syndrome, ws);
+    return std::move(ws.correction);
+}
+
+void
 Decoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
 {
-    ws.correction = decode(syndrome);
-}
-
-void
-Decoder::decodeWindow(const SyndromeWindow &window, TrialWorkspace &ws)
-{
-    // Lazily built once: the decoder's lattice and type are fixed, so
-    // the scratch can never go stale (majorityVote still checks the
-    // window against the scratch's family).
-    if (!windowScratch_)
-        windowScratch_ =
-            std::make_unique<Syndrome>(*lattice_, type_);
-    window.majorityVote(*windowScratch_);
-    decode(*windowScratch_, ws);
-}
-
-void
-Decoder::decodeWindowBatch(const SyndromeWindow *const *windows,
-                           std::size_t count, TrialWorkspace &ws)
-{
-    if (ws.laneCorrections.size() < count)
-        ws.laneCorrections.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        decodeWindow(*windows[i], ws);
-        // Swap instead of copy: both buffers keep their high-water
-        // capacity across batches (mirrors decodeBatch).
-        std::swap(ws.correction.dataFlips,
-                  ws.laneCorrections[i].dataFlips);
-    }
+    const Syndrome *one = &syndrome;
+    decodeBatch(&one, 1, &ws.correction, ws);
 }
 
 void
@@ -46,13 +45,23 @@ Decoder::decodeBatch(const Syndrome *const *syndromes, std::size_t count,
 {
     if (ws.laneCorrections.size() < count)
         ws.laneCorrections.resize(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        decode(*syndromes[i], ws);
-        // Swap instead of copy: both buffers keep their high-water
-        // capacity across the thousands of batches in a shard.
-        std::swap(ws.correction.dataFlips,
-                  ws.laneCorrections[i].dataFlips);
-    }
+    decodeBatch(syndromes, count, ws.laneCorrections.data(), ws);
+}
+
+void
+Decoder::decodeWindow(const SyndromeWindow &window, TrialWorkspace &ws)
+{
+    const SyndromeWindow *one = &window;
+    decodeWindowBatch(&one, 1, &ws.correction, ws);
+}
+
+void
+Decoder::decodeWindowBatch(const SyndromeWindow *const *windows,
+                           std::size_t count, TrialWorkspace &ws)
+{
+    if (ws.laneCorrections.size() < count)
+        ws.laneCorrections.resize(count);
+    decodeWindowBatch(windows, count, ws.laneCorrections.data(), ws);
 }
 
 } // namespace nisqpp

@@ -9,7 +9,6 @@
 #define NISQPP_DECODERS_DECODER_HH
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,7 +46,7 @@ struct Correction
 
 /**
  * Abstract decoder bound to one lattice and one error type. Decoders are
- * stateful only in reusable scratch buffers; decode() is deterministic.
+ * stateful only in reusable scratch buffers; decoding is deterministic.
  */
 class Decoder
 {
@@ -61,54 +60,55 @@ class Decoder
     const SurfaceLattice &lattice() const { return *lattice_; }
     ErrorType type() const { return type_; }
 
-    /** Decode @p syndrome into a correction. */
-    virtual Correction decode(const Syndrome &syndrome) = 0;
-
     /**
-     * Workspace-aware overload: decode @p syndrome into
-     * @p ws.correction, borrowing every scratch buffer from @p ws so
-     * repeated decodes allocate nothing. Produces exactly the same
-     * correction as decode(syndrome); the default implementation
-     * forwards there for decoders without a tuned hot path.
-     */
-    virtual void decode(const Syndrome &syndrome, TrialWorkspace &ws);
-
-    /**
-     * Decode @p count independent syndromes into
-     * ws.laneCorrections[0..count), each entry exactly what
-     * decode(*syndromes[i], ws) would produce. The base implementation
-     * is a scalar fallback loop (software decoders have no batch
-     * substrate to win from); MeshDecoder overrides it with the
-     * lane-packed path that steps several trials per 64-bit word.
+     * Decode @p count independent syndromes into out[0..count), the
+     * one round-decode entry point every decoder implements. Each
+     * out[i] is overwritten (cleared first; capacity kept) with the
+     * data flips for *syndromes[i]; scratch buffers are borrowed from
+     * @p ws so repeated decodes allocate nothing. @p out may alias
+     * ws.correction or ws.laneCorrections, so implementations never
+     * touch those two fields. A scalar decode is a batch of one:
+     * decoders with a lane-packed substrate (union-find, mesh) pick
+     * their scalar core or their lane engine from @p count, and every
+     * lane's correction and exported counter is identical either way.
      */
     virtual void decodeBatch(const Syndrome *const *syndromes,
-                             std::size_t count, TrialWorkspace &ws);
+                             std::size_t count, Correction *out,
+                             TrialWorkspace &ws) = 0;
 
     /**
-     * Decode a multi-round measurement window into ws.correction: the
-     * net data flips to commit at the window boundary. The default
-     * implementation reduces the window by round-majority voting and
-     * feeds the result to decode() — correct when measurement noise is
-     * rare relative to the window length. Window-aware decoders (MWPM,
-     * union-find) override this with true spacetime matching over the
-     * detection events and report windowAware() = true.
-     */
-    virtual void decodeWindow(const SyndromeWindow &window,
-                              TrialWorkspace &ws);
-
-    /**
-     * Decode @p count independent windows into
-     * ws.laneCorrections[0..count), each entry exactly what
-     * decodeWindow(*windows[i], ws) would produce (scalar loop; no
-     * decoder has a lane-packed window substrate yet).
+     * Decode @p count independent multi-round measurement windows
+     * into out[0..count): the net data flips to commit at each window
+     * boundary, under the decodeBatch output contract. The default
+     * reduces every window by round-majority voting and decodes the
+     * votes through decodeBatch, which is correct when measurement
+     * noise is rare relative to the window length. Window-aware
+     * decoders (MWPM, union-find) override this with true spacetime
+     * matching over the detection events and report windowAware().
      */
     virtual void decodeWindowBatch(const SyndromeWindow *const *windows,
-                                   std::size_t count,
+                                   std::size_t count, Correction *out,
                                    TrialWorkspace &ws);
 
     /**
-     * Whether decodeWindow runs true spacetime decoding rather than
-     * the round-majority fallback.
+     * @name Non-virtual conveniences over the two entry points
+     * decode() allocates a private workspace per call (tests, tools);
+     * the workspace forms write ws.correction (scalar) or
+     * ws.laneCorrections[0..count) (batch, grown to @p count).
+     * @{
+     */
+    Correction decode(const Syndrome &syndrome);
+    void decode(const Syndrome &syndrome, TrialWorkspace &ws);
+    void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                     TrialWorkspace &ws);
+    void decodeWindow(const SyndromeWindow &window, TrialWorkspace &ws);
+    void decodeWindowBatch(const SyndromeWindow *const *windows,
+                           std::size_t count, TrialWorkspace &ws);
+    /** @} */
+
+    /**
+     * Whether decodeWindowBatch runs true spacetime decoding rather
+     * than the round-majority default.
      */
     virtual bool windowAware() const { return false; }
 
@@ -173,8 +173,10 @@ class Decoder
   private:
     const SurfaceLattice *lattice_;
     ErrorType type_;
-    /** Majority-vote scratch of the fallback decodeWindow (lazy). */
-    std::unique_ptr<Syndrome> windowScratch_;
+    /** Majority-vote scratch of the default decodeWindowBatch. @{ */
+    std::vector<Syndrome> voteScratch_;
+    std::vector<const Syndrome *> votePtrs_;
+    /** @} */
 };
 
 } // namespace nisqpp

@@ -8,30 +8,13 @@
 
 namespace nisqpp {
 
-Correction
-GreedyDecoder::decode(const Syndrome &syndrome)
-{
-    // Legacy allocation-per-call entry point; the engine loop passes a
-    // persistent per-thread workspace instead.
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
-}
-
-void
-GreedyDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
-{
-    decodeInto(syndrome, ws, ws.correction);
-}
-
 void
 GreedyDecoder::decodeBatch(const Syndrome *const *syndromes,
-                           std::size_t count, TrialWorkspace &ws)
+                           std::size_t count, Correction *out,
+                           TrialWorkspace &ws)
 {
-    if (ws.laneCorrections.size() < count)
-        ws.laneCorrections.resize(count);
     for (std::size_t i = 0; i < count; ++i)
-        decodeInto(*syndromes[i], ws, ws.laneCorrections[i]);
+        decodeInto(*syndromes[i], ws, out[i]);
 }
 
 void

@@ -23,18 +23,11 @@ class GreedyDecoder : public Decoder
         : Decoder(lattice, type)
     {}
 
-    Correction decode(const Syndrome &syndrome) override;
-    void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
+    using Decoder::decodeBatch;
 
-    /**
-     * Batch decode straight into the lane buffers: each trial's chains
-     * are appended to ws.laneCorrections[i] directly instead of
-     * detouring through ws.correction and swapping afterwards (the
-     * base-class fallback), so the hot loop touches one buffer per
-     * lane and every buffer keeps its high-water capacity.
-     */
+    /** Greedy matching of each syndrome in turn, straight into out[i]. */
     void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
-                     TrialWorkspace &ws) override;
+                     Correction *out, TrialWorkspace &ws) override;
 
     /** Every node is matched (to a partner or its boundary). */
     bool correctionClearsSyndrome() const override { return true; }

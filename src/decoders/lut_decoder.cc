@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/logging.hh"
-#include "decoders/workspace.hh"
 
 namespace nisqpp {
 
@@ -50,22 +49,18 @@ LutDecoder::syndromeKey(const Syndrome &syndrome) const
     return key;
 }
 
-Correction
-LutDecoder::decode(const Syndrome &syndrome)
-{
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
-}
-
 void
-LutDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
+LutDecoder::decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                        Correction *out, TrialWorkspace &)
 {
-    ws.correction.clear();
-    const std::uint32_t pattern = table_.at(syndromeKey(syndrome));
-    for (int d = 0; d < lattice().numData(); ++d)
-        if ((pattern >> d) & 1u)
-            ws.correction.dataFlips.push_back(d);
+    for (std::size_t i = 0; i < count; ++i) {
+        out[i].clear();
+        const std::uint32_t pattern =
+            table_.at(syndromeKey(*syndromes[i]));
+        for (int d = 0; d < lattice().numData(); ++d)
+            if ((pattern >> d) & 1u)
+                out[i].dataFlips.push_back(d);
+    }
 }
 
 } // namespace nisqpp

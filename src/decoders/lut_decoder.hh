@@ -27,8 +27,11 @@ class LutDecoder : public Decoder
   public:
     LutDecoder(const SurfaceLattice &lattice, ErrorType type);
 
-    Correction decode(const Syndrome &syndrome) override;
-    void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
+    using Decoder::decodeBatch;
+
+    /** Table lookup of each syndrome in turn (no scratch needed). */
+    void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                     Correction *out, TrialWorkspace &ws) override;
 
     std::string name() const override { return "lut"; }
 

@@ -19,41 +19,35 @@ MwpmDecoder::exportMetrics(obs::MetricSet &out) const
     out.add("decoder.mwpm.correction_flips", correctionFlipsTotal_);
 }
 
-Correction
-MwpmDecoder::decode(const Syndrome &syndrome)
+void
+MwpmDecoder::decodeBatch(const Syndrome *const *syndromes,
+                         std::size_t count, Correction *out,
+                         TrialWorkspace &ws)
 {
-    // Legacy allocation-per-call entry point; the engine loop passes a
-    // persistent per-thread workspace instead.
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
+    for (std::size_t i = 0; i < count; ++i) {
+        ws.graph.build(lattice(), type(), *syndromes[i]);
+        matchBuiltGraph(ws, out[i]);
+    }
 }
 
 void
-MwpmDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
+MwpmDecoder::decodeWindowBatch(const SyndromeWindow *const *windows,
+                               std::size_t count, Correction *out,
+                               TrialWorkspace &ws)
+{
+    for (std::size_t i = 0; i < count; ++i) {
+        ++windowDecodes_;
+        ws.graph.buildWindow(lattice(), type(), *windows[i]);
+        matchBuiltGraph(ws, out[i]);
+    }
+}
+
+void
+MwpmDecoder::matchBuiltGraph(TrialWorkspace &ws, Correction &out)
 {
     pairs_.clear();
-    ws.correction.clear();
+    out.clear();
     ++decodes_;
-    ws.graph.build(lattice(), type(), syndrome);
-    matchBuiltGraph(ws);
-}
-
-void
-MwpmDecoder::decodeWindow(const SyndromeWindow &window,
-                          TrialWorkspace &ws)
-{
-    pairs_.clear();
-    ws.correction.clear();
-    ++decodes_;
-    ++windowDecodes_;
-    ws.graph.buildWindow(lattice(), type(), window);
-    matchBuiltGraph(ws);
-}
-
-void
-MwpmDecoder::matchBuiltGraph(TrialWorkspace &ws)
-{
     const MatchingGraph &graph = ws.graph;
     const int k = graph.numNodes();
     if (k == 0)
@@ -82,7 +76,7 @@ MwpmDecoder::matchBuiltGraph(TrialWorkspace &ws)
         if (m == k + i) {
             pairs_.push_back({graph.ancillaOf(i), -1, true});
             appendChainToBoundary(lattice(), type(), graph.ancillaOf(i),
-                                  ws.correction.dataFlips);
+                                  out.dataFlips);
         } else if (m < k && m > i) {
             pairs_.push_back({graph.ancillaOf(i), graph.ancillaOf(m),
                               false});
@@ -92,11 +86,11 @@ MwpmDecoder::matchBuiltGraph(TrialWorkspace &ws)
                 appendChainBetweenAncillas(lattice(), type(),
                                            graph.ancillaOf(i),
                                            graph.ancillaOf(m),
-                                           ws.correction.dataFlips);
+                                           out.dataFlips);
         }
     }
     pairsTotal_ += pairs_.size();
-    correctionFlipsTotal_ += ws.correction.dataFlips.size();
+    correctionFlipsTotal_ += out.dataFlips.size();
 }
 
 } // namespace nisqpp

@@ -25,18 +25,23 @@ class MwpmDecoder : public Decoder
         : Decoder(lattice, type)
     {}
 
-    Correction decode(const Syndrome &syndrome) override;
-    void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
+    using Decoder::decodeBatch;
+    using Decoder::decodeWindowBatch;
+
+    /** Exact blossom matching of each syndrome in turn. */
+    void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                     Correction *out, TrialWorkspace &ws) override;
 
     /**
-     * Spacetime MWPM over a faulty-measurement window: exact blossom
+     * Spacetime MWPM over faulty-measurement windows: exact blossom
      * matching on the detection events with time-like edge weights
      * (MatchingGraph::buildWindow). Time-like legs flip no data
      * qubits — they re-interpret measurement flips — so the committed
      * correction is the XOR of the spatial chain segments only.
      */
-    void decodeWindow(const SyndromeWindow &window,
-                      TrialWorkspace &ws) override;
+    void decodeWindowBatch(const SyndromeWindow *const *windows,
+                           std::size_t count, Correction *out,
+                           TrialWorkspace &ws) override;
     bool windowAware() const override { return true; }
 
     /** A perfect matching's chains reproduce the syndrome exactly. */
@@ -57,11 +62,11 @@ class MwpmDecoder : public Decoder
   private:
     /**
      * Shared matcher body: solve ws.graph (already built, space-only
-     * or spacetime) with the blossom matcher and emit pairs_ +
-     * ws.correction. Space-only graphs never pair two nodes of the
-     * same ancilla, so the pure-time-like skip is a no-op there.
+     * or spacetime) with the blossom matcher and emit pairs_ + @p out.
+     * Space-only graphs never pair two nodes of the same ancilla, so
+     * the pure-time-like skip is a no-op there.
      */
-    void matchBuiltGraph(TrialWorkspace &ws);
+    void matchBuiltGraph(TrialWorkspace &ws, Correction &out);
 
     std::vector<MatchPair> pairs_;
 

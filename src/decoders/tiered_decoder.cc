@@ -78,8 +78,13 @@ TieredDecoder::scoreDecode(const MeshDecodeStats &mesh,
 }
 
 void
-TieredDecoder::finishEscalation(TieredDecodeStats &ts)
+TieredDecoder::repairFrom(const Correction &out, TieredDecodeStats &ts)
 {
+    canonicalize(provisional_.dataFlips);
+    diffScratch_ = out.dataFlips;
+    canonicalize(diffScratch_);
+    symmetricDifference(provisional_.dataFlips, diffScratch_,
+                        ts.repairFlips);
     ++escalations_;
     ts.escalated = true;
     if (!ts.repairFlips.empty()) {
@@ -90,80 +95,47 @@ TieredDecoder::finishEscalation(TieredDecodeStats &ts)
 }
 
 void
-TieredDecoder::escalateIfNeeded(const Syndrome &syndrome,
-                                TrialWorkspace &ws, Correction &out,
-                                const MeshDecodeStats &mesh,
-                                TieredDecodeStats &ts)
-{
-    if (!scoreDecode(mesh, ts))
-        return;
-    // Park the mesh's provisional answer, let the exact tier decode
-    // into ws.correction, and diff the two into the frame repair.
-    std::swap(provisional_.dataFlips, out.dataFlips);
-    exact_->decode(syndrome, ws);
-    if (&out != &ws.correction)
-        std::swap(out.dataFlips, ws.correction.dataFlips);
-    canonicalize(provisional_.dataFlips);
-    diffScratch_ = out.dataFlips;
-    canonicalize(diffScratch_);
-    symmetricDifference(provisional_.dataFlips, diffScratch_,
-                        ts.repairFlips);
-    finishEscalation(ts);
-}
-
-Correction
-TieredDecoder::decode(const Syndrome &syndrome)
-{
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return ws.correction;
-}
-
-void
-TieredDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
-{
-    stats_.resize(1);
-    mesh_->decode(syndrome, ws);
-    escalateIfNeeded(syndrome, ws, ws.correction, mesh_->lastStats(),
-                     stats_[0]);
-}
-
-void
 TieredDecoder::decodeBatch(const Syndrome *const *syndromes,
-                           std::size_t count, TrialWorkspace &ws)
+                           std::size_t count, Correction *out,
+                           TrialWorkspace &ws)
 {
     if (count == 0)
         return;
     stats_.resize(count);
-    mesh_->decodeBatch(syndromes, count, ws);
-    // Escalations run scalar after the lane-packed first tier, in lane
-    // order, so counters and corrections match a scalar tiered loop
-    // over the same syndromes bit for bit.
-    for (std::size_t i = 0; i < count; ++i)
-        escalateIfNeeded(*syndromes[i], ws, ws.laneCorrections[i],
-                         *mesh_->meshStats(i), stats_[i]);
+    mesh_->decodeBatch(syndromes, count, out, ws);
+    // Escalations run one at a time after the first tier, in lane
+    // order, each parking the mesh's provisional answer and letting
+    // the exact tier decode straight into out[i], so counters and
+    // corrections match a scalar tiered loop bit for bit.
+    for (std::size_t i = 0; i < count; ++i) {
+        if (!scoreDecode(*mesh_->meshStats(i), stats_[i]))
+            continue;
+        std::swap(provisional_.dataFlips, out[i].dataFlips);
+        exact_->decodeBatch(syndromes + i, 1, out + i, ws);
+        repairFrom(out[i], stats_[i]);
+    }
 }
 
 void
-TieredDecoder::decodeWindow(const SyndromeWindow &window,
-                            TrialWorkspace &ws)
+TieredDecoder::decodeWindowBatch(const SyndromeWindow *const *windows,
+                                 std::size_t count, Correction *out,
+                                 TrialWorkspace &ws)
 {
-    stats_.resize(1);
-    TieredDecodeStats &ts = stats_[0];
-    // First tier: the mesh's round-majority window reduction; its
-    // inner scalar decode leaves the telemetry we score.
-    mesh_->decodeWindow(window, ws);
-    ++windowDecodes_;
-    if (!scoreDecode(mesh_->lastStats(), ts))
+    if (count == 0)
         return;
-    std::swap(provisional_.dataFlips, ws.correction.dataFlips);
-    exact_->decodeWindow(window, ws);
-    canonicalize(provisional_.dataFlips);
-    diffScratch_ = ws.correction.dataFlips;
-    canonicalize(diffScratch_);
-    symmetricDifference(provisional_.dataFlips, diffScratch_,
-                        ts.repairFlips);
-    finishEscalation(ts);
+    stats_.resize(count);
+    // First tier: the mesh's round-majority window reduction, whose
+    // inner decodes leave the telemetry we score; escalation runs the
+    // exact backend's own (spacetime, when it has one) window decode.
+    mesh_->decodeWindowBatch(windows, count, out, ws);
+    for (std::size_t i = 0; i < count; ++i) {
+        ++windowDecodes_;
+        if (!scoreDecode(*mesh_->meshStats(i), stats_[i]))
+            continue;
+        std::swap(provisional_.dataFlips, out[i].dataFlips);
+        exact_->decodeWindowBatch(windows + i, 1, out + i, ws);
+        repairFrom(out[i], stats_[i]);
+    }
 }
 
 void

@@ -50,27 +50,27 @@ class TieredDecoder : public Decoder
                   std::unique_ptr<MeshDecoder> mesh,
                   std::unique_ptr<Decoder> exact, double threshold);
 
-    Correction decode(const Syndrome &syndrome) override;
-    void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
+    using Decoder::decodeBatch;
+    using Decoder::decodeWindowBatch;
 
     /**
-     * Lane-packed first tier: the mesh decodes all @p count syndromes
-     * through its batch substrate, then each low-confidence lane is
-     * escalated scalar through the exact backend. Per-lane corrections
-     * and telemetry are bit-identical to scalar tiered decodes of the
-     * same syndromes.
+     * The mesh decodes all @p count syndromes (scalar for a batch of
+     * one, lane-packed otherwise), then each low-confidence lane is
+     * escalated alone through the exact backend, which decodes
+     * straight into that lane's output. Per-lane corrections and
+     * telemetry are bit-identical for every batch size.
      */
     void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
-                     TrialWorkspace &ws) override;
+                     Correction *out, TrialWorkspace &ws) override;
 
     /**
-     * Windowed first tier: the mesh's decodeWindow (round-majority
-     * reduction) decodes the window, its inner decode's telemetry is
-     * scored, and low confidence escalates to the exact backend's true
-     * spacetime decodeWindow.
+     * Windowed first tier: the mesh's round-majority reduction decodes
+     * each window, its telemetry is scored, and low confidence
+     * escalates to the exact backend's true spacetime window decode.
      */
-    void decodeWindow(const SyndromeWindow &window,
-                      TrialWorkspace &ws) override;
+    void decodeWindowBatch(const SyndromeWindow *const *windows,
+                           std::size_t count, Correction *out,
+                           TrialWorkspace &ws) override;
 
     /** True spacetime escalation is available iff the backend has it. */
     bool windowAware() const override { return exact_->windowAware(); }
@@ -106,20 +106,14 @@ class TieredDecoder : public Decoder
 
   private:
     /**
-     * Score lane @p lane's mesh telemetry into @p ts and, below the
-     * threshold, run the exact backend on @p syndrome and swap its
-     * correction into @p out (which holds the mesh's provisional
-     * answer on entry, the final answer on exit).
+     * Finish one escalation: @p out holds the exact tier's answer and
+     * provisional_ the parked mesh answer; record their difference as
+     * the frame repair in @p ts and count the escalation.
      */
-    void escalateIfNeeded(const Syndrome &syndrome, TrialWorkspace &ws,
-                          Correction &out, const MeshDecodeStats &mesh,
-                          TieredDecodeStats &ts);
+    void repairFrom(const Correction &out, TieredDecodeStats &ts);
 
     /** Score + count one decode; true when it must escalate. */
     bool scoreDecode(const MeshDecodeStats &mesh, TieredDecodeStats &ts);
-
-    /** Note the repair (counters + ts) for a finished escalation. */
-    void finishEscalation(TieredDecodeStats &ts);
 
     std::unique_ptr<MeshDecoder> mesh_;
     std::unique_ptr<Decoder> exact_;

@@ -102,16 +102,6 @@ UnionFindDecoder::windowGraph(int rounds)
     return windowGraph_;
 }
 
-Correction
-UnionFindDecoder::decode(const Syndrome &syndrome)
-{
-    // Legacy allocation-per-call entry point; the engine loop passes a
-    // persistent per-thread workspace instead.
-    TrialWorkspace ws;
-    decode(syndrome, ws);
-    return std::move(ws.correction);
-}
-
 void
 UnionFindDecoder::noteDecode(const Correction &corr)
 {
@@ -134,144 +124,90 @@ UnionFindDecoder::exportMetrics(obs::MetricSet &out) const
                        growthRoundsTotal_);
 }
 
-void
-UnionFindDecoder::decode(const Syndrome &syndrome, TrialWorkspace &ws)
+const UnionFindDecoder::Graph &
+UnionFindDecoder::graphFor(int rounds)
 {
-    ws.correction.clear();
-    lastRounds_ = 0;
-    if (syndrome.weight() == 0) {
-        noteDecode(ws.correction);
-        return;
-    }
-    ws.ufSeeds.clear();
-    syndrome.forEachHot(
-        [&ws](int a) { ws.ufSeeds.push_back(a); });
-    decodeOnGraph(graph_, ws.ufSeeds, 4 * lattice().gridSize() + 8, ws);
-    noteDecode(ws.correction);
-}
-
-void
-UnionFindDecoder::decodeWindow(const SyndromeWindow &window,
-                               TrialWorkspace &ws)
-{
-    ws.correction.clear();
-    lastRounds_ = 0;
-    ++windowDecodes_;
-    if (window.eventWeight() == 0) {
-        noteDecode(ws.correction);
-        return;
-    }
-    const int na = window.numAncilla();
-    ws.ufSeeds.clear();
-    window.forEachEvent([&ws, na](int t, int a) {
-        ws.ufSeeds.push_back(t * na + a);
-    });
-    decodeOnGraph(windowGraph(window.rounds()), ws.ufSeeds,
-                  4 * (lattice().gridSize() + window.rounds()) + 8, ws);
-    noteDecode(ws.correction);
+    return rounds == 0 ? graph_ : windowGraph(rounds);
 }
 
 void
 UnionFindDecoder::decodeBatch(const Syndrome *const *syndromes,
-                              std::size_t count, TrialWorkspace &ws)
+                              std::size_t count, Correction *out,
+                              TrialWorkspace &ws)
 {
-    if (count == 0)
-        return;
-    if (ws.laneCorrections.size() < count)
-        ws.laneCorrections.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        ws.laneCorrections[i].clear();
-    switch (width_) {
-      case simd::Width::Scalar:
-        runBatch(engine64_, syndromes, count, ws);
-        break;
-      case simd::Width::V256:
-        runBatch(engine256_, syndromes, count, ws);
-        break;
-      case simd::Width::V512:
-        runBatch(engine512_, syndromes, count, ws);
-        break;
-    }
+    decodeGroup(0, count, out, ws,
+                [syndromes](std::size_t i, std::vector<int> &seeds) {
+                    syndromes[i]->forEachHot(
+                        [&seeds](int a) { seeds.push_back(a); });
+                });
 }
 
 void
 UnionFindDecoder::decodeWindowBatch(const SyndromeWindow *const *windows,
-                                    std::size_t count,
+                                    std::size_t count, Correction *out,
                                     TrialWorkspace &ws)
 {
     if (count == 0)
         return;
-    // The lane-packed engine shares one spacetime graph per chunk;
-    // mixed round counts (no caller produces them today) take the
-    // scalar fallback rather than juggling graphs mid-chunk.
+    // The lane-packed engine shares one spacetime graph per chunk.
+    const int rounds = windows[0]->rounds();
     for (std::size_t i = 1; i < count; ++i)
-        if (windows[i]->rounds() != windows[0]->rounds()) {
-            Decoder::decodeWindowBatch(windows, count, ws);
-            return;
-        }
-    if (ws.laneCorrections.size() < count)
-        ws.laneCorrections.resize(count);
-    for (std::size_t i = 0; i < count; ++i)
-        ws.laneCorrections[i].clear();
+        require(windows[i]->rounds() == rounds,
+                "UnionFindDecoder: windows of one batch must have the "
+                "same round count");
+    windowDecodes_ += count;
+    const int na = windows[0]->numAncilla();
+    decodeGroup(rounds, count, out, ws,
+                [windows, na](std::size_t i, std::vector<int> &seeds) {
+                    windows[i]->forEachEvent([&seeds, na](int t, int a) {
+                        seeds.push_back(t * na + a);
+                    });
+                });
+}
+
+template <typename SeedsOf>
+void
+UnionFindDecoder::decodeGroup(int rounds, std::size_t count,
+                              Correction *out, TrialWorkspace &ws,
+                              const SeedsOf &seedsOf)
+{
+    if (count == 1) {
+        ws.ufSeeds.clear();
+        seedsOf(0, ws.ufSeeds);
+        decodeScalar(rounds, ws.ufSeeds, ws, out[0]);
+        return;
+    }
     switch (width_) {
       case simd::Width::Scalar:
-        runWindowBatch(engine64_, windows, count, ws);
+        runBatch(engine64_, rounds, count, out, seedsOf);
         break;
       case simd::Width::V256:
-        runWindowBatch(engine256_, windows, count, ws);
+        runBatch(engine256_, rounds, count, out, seedsOf);
         break;
       case simd::Width::V512:
-        runWindowBatch(engine512_, windows, count, ws);
+        runBatch(engine512_, rounds, count, out, seedsOf);
         break;
     }
 }
 
-template <typename W>
+template <typename W, typename SeedsOf>
 void
-UnionFindDecoder::runBatch(BatchEngine<W> &e,
-                           const Syndrome *const *syndromes,
-                           std::size_t count, TrialWorkspace &ws)
+UnionFindDecoder::runBatch(BatchEngine<W> &e, int rounds,
+                           std::size_t count, Correction *out,
+                           const SeedsOf &seedsOf)
 {
-    const int growthBound = 4 * lattice().gridSize() + 8;
-    for (std::size_t base = 0; base < count;
-         base += static_cast<std::size_t>(e.kLanes)) {
-        const std::size_t lanes =
-            std::min(static_cast<std::size_t>(e.kLanes), count - base);
-        ensureEngine(e, graph_, 0, lanes);
-        for (std::size_t l = 0; l < lanes; ++l) {
-            auto &cand = e.candidates[l];
-            cand.clear();
-            syndromes[base + l]->forEachHot(
-                [&cand](int a) { cand.push_back(a); });
-        }
-        runChunk(graph_, growthBound, e, base, lanes, ws);
-    }
-}
-
-template <typename W>
-void
-UnionFindDecoder::runWindowBatch(BatchEngine<W> &e,
-                                 const SyndromeWindow *const *windows,
-                                 std::size_t count, TrialWorkspace &ws)
-{
-    const int rounds = windows[0]->rounds();
-    const int na = windows[0]->numAncilla();
-    const Graph &graph = windowGraph(rounds);
+    const Graph &graph = graphFor(rounds);
     const int growthBound = 4 * (lattice().gridSize() + rounds) + 8;
-    windowDecodes_ += count;
     for (std::size_t base = 0; base < count;
          base += static_cast<std::size_t>(e.kLanes)) {
         const std::size_t lanes =
             std::min(static_cast<std::size_t>(e.kLanes), count - base);
         ensureEngine(e, graph, rounds, lanes);
         for (std::size_t l = 0; l < lanes; ++l) {
-            auto &cand = e.candidates[l];
-            cand.clear();
-            windows[base + l]->forEachEvent([&cand, na](int t, int a) {
-                cand.push_back(t * na + a);
-            });
+            e.candidates[l].clear();
+            seedsOf(base + l, e.candidates[l]);
         }
-        runChunk(graph, growthBound, e, base, lanes, ws);
+        runChunk(graph, growthBound, e, base, lanes, out);
     }
 }
 
@@ -370,7 +306,7 @@ template <typename W>
 void
 UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
                            BatchEngine<W> &e, std::size_t base,
-                           std::size_t lanes, TrialWorkspace &ws)
+                           std::size_t lanes, Correction *out)
 {
     const auto &edges = graph.edges;
     const int *incOff = e.incOff.data();
@@ -574,7 +510,8 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
     // reset walks just the erasure, and the arrays stay resident in
     // L1.
     for (std::size_t l = 0; l < lanes; ++l) {
-        Correction &out = ws.laneCorrections[base + l];
+        Correction &corr = out[base + l];
+        corr.clear();
         auto &cand = e.candidates[l];
         int *parentL = e.parent.data() + l * V;
         unsigned char *metaL = e.meta.data() + l * V;
@@ -660,7 +597,7 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
             // measurement flips: parity still moves to the parent, no
             // data flip.
             if (ed.dataIdx >= 0)
-                out.dataFlips.push_back(ed.dataIdx);
+                corr.dataFlips.push_back(ed.dataIdx);
             hot[v] = 0;
             hot[p] ^= 1;
         }
@@ -693,7 +630,7 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
         e.grownDone[l] = 0;
 
         lastRounds_ = e.rounds[l];
-        noteDecode(out);
+        noteDecode(corr);
     }
 
     // Rewind the shared planes (after every lane's peel — the peel
@@ -708,10 +645,19 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
 }
 
 void
-UnionFindDecoder::decodeOnGraph(const Graph &graph,
-                                const std::vector<int> &seeds,
-                                int growthBound, TrialWorkspace &ws)
+UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
+                               TrialWorkspace &ws, Correction &out)
 {
+    out.clear();
+    lastRounds_ = 0;
+    // An empty syndrome decodes to nothing without touching (or, for
+    // windows, building) the graph.
+    if (seeds.empty()) {
+        noteDecode(out);
+        return;
+    }
+    const Graph &graph = graphFor(rounds);
+    const int growthBound = 4 * (lattice().gridSize() + rounds) + 8;
     const auto &edges = graph.edges;
     const auto &incident = graph.incident;
     const int numAncillaVertices = graph.numAncillaVertices;
@@ -873,7 +819,7 @@ UnionFindDecoder::decodeOnGraph(const Graph &graph,
         // Time-like tree edges (dataIdx < 0) re-interpret measurement
         // flips: parity still moves to the parent, no data flip.
         if (e.dataIdx >= 0)
-            ws.correction.dataFlips.push_back(e.dataIdx);
+            out.dataFlips.push_back(e.dataIdx);
         hot[v] = 0;
         hot[p] ^= 1;
     }
@@ -884,6 +830,7 @@ UnionFindDecoder::decodeOnGraph(const Graph &graph,
     for (int v = 0; v < numAncillaVertices; ++v)
         require(!hot[v],
                 "UnionFindDecoder: peeling left a hot interior vertex");
+    noteDecode(out);
 }
 
 } // namespace nisqpp

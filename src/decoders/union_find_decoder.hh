@@ -7,12 +7,12 @@
  * to a correction.
  *
  * The growth/peel core is graph-agnostic: the space-only decode runs it
- * on the 2D ancilla graph, and decodeWindow runs the identical
+ * on the 2D ancilla graph, and decodeWindowBatch runs the identical
  * algorithm on the (rounds x ancilla) spacetime graph whose time-like
  * edges carry no data qubit — they absorb measurement flips — so the
  * peeled correction is the XOR of the spatial edges only.
  *
- * decodeBatch()/decodeWindowBatch() run a *lane-packed* variant of the
+ * Batches of more than one input run a *lane-packed* variant of the
  * same algorithm: K independent syndromes share one pass over the
  * graph, with per-edge support counters held as two bit-planes (bit l
  * of word e = lane l's support >= 1 / == 2) in the runtime-dispatched
@@ -53,33 +53,28 @@ class UnionFindDecoder : public Decoder
   public:
     UnionFindDecoder(const SurfaceLattice &lattice, ErrorType type);
 
-    Correction decode(const Syndrome &syndrome) override;
-    void decode(const Syndrome &syndrome, TrialWorkspace &ws) override;
+    using Decoder::decodeBatch;
+    using Decoder::decodeWindowBatch;
 
     /**
-     * Lane-packed batch decode: up to 8 * sizeof(lane word) syndromes
-     * grow their clusters together through shared bit-plane edge
-     * sweeps. Corrections land in ws.laneCorrections[0..count), each
-     * bit-identical to decode(*syndromes[i], ws); the accumulated
-     * decoder.uf.* counters are identical too.
+     * A batch of one runs the scalar core (growth + peel over the
+     * workspace buffers); larger batches run the lane-packed engine,
+     * up to 8 * sizeof(lane word) syndromes growing their clusters
+     * together through shared bit-plane edge sweeps. Every lane's
+     * correction and decoder.uf.* counter is bit-identical either way.
      */
     void decodeBatch(const Syndrome *const *syndromes, std::size_t count,
-                     TrialWorkspace &ws) override;
+                     Correction *out, TrialWorkspace &ws) override;
 
     /**
-     * Spacetime union-find over a faulty-measurement window: the same
+     * Spacetime union-find over faulty-measurement windows: the same
      * growth + peel on the detection-event graph with unit time-like
-     * edges between (t, a) and (t+1, a).
-     */
-    void decodeWindow(const SyndromeWindow &window,
-                      TrialWorkspace &ws) override;
-
-    /**
-     * Lane-packed windowed batch (same engine on the spacetime graph).
-     * Windows of mixed round counts fall back to the scalar loop.
+     * edges between (t, a) and (t+1, a), chosen scalar or lane-packed
+     * by @p count exactly like decodeBatch. Every window of a batch
+     * must have the same round count (one spacetime graph per chunk).
      */
     void decodeWindowBatch(const SyndromeWindow *const *windows,
-                           std::size_t count,
+                           std::size_t count, Correction *out,
                            TrialWorkspace &ws) override;
 
     bool windowAware() const override { return true; }
@@ -234,9 +229,24 @@ class UnionFindDecoder : public Decoder
         /** @} */
     };
 
-    /** Growth + peel on @p graph seeded at @p seeds (hot vertices). */
-    void decodeOnGraph(const Graph &graph, const std::vector<int> &seeds,
-                       int growthBound, TrialWorkspace &ws);
+    /** The 2D graph for @p rounds == 0, else the spacetime graph. */
+    const Graph &graphFor(int rounds);
+
+    /**
+     * One batch on the graph of @p rounds (0 = 2D): a batch of one
+     * runs decodeScalar, larger ones the latched-width lane engine.
+     * seedsOf(i, seeds) appends input i's hot vertices to seeds.
+     */
+    template <typename SeedsOf>
+    void decodeGroup(int rounds, std::size_t count, Correction *out,
+                     TrialWorkspace &ws, const SeedsOf &seedsOf);
+
+    /**
+     * Scalar growth + peel on the graph of @p rounds (0 = 2D) seeded
+     * at @p seeds (hot vertices), writing the correction into @p out.
+     */
+    void decodeScalar(int rounds, const std::vector<int> &seeds,
+                      TrialWorkspace &ws, Correction &out);
 
     /** (Re)initialize @p e for @p graph and at least @p lanes lanes. */
     template <typename W>
@@ -246,23 +256,17 @@ class UnionFindDecoder : public Decoder
     /**
      * Decode one chunk of @p lanes pre-seeded lanes (candidates[l] =
      * seeds of trial base + l) on @p graph, writing corrections into
-     * ws.laneCorrections[base..base+lanes) and folding each lane into
-     * the work counters in ascending lane order.
+     * out[base..base+lanes) and folding each lane into the work
+     * counters in ascending lane order.
      */
     template <typename W>
     void runChunk(const Graph &graph, int growthBound, BatchEngine<W> &e,
-                  std::size_t base, std::size_t lanes,
-                  TrialWorkspace &ws);
+                  std::size_t base, std::size_t lanes, Correction *out);
 
-    /** Chunked batch loops over the 2D / spacetime graphs. @{ */
-    template <typename W>
-    void runBatch(BatchEngine<W> &e, const Syndrome *const *syndromes,
-                  std::size_t count, TrialWorkspace &ws);
-    template <typename W>
-    void runWindowBatch(BatchEngine<W> &e,
-                        const SyndromeWindow *const *windows,
-                        std::size_t count, TrialWorkspace &ws);
-    /** @} */
+    /** Chunked lane-engine loop over the graph of @p rounds. */
+    template <typename W, typename SeedsOf>
+    void runBatch(BatchEngine<W> &e, int rounds, std::size_t count,
+                  Correction *out, const SeedsOf &seedsOf);
 
     /**
      * Append one ancilla family's spatial edge set to @p graph with

@@ -4,9 +4,9 @@
  * during one decode, owned by the Monte Carlo driver and reused across
  * the thousands of trials in an engine shard. The engine keeps one
  * workspace per worker thread; decoders borrow from it through the
- * workspace-aware `Decoder::decode` overload, so steady-state decoding
- * performs no heap allocation at all (buffers grow to the high-water
- * mark of the hardest syndrome and stay there).
+ * `ws` argument of Decoder::decodeBatch / decodeWindowBatch, so
+ * steady-state decoding performs no heap allocation at all (buffers
+ * grow to the high-water mark of the hardest syndrome and stay there).
  *
  * Buffers are grouped by consumer but deliberately shared across
  * decoder *instances* (the Z and X decoders of a depolarizing run, or
@@ -37,13 +37,17 @@ struct WeightedEdge
 class TrialWorkspace
 {
   public:
-    /** The decoder's output buffer (cleared, not shrunk, per decode). */
+    /**
+     * Output of the scalar conveniences Decoder::decode(syndrome, ws)
+     * and decodeWindow (cleared, not shrunk, per decode).
+     */
     Correction correction;
 
     /**
-     * Per-lane output buffers of Decoder::decodeBatch: entry i holds
-     * the correction of syndrome i of the last batch. Sized to the
-     * batch high-water mark; capacities are kept across batches.
+     * Output of the workspace forms of Decoder::decodeBatch and
+     * decodeWindowBatch: entry i holds the correction of input i of
+     * the last batch. Sized to the batch high-water mark; capacities
+     * are kept across batches.
      */
     std::vector<Correction> laneCorrections;
 

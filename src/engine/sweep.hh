@@ -96,11 +96,12 @@ struct EngineOptions
     std::size_t shardTrials = 512;
 
     /**
-     * Rounds grouped per Decoder::decodeBatch call in per-round
-     * simulations (LifetimeSimulator::setBatchLanes): 1 = scalar
-     * decoding, larger values feed the mesh decoder's lane-packed
-     * substrate. Aggregates are byte-identical for every value (and
-     * every thread count) at a fixed seed; only throughput changes.
+     * Trials grouped per Decoder::decodeBatch / decodeWindowBatch
+     * call (LifetimeSimulator::setBatchLanes): 1 = groups of one,
+     * larger values feed the mesh and union-find lane engines;
+     * lifetime mode always runs groups of one. Aggregates are
+     * byte-identical for every value (and every thread count) at a
+     * fixed seed; only throughput changes.
      */
     std::size_t batchLanes = 1;
 };

@@ -86,19 +86,19 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      std::uint64_t seed,
                                      bool throughCircuits,
                                      TrialWorkspace *workspace)
-    : lattice_(lattice), model_(model), zDecoder_(zDecoder),
-      xDecoder_(xDecoder), rng_(seed), throughCircuits_(throughCircuits),
+    : lattice_(lattice), model_(model), rng_(seed),
+      throughCircuits_(throughCircuits),
       noisyReadout_(model.measurementFlipRate() > 0.0),
-      state_(lattice),
-      synZ_(lattice, ErrorType::Z), synX_(lattice, ErrorType::X),
+      families_{{{ErrorType::Z, &zDecoder, {}, {}},
+                 {ErrorType::X, xDecoder, {}, {}}}},
       ws_(workspace)
 {
     if (throughCircuits_)
         circuit_ = std::make_unique<StabilizerCircuit>(lattice);
     require(zDecoder.type() == ErrorType::Z,
             "LifetimeSimulator: zDecoder must decode Z errors");
-    if (xDecoder_)
-        require(xDecoder_->type() == ErrorType::X,
+    if (xDecoder)
+        require(xDecoder->type() == ErrorType::X,
                 "LifetimeSimulator: xDecoder must decode X errors");
     if (!ws_) {
         owned_ = std::make_unique<TrialWorkspace>();
@@ -133,12 +133,6 @@ LifetimeSimulator::recordMeshStats(const MeshDecodeStats *stats,
         acc.cycleHistogram.add(static_cast<std::size_t>(stats->cycles));
 }
 
-Syndrome &
-LifetimeSimulator::scratchSyndrome(ErrorType type)
-{
-    return type == ErrorType::Z ? synZ_ : synX_;
-}
-
 void
 LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
                                Syndrome &out)
@@ -149,336 +143,140 @@ LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
         extractSyndromeInto(state, type, out);
 }
 
+void
+LifetimeSimulator::ensureLanes(std::size_t count)
+{
+    while (states_.size() < count)
+        states_.emplace_back(lattice_);
+    const int total = windowRounds_ + 1;
+    for (Family &f : families_) {
+        if (!f.decoder)
+            continue;
+        while (f.syndromes.size() < count)
+            f.syndromes.emplace_back(lattice_, f.type);
+        if (windowRounds_ == 0)
+            continue;
+        if (!f.windows.empty() && f.windows[0].rounds() != total)
+            f.windows.clear();
+        while (f.windows.size() < count)
+            f.windows.emplace_back(lattice_, f.type, total);
+    }
+    synPtrs_.resize(count);
+    winPtrs_.resize(count);
+}
+
 /**
- * Run one window's measurement rounds on @p state: windowRounds_ noisy
- * rounds (sample data errors; extract; corrupt with the model's
- * measurement-flip rate) plus one perfect commit round. RNG draw order
- * per round is data sample, Z flips, X flips — the scalar and batched
- * paths share this routine, so their streams are identical.
+ * Run lane @p lane's window on its state: windowRounds_ noisy rounds
+ * (sample data errors; extract; corrupt with the model's measurement-
+ * flip rate) plus one perfect commit round, extracting through the
+ * lane's syndrome scratch. RNG draw order per round is data sample,
+ * Z flips, X flips, so lane l draws exactly what trial l would.
  */
 void
-LifetimeSimulator::fillWindows(ErrorState &state, SyndromeWindow &winZ,
-                               SyndromeWindow *winX)
+LifetimeSimulator::fillWindows(std::size_t lane)
 {
+    ErrorState &state = states_[lane];
     state.clear();
-    winZ.reset();
-    if (winX)
-        winX->reset();
-    for (int t = 0; t < windowRounds_; ++t) {
-        model_.sample(rng_, state);
-        extractInto(state, ErrorType::Z, synZ_);
-        model_.flipMeasurements(rng_, synZ_);
-        winZ.recordRound(t, synZ_);
-        if (winX) {
-            extractInto(state, ErrorType::X, synX_);
-            model_.flipMeasurements(rng_, synX_);
-            winX->recordRound(t, synX_);
+    for (Family &f : families_)
+        if (f.decoder)
+            f.windows[lane].reset();
+    for (int t = 0; t <= windowRounds_; ++t) {
+        const bool commit = t == windowRounds_;
+        if (!commit)
+            model_.sample(rng_, state);
+        for (Family &f : families_) {
+            if (!f.decoder)
+                continue;
+            Syndrome &syn = f.syndromes[lane];
+            extractInto(state, f.type, syn);
+            if (!commit)
+                model_.flipMeasurements(rng_, syn);
+            f.windows[lane].recordRound(t, syn);
         }
     }
-    extractInto(state, ErrorType::Z, synZ_);
-    winZ.recordRound(windowRounds_, synZ_);
-    if (winX) {
-        extractInto(state, ErrorType::X, synX_);
-        winX->recordRound(windowRounds_, synX_);
-    }
-}
-
-/** Classify the post-commit residual of one windowed trial. */
-bool
-LifetimeSimulator::classifyWindowTrial(ErrorState &state,
-                                       MonteCarloResult &acc)
-{
-    const FailureReport z_report =
-        classifyResidual(state, ErrorType::Z);
-    if (z_report.syndromeNonzero)
-        ++acc.syndromeResidualFailures;
-    bool failed = z_report.failed();
-    if (xDecoder_) {
-        const FailureReport x_report =
-            classifyResidual(state, ErrorType::X);
-        if (x_report.syndromeNonzero)
-            ++acc.syndromeResidualFailures;
-        failed |= x_report.failed();
-    } else {
-        require(state.weight(ErrorType::X) == 0,
-                "LifetimeSimulator: X errors present but no X decoder");
-    }
-    ++acc.trials;
-    if (failed)
-        ++acc.failures;
-    return failed;
 }
 
 bool
-LifetimeSimulator::runWindowTrial(MonteCarloResult &acc)
-{
-    const int total = windowRounds_ + 1;
-    if (!winZ_ || winZ_->rounds() != total)
-        winZ_ = std::make_unique<SyndromeWindow>(lattice_, ErrorType::Z,
-                                                 total);
-    if (xDecoder_ && (!winX_ || winX_->rounds() != total))
-        winX_ = std::make_unique<SyndromeWindow>(lattice_, ErrorType::X,
-                                                 total);
-
-    {
-        obs::TraceSpan span(obs::Stage::Sample);
-        fillWindows(state_, *winZ_, xDecoder_ ? winX_.get() : nullptr);
-    }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        zDecoder_.decodeWindow(*winZ_, *ws_);
-    }
-    ws_->correction.applyTo(state_, ErrorType::Z);
-    if (xDecoder_) {
-        {
-            obs::TraceSpan span(obs::Stage::Decode);
-            xDecoder_->decodeWindow(*winX_, *ws_);
-        }
-        ws_->correction.applyTo(state_, ErrorType::X);
-    }
-    obs::TraceSpan span(obs::Stage::Classify);
-    return classifyWindowTrial(state_, acc);
-}
-
-bool
-LifetimeSimulator::runWindowBatch(std::size_t count,
-                                  MonteCarloResult &acc,
-                                  const StopRule &rule)
-{
-    const int total = windowRounds_ + 1;
-    while (batchStates_.size() < count)
-        batchStates_.emplace_back(lattice_);
-    if (!batchWinZ_.empty() && batchWinZ_[0].rounds() != total) {
-        batchWinZ_.clear();
-        batchWinX_.clear();
-    }
-    while (batchWinZ_.size() < count)
-        batchWinZ_.emplace_back(lattice_, ErrorType::Z, total);
-    if (xDecoder_)
-        while (batchWinX_.size() < count)
-            batchWinX_.emplace_back(lattice_, ErrorType::X, total);
-    winPtrs_.resize(count);
-
-    // Fill every lane's window up front — lane l's draw sequence is
-    // exactly what scalar trial l would have drawn.
-    {
-        obs::TraceSpan span(obs::Stage::Sample);
-        for (std::size_t l = 0; l < count; ++l)
-            fillWindows(batchStates_[l], batchWinZ_[l],
-                        xDecoder_ ? &batchWinX_[l] : nullptr);
-    }
-
-    for (std::size_t l = 0; l < count; ++l)
-        winPtrs_[l] = &batchWinZ_[l];
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        zDecoder_.decodeWindowBatch(winPtrs_.data(), count, *ws_);
-    }
-    for (std::size_t l = 0; l < count; ++l)
-        ws_->laneCorrections[l].applyTo(batchStates_[l], ErrorType::Z);
-
-    if (xDecoder_) {
-        for (std::size_t l = 0; l < count; ++l)
-            winPtrs_[l] = &batchWinX_[l];
-        {
-            obs::TraceSpan span(obs::Stage::Decode);
-            xDecoder_->decodeWindowBatch(winPtrs_.data(), count, *ws_);
-        }
-        for (std::size_t l = 0; l < count; ++l)
-            ws_->laneCorrections[l].applyTo(batchStates_[l],
-                                            ErrorType::X);
-    }
-
-    obs::TraceSpan classifySpan(obs::Stage::Classify);
-    for (std::size_t l = 0; l < count; ++l) {
-        classifyWindowTrial(batchStates_[l], acc);
-        // Stop-rule hit mid-group: drop the remaining lanes, exactly
-        // as the scalar loop would never have run those trials.
-        if (acc.trials >= rule.minTrials &&
-            acc.failures >= rule.targetFailures)
-            return true;
-    }
-    return false;
-}
-
-void
-LifetimeSimulator::decodeLifetime(ErrorType type, Decoder &decoder,
-                                  MonteCarloResult &acc)
-{
-    Syndrome &syn = scratchSyndrome(type);
-    {
-        obs::TraceSpan span(obs::Stage::Extract);
-        extractInto(state_, type, syn);
-    }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        decoder.decode(syn, *ws_);
-    }
-    ws_->correction.applyTo(state_, type);
-    recordMeshStats(decoder.meshStats(), acc);
-}
-
-bool
-LifetimeSimulator::decodeFamily(ErrorType type, Decoder &decoder,
-                                ErrorState &state, MonteCarloResult &acc)
-{
-    Syndrome &syn = scratchSyndrome(type);
-    {
-        obs::TraceSpan span(obs::Stage::Extract);
-        extractInto(state, type, syn);
-    }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        decoder.decode(syn, *ws_);
-    }
-    ws_->correction.applyTo(state, type);
-    recordMeshStats(decoder.meshStats(), acc);
-
-    obs::TraceSpan span(obs::Stage::Classify);
-    const FailureReport report = classifyResidual(state, type);
-    if (report.syndromeNonzero)
-        ++acc.syndromeResidualFailures;
-    return report.failed();
-}
-
-bool
-LifetimeSimulator::runRound(MonteCarloResult &acc)
-{
-    // Single-round protocols never call flipMeasurements: a noisy-
-    // readout model here would silently simulate q = 0 (guarded at
-    // every public entry point, not just run()).
-    require(!noisyReadout_,
-            "LifetimeSimulator: measurement noise (q > 0) requires a "
-            "decode window (setMeasurementWindow)");
-    if (!lifetimeMode_)
-        state_.clear();
-    {
-        obs::TraceSpan span(obs::Stage::Sample);
-        model_.sample(rng_, state_);
-    }
-
-    bool failed = false;
-    if (lifetimeMode_) {
-        decodeLifetime(ErrorType::Z, zDecoder_, acc);
-        const bool z_parity = crossingParity(state_, ErrorType::Z);
-        failed |= z_parity != zParity_;
-        zParity_ = z_parity;
-        if (xDecoder_) {
-            decodeLifetime(ErrorType::X, *xDecoder_, acc);
-            const bool x_parity = crossingParity(state_, ErrorType::X);
-            failed |= x_parity != xParity_;
-            xParity_ = x_parity;
-        } else {
-            require(state_.weight(ErrorType::X) == 0,
-                    "LifetimeSimulator: X errors present but no X "
-                    "decoder");
-        }
-    } else {
-        failed = decodeFamily(ErrorType::Z, zDecoder_, state_, acc);
-        if (xDecoder_)
-            failed |=
-                decodeFamily(ErrorType::X, *xDecoder_, state_, acc);
-        else
-            require(state_.weight(ErrorType::X) == 0,
-                    "LifetimeSimulator: X errors present but no X "
-                    "decoder");
-    }
-
-    ++acc.trials;
-    if (failed)
-        ++acc.failures;
-    return failed;
-}
-
-bool
-LifetimeSimulator::runBatch(std::size_t count, MonteCarloResult &acc,
+LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
                             const StopRule &rule)
 {
-    while (batchStates_.size() < count)
-        batchStates_.emplace_back(lattice_);
-    while (batchSynZ_.size() < count)
-        batchSynZ_.emplace_back(lattice_, ErrorType::Z);
-    if (xDecoder_)
-        while (batchSynX_.size() < count)
-            batchSynX_.emplace_back(lattice_, ErrorType::X);
-    synPtrs_.resize(count);
+    const bool windowed = windowRounds_ > 0;
+    ensureLanes(count);
 
-    // Sample every round of the group up front — the exact RNG draw
-    // sequence of `count` scalar rounds. Batched paths take one
-    // coarse span per phase rather than one per lane.
+    // Produce every lane up front — the exact RNG draw sequence of
+    // `count` consecutive trials. Phases take one coarse span per
+    // group rather than one per lane.
     {
         obs::TraceSpan span(obs::Stage::Sample);
         for (std::size_t l = 0; l < count; ++l) {
-            batchStates_[l].clear();
-            model_.sample(rng_, batchStates_[l]);
-        }
-    }
-
-    // Z family: extract all, decode the lane group, apply.
-    {
-        obs::TraceSpan span(obs::Stage::Extract);
-        for (std::size_t l = 0; l < count; ++l) {
-            extractInto(batchStates_[l], ErrorType::Z, batchSynZ_[l]);
-            synPtrs_[l] = &batchSynZ_[l];
-        }
-    }
-    {
-        obs::TraceSpan span(obs::Stage::Decode);
-        zDecoder_.decodeBatch(synPtrs_.data(), count, *ws_);
-    }
-    for (std::size_t l = 0; l < count; ++l)
-        ws_->laneCorrections[l].applyTo(batchStates_[l], ErrorType::Z);
-
-    // X family (depolarizing runs); X corrections touch only the X
-    // planes, so classifying Z afterwards sees the same residual the
-    // scalar loop classifies between the two decodes.
-    if (xDecoder_) {
-        {
-            obs::TraceSpan span(obs::Stage::Extract);
-            for (std::size_t l = 0; l < count; ++l) {
-                extractInto(batchStates_[l], ErrorType::X,
-                            batchSynX_[l]);
-                synPtrs_[l] = &batchSynX_[l];
+            if (windowed) {
+                fillWindows(l);
+            } else {
+                if (!lifetimeMode_)
+                    states_[l].clear();
+                model_.sample(rng_, states_[l]);
             }
         }
-        {
-            obs::TraceSpan span(obs::Stage::Decode);
-            xDecoder_->decodeBatch(synPtrs_.data(), count, *ws_);
-        }
-        for (std::size_t l = 0; l < count; ++l)
-            ws_->laneCorrections[l].applyTo(batchStates_[l],
-                                            ErrorType::X);
     }
 
-    // Classify and aggregate in round order: telemetry and counter
-    // updates interleave exactly as the scalar loop's (decoders retain
-    // per-lane stats, so Z and X stats of round l are recorded
-    // back-to-back even though the decodes ran family-batched).
+    // Per family: extract, decode the whole group, apply. Z and X
+    // corrections touch disjoint planes, so classifying afterwards
+    // sees the same residual as decoding and classifying in turn.
+    for (Family &f : families_) {
+        if (!f.decoder)
+            continue;
+        if (windowed) {
+            for (std::size_t l = 0; l < count; ++l)
+                winPtrs_[l] = &f.windows[l];
+            obs::TraceSpan span(obs::Stage::Decode);
+            f.decoder->decodeWindowBatch(winPtrs_.data(), count, *ws_);
+        } else {
+            {
+                obs::TraceSpan span(obs::Stage::Extract);
+                for (std::size_t l = 0; l < count; ++l) {
+                    extractInto(states_[l], f.type, f.syndromes[l]);
+                    synPtrs_[l] = &f.syndromes[l];
+                }
+            }
+            obs::TraceSpan span(obs::Stage::Decode);
+            f.decoder->decodeBatch(synPtrs_.data(), count, *ws_);
+        }
+        for (std::size_t l = 0; l < count; ++l)
+            ws_->laneCorrections[l].applyTo(states_[l], f.type);
+    }
+
+    // Record and classify in trial order: telemetry and counter
+    // updates interleave exactly as trial-at-a-time decoding would
+    // (decoders retain per-lane stats, so Z and X stats of trial l
+    // are recorded back-to-back even though the decodes ran
+    // family-batched).
     obs::TraceSpan classifySpan(obs::Stage::Classify);
     for (std::size_t l = 0; l < count; ++l) {
-        recordMeshStats(zDecoder_.meshStats(l), acc);
-        const FailureReport z_report =
-            classifyResidual(batchStates_[l], ErrorType::Z);
-        if (z_report.syndromeNonzero)
-            ++acc.syndromeResidualFailures;
-        bool failed = z_report.failed();
-        if (xDecoder_) {
-            recordMeshStats(xDecoder_->meshStats(l), acc);
-            const FailureReport x_report =
-                classifyResidual(batchStates_[l], ErrorType::X);
-            if (x_report.syndromeNonzero)
-                ++acc.syndromeResidualFailures;
-            failed |= x_report.failed();
-        } else {
-            require(batchStates_[l].weight(ErrorType::X) == 0,
-                    "LifetimeSimulator: X errors present but no X "
-                    "decoder");
+        bool failed = false;
+        for (Family &f : families_) {
+            if (!f.decoder) {
+                require(states_[l].weight(f.type) == 0,
+                        "LifetimeSimulator: X errors present but no X "
+                        "decoder");
+                continue;
+            }
+            if (!windowed)
+                recordMeshStats(f.decoder->meshStats(l), acc);
+            if (lifetimeMode_) {
+                const bool parity = crossingParity(states_[l], f.type);
+                failed |= parity != f.parity;
+                f.parity = parity;
+            } else {
+                const FailureReport report =
+                    classifyResidual(states_[l], f.type);
+                if (report.syndromeNonzero)
+                    ++acc.syndromeResidualFailures;
+                failed |= report.failed();
+            }
         }
         ++acc.trials;
         if (failed)
             ++acc.failures;
-        // Stop-rule hit mid-group: drop the remaining lanes, exactly
-        // as the scalar loop would never have run those rounds.
         if (acc.trials >= rule.minTrials &&
             acc.failures >= rule.targetFailures)
             return true;
@@ -495,49 +293,19 @@ LifetimeSimulator::run(const StopRule &rule)
                                                   + 2)));
     // Single-round protocols never call flipMeasurements: running a
     // noisy-readout model without a window would silently simulate
-    // q = 0 while reporting a q > 0 configuration. (runRound repeats
-    // the check for callers driving trials directly.)
+    // q = 0 while reporting a q > 0 configuration.
     require(windowRounds_ > 0 || !noisyReadout_,
             "LifetimeSimulator: measurement noise (q > 0) requires a "
             "decode window (setMeasurementWindow)");
-    if (windowRounds_ > 0) {
-        require(!lifetimeMode_,
-                "LifetimeSimulator: windowed decoding and lifetime "
-                "mode are mutually exclusive (use the streaming "
-                "pipeline for persistent windowed runs)");
-        if (batchLanes_ > 1) {
-            while (acc.trials < rule.maxTrials) {
-                const std::size_t group = std::min(
-                    batchLanes_, rule.maxTrials - acc.trials);
-                if (runWindowBatch(group, acc, rule))
-                    break;
-            }
-        } else {
-            while (acc.trials < rule.maxTrials) {
-                runWindowTrial(acc);
-                if (acc.trials >= rule.minTrials &&
-                    acc.failures >= rule.targetFailures)
-                    break;
-            }
-        }
-        acc.finalize();
-        return acc;
-    }
-    if (batchLanes_ > 1 && !lifetimeMode_) {
-        while (acc.trials < rule.maxTrials) {
-            const std::size_t group = std::min(
-                batchLanes_, rule.maxTrials - acc.trials);
-            if (runBatch(group, acc, rule))
-                break;
-        }
-    } else {
-        while (acc.trials < rule.maxTrials) {
-            runRound(acc);
-            if (acc.trials >= rule.minTrials &&
-                acc.failures >= rule.targetFailures)
-                break;
-        }
-    }
+    require(windowRounds_ == 0 || !lifetimeMode_,
+            "LifetimeSimulator: windowed decoding and lifetime mode are "
+            "mutually exclusive (use the streaming pipeline for "
+            "persistent windowed runs)");
+    const std::size_t lanes = lifetimeMode_ ? 1 : batchLanes_;
+    while (acc.trials < rule.maxTrials)
+        if (runGroup(std::min(lanes, rule.maxTrials - acc.trials), acc,
+                     rule))
+            break;
     acc.finalize();
     return acc;
 }

@@ -11,6 +11,7 @@
 #ifndef NISQPP_SIM_MONTE_CARLO_HH
 #define NISQPP_SIM_MONTE_CARLO_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -100,10 +101,12 @@ class TrialWorkspace;
  * Dephasing noise exercises the Z-error path the paper evaluates; the
  * depolarizing channel runs both families through two decoders.
  *
- * The per-round hot path is allocation-free: syndromes are extracted
+ * The per-trial hot path is allocation-free: syndromes are extracted
  * into member scratch, decoders borrow buffers from a TrialWorkspace
  * (the engine shares one per worker thread across shards; a simulator
- * without one owns a private workspace).
+ * without one owns a private workspace). Every protocol — per-round,
+ * lifetime, windowed, at any batch size — runs through one group
+ * runner; a scalar trial is a group of one.
  */
 class LifetimeSimulator
 {
@@ -141,14 +144,15 @@ class LifetimeSimulator
     bool lifetimeMode() const { return lifetimeMode_; }
 
     /**
-     * Group up to @p lanes rounds per Decoder::decodeBatch call in
-     * per-round mode, feeding the mesh decoder's lane-packed substrate
-     * (software decoders fall back to a scalar loop). Error sampling,
-     * syndrome extraction and classification run batched too, in the
-     * exact per-round order of the scalar loop, so every aggregate —
-     * counters, cycle statistics, histograms — is byte-identical to
-     * lanes = 1 for the same seed. Ignored in lifetime mode, where
-     * round k + 1's state depends on round k's correction.
+     * Group up to @p lanes trials per Decoder::decodeBatch (or
+     * decodeWindowBatch) call, feeding the lane-packed substrates of
+     * the mesh and union-find decoders. Every trial runs through one
+     * group runner whatever the group size: sampling, extraction and
+     * classification happen lane by lane in the exact order of
+     * consecutive trials, so every aggregate — counters, cycle
+     * statistics, histograms — is byte-identical to lanes = 1 for the
+     * same seed. Ignored in lifetime mode, where round k + 1's state
+     * depends on round k's correction (groups of one).
      */
     void setBatchLanes(std::size_t lanes);
     std::size_t batchLanes() const { return batchLanes_; }
@@ -158,50 +162,49 @@ class LifetimeSimulator
      * state, runs @p rounds noisy measurement rounds (data errors
      * sampled per round, measured syndromes corrupted by the model's
      * flip rate q) plus one perfect commit round, hands the
-     * accumulated SyndromeWindow to Decoder::decodeWindow, commits
-     * the returned correction at the window boundary and classifies
-     * the residual. 0 (the default) keeps the single-round protocols.
-     * Windowed trials run batched through decodeWindowBatch when
-     * batch lanes are configured, with byte-identical aggregates.
-     * Mutually exclusive with lifetime mode (the streaming pipeline
-     * owns the persistent-state windowed regime); mesh cycle
+     * accumulated SyndromeWindow to Decoder::decodeWindowBatch,
+     * commits the returned correction at the window boundary and
+     * classifies the residual. 0 (the default) keeps the single-round
+     * protocols. Mutually exclusive with lifetime mode (the streaming
+     * pipeline owns the persistent-state windowed regime); mesh cycle
      * telemetry is not collected in windowed mode.
      */
     void setMeasurementWindow(int rounds);
     int measurementWindow() const { return windowRounds_; }
 
-    /** Run @p rule-governed rounds and aggregate. */
+    /** Run @p rule-governed trials and aggregate. */
     MonteCarloResult run(const StopRule &rule);
 
-    /** Run exactly one round; returns whether it failed. */
-    bool runRound(MonteCarloResult &acc);
-
-    /** Run exactly one windowed trial; returns whether it failed. */
-    bool runWindowTrial(MonteCarloResult &acc);
-
   private:
-    bool decodeFamily(ErrorType type, Decoder &decoder,
-                      ErrorState &state, MonteCarloResult &acc);
-    void decodeLifetime(ErrorType type, Decoder &decoder,
-                        MonteCarloResult &acc);
+    /** One error family: its decoder and per-lane scratch. */
+    struct Family
+    {
+        ErrorType type;
+        Decoder *decoder; ///< null: the channel has no such errors
+        std::vector<Syndrome> syndromes;     ///< extraction, per lane
+        std::vector<SyndromeWindow> windows; ///< windowed mode, per lane
+        bool parity = false; ///< lifetime-mode crossing parity tracker
+    };
+
+    /**
+     * Run one group of @p count trials: produce every lane (sample a
+     * round, or fill a window), then per family extract, decode the
+     * whole group in one call and apply the corrections, then record
+     * and classify lane by lane in trial order. Returns true when
+     * @p rule stops the run mid-group; the remaining lanes are
+     * dropped, exactly as if those trials had never run.
+     */
+    bool runGroup(std::size_t count, MonteCarloResult &acc,
+                  const StopRule &rule);
+    void ensureLanes(std::size_t count);
+    void fillWindows(std::size_t lane);
     void recordMeshStats(const MeshDecodeStats *stats,
                          MonteCarloResult &acc) const;
-    bool runBatch(std::size_t count, MonteCarloResult &acc,
-                  const StopRule &rule);
-    bool runWindowBatch(std::size_t count, MonteCarloResult &acc,
-                        const StopRule &rule);
-    void fillWindows(ErrorState &state, SyndromeWindow &winZ,
-                     SyndromeWindow *winX);
-    bool classifyWindowTrial(ErrorState &state, MonteCarloResult &acc);
-
-    Syndrome &scratchSyndrome(ErrorType type);
     void extractInto(const ErrorState &state, ErrorType type,
                      Syndrome &out);
 
     const SurfaceLattice &lattice_;
     const ErrorModel &model_;
-    Decoder &zDecoder_;
-    Decoder *xDecoder_;
     Rng rng_;
     bool throughCircuits_;
     bool lifetimeMode_ = false;
@@ -209,24 +212,16 @@ class LifetimeSimulator
     bool noisyReadout_ = false;
     /** Built only for circuit-based extraction (it is not cheap). */
     std::unique_ptr<StabilizerCircuit> circuit_;
-    ErrorState state_;
-    Syndrome synZ_; ///< extraction scratch, Z-error family
-    Syndrome synX_; ///< extraction scratch, X-error family
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off
-    /** Windowed-protocol scratch (built on first windowed run). @{ */
-    std::unique_ptr<SyndromeWindow> winZ_, winX_;
-    std::vector<SyndromeWindow> batchWinZ_, batchWinX_;
-    std::vector<const SyndromeWindow *> winPtrs_;
-    /** @} */
-    /** Batched-round scratch, grown to the lane-group high-water mark. */
-    std::vector<ErrorState> batchStates_;
-    std::vector<Syndrome> batchSynZ_, batchSynX_;
+    /** Z first, then X: the per-round RNG and decode order. */
+    std::array<Family, 2> families_;
+    /** Per-lane trial state; lane 0 persists in lifetime mode. */
+    std::vector<ErrorState> states_;
     std::vector<const Syndrome *> synPtrs_;
+    std::vector<const SyndromeWindow *> winPtrs_;
     TrialWorkspace *ws_;                 ///< borrowed (or owned_)
     std::unique_ptr<TrialWorkspace> owned_;
-    bool zParity_ = false; ///< lifetime-mode crossing parity trackers
-    bool xParity_ = false;
 };
 
 } // namespace nisqpp

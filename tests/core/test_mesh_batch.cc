@@ -3,7 +3,9 @@
  * Lane-packed batch decoding pinned to the scalar mesh path: for every
  * distance/variant the experiments run, decodeBatch() must produce
  * corrections AND per-lane telemetry bit-identical to one-at-a-time
- * scalar decodes of the same syndromes — including lanes that hit
+ * scalar decodes of the same syndromes — on both sides of the count
+ * selection (a batch of one steps the single-lane engine, two or more
+ * the lane-packed one), including lanes that hit
  * quiescence or the cycle cap while sibling lanes keep stepping, and
  * empty lanes that finish at cycle 0 next to heavy ones.
  */
@@ -139,6 +141,16 @@ TEST(MeshBatch, MatchesScalarAcrossDistancesAndVariants)
                 const std::string label =
                     "d=" + std::to_string(d) + " " + config.label() +
                     (type == ErrorType::Z ? " Z" : " X");
+                // One lane and two lanes (skipping the empty lane 0),
+                // then the whole mixed batch.
+                for (std::size_t size : {1u, 2u}) {
+                    const std::string sized =
+                        label + " size " + std::to_string(size);
+                    expectBatchMatchesScalar(
+                        reference, batched,
+                        {syns.begin() + 1, syns.begin() + 1 + size},
+                        sized.c_str());
+                }
                 expectBatchMatchesScalar(reference, batched, syns,
                                          label.c_str());
             }
@@ -211,8 +223,8 @@ TEST(MeshBatch, DivergingCompletionCyclesWithinOneWord)
 
 TEST(MeshBatch, SoftwareFallbackLoopMatchesScalar)
 {
-    // The Decoder base class serves batches through a scalar loop:
-    // same corrections as one-at-a-time decodes.
+    // A software decoder's batch matches one-at-a-time decodes and
+    // carries no mesh telemetry.
     SurfaceLattice lat(7);
     UnionFindDecoder dec(lat, ErrorType::Z);
     Rng rng(0x5caff01dULL);

@@ -68,10 +68,8 @@ TEST(MeshVariants, LadderImprovesAccuracy)
         DephasingModel model(p);
         LifetimeSimulator sim(lat, model, dec, nullptr, 42);
         sim.setLifetimeMode(true);
-        MonteCarloResult acc;
-        for (int t = 0; t < trials; ++t)
-            sim.runRound(acc);
-        return static_cast<int>(acc.failures);
+        const StopRule rule{trials, trials, 1u << 30};
+        return static_cast<int>(sim.run(rule).failures);
     };
     const int f_base = lifetime_fails(MeshConfig::baseline());
     const int f_reset = lifetime_fails(MeshConfig::withReset());

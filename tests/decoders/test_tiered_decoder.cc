@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -145,36 +146,81 @@ TEST(TieredDecoder, RepairIsTheXorOfProvisionalAndExact)
     EXPECT_GT(repaired, 0);
 }
 
-TEST(TieredDecoder, BatchMatchesScalarBitForBit)
+/**
+ * Decode @p batch through one tiered decodeBatch call and one-by-one
+ * through a scalar twin, asserting bit-identical corrections,
+ * telemetry and counters, with escalations on lane 0 and on at least
+ * one later lane (so an exact tier writing into the wrong lane output
+ * cannot go unnoticed).
+ */
+void
+expectTieredBatchMatchesScalar(const SurfaceLattice &lat,
+                               const std::vector<const Syndrome *> &batch,
+                               const std::string &label)
 {
-    SurfaceLattice lat(5);
     auto batched = makeTiered(lat, 0.7);
     auto scalar = makeTiered(lat, 0.7);
-    const auto syndromes = sampleSyndromes(lat, 0.08, 160, 0xba7cULL);
-    std::vector<const Syndrome *> ptrs;
-    for (const Syndrome &syn : syndromes)
-        ptrs.push_back(&syn);
-
     TrialWorkspace bws, sws;
-    batched->decodeBatch(ptrs.data(), ptrs.size(), bws);
-    for (std::size_t i = 0; i < ptrs.size(); ++i) {
-        scalar->decode(*ptrs[i], sws);
+    batched->decodeBatch(batch.data(), batch.size(), bws);
+    std::size_t laterEscalations = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        scalar->decode(*batch[i], sws);
         EXPECT_EQ(sortedFlips(bws.laneCorrections[i]),
                   sortedFlips(sws.correction))
-            << "lane " << i;
-        ASSERT_NE(batched->tieredStats(i), nullptr);
+            << label << ": lane " << i;
+        ASSERT_NE(batched->tieredStats(i), nullptr) << label;
         EXPECT_EQ(batched->tieredStats(i)->escalated,
-                  scalar->tieredStats()->escalated);
+                  scalar->tieredStats()->escalated)
+            << label << ": lane " << i;
         EXPECT_EQ(batched->tieredStats(i)->repairFlips,
-                  scalar->tieredStats()->repairFlips);
+                  scalar->tieredStats()->repairFlips)
+            << label << ": lane " << i;
         EXPECT_DOUBLE_EQ(batched->tieredStats(i)->confidence,
-                         scalar->tieredStats()->confidence);
+                         scalar->tieredStats()->confidence)
+            << label << ": lane " << i;
+        if (i > 0)
+            laterEscalations += batched->tieredStats(i)->escalated;
+    }
+    EXPECT_TRUE(batched->tieredStats(0)->escalated) << label;
+    if (batch.size() > 1) {
+        EXPECT_GT(laterEscalations, 0u) << label;
     }
     obs::MetricSet bm, sm;
     batched->exportMetrics(bm);
     scalar->exportMetrics(sm);
-    EXPECT_EQ(scalarMap(bm), scalarMap(sm));
-    EXPECT_GT(bm.value("decoder.tiered.escalations"), 0u);
+    EXPECT_EQ(scalarMap(bm), scalarMap(sm)) << label;
+}
+
+TEST(TieredDecoder, BatchMatchesScalarBitForBit)
+{
+    SurfaceLattice lat(5);
+    const auto pool = sampleSyndromes(lat, 0.08, 160, 0xba7cULL);
+
+    // A scalar probe finds the escalating syndromes, so every batch
+    // below can lead with one.
+    std::vector<std::size_t> escalating;
+    {
+        auto probe = makeTiered(lat, 0.7);
+        TrialWorkspace ws;
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+            probe->decode(pool[i], ws);
+            if (probe->tieredStats()->escalated)
+                escalating.push_back(i);
+        }
+    }
+    ASSERT_GE(escalating.size(), 2u);
+
+    // Both sides of the mesh's count selection (one lane, two lanes),
+    // then the whole pool rotated so lane 0 escalates.
+    const Syndrome *first = &pool[escalating[0]];
+    const Syndrome *second = &pool[escalating[1]];
+    std::vector<const Syndrome *> all{first};
+    for (std::size_t i = 0; i < pool.size(); ++i)
+        if (i != escalating[0])
+            all.push_back(&pool[i]);
+    expectTieredBatchMatchesScalar(lat, {first}, "size 1");
+    expectTieredBatchMatchesScalar(lat, {first, second}, "size 2");
+    expectTieredBatchMatchesScalar(lat, all, "size 160");
 }
 
 TEST(TieredDecoder, TightMeshLimitsForceEscalationAndRepair)

@@ -5,8 +5,10 @@
  * channel (including erasure marks) and every SIMD dispatch width,
  * decodeBatch() / decodeWindowBatch() must emit corrections AND
  * decoder.uf.* telemetry byte-identical to one-at-a-time scalar
- * decodes of the same syndromes — across chunk boundaries, weight-0
- * lanes and repeated batches through one engine.
+ * decodes of the same syndromes — on both sides of the count
+ * selection (a batch of one runs the scalar core, two or more the lane
+ * engine), across chunk boundaries, weight-0 lanes and repeated
+ * batches through one engine.
  */
 
 #include <gtest/gtest.h>
@@ -152,12 +154,20 @@ TEST(UnionFindBatch, MatchesScalarAcrossDistancesAndChannels)
                     // exercises chunk boundaries and a ragged tail.
                     const auto syns = sampleSyndromes(
                         lat, *channel, type, 160, rng);
-                    expectBatchMatchesScalar(
-                        scalar, batched, syns,
+                    const std::string label =
                         "d=" + std::to_string(d) + " " +
-                            channel->name() + " " +
-                            simd::widthName(w) +
-                            (type == ErrorType::Z ? " Z" : " X"));
+                        channel->name() + " " + simd::widthName(w) +
+                        (type == ErrorType::Z ? " Z" : " X");
+                    // Both sides of the count selection first: one
+                    // lane (scalar core) and two (smallest lane-engine
+                    // batch), skipping the forced-empty lane 0.
+                    for (std::size_t size : {1u, 2u})
+                        expectBatchMatchesScalar(
+                            scalar, batched,
+                            {syns.begin() + 1, syns.begin() + 1 + size},
+                            label + " size " + std::to_string(size));
+                    expectBatchMatchesScalar(scalar, batched, syns,
+                                             label);
                 }
             }
         }
@@ -246,6 +256,31 @@ buildNoisyWindow(const SurfaceLattice &lat, int w,
     win.recordRound(w, syn);
 }
 
+/**
+ * Decode @p windows one-by-one through @p scalar and batched through
+ * @p batched, asserting bit-identical corrections and counters.
+ */
+void
+expectWindowBatchMatchesScalar(
+    UnionFindDecoder &scalar, UnionFindDecoder &batched,
+    const std::vector<const SyndromeWindow *> &windows,
+    const std::string &label)
+{
+    TrialWorkspace sws;
+    std::vector<Correction> expected;
+    for (const SyndromeWindow *win : windows) {
+        scalar.decodeWindow(*win, sws);
+        expected.push_back(sws.correction);
+    }
+    TrialWorkspace ws;
+    batched.decodeWindowBatch(windows.data(), windows.size(), ws);
+    ASSERT_GE(ws.laneCorrections.size(), windows.size()) << label;
+    for (std::size_t i = 0; i < windows.size(); ++i)
+        EXPECT_EQ(ws.laneCorrections[i].dataFlips, expected[i].dataFlips)
+            << label << ": lane " << i;
+    EXPECT_EQ(metricMap(batched), metricMap(scalar)) << label;
+}
+
 TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
 {
     // Spacetime windows with faulty measurement: decodeWindowBatch
@@ -261,7 +296,8 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
             UnionFindDecoder scalar(lat, ErrorType::Z);
             UnionFindDecoder batched(lat, ErrorType::Z);
 
-            std::vector<std::unique_ptr<SyndromeWindow>> windows;
+            std::vector<const SyndromeWindow *> windows;
+            std::vector<std::unique_ptr<SyndromeWindow>> owned;
             for (int i = 0; i < 3 * d + 2; ++i) {
                 auto win = std::make_unique<SyndromeWindow>(
                     lat, ErrorType::Z, d + 1);
@@ -269,71 +305,38 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
                     win->reset(); // empty window: zero events
                 else
                     buildNoisyWindow(lat, d, channel, meas, rng, *win);
-                windows.push_back(std::move(win));
+                windows.push_back(win.get());
+                owned.push_back(std::move(win));
             }
-
-            TrialWorkspace sws;
-            std::vector<Correction> expected;
-            for (const auto &win : windows) {
-                scalar.decodeWindow(*win, sws);
-                expected.push_back(sws.correction);
-            }
-
-            std::vector<const SyndromeWindow *> ptrs;
-            for (const auto &win : windows)
-                ptrs.push_back(win.get());
-            TrialWorkspace ws;
-            batched.decodeWindowBatch(ptrs.data(), ptrs.size(), ws);
 
             const std::string label =
                 "window d=" + std::to_string(d) + " " +
                 simd::widthName(w);
-            ASSERT_GE(ws.laneCorrections.size(), windows.size())
-                << label;
-            for (std::size_t i = 0; i < windows.size(); ++i)
-                EXPECT_EQ(ws.laneCorrections[i].dataFlips,
-                          expected[i].dataFlips)
-                    << label << ": lane " << i;
-            EXPECT_EQ(metricMap(batched), metricMap(scalar)) << label;
+            // One lane, two lanes (skipping the empty window 0), then
+            // the whole set through one batch.
+            for (std::size_t size : {1u, 2u})
+                expectWindowBatchMatchesScalar(
+                    scalar, batched,
+                    {windows.begin() + 1, windows.begin() + 1 + size},
+                    label + " size " + std::to_string(size));
+            expectWindowBatchMatchesScalar(scalar, batched, windows,
+                                           label);
         }
     }
 }
 
-TEST(UnionFindBatch, MixedRoundWindowsFallBackConsistently)
+TEST(UnionFindBatchDeathTest, MixedRoundWindowsAreRejected)
 {
-    // Windows of unequal round counts route through the base-class
-    // scalar loop — still bit-identical to one-at-a-time decodes.
-    Rng rng(0x2ea7ULL);
+    // The lane engine shares one spacetime graph per chunk, so a batch
+    // of windows with unequal round counts is a caller bug.
     SurfaceLattice lat(5);
-    const DephasingChannel channel(0.05);
-    const MeasurementFlipChannel meas(0.02);
-    UnionFindDecoder scalar(lat, ErrorType::Z);
     UnionFindDecoder batched(lat, ErrorType::Z);
-
-    std::vector<std::unique_ptr<SyndromeWindow>> windows;
-    for (int rounds : {3, 6, 3, 4}) {
-        auto win = std::make_unique<SyndromeWindow>(lat, ErrorType::Z,
-                                                    rounds + 1);
-        buildNoisyWindow(lat, rounds, channel, meas, rng, *win);
-        windows.push_back(std::move(win));
-    }
-
-    TrialWorkspace sws;
-    std::vector<Correction> expected;
-    for (const auto &win : windows) {
-        scalar.decodeWindow(*win, sws);
-        expected.push_back(sws.correction);
-    }
-    std::vector<const SyndromeWindow *> ptrs;
-    for (const auto &win : windows)
-        ptrs.push_back(win.get());
+    SyndromeWindow three(lat, ErrorType::Z, 4);
+    SyndromeWindow six(lat, ErrorType::Z, 7);
+    const SyndromeWindow *ptrs[] = {&three, &six};
     TrialWorkspace ws;
-    batched.decodeWindowBatch(ptrs.data(), ptrs.size(), ws);
-    for (std::size_t i = 0; i < windows.size(); ++i)
-        EXPECT_EQ(ws.laneCorrections[i].dataFlips,
-                  expected[i].dataFlips)
-            << "mixed-round lane " << i;
-    EXPECT_EQ(metricMap(batched), metricMap(scalar));
+    EXPECT_DEATH(batched.decodeWindowBatch(ptrs, 2, ws),
+                 "same round count");
 }
 
 TEST(UnionFindBatch, CorrectionClearsSyndromeHolds)

@@ -259,35 +259,53 @@ TEST(Workspace, ReusedWorkspaceMatchesWorkspaceFreeDecodes)
     }
 }
 
-TEST(Workspace, DefaultOverloadForwardsToPlainDecode)
+TEST(Workspace, ScalarConveniencesForwardToDecodeBatch)
 {
-    // A decoder that does not override the workspace overload must
-    // still fill ws.correction via the base-class forwarding.
-    class Doubler : public Decoder
+    // A decoder implementing only the batch entry point gets every
+    // scalar and workspace form for free: each is a batch of one (or
+    // a batch into ws.laneCorrections) over the same virtual.
+    class Echo : public Decoder
     {
       public:
         using Decoder::Decoder;
-        using Decoder::decode;
-        Correction
-        decode(const Syndrome &syndrome) override
+        using Decoder::decodeBatch;
+        void
+        decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                    Correction *out, TrialWorkspace &) override
         {
-            Correction corr;
-            syndrome.forEachHot(
-                [&corr](int a) { corr.dataFlips.push_back(a); });
-            return corr;
+            for (std::size_t i = 0; i < count; ++i) {
+                out[i].clear();
+                syndromes[i]->forEachHot(
+                    [&](int a) { out[i].dataFlips.push_back(a); });
+            }
         }
-        std::string name() const override { return "doubler"; }
+        std::string name() const override { return "echo"; }
     };
 
     SurfaceLattice lat(3);
-    Doubler decoder(lat, ErrorType::Z);
+    Echo decoder(lat, ErrorType::Z);
     Syndrome syn(lat, ErrorType::Z);
     syn.set(1, true);
     syn.set(4, true);
+    const std::vector<int> want{1, 4};
     TrialWorkspace ws;
     ws.correction.dataFlips = {9, 9, 9}; // stale junk must vanish
     decoder.decode(syn, ws);
-    EXPECT_EQ(ws.correction.dataFlips, (std::vector<int>{1, 4}));
+    EXPECT_EQ(ws.correction.dataFlips, want);
+    EXPECT_EQ(decoder.decode(syn).dataFlips, want);
+
+    const Syndrome *ptrs[] = {&syn, &syn};
+    decoder.decodeBatch(ptrs, 2, ws);
+    ASSERT_GE(ws.laneCorrections.size(), 2u);
+    EXPECT_EQ(ws.laneCorrections[0].dataFlips, want);
+    EXPECT_EQ(ws.laneCorrections[1].dataFlips, want);
+
+    // The default window decode majority-votes, then decodes the vote.
+    SyndromeWindow win(lat, ErrorType::Z, 3);
+    for (int t = 0; t < 3; ++t)
+        win.recordRound(t, syn);
+    decoder.decodeWindow(win, ws);
+    EXPECT_EQ(ws.correction.dataFlips, want);
 }
 
 TEST(Workspace, CorrectionsClearTheirSyndrome)

@@ -8,6 +8,8 @@
 #include "decoders/mwpm_decoder.hh"
 #include "sim/monte_carlo.hh"
 
+#include "aggregates.hh"
+
 namespace nisqpp {
 namespace {
 
@@ -79,13 +81,7 @@ TEST(MonteCarlo, DepolarizingNeedsXDecoder)
     DepolarizingModel model(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
-    MonteCarloResult acc;
-    EXPECT_DEATH(
-        {
-            for (int i = 0; i < 50; ++i)
-                sim.runRound(acc);
-        },
-        "no X decoder");
+    EXPECT_DEATH(sim.run(StopRule{50, 50, 1u << 30}), "no X decoder");
 }
 
 TEST(MonteCarlo, DepolarizingWithBothDecoders)
@@ -215,24 +211,6 @@ TEST(MonteCarlo, WilsonIntervalBracketsRate)
     const auto res = sim.run(rule);
     EXPECT_LE(res.ci.lo, res.logicalErrorRate);
     EXPECT_GE(res.ci.hi, res.logicalErrorRate);
-}
-
-/** Every aggregate field, including FP accumulations, bit-for-bit. */
-void
-expectSameAggregates(const MonteCarloResult &a, const MonteCarloResult &b)
-{
-    EXPECT_EQ(a.trials, b.trials);
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.syndromeResidualFailures, b.syndromeResidualFailures);
-    EXPECT_DOUBLE_EQ(a.logicalErrorRate, b.logicalErrorRate);
-    EXPECT_EQ(a.cycles.count(), b.cycles.count());
-    EXPECT_DOUBLE_EQ(a.cycles.mean(), b.cycles.mean());
-    EXPECT_DOUBLE_EQ(a.cycles.variance(), b.cycles.variance());
-    EXPECT_DOUBLE_EQ(a.cycles.max(), b.cycles.max());
-    ASSERT_EQ(a.cycleHistogram.numBins(), b.cycleHistogram.numBins());
-    EXPECT_EQ(a.cycleHistogram.total(), b.cycleHistogram.total());
-    for (std::size_t bin = 0; bin < a.cycleHistogram.numBins(); ++bin)
-        EXPECT_EQ(a.cycleHistogram.bin(bin), b.cycleHistogram.bin(bin));
 }
 
 TEST(MonteCarlo, BatchLanesPreserveAggregates)

@@ -10,59 +10,114 @@
 #include "noise/noise_model.hh"
 #include "sim/monte_carlo.hh"
 
+#include "aggregates.hh"
+
 namespace nisqpp {
 namespace {
+
+/** A rule running exactly @p trials trials (no early stop). */
+StopRule
+fixedTrials(std::size_t trials)
+{
+    return StopRule{trials, trials, ~std::size_t{0}};
+}
 
 MonteCarloResult
 runWindowed(const SurfaceLattice &lat, const NoiseModel &model,
             Decoder &zDec, Decoder *xDec, int windowRounds,
-            std::size_t lanes, std::size_t trials, std::uint64_t seed)
+            std::size_t lanes, const StopRule &rule, std::uint64_t seed)
 {
     LifetimeSimulator sim(lat, model, zDec, xDec, seed);
     sim.setMeasurementWindow(windowRounds);
     sim.setBatchLanes(lanes);
-    StopRule rule;
-    rule.minTrials = rule.maxTrials = trials;
-    rule.targetFailures = ~std::size_t{0};
     return sim.run(rule);
+}
+
+/**
+ * Run the windowed protocol one trial at a time and @p lanes trials
+ * per group, each with fresh DecoderT decoders (an X decoder too when
+ * @p depolarizing), and require identical aggregates and identical
+ * exported decoder counters. Returns the one-at-a-time result.
+ */
+template <typename DecoderT>
+MonteCarloResult
+expectBatchMatchesScalar(const SurfaceLattice &lat,
+                         const NoiseModel &model, bool depolarizing,
+                         int windowRounds, std::size_t lanes,
+                         const StopRule &rule, std::uint64_t seed)
+{
+    DecoderT scalarZ(lat, ErrorType::Z), scalarX(lat, ErrorType::X);
+    DecoderT batchZ(lat, ErrorType::Z), batchX(lat, ErrorType::X);
+    const MonteCarloResult scalar =
+        runWindowed(lat, model, scalarZ, depolarizing ? &scalarX : nullptr,
+                    windowRounds, 1, rule, seed);
+    const MonteCarloResult batched =
+        runWindowed(lat, model, batchZ, depolarizing ? &batchX : nullptr,
+                    windowRounds, lanes, rule, seed);
+    expectSameAggregates(scalar, batched);
+    EXPECT_EQ(decoderCounters(batchZ), decoderCounters(scalarZ));
+    EXPECT_EQ(decoderCounters(batchX), decoderCounters(scalarX));
+    EXPECT_FALSE(decoderCounters(batchZ).empty());
+    EXPECT_EQ(decoderCounters(batchX).empty(), !depolarizing);
+    // Windowed runs record no mesh cycle telemetry.
+    EXPECT_EQ(scalar.cycles.count(), 0u);
+    EXPECT_GT(scalar.trials, 0u);
+    return scalar;
 }
 
 TEST(WindowedSim, BatchLanesMatchScalarDephasing)
 {
     SurfaceLattice lat(3);
-    const NoiseModel model = NoiseModel::dephasing(0.03, 0.03);
-    UnionFindDecoder scalarDec(lat, ErrorType::Z);
-    UnionFindDecoder batchDec(lat, ErrorType::Z);
-
-    const MonteCarloResult scalar =
-        runWindowed(lat, model, scalarDec, nullptr, 3, 1, 400, 0xabc);
-    const MonteCarloResult batched =
-        runWindowed(lat, model, batchDec, nullptr, 3, 7, 400, 0xabc);
-
-    EXPECT_EQ(scalar.trials, batched.trials);
-    EXPECT_EQ(scalar.failures, batched.failures);
-    EXPECT_EQ(scalar.syndromeResidualFailures,
-              batched.syndromeResidualFailures);
-    EXPECT_GT(scalar.trials, 0u);
+    expectBatchMatchesScalar<UnionFindDecoder>(
+        lat, NoiseModel::dephasing(0.03, 0.03), false, 3, 7,
+        fixedTrials(400), 0xabc);
 }
 
 TEST(WindowedSim, BatchLanesMatchScalarDepolarizing)
 {
     // Depolarizing + q > 0 exercises both families' windows.
     SurfaceLattice lat(3);
-    const NoiseModel model = NoiseModel::depolarizing(0.03, 0.02);
-    MwpmDecoder scalarZ(lat, ErrorType::Z), scalarX(lat, ErrorType::X);
-    MwpmDecoder batchZ(lat, ErrorType::Z), batchX(lat, ErrorType::X);
+    expectBatchMatchesScalar<MwpmDecoder>(
+        lat, NoiseModel::depolarizing(0.03, 0.02), true, 3, 9,
+        fixedTrials(250), 0x77);
+}
 
-    const MonteCarloResult scalar = runWindowed(
-        lat, model, scalarZ, &scalarX, 3, 1, 250, 0x77);
+TEST(WindowedSim, UnionFindDepolarizingBatchMatchesScalar)
+{
+    // Both families through the lane-packed spacetime engine.
+    SurfaceLattice lat(5);
+    expectBatchMatchesScalar<UnionFindDecoder>(
+        lat, NoiseModel::depolarizing(0.03, 0.02), true, 5, 64,
+        fixedTrials(300), 0xdeb0);
+}
+
+TEST(WindowedSim, EarlyStopMidGroupMatchesScalar)
+{
+    // The stop rule trips inside a group: the surplus lanes are
+    // dropped, so the aggregates match the one-at-a-time run exactly.
+    // Their windows were still decoded, so the batched decoder's
+    // counters run on to the end of the last group.
+    SurfaceLattice lat(3);
+    const NoiseModel model = NoiseModel::dephasing(0.06, 0.06);
+    const StopRule rule{10, 4000, 25};
+    const std::size_t lanes = 7;
+    UnionFindDecoder scalarDec(lat, ErrorType::Z);
+    UnionFindDecoder batchDec(lat, ErrorType::Z);
+    const MonteCarloResult scalar =
+        runWindowed(lat, model, scalarDec, nullptr, 3, 1, rule, 0x5709);
     const MonteCarloResult batched = runWindowed(
-        lat, model, batchZ, &batchX, 3, 9, 250, 0x77);
+        lat, model, batchDec, nullptr, 3, lanes, rule, 0x5709);
+    ASSERT_GE(scalar.failures, 25u);
+    ASSERT_LT(scalar.trials, 4000u);
+    ASSERT_NE(scalar.trials % lanes, 0u) << "stop must land mid-group";
+    expectSameAggregates(scalar, batched);
 
-    EXPECT_EQ(scalar.trials, batched.trials);
-    EXPECT_EQ(scalar.failures, batched.failures);
-    EXPECT_EQ(scalar.syndromeResidualFailures,
-              batched.syndromeResidualFailures);
+    obs::MetricSet sm, bm;
+    scalarDec.exportMetrics(sm);
+    batchDec.exportMetrics(bm);
+    EXPECT_EQ(sm.value("decoder.uf.window_decodes"), scalar.trials);
+    EXPECT_EQ(bm.value("decoder.uf.window_decodes"),
+              (scalar.trials + lanes - 1) / lanes * lanes);
 }
 
 /**
@@ -81,7 +136,8 @@ expectDistanceOrdering(double p, std::size_t trials)
         const NoiseModel model = NoiseModel::dephasing(p, p);
         DecoderT dec(lat, ErrorType::Z);
         const MonteCarloResult r = runWindowed(
-            lat, model, dec, nullptr, d, 1, trials, 0x5eed + d);
+            lat, model, dec, nullptr, d, 1, fixedTrials(trials),
+            0x5eed + d);
         EXPECT_LT(r.logicalErrorRate, last)
             << "PL failed to drop from the previous distance at d="
             << d;
@@ -107,7 +163,8 @@ TEST(WindowedSim, PerfectMeasurementWindowStillCorrects)
     const NoiseModel model = NoiseModel::dephasing(0.02, 0.0);
     UnionFindDecoder dec(lat, ErrorType::Z);
     const MonteCarloResult r =
-        runWindowed(lat, model, dec, nullptr, 5, 1, 500, 0x9);
+        runWindowed(lat, model, dec, nullptr, 5, 1, fixedTrials(500),
+                    0x9);
     // A 5-round window accumulates ~5x the single-round error mass;
     // sub-threshold it must still decode nearly all windows.
     EXPECT_LT(r.logicalErrorRate, 0.2);

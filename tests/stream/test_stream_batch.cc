@@ -116,19 +116,25 @@ expectSameRun(const RunRecord &got, const RunRecord &want,
     EXPECT_EQ(got.metrics, want.metrics) << label;
 }
 
-/** Union-find instrumented to prove the batched consumer engaged. */
+/**
+ * Union-find instrumented to prove the batched consumer engaged: it
+ * counts the decodeBatch calls carrying more than one round (scalar
+ * decodes are batches of one).
+ */
 class CountingUnionFind : public UnionFindDecoder
 {
   public:
     using UnionFindDecoder::UnionFindDecoder;
+    using UnionFindDecoder::decodeBatch;
 
     void
     decodeBatch(const Syndrome *const *syndromes, std::size_t count,
-                TrialWorkspace &ws) override
+                Correction *out, TrialWorkspace &ws) override
     {
-        ++batchCalls;
+        if (count > 1)
+            ++batchCalls;
         maxGroup = std::max(maxGroup, count);
-        UnionFindDecoder::decodeBatch(syndromes, count, ws);
+        UnionFindDecoder::decodeBatch(syndromes, count, out, ws);
     }
 
     std::size_t batchCalls = 0;

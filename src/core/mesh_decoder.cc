@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <ostream>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
@@ -40,21 +38,28 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
         std::max(1, std::min(max_lanes, 64 / span_));
     e.perElem = per_elem;
     e.lanes = std::min(max_lanes, per_elem * elements);
+    // A lone lane would leave most of its word empty, so it stacks the
+    // mesh as horizontal strips instead: strip j holds rows
+    // [j*rows, (j+1)*rows) at bit offset j*span. Packed lanes keep one
+    // mesh row per word (a single strip).
+    const int strips = e.lanes == 1 ? std::min(span_, 64 / span_) : 1;
+    e.rows = (span_ + strips - 1) / strips;
+    const int lane_bits = strips * span_;
+    const std::uint64_t low = lane_bits >= 64
+                                  ? ~std::uint64_t{0}
+                                  : (std::uint64_t{1} << lane_bits) - 1;
 
     // Lane addresses: lanes fill element 0's sub-lanes first, then
     // element 1's, ... so the lanes of one element are contiguous.
     for (int l = 0; l < e.lanes; ++l) {
         e.laneElem[l] = l / per_elem;
         e.laneBase[l] = (l % per_elem) * span_;
-        const std::uint64_t low = span_ >= 64
-                                      ? ~std::uint64_t{0}
-                                      : (std::uint64_t{1} << span_) - 1;
         e.laneSub[l] = low << e.laneBase[l];
         e.laneMask[l] = W{};
         orElem(e.laneMask[l], e.laneElem[l], e.laneSub[l]);
     }
 
-    // Single-lane row masks, then replicated into every lane.
+    // Single-lane row masks, then placed into every lane.
     std::vector<std::uint64_t> interior(span_, 0), bnd(span_, 0);
     for (int r = 0; r < n; ++r)
         for (int c = 0; c < n; ++c)
@@ -84,25 +89,31 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
         }
     }
 
-    e.interior.assign(span_, W{});
-    e.bnd.assign(span_, W{});
-    e.valid.assign(span_, W{});
+    // Padding rows of a short last strip keep all-zero masks.
+    e.interior.assign(e.rows, W{});
+    e.bnd.assign(e.rows, W{});
+    e.valid.assign(e.rows, W{});
     W edgeE{}, edgeW{};
     for (int l = 0; l < e.lanes; ++l) {
         const int el = e.laneElem[l];
         const int base = e.laneBase[l];
         for (int r = 0; r < span_; ++r) {
-            orElem(e.interior[r], el, interior[r] << base);
-            orElem(e.bnd[r], el, bnd[r] << base);
+            const RowSlot at = e.slot(r, span_);
+            orElem(e.interior[at.word], el,
+                   interior[r] << (base + at.shift));
+            orElem(e.bnd[at.word], el, bnd[r] << (base + at.shift));
         }
-        // Shift guards: drop each lane's edge column before an
+        // Shift guards: drop each strip's edge column before an
         // east/west shift — exactly the bits the valid mask would kill
         // after an unguarded scalar shift, so guarded shifts are
-        // trajectory-neutral while keeping lanes isolated.
-        orElem(edgeE, el, std::uint64_t{1} << (base + span_ - 1));
-        orElem(edgeW, el, std::uint64_t{1} << base);
+        // trajectory-neutral while keeping lanes and strips isolated.
+        for (int j = 0; j < strips; ++j) {
+            const int off = base + j * span_;
+            orElem(edgeE, el, std::uint64_t{1} << (off + span_ - 1));
+            orElem(edgeW, el, std::uint64_t{1} << off);
+        }
     }
-    for (int r = 0; r < span_; ++r)
+    for (int r = 0; r < e.rows; ++r)
         e.valid[r] = e.interior[r] | e.bnd[r];
     e.guardE = ~edgeE;
     e.guardW = ~edgeW;
@@ -110,12 +121,12 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
     for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch,
                          &e.gOut, &e.rqOut, &e.grOut, &e.prOut})
         for (auto &plane : *planes)
-            plane.assign(span_, W{});
-    e.formed.assign(span_, W{});
-    e.fired.assign(span_, W{});
-    e.hot.assign(span_, W{});
-    e.chain.assign(span_, W{});
-    e.fire.assign(span_, W{});
+            plane.assign(e.rows, W{});
+    e.formed.assign(e.rows, W{});
+    e.fired.assign(e.rows, W{});
+    e.hot.assign(e.rows, W{});
+    e.chain.assign(e.rows, W{});
+    e.fire.assign(e.rows, W{});
 }
 
 MeshDecoder::MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
@@ -172,14 +183,29 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     const auto inW = [&](const std::vector<W> &out, int r) {
         return ((out[r] & guardW) >> 1) & e.valid[r];
     };
+    // Stacked strips continue across words: north of a strip's last
+    // row lies the next strip's first row (word 0, one span higher),
+    // south of its first row the previous strip's last row (last word,
+    // one span lower).
+    // Only a lone 64-bit lane is ever stacked (vector words always
+    // pack several lanes), so vector engines compile the wrap away.
+    const int rows = e.rows;
+    const bool stacked =
+        sizeof(W) == sizeof(std::uint64_t) && rows < span_;
     const auto inN = [&](const std::vector<W> &out, int r) {
-        return (r + 1 < span_ ? out[r + 1] : W{}) & e.valid[r];
+        const W src = r + 1 < rows ? out[r + 1]
+                      : stacked    ? W(out[0] >> span_)
+                                   : W{};
+        return src & e.valid[r];
     };
     const auto inS = [&](const std::vector<W> &out, int r) {
-        return (r > 0 ? out[r - 1] : W{}) & e.valid[r];
+        const W src = r > 0     ? out[r - 1]
+                      : stacked ? W(out[rows - 1] << span_)
+                                : W{};
+        return src & e.valid[r];
     };
 
-    for (int r = 0; r < span_; ++r) {
+    for (int r = 0; r < rows; ++r) {
         const W hot = e.hot[r];
         DirRow<W> pr_in{inN(e.pr[dN], r), inE(e.pr[dE], r),
                         inS(e.pr[dS], r), inW(e.pr[dW], r)};
@@ -294,7 +320,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     W resetNow{};
     W fireLanes{};
     if (anyW(fire_any)) {
-        for (int r = 0; r < span_; ++r) {
+        for (int r = 0; r < rows; ++r) {
             const W fire = e.fire[r];
             if (!anyW(fire))
                 continue;
@@ -332,7 +358,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     const W clear_out = resetNow | clearHeld;
     if (anyW(clear_out)) {
         const W keep = ~clear_out;
-        for (int r = 0; r < span_; ++r)
+        for (int r = 0; r < rows; ++r)
             for (int d = 0; d < kNumDirs; ++d) {
                 e.gOut[d][r] &= keep;
                 e.rqOut[d][r] &= keep;
@@ -341,7 +367,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     }
     if (anyW(resetNow)) {
         const W keep = ~resetNow;
-        for (int r = 0; r < span_; ++r) {
+        for (int r = 0; r < rows; ++r) {
             // In the final design in-flight pair pulses are exempt so
             // the farther chain leg completes (Section VI-B); the
             // paper ties that exemption to the request-grant design,
@@ -365,14 +391,14 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
             orElem(windowOver, e.laneElem[l], e.laneSub[l]);
     }
     if (anyW(windowOver))
-        for (int r = 0; r < span_; ++r)
+        for (int r = 0; r < rows; ++r)
             e.fired[r] &= ~windowOver;
 
     // The pairing round is over once a lane's pair pulses have all
     // drained: occupancy of next cycle's (shifted) pair inputs,
     // derived without materializing them.
     W pr_occ{};
-    for (int r = 0; r < span_; ++r)
+    for (int r = 0; r < rows; ++r)
         pr_occ |= inN(e.prOut[dN], r) | inE(e.prOut[dE], r) |
                   inS(e.prOut[dS], r) | inW(e.prOut[dW], r);
     e.prOcc = pr_occ;
@@ -381,38 +407,8 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         if (!(elemOf(pr_occ, e.laneElem[l]) & e.laneSub[l]))
             orElem(drained, e.laneElem[l], e.laneSub[l]);
     if (anyW(drained))
-        for (int r = 0; r < span_; ++r)
+        for (int r = 0; r < rows; ++r)
             e.fired[r] &= ~drained;
-
-    if constexpr (std::is_same_v<W, std::uint64_t>) {
-        if (trace && e.lanes == 1) {
-            // Print next cycle's in-flight signals (the shifted
-            // inputs), matching the historical scalar trace format.
-            auto plane_cells =
-                [&](const typename LaneEngine<W>::Planes &out,
-                    const char *tag) {
-                    for (int d = 0; d < kNumDirs; ++d)
-                        for (int r = 0; r < span_; ++r) {
-                            W w = d == dN   ? inN(out[dN], r)
-                                  : d == dE ? inE(out[dE], r)
-                                  : d == dS ? inS(out[dS], r)
-                                            : inW(out[dW], r);
-                            while (w) {
-                                const int bit = std::countr_zero(w);
-                                w &= w - 1;
-                                *trace << ' ' << tag << "NESW"[d]
-                                       << '(' << r - 1 << ','
-                                       << bit - 1 << ')';
-                            }
-                        }
-                };
-            *trace << "cycle " << e.cycle << " reset="
-                   << e.resetCountdown[0] << " |";
-            plane_cells(e.prOut, "pr");
-            plane_cells(e.grOut, "gr");
-            *trace << '\n';
-        }
-    }
 
     // Publish this cycle's emissions as next cycle's inputs-to-derive.
     std::swap(e.g, e.gOut);
@@ -490,18 +486,21 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
         ++quiescedTotal_;
 
     // Harvest this lane's chain bits into data-qubit flips (ascending
-    // row, then column — identical to the scalar readout order).
+    // row, then column — the same order for every layout).
     const int el = e.laneElem[lane];
     const int base = e.laneBase[lane];
     const int n = lattice().gridSize();
+    const std::uint64_t span_bits = (std::uint64_t{1} << span_) - 1;
     for (int r = 0; r < n; ++r) {
-        std::uint64_t row = elemOf(e.chain[r + 1], el) &
-                            elemOf(e.interior[r + 1], el) &
-                            e.laneSub[lane];
+        const RowSlot at = e.slot(r + 1, span_);
+        std::uint64_t row = ((elemOf(e.chain[at.word], el) &
+                              elemOf(e.interior[at.word], el)) >>
+                             (base + at.shift)) &
+                            span_bits;
         while (row) {
             const int bit = std::countr_zero(row);
             row &= row - 1;
-            const Coord rc{r, bit - base - 1};
+            const Coord rc{r, bit - 1};
             if (lattice().role(rc) == SiteRole::Data)
                 out.dataFlips.push_back(lattice().dataIndex(rc));
         }
@@ -581,9 +580,10 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e,
                     syn.forEachHot([&](int a) {
                         const Coord rc =
                             lattice().ancillaCoord(type(), a);
-                        orElem(e.hot[rc.row + 1], el,
+                        const RowSlot at = e.slot(rc.row + 1, span_);
+                        orElem(e.hot[at.word], el,
                                std::uint64_t{1}
-                                   << (base + rc.col + 1));
+                                   << (base + at.shift + rc.col + 1));
                     });
                     ++next;
                 }

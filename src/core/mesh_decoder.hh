@@ -16,29 +16,41 @@
  *     global reset (pair signals are exempt so the farther leg finishes);
  *  6. boundary modules answer grow with pair-request and grant with pair.
  *
- * The mesh state is bit-packed one row per machine word, so each cycle
- * is a handful of bitwise operations per row. A row spans only
- * 2d + 1 <= 19 columns for the distances the experiments run, so most
- * of every word is dead weight in a single-trial decode; batches of
- * more than one syndrome reclaim it by *lane packing*: they simulate L
- * independent Monte Carlo trials per word, each in its own span-wide
- * lane. The batch word is a 4 x 64-bit SIMD-friendly vector (GNU
- * vector extension, lowered to SSE/AVX or plain scalar pairs by the
- * compiler), giving 64/span sub-lanes per element: 12 lanes at d = 9,
- * 16 at d = 7, 20 at d = 5 and 32 (capped) at d = 3. The per-cycle
+ * The mesh state is bit-packed: each cycle is a handful of bitwise
+ * operations per machine word. A mesh row spans only 2d + 1 <= 19
+ * columns for the distances the experiments run, so one row per 64-bit
+ * word would leave most of every word empty. Both engines fill it.
+ *
+ * Batches of more than one syndrome use *lane packing*: they simulate
+ * L independent Monte Carlo trials per word, each in its own span-wide
+ * lane, one mesh row per word. The lane word width is chosen at
+ * runtime (simd::activeWidth(), latched at construction) from a plain
+ * 64-bit word and 256/512-bit GNU vectors, giving 64/span sub-lanes
+ * per 64-bit element, capped at kMaxLanes: at v512 that is 24 lanes at
+ * d = 9, 32 at d = 7, 40 at d = 5 and 64 at d = 3. The per-cycle
  * shift/AND/OR/XOR plane updates are shared across lanes — lane-guard
  * masks drop each lane's edge column before an east/west shift,
- * exactly the bits the valid mask would kill after a scalar shift —
+ * exactly the bits the valid mask would kill after an unpacked shift —
  * while reset countdowns, quiescence windows, the cycle cap and
  * completion are tracked per lane, so diverging trials freeze
  * independently. Because every piece of per-lane control state is
  * relative to the lane's own start cycle, a lane that freezes is
  * immediately *refilled* with the next pending trial of the batch:
  * lanes never idle waiting for a slow sibling, and the amortized cost
- * per trial is one L-th of a mesh step per cycle. Every lane's
- * corrections and telemetry are bit-identical to a scalar decode of
- * the same syndrome; a batch of one runs the same stepping core with a
- * single lane in a plain 64-bit word.
+ * per trial is one L-th of a mesh step per cycle.
+ *
+ * A batch of one (the lifetime protocol and the tiered stream, whose
+ * rounds depend on the previous correction) has a single lane and
+ * lays it out as horizontal *strips* instead: the span mesh rows are
+ * cut into k = min(span, 64/span) strips of h = ceil(span/k) rows, and
+ * strip j sits at bit offset j * span, so each plane is h words (7
+ * instead of 19 at d = 9). Edge guards work per strip like the lane
+ * guards, and the north/south neighbour reads continue across strip
+ * ends with a span-wide shift. Padding rows of a short last strip have
+ * empty masks. Lattices wider than 32 columns keep one row per word.
+ *
+ * Every trial's corrections and telemetry are bit-identical whichever
+ * engine, width or layout steps it.
  */
 
 #ifndef NISQPP_CORE_MESH_DECODER_HH
@@ -46,7 +58,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "common/logging.hh"
@@ -67,15 +78,6 @@ class MeshDecoder : public Decoder
   public:
     /** Largest lane count any batch geometry uses (v512 at d = 3). */
     static constexpr int kMaxLanes = 64;
-
-    /**
-     * Historical name of the 256-bit batch word; the batch engine now
-     * dispatches at runtime between simd::W64/W256/W512 (the width is
-     * latched from simd::activeWidth() at construction), and every
-     * lane's corrections and telemetry are bit-identical across
-     * widths — only throughput moves.
-     */
-    using BatchWord = simd::W256;
 
     MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
                 const MeshConfig &config = MeshConfig::finalDesign());
@@ -151,26 +153,25 @@ class MeshDecoder : public Decoder
         quiescence_ = quiescence_window;
     }
 
-    /**
-     * Optional per-cycle trace sink for protocol debugging; prints
-     * in-flight signal summaries each cycle when non-null (scalar
-     * decodes only — batched lanes are not traced).
-     */
-    std::ostream *trace = nullptr;
-
   private:
+    /** Where a physical mesh row lives inside its lane. */
+    struct RowSlot
+    {
+        int word;  ///< plane word index (row mod rows-per-strip)
+        int shift; ///< bit offset of its strip within the lane
+    };
+
     /**
      * Everything the stepping core needs for one lane layout: the lane
-     * geometry (masks replicated into every lane of every element,
-     * shift guards), the mesh planes, per-step scratch and the
-     * per-lane control state. Two engines exist — LaneEngine<uint64_t>
-     * serves batches of one with a single lane (bit layout identical
-     * to the historical scalar decoder) and LaneEngine<BatchWord>
-     * packs batchLanes() trials — and both run the exact same
-     * (templated) stepping code. All per-lane control state is
-     * *relative* to the lane's own start cycle, which is what lets
-     * decodeLanes() refill a freed lane with the next pending trial
-     * mid-flight.
+     * geometry (masks placed into every lane of every element, shift
+     * guards), the mesh planes, per-step scratch and the per-lane
+     * control state. Two engines exist — LaneEngine<uint64_t> serves
+     * batches of one with a single lane stacked into strips, and
+     * LaneEngine<simd::W64/W256/W512> packs batchLanes() trials with
+     * one mesh row per word — and both run the exact same (templated)
+     * stepping code. All per-lane control state is *relative* to the
+     * lane's own start cycle, which is what lets decodeLanes() refill a
+     * freed lane with the next pending trial mid-flight.
      */
     template <typename W>
     struct LaneEngine
@@ -179,7 +180,8 @@ class MeshDecoder : public Decoder
 
         int lanes = 1;
         int perElem = 1; ///< sub-lanes per 64-bit element (64 / span)
-        W guardE{};      ///< cleared before << 1 (per element)
+        int rows = 0;    ///< words per plane (< span when stacked)
+        W guardE{};      ///< cleared before << 1 (per strip)
         W guardW{};      ///< cleared before >> 1
         std::vector<W> interior, bnd, valid; ///< replicated row masks
         std::array<W, kMaxLanes> laneMask{};
@@ -209,6 +211,13 @@ class MeshDecoder : public Decoder
         std::array<bool, kMaxLanes> active{};
         int cycle = 0;
         W prOcc{}; ///< pair-plane occupancy after the last step
+
+        /** Placement of physical mesh row @p row (strip row / rows). */
+        RowSlot
+        slot(int row, int span) const
+        {
+            return {row % rows, row / rows * span};
+        }
     };
 
     template <typename W>

@@ -4,8 +4,9 @@
  * distance/variant the experiments run, decodeBatch() must produce
  * corrections AND per-lane telemetry bit-identical to one-at-a-time
  * scalar decodes of the same syndromes — on both sides of the count
- * selection (a batch of one steps the single-lane engine, two or more
- * the lane-packed one), including lanes that hit
+ * selection (a batch of one steps the single-lane engine with its rows
+ * stacked into strips, two or more the lane-packed one with one row
+ * per word), including lanes that hit
  * quiescence or the cycle cap while sibling lanes keep stepping, and
  * empty lanes that finish at cycle 0 next to heavy ones.
  */
@@ -124,8 +125,12 @@ TEST(MeshBatch, LaneCountTracksSpanAndWidth)
 
 TEST(MeshBatch, MatchesScalarAcrossDistancesAndVariants)
 {
+    // A batch of one stacks its rows into strips; larger batches keep
+    // one row per word, so this compares the two layouts. d = 3..9
+    // stack 7/5/4/3 strips, d = 11 and 13 two strips with a padding
+    // row, and d = 17 (span 35) is too wide to stack at all.
     Rng rng(0xba7c4ULL);
-    for (int d : {3, 5, 7, 9}) {
+    for (int d : {3, 5, 7, 9, 11, 13, 17}) {
         SurfaceLattice lat(d);
         for (const MeshConfig &config : allVariants()) {
             for (ErrorType type : {ErrorType::Z, ErrorType::X}) {

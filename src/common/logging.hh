@@ -26,15 +26,32 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
- * Check an internal invariant; panics with location info when violated.
+ * Check an internal invariant; panics with "panic: <msg>" when violated.
+ *
+ * The literal overload is the one hot paths must use: a string literal
+ * binds to `const char *` without building anything, so a passing check
+ * costs one branch and never allocates. The message becomes a
+ * std::string only on the failure branch.
  *
  * @param cond The invariant that must hold.
  * @param msg  Description of the violated invariant.
  */
 inline void
+require(bool cond, const char *msg)
+{
+    if (!cond) [[unlikely]]
+        panic(msg);
+}
+
+/**
+ * require() for messages composed at run time. The caller has already
+ * built (and paid for) @p msg whether or not the check fails, so keep
+ * this overload off per-trial paths.
+ */
+inline void
 require(bool cond, const std::string &msg)
 {
-    if (!cond)
+    if (!cond) [[unlikely]]
         panic(msg);
 }
 

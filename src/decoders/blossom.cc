@@ -42,7 +42,9 @@ BlossomMatcher::reset(int n)
         s_.assign(cap_ + 1, -1);
         vis_.assign(cap_ + 1, 0);
         flowerFrom_.assign(cap_ + 1, std::vector<int>(n_ + 1, 0));
-        flower_.assign(cap_ + 1, {});
+        // Blossom member lists keep their capacity across growths
+        // (solve() clears each one before use).
+        flower_.resize(cap_ + 1);
         visitStamp_ = 0;
         alloc_ = cap_;
     } else {
@@ -53,10 +55,13 @@ BlossomMatcher::reset(int n)
                 row.assign(n_ + 1, 0);
     }
 
-    // User weights start absent for every instance.
-    userWeight_.resize(n_);
-    for (auto &row : userWeight_)
-        row.assign(n_, kAbsent);
+    // User weights start absent for every instance. The outer vector
+    // only grows, so rows past n_ keep their capacity for later, larger
+    // instances; every reader indexes below n_.
+    if (static_cast<int>(userWeight_.size()) < n_)
+        userWeight_.resize(n_);
+    for (int u = 0; u < n_; ++u)
+        userWeight_[u].assign(n_, kAbsent);
 }
 
 void

@@ -104,13 +104,14 @@ TieredDecoder::decodeBatch(const Syndrome *const *syndromes,
     stats_.resize(count);
     mesh_->decodeBatch(syndromes, count, out, ws);
     // Escalations run one at a time after the first tier, in lane
-    // order, each parking the mesh's provisional answer and letting
-    // the exact tier decode straight into out[i], so counters and
-    // corrections match a scalar tiered loop bit for bit.
+    // order, each copying the mesh's provisional answer aside (copying
+    // leaves every lane's buffer, and its capacity, with that lane) and
+    // letting the exact tier decode straight into out[i], so counters
+    // and corrections match a scalar tiered loop bit for bit.
     for (std::size_t i = 0; i < count; ++i) {
         if (!scoreDecode(*mesh_->meshStats(i), stats_[i]))
             continue;
-        std::swap(provisional_.dataFlips, out[i].dataFlips);
+        provisional_.dataFlips = out[i].dataFlips;
         exact_->decodeBatch(syndromes + i, 1, out + i, ws);
         repairFrom(out[i], stats_[i]);
     }
@@ -132,7 +133,7 @@ TieredDecoder::decodeWindowBatch(const SyndromeWindow *const *windows,
         ++windowDecodes_;
         if (!scoreDecode(*mesh_->meshStats(i), stats_[i]))
             continue;
-        std::swap(provisional_.dataFlips, out[i].dataFlips);
+        provisional_.dataFlips = out[i].dataFlips;
         exact_->decodeWindowBatch(windows + i, 1, out + i, ws);
         repairFrom(out[i], stats_[i]);
     }

@@ -7,6 +7,8 @@
  * `ws` argument of Decoder::decodeBatch / decodeWindowBatch, so
  * steady-state decoding performs no heap allocation at all (buffers
  * grow to the high-water mark of the hardest syndrome and stay there).
+ * tests/decoders/test_alloc_free.cc pins that at zero allocations for
+ * every decoder family on the scalar, lane-batch and window paths.
  *
  * Buffers are grouped by consumer but deliberately shared across
  * decoder *instances* (the Z and X decoders of a depolarizing run, or

@@ -18,8 +18,8 @@ void
 MetricSet::add(const std::string &name, std::uint64_t delta)
 {
     Scalar &s = scalars_[name];
-    require(s.kind == Kind::Counter,
-            "MetricSet: counter/gauge kind clash on " + name);
+    if (s.kind != Kind::Counter)
+        panic("MetricSet: counter/gauge kind clash on " + name);
     s.value += delta;
 }
 
@@ -33,8 +33,8 @@ MetricSet::maxGauge(const std::string &name, std::uint64_t value)
         s.value = value;
         return;
     }
-    require(s.kind == Kind::Gauge,
-            "MetricSet: counter/gauge kind clash on " + name);
+    if (s.kind != Kind::Gauge)
+        panic("MetricSet: counter/gauge kind clash on " + name);
     if (value > s.value)
         s.value = value;
 }
@@ -71,8 +71,8 @@ MetricSet::merge(const MetricSet &other)
         if (inserted)
             continue;
         Scalar &mine = it->second;
-        require(mine.kind == theirs.kind,
-                "MetricSet: counter/gauge kind clash on " + name);
+        if (mine.kind != theirs.kind)
+            panic("MetricSet: counter/gauge kind clash on " + name);
         if (mine.kind == Kind::Counter)
             mine.value += theirs.value;
         else if (theirs.value > mine.value)

@@ -91,6 +91,22 @@ class PackedBits
         words_[i / kWordBits] ^= Word{1} << (i % kWordBits);
     }
 
+    /**
+     * XOR @p bits into word @p w (bits 64w..64w+63; unchecked,
+     * debug-asserted). Bits at or above size() must be zero in
+     * @p bits, which keeps the class invariant.
+     */
+    void
+    xorWord(std::size_t w, Word bits)
+    {
+        NISQPP_DCHECK(w < words_.size(),
+                      "PackedBits::xorWord: word out of range");
+        NISQPP_DCHECK(size_ >= (w + 1) * kWordBits ||
+                          (bits >> (size_ - w * kWordBits)) == 0,
+                      "PackedBits::xorWord: bits past size()");
+        words_[w] ^= bits;
+    }
+
     /** XOR-compose @p other into this bitset (sizes must match). */
     void
     xorWith(const PackedBits &other)

@@ -16,6 +16,10 @@ namespace nisqpp {
  * xoshiro256** generator (Blackman & Vigna). Deterministic across
  * platforms, much faster than std::mt19937_64, and of ample quality for
  * error-injection sampling.
+ *
+ * next() and coin() are defined inline here: the noise channels call
+ * them once per qubit per round, and an out-of-line call there spills
+ * the four state words on every draw.
  */
 class Rng
 {
@@ -24,7 +28,19 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
     double uniform();
@@ -58,6 +74,12 @@ class Rng
     Rng split();
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

@@ -13,7 +13,7 @@ namespace nisqpp {
 
 namespace {
 
-/** Path-halving find on one lane's parent slice. */
+/** Path-halving find on one parent array (scalar, or a lane slice). */
 inline int
 findRoot(int *parent, int v)
 {
@@ -24,7 +24,92 @@ findRoot(int *parent, int v)
     return v;
 }
 
+/**
+ * Scan (and rezero) the erasure bitset @p bits of @p words words into
+ * @p erasure. Bit order IS ascending vertex order, so forest roots are
+ * chosen in the order of a whole-graph scan with no dedup pass or sort.
+ */
+inline void
+drainErasure(std::uint64_t *bits, std::size_t words,
+             std::vector<int> &erasure)
+{
+    erasure.clear();
+    for (std::size_t w = 0; w < words; ++w) {
+        std::uint64_t word = bits[w];
+        bits[w] = 0;
+        while (word) {
+            erasure.push_back(static_cast<int>(w * 64) +
+                              std::countr_zero(word));
+            word &= word - 1;
+        }
+    }
+}
+
 } // namespace
+
+template <typename IsGrown>
+void
+UnionFindDecoder::peelErasure(const Graph &graph,
+                              const std::vector<int> &erasure,
+                              const IsGrown &isGrown, PeelScratch s,
+                              Correction &out)
+{
+    const auto &edges = graph.edges;
+    const int *incOff = graph.incOff.data();
+    const int *incEdges = graph.incEdges.data();
+    const int numAncillaVertices = graph.numAncillaVertices;
+
+    // The FIFO queue IS the visit order, so one vector serves as both;
+    // `head` persists across roots (each BFS drains fully before the
+    // next root is seeded). Roots are stamped -1; every other vertex
+    // whose parentEdge the peel reads was reached, and so written,
+    // first.
+    auto &bfsOrder = *s.bfsOrder;
+    bfsOrder.clear();
+    std::size_t head = 0;
+    auto bfsFrom = [&](int root) {
+        bfsOrder.push_back(root);
+        s.visited[root] = 1;
+        s.parentEdge[root] = -1;
+        while (head < bfsOrder.size()) {
+            const int v = bfsOrder[head++];
+            for (int k = incOff[v]; k < incOff[v + 1]; ++k) {
+                const int ed = incEdges[k];
+                if (!isGrown(ed))
+                    continue;
+                const int w = edges[ed].u == v ? edges[ed].v
+                                               : edges[ed].u;
+                if (s.visited[w])
+                    continue;
+                s.visited[w] = 1;
+                s.parentEdge[w] = ed;
+                bfsOrder.push_back(w);
+            }
+        }
+    };
+
+    // Boundary roots first so leftover parity drains into boundaries.
+    for (int v : erasure)
+        if (v >= numAncillaVertices && !s.visited[v])
+            bfsFrom(v);
+    for (int v : erasure)
+        if (v < numAncillaVertices && !s.visited[v])
+            bfsFrom(v);
+
+    for (std::size_t i = bfsOrder.size(); i-- > 0;) {
+        const int v = bfsOrder[i];
+        if (!s.hot[v] || s.parentEdge[v] < 0)
+            continue;
+        const GraphEdge &ed = edges[s.parentEdge[v]];
+        const int p = ed.u == v ? ed.v : ed.u;
+        // Time-like tree edges (dataIdx < 0) re-interpret measurement
+        // flips: parity still moves to the parent, no data flip.
+        if (ed.dataIdx >= 0)
+            out.dataFlips.push_back(ed.dataIdx);
+        s.hot[v] = 0;
+        s.hot[p] ^= 1;
+    }
+}
 
 void
 UnionFindDecoder::appendSpatialEdges(const SurfaceLattice &lattice,
@@ -36,22 +121,34 @@ UnionFindDecoder::appendSpatialEdges(const SurfaceLattice &lattice,
     // data qubit, with a private virtual boundary vertex.
     for (int d = 0; d < lattice.numData(); ++d) {
         const auto &ancs = lattice.dataAncillaNeighbors(type, d);
-        if (ancs.size() == 2) {
-            const int id = static_cast<int>(graph.edges.size());
+        if (ancs.size() == 2)
             graph.edges.push_back({base + ancs[0], base + ancs[1], d});
-            graph.incident[base + ancs[0]].push_back(id);
-            graph.incident[base + ancs[1]].push_back(id);
-        } else if (ancs.size() == 1) {
-            const int bv = graph.numVertices++;
-            graph.incident.emplace_back();
-            const int id = static_cast<int>(graph.edges.size());
-            graph.edges.push_back({base + ancs[0], bv, d});
-            graph.incident[base + ancs[0]].push_back(id);
-            graph.incident[bv].push_back(id);
-        } else {
+        else if (ancs.size() == 1)
+            graph.edges.push_back({base + ancs[0], graph.numVertices++, d});
+        else
             panic("UnionFindDecoder: data qubit with no detecting "
                   "ancilla");
-        }
+    }
+}
+
+void
+UnionFindDecoder::Graph::buildIncidence()
+{
+    // Counting sort of the edge endpoints by vertex, filled in
+    // ascending edge id: each vertex's list is ascending, the same
+    // order per-vertex push_back during construction would give.
+    incOff.assign(numVertices + 1, 0);
+    for (const GraphEdge &e : edges) {
+        ++incOff[e.u + 1];
+        ++incOff[e.v + 1];
+    }
+    for (int v = 0; v < numVertices; ++v)
+        incOff[v + 1] += incOff[v];
+    incEdges.resize(incOff[numVertices]);
+    std::vector<int> next(incOff.begin(), incOff.end() - 1);
+    for (int id = 0; id < static_cast<int>(edges.size()); ++id) {
+        incEdges[next[edges[id].u]++] = id;
+        incEdges[next[edges[id].v]++] = id;
     }
 }
 
@@ -62,8 +159,8 @@ UnionFindDecoder::UnionFindDecoder(const SurfaceLattice &lattice,
     const int na = lattice.numAncilla(type);
     graph_.numAncillaVertices = na;
     graph_.numVertices = na;
-    graph_.incident.resize(na);
     appendSpatialEdges(lattice, type, 0, graph_);
+    graph_.buildIncidence();
 }
 
 const UnionFindDecoder::Graph &
@@ -79,7 +176,6 @@ UnionFindDecoder::windowGraph(int rounds)
     Graph g;
     g.numAncillaVertices = rounds * na;
     g.numVertices = rounds * na;
-    g.incident.assign(g.numVertices, {});
 
     for (int t = 0; t < rounds; ++t) {
         const int base = t * na;
@@ -89,13 +185,10 @@ UnionFindDecoder::windowGraph(int rounds)
         // fires events in rounds t and t+1; the edge carries no data
         // qubit.
         if (t + 1 < rounds)
-            for (int a = 0; a < na; ++a) {
-                const int id = static_cast<int>(g.edges.size());
+            for (int a = 0; a < na; ++a)
                 g.edges.push_back({base + a, base + na + a, -1});
-                g.incident[base + a].push_back(id);
-                g.incident[base + na + a].push_back(id);
-            }
     }
+    g.buildIncidence();
 
     windowGraph_ = std::move(g);
     windowGraphRounds_ = rounds;
@@ -249,18 +342,6 @@ UnionFindDecoder::ensureEngine(BatchEngine<W> &e, const Graph &graph,
         e.erasure.reserve(numVertices);
         e.bfsOrder.reserve(numVertices);
         e.grownMark.assign(numEdges, 0);
-        // Flatten the incident lists once per graph (CSR) so the
-        // gather and peel BFS read one contiguous array instead of
-        // chasing a vector per vertex.
-        e.incOff.resize(numVertices + 1);
-        e.incOff[0] = 0;
-        for (int v = 0; v < numVertices; ++v)
-            e.incOff[v + 1] =
-                e.incOff[v] + static_cast<int>(graph.incident[v].size());
-        e.incEdges.resize(e.incOff[numVertices]);
-        for (int v = 0; v < numVertices; ++v)
-            std::copy(graph.incident[v].begin(), graph.incident[v].end(),
-                      e.incEdges.begin() + e.incOff[v]);
         e.lanesReady = 0;
         e.candidates.resize(e.kLanes);
         e.grown.resize(e.kLanes);
@@ -309,8 +390,8 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
                            std::size_t lanes, Correction *out)
 {
     const auto &edges = graph.edges;
-    const int *incOff = e.incOff.data();
-    const int *incEdges = e.incEdges.data();
+    const int *incOff = graph.incOff.data();
+    const int *incEdges = graph.incEdges.data();
     const int numAncillaVertices = graph.numAncillaVertices;
     const std::size_t V = static_cast<std::size_t>(e.numVertices);
 
@@ -499,8 +580,8 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
         }
     }
 
-    // Peel each lane with the scalar decoder's exact forest walk,
-    // reading support from the s2 bit-plane, then restore the lane's
+    // Peel each lane with the scalar core's forest walk (peelErasure),
+    // reading grown edges from the s2 bit-plane, then restore the lane's
     // union-find slice by rewinding only the erasure vertices — the
     // complete set of state a trial dirtied (the erasure bitset
     // collects every seed and every grown edge endpoint). The peel
@@ -519,88 +600,28 @@ UnionFindDecoder::runChunk(const Graph &graph, int growthBound,
         int *memberTailL = e.memberTail.data() + l * V;
         char *hot = e.hot.data();
         char *visited = e.visited.data();
-        int *parentEdge = e.parentEdge.data();
 
         for (int s : cand)
             hot[s] = 1;
 
-        // Scan (and rezero) the lane's erasure bitset: bit order IS
-        // ascending vertex order, so forest roots are chosen in the
-        // same order as the scalar decoder's whole-graph scan with no
-        // dedup pass or sort.
         auto &erasure = e.erasure;
-        erasure.clear();
-        std::uint64_t *ebL = e.laneErasure.data() + l * e.eraseWords;
-        for (int w = 0; w < e.eraseWords; ++w) {
-            std::uint64_t bits = ebL[w];
-            ebL[w] = 0;
-            while (bits) {
-                erasure.push_back(w * 64 + std::countr_zero(bits));
-                bits &= bits - 1;
-            }
-        }
+        drainErasure(e.laneErasure.data() + l * e.eraseWords,
+                     static_cast<std::size_t>(e.eraseWords), erasure);
 
         // Mark the lane's grown (s2) edge set in the shared E-byte
         // array — order is irrelevant for marking, so the accumulated
-        // grown list needs no sort. The BFS walks the CSR incident
-        // lists testing this byte instead of extracting lane bits
-        // from the 64-byte-strided s2 plane, so its edge-membership
-        // reads stay within a few hot L1 lines.
+        // grown list needs no sort. The BFS tests this byte instead of
+        // extracting lane bits from the 64-byte-strided s2 plane, so
+        // its edge-membership reads stay within a few hot L1 lines.
         auto &grown = e.grown[l];
         char *grownMark = e.grownMark.data();
         for (const int ed : grown)
             grownMark[ed] = 1;
 
-        // The FIFO queue IS the visit order, so one vector serves as
-        // both; `head` persists across roots (each BFS drains fully
-        // before the next root is seeded).
-        auto &bfsOrder = e.bfsOrder;
-        bfsOrder.clear();
-        std::size_t head = 0;
-        auto bfsFrom = [&](int root) {
-            bfsOrder.push_back(root);
-            visited[root] = 1;
-            parentEdge[root] = -1;
-            while (head < bfsOrder.size()) {
-                const int v = bfsOrder[head++];
-                for (int k = incOff[v]; k < incOff[v + 1]; ++k) {
-                    const int ed = incEdges[k];
-                    if (!grownMark[ed])
-                        continue;
-                    const int w = edges[ed].u == v ? edges[ed].v
-                                                   : edges[ed].u;
-                    if (visited[w])
-                        continue;
-                    visited[w] = 1;
-                    parentEdge[w] = ed;
-                    bfsOrder.push_back(w);
-                }
-            }
-        };
-
-        // Boundary roots first so leftover parity drains into
-        // boundaries.
-        for (int v : erasure)
-            if (v >= numAncillaVertices && !visited[v])
-                bfsFrom(v);
-        for (int v : erasure)
-            if (v < numAncillaVertices && !visited[v])
-                bfsFrom(v);
-
-        for (std::size_t i = bfsOrder.size(); i-- > 0;) {
-            const int v = bfsOrder[i];
-            if (!hot[v] || parentEdge[v] < 0)
-                continue;
-            const GraphEdge &ed = edges[parentEdge[v]];
-            const int p = ed.u == v ? ed.v : ed.u;
-            // Time-like tree edges (dataIdx < 0) re-interpret
-            // measurement flips: parity still moves to the parent, no
-            // data flip.
-            if (ed.dataIdx >= 0)
-                corr.dataFlips.push_back(ed.dataIdx);
-            hot[v] = 0;
-            hot[p] ^= 1;
-        }
+        peelErasure(
+            graph, erasure,
+            [grownMark](int ed) { return grownMark[ed] != 0; },
+            {hot, visited, e.parentEdge.data(), &e.bfsOrder}, corr);
 
         // One pass over the erasure: check that every interior vertex
         // drained (boundary vertices absorb anything left; hot never
@@ -659,35 +680,47 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
     const Graph &graph = graphFor(rounds);
     const int growthBound = 4 * (lattice().gridSize() + rounds) + 8;
     const auto &edges = graph.edges;
-    const auto &incident = graph.incident;
+    const int *incOff = graph.incOff.data();
+    const int *incEdges = graph.incEdges.data();
     const int numAncillaVertices = graph.numAncillaVertices;
-    const int numVertices = graph.numVertices;
+    const std::size_t numVertices =
+        static_cast<std::size_t>(graph.numVertices);
 
-    auto &parent = ws.ufParent;
-    auto &rank = ws.ufRank;
-    auto &parity = ws.ufParity;
-    auto &boundary = ws.ufBoundary;
-    parent.resize(numVertices);
-    rank.assign(numVertices, 0);
-    parity.assign(numVertices, 0);
-    boundary.assign(numVertices, 0);
-    for (int v = 0; v < numVertices; ++v)
-        parent[v] = v;
-    for (int v = numAncillaVertices; v < numVertices; ++v)
-        boundary[v] = 1;
+    // Between decodes the union-find buffers hold one neutral state
+    // that fits every graph (see TrialWorkspace): grow them, neutral,
+    // only when a larger graph arrives. Boundary-ness of a vertex is
+    // static (v >= numAncillaVertices), so nothing is per graph.
+    if (ws.ufParent.size() < numVertices) {
+        const std::size_t old = ws.ufParent.size();
+        ws.ufParent.resize(numVertices);
+        for (std::size_t v = old; v < numVertices; ++v)
+            ws.ufParent[v] = static_cast<int>(v);
+        ws.ufRank.resize(numVertices, 0);
+        ws.ufParity.resize(numVertices, 0);
+        ws.ufBoundary.resize(numVertices, 0);
+        ws.ufStamp.resize(numVertices, 0);
+        ws.ufHot.resize(numVertices, 0);
+        ws.ufVisited.resize(numVertices, 0);
+        ws.ufParentEdge.resize(numVertices);
+        ws.ufErasureBits.resize((numVertices + 63) / 64, 0);
+    }
+    if (ws.ufSupport.size() < edges.size())
+        ws.ufSupport.resize(edges.size(), 0);
+
+    int *parent = ws.ufParent.data();
+    int *rank = ws.ufRank.data();
+    char *parity = ws.ufParity.data();
+    // boundary[r]: root r's cluster holds a boundary vertex other
+    // than (possibly) r itself.
+    char *boundary = ws.ufBoundary.data();
+    char *support = ws.ufSupport.data();
+    int *stamp = ws.ufStamp.data();
     for (int s : seeds)
         parity[s] = 1;
 
-    auto find = [&parent](int v) {
-        while (parent[v] != v) {
-            parent[v] = parent[parent[v]];
-            v = parent[v];
-        }
-        return v;
-    };
     auto unite = [&](int a, int b) {
-        a = find(a);
-        b = find(b);
+        a = findRoot(parent, a);
+        b = findRoot(parent, b);
         if (a == b)
             return;
         if (rank[a] < rank[b])
@@ -696,7 +729,7 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
         if (rank[a] == rank[b])
             ++rank[a];
         parity[a] ^= parity[b];
-        boundary[a] |= boundary[b];
+        boundary[a] |= boundary[b] | (b >= numAncillaVertices);
     };
 
     // Cluster growth: odd non-boundary clusters add half-edge support to
@@ -708,12 +741,8 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
     // the final erasure are identical to the full-graph scan (each
     // active endpoint contributes one half edge either way); the
     // retained reference decoder in the tests pins this bit for bit.
-    auto &support = ws.ufSupport;
     auto &candidates = ws.ufCandidates;
-    auto &stamp = ws.ufStamp;
     auto &grown = ws.ufGrown;
-    support.assign(edges.size(), 0);
-    stamp.assign(numVertices, 0);
     candidates.assign(seeds.begin(), seeds.end());
 
     for (;;) {
@@ -725,10 +754,11 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
             if (stamp[v] == round_stamp)
                 continue;
             stamp[v] = round_stamp;
-            const int r = find(v);
-            if (!parity[r] || boundary[r])
+            const int r = findRoot(parent, v);
+            if (!parity[r] || r >= numAncillaVertices || boundary[r])
                 continue;
-            for (int e : incident[v]) {
+            for (int k = incOff[v]; k < incOff[v + 1]; ++k) {
+                const int e = incEdges[k];
                 if (support[e] >= 2)
                     continue;
                 any_active = true;
@@ -748,88 +778,47 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
                 "UnionFindDecoder: growth failed to converge");
     }
 
-    // Peeling on the erasure (fully grown edges): build a BFS forest per
-    // cluster rooted at a boundary vertex when available, then peel from
-    // the leaves inward, flipping tree edges below hot vertices.
-    //
-    // Only erasure vertices matter here, and after the growth loop the
-    // candidate list contains exactly the hot seeds plus every grown
-    // edge's endpoints — i.e. the whole erasure (every hot vertex ends
-    // incident to a full edge). Deduplicate and sort it so the forest
-    // roots are chosen in the same ascending boundary-then-ancilla
-    // order as a whole-graph scan would.
-    auto &hot = ws.ufHot;
-    hot.assign(numVertices, 0);
+    // Peeling on the erasure (fully grown edges). After the growth
+    // loop the candidate list holds exactly the hot seeds plus every
+    // grown edge's endpoints — i.e. the whole erasure (every hot vertex
+    // ends incident to a full edge); the all-zero erasure bitset turns
+    // it into the ascending, deduplicated erasure.
+    char *hot = ws.ufHot.data();
+    char *visited = ws.ufVisited.data();
     for (int s : seeds)
         hot[s] = 1;
 
-    auto &parent_edge = ws.ufParentEdge;
-    auto &bfs_order = ws.ufBfsOrder;
-    auto &visited = ws.ufVisited;
-    auto &queue = ws.ufQueue;
-    parent_edge.assign(numVertices, -1);
-    bfs_order.clear();
-    visited.assign(numVertices, 0);
-
-    auto &erasure = ws.ufGrown; // growth loop is done with it
-    erasure.clear();
+    std::uint64_t *eraseBits = ws.ufErasureBits.data();
     for (int v : candidates)
-        if (stamp[v] != -1) {
-            stamp[v] = -1;
-            erasure.push_back(v);
-        }
-    std::sort(erasure.begin(), erasure.end());
+        eraseBits[v >> 6] |= std::uint64_t{1} << (v & 63);
+    auto &erasure = ws.ufGrown; // growth loop is done with it
+    drainErasure(eraseBits, (numVertices + 63) / 64, erasure);
 
-    auto bfsFrom = [&](int root) {
-        queue.clear();
-        std::size_t head = 0;
-        queue.push_back(root);
-        visited[root] = 1;
-        while (head < queue.size()) {
-            const int v = queue[head++];
-            bfs_order.push_back(v);
-            for (int e : incident[v]) {
-                if (support[e] < 2)
-                    continue;
-                const int w = edges[e].u == v ? edges[e].v
-                                              : edges[e].u;
-                if (visited[w])
-                    continue;
-                visited[w] = 1;
-                parent_edge[w] = e;
-                queue.push_back(w);
-            }
-        }
-    };
+    peelErasure(
+        graph, erasure, [support](int e) { return support[e] >= 2; },
+        {hot, visited, ws.ufParentEdge.data(), &ws.ufBfsOrder}, out);
 
-    // Boundary roots first so leftover parity drains into boundaries.
-    for (int v : erasure)
-        if (v >= numAncillaVertices && !visited[v])
-            bfsFrom(v);
-    for (int v : erasure)
-        if (v < numAncillaVertices && !visited[v])
-            bfsFrom(v);
-
-    for (std::size_t i = bfs_order.size(); i-- > 0;) {
-        const int v = bfs_order[i];
-        if (!hot[v] || parent_edge[v] < 0)
-            continue;
-        const GraphEdge &e = edges[parent_edge[v]];
-        const int p = e.u == v ? e.v : e.u;
-        // Time-like tree edges (dataIdx < 0) re-interpret measurement
-        // flips: parity still moves to the parent, no data flip.
-        if (e.dataIdx >= 0)
-            out.dataFlips.push_back(e.dataIdx);
-        hot[v] = 0;
-        hot[p] ^= 1;
-    }
-
-    // Boundary vertices absorb anything left; every interior vertex must
-    // have drained (non-roots by the peel, interior roots because their
-    // cluster parity is even by the growth exit condition).
-    for (int v = 0; v < numAncillaVertices; ++v)
-        require(!hot[v],
+    // One pass over the erasure. Boundary vertices absorb anything
+    // left; every interior vertex must have drained (non-roots by the
+    // peel, interior roots because their cluster parity is even by the
+    // growth exit condition). hot is only ever set on seeds and tree
+    // parents, both in the erasure, so this is the whole-graph check.
+    // The same pass rewinds the buffers to the neutral state: every
+    // vertex a decode wrote is in the erasure, and every edge whose
+    // support moved borders one.
+    for (int v : erasure) {
+        require(v >= numAncillaVertices || !hot[v],
                 "UnionFindDecoder: peeling left a hot interior vertex");
+        parent[v] = v;
+        rank[v] = 0;
+        parity[v] = 0;
+        boundary[v] = 0;
+        stamp[v] = 0;
+        hot[v] = 0;
+        visited[v] = 0;
+        for (int k = incOff[v]; k < incOff[v + 1]; ++k)
+            support[incEdges[k]] = 0;
+    }
     noteDecode(out);
 }
 

@@ -12,6 +12,12 @@
  * edges carry no data qubit — they absorb measurement flips — so the
  * peeled correction is the XOR of the spatial edges only.
  *
+ * Both cores pay for a decode's erasure, not for its graph: they read
+ * one CSR incidence per graph, enumerate the erasure ascending by
+ * scanning (and rezeroing) an erasure bitset instead of sorting, and
+ * end every decode by rewinding only the vertices in its erasure and
+ * the edges bordering them, so no buffer is re-initialized per decode.
+ *
  * Batches of more than one input run a *lane-packed* variant of the
  * same algorithm: K independent syndromes share one pass over the
  * graph, with per-edge support counters held as two bit-planes (bit l
@@ -27,13 +33,11 @@
  * restored via touched-only cleanup after each peel (the erasure
  * vertices are exactly the state a trial dirtied), and the shared
  * bit-planes are rewound edge-by-edge at chunk end from a dirty-edge
- * list, so the per-trial cost is O(cluster) instead of the scalar
- * path's O(V + E) clears. Grown edges are applied in ascending edge
- * order; the cluster partition, parities, boundary flags, support
- * values, sorted erasure and peel forest are all
- * union-order-independent, so every lane's correction, growth-round
- * count and exported counter is bit-identical to a scalar decode of
- * the same syndrome.
+ * list. Grown edges are applied in ascending edge order; the cluster
+ * partition, parities, boundary flags, support values, sorted erasure
+ * and peel forest are all union-order-independent, so every lane's
+ * correction, growth-round count and exported counter is bit-identical
+ * to a scalar decode of the same syndrome.
  */
 
 #ifndef NISQPP_DECODERS_UNION_FIND_DECODER_HH
@@ -105,13 +109,22 @@ class UnionFindDecoder : public Decoder
         int dataIdx; ///< data qubit flipped by this edge; -1 time-like
     };
 
-    /** One static decoding graph (2D, or spacetime per window size). */
+    /**
+     * One static decoding graph (2D, or spacetime per window size).
+     * Its incidence is one CSR, filled once per graph and read by both
+     * the scalar core and the lane engine: vertex v's edges are
+     * incEdges[incOff[v]..incOff[v+1]), in ascending edge id.
+     */
     struct Graph
     {
         std::vector<GraphEdge> edges;
-        std::vector<std::vector<int>> incident; ///< vertex -> edge ids
+        std::vector<int> incOff;   ///< numVertices + 1 offsets
+        std::vector<int> incEdges; ///< edge ids, grouped by vertex
         int numAncillaVertices = 0; ///< real vertices; boundaries after
         int numVertices = 0;
+
+        /** Fill incOff/incEdges from the finished edge list. */
+        void buildIncidence();
     };
 
     /**
@@ -152,18 +165,6 @@ class UnionFindDecoder : public Decoder
         std::vector<char> planeMark;  ///< edge in planeDirty (per chunk)
         std::vector<int> planeDirty;  ///< edges with nonzero s1/s2 bits
 
-        /**
-         * @name Batch-private CSR of the graph's incident lists
-         * (vertex v's edges are incEdges[incOff[v]..incOff[v+1])).
-         * Replaces the vector-of-vectors double indirection on the
-         * batch hot paths (gather + peel BFS) without touching the
-         * scalar decoder's layout.
-         * @{
-         */
-        std::vector<int> incOff;
-        std::vector<int> incEdges;
-        /** @} */
-
         /** @name Lane-major union-find state (13 B/vertex) @{ */
         std::vector<int> parent;
         /// bit0 parity, bit1 boundary contact, bit2 in the lane's
@@ -194,8 +195,8 @@ class UnionFindDecoder : public Decoder
          * Grown (support == 2) edges per lane, accumulated across the
          * trial's rounds: each round's unions process the suffix past
          * grownDone[l], and the full list — exactly the lane's s2
-         * edge set — then feeds the peel's forest adjacency, so the
-         * peel BFS never scans incident lists or bit-planes.
+         * edge set — then marks grownMark for the peel, so the peel
+         * BFS never reads the bit-planes.
          */
         std::vector<std::vector<int>> grown;
         std::vector<int> grownDone; ///< per lane: unions applied so far
@@ -220,7 +221,7 @@ class UnionFindDecoder : public Decoder
         /**
          * Byte-per-edge membership mark of the lane under peel
          * (grownMark[ed] != 0 iff ed is in the lane's grown / s2
-         * set): the BFS walks the CSR incident lists and tests this
+         * set): the BFS walks the graph's CSR and tests this
          * E-byte array — a few L1 lines — instead of extracting lane
          * bits from the 64-byte-strided s2 plane. All-zero between
          * lanes (reset from the lane's grown list).
@@ -244,9 +245,33 @@ class UnionFindDecoder : public Decoder
     /**
      * Scalar growth + peel on the graph of @p rounds (0 = 2D) seeded
      * at @p seeds (hot vertices), writing the correction into @p out.
+     * Reads and leaves ws's union-find buffers in their neutral state
+     * (see TrialWorkspace), growing them only for a larger graph.
      */
     void decodeScalar(int rounds, const std::vector<int> &seeds,
                       TrialWorkspace &ws, Correction &out);
+
+    /** The peel's V-sized scratch (all-clear inside the erasure). */
+    struct PeelScratch
+    {
+        char *hot;
+        char *visited;
+        int *parentEdge; ///< written before read, never reset
+        std::vector<int> *bfsOrder;
+    };
+
+    /**
+     * Peel @p erasure (ascending) into @p out, shared by both cores:
+     * a BFS forest over the fully grown edges (isGrown(edge id)) per
+     * cluster, rooted at a boundary vertex when available, then peeled
+     * from the leaves inward, flipping the tree edge below each hot
+     * vertex. hot and visited are only written inside the erasure.
+     */
+    template <typename IsGrown>
+    static void peelErasure(const Graph &graph,
+                            const std::vector<int> &erasure,
+                            const IsGrown &isGrown, PeelScratch s,
+                            Correction &out);
 
     /** (Re)initialize @p e for @p graph and at least @p lanes lanes. */
     template <typename W>

@@ -13,12 +13,15 @@
  * Buffers are grouped by consumer but deliberately shared across
  * decoder *instances* (the Z and X decoders of a depolarizing run, or
  * different distances in one sweep): every user assign()s or clear()s
- * what it borrows before reading it.
+ * what it borrows before reading it — except the union-find buffers
+ * below, which UnionFindDecoder keeps in one neutral state between
+ * decodes and rewinds itself (see there).
  */
 
 #ifndef NISQPP_DECODERS_WORKSPACE_HH
 #define NISQPP_DECODERS_WORKSPACE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "decoders/blossom.hh"
@@ -61,21 +64,30 @@ class TrialWorkspace
     std::vector<char> matched;
     /** @} */
 
-    /** @name Union-Find decoder @{ */
+    /**
+     * @name Union-Find decoder
+     * Not assign()ed per decode: between decodes these hold one
+     * neutral state that fits every graph — ufParent[v] == v; rank,
+     * parity, boundary, stamp, hot and visited zero; ufSupport and
+     * ufErasureBits all-zero. The decoder grows them (neutral) only
+     * when a larger graph arrives, and each decode rewinds just the
+     * entries its erasure touched. Any other user must leave them be.
+     * @{
+     */
     std::vector<int> ufSeeds; ///< hot vertex ids (2D or spacetime)
     std::vector<int> ufParent;
     std::vector<int> ufRank;
     std::vector<char> ufParity;
-    std::vector<char> ufBoundary;
-    std::vector<char> ufSupport;
+    std::vector<char> ufBoundary; ///< root's cluster holds a boundary
+    std::vector<char> ufSupport;  ///< per edge: half-edges grown (0-2)
     std::vector<int> ufCandidates; ///< cluster-member frontier vertices
     std::vector<int> ufStamp;      ///< per-round vertex dedup stamps
-    std::vector<int> ufGrown;
+    std::vector<int> ufGrown;      ///< grown edges, then the erasure
     std::vector<char> ufHot;
-    std::vector<int> ufParentEdge;
-    std::vector<int> ufBfsOrder;
+    std::vector<int> ufParentEdge; ///< written before read (BFS)
+    std::vector<int> ufBfsOrder;   ///< BFS FIFO == visit order
     std::vector<char> ufVisited;
-    std::vector<int> ufQueue; ///< BFS FIFO (head index, no pops)
+    std::vector<std::uint64_t> ufErasureBits; ///< erasure, bit per vertex
     /** @} */
 };
 

@@ -1,10 +1,35 @@
 #include "noise/channels.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "surface/syndrome.hh"
 
 namespace nisqpp {
+
+namespace {
+
+/**
+ * Draw one coin(@p thresh) per bit 0..n-1, in order, packing each run
+ * of 64 into a word handed to @p apply(w, bits) once. The draws are
+ * exactly those of a per-bit `if (rng.coin(thresh))` loop; only the
+ * per-bit write becomes one XOR per word. Bits at or above n stay zero.
+ */
+template <typename Apply>
+void
+forEachCoinWord(Rng &rng, std::uint64_t thresh, int n, const Apply &apply)
+{
+    for (int base = 0; base < n; base += 64) {
+        const int bitsHere = std::min(64, n - base);
+        PackedBits::Word word = 0;
+        for (int b = 0; b < bitsHere; ++b)
+            word |= PackedBits::Word{rng.coin(thresh)} << b;
+        apply(static_cast<std::size_t>(base / 64), word);
+    }
+}
+
+} // namespace
 
 DepolarizingChannel::DepolarizingChannel(double p)
     : p_(p), thresh_(Rng::threshold(p))
@@ -46,9 +71,10 @@ DephasingChannel::sampleInto(Rng &rng, ErrorState &state) const
             state.inject(q, Pauli::Z);
         return;
     }
-    for (int q = 0; q < n; ++q)
-        if (rng.coin(thresh_))
-            state.inject(q, Pauli::Z);
+    forEachCoinWord(rng, thresh_, n,
+                    [&state](std::size_t w, PackedBits::Word bits) {
+                        state.xorWord(ErrorType::Z, w, bits);
+                    });
 }
 
 BiasedEtaChannel::BiasedEtaChannel(double p, double eta)
@@ -127,9 +153,10 @@ MeasurementFlipChannel::corrupt(Rng &rng, Syndrome &syndrome) const
             syndrome.flip(a);
         return;
     }
-    for (int a = 0; a < n; ++a)
-        if (rng.coin(thresh_))
-            syndrome.flip(a);
+    forEachCoinWord(rng, thresh_, n,
+                    [&syndrome](std::size_t w, PackedBits::Word bits) {
+                        syndrome.xorWord(w, bits);
+                    });
 }
 
 } // namespace nisqpp

@@ -8,6 +8,13 @@
  * the exact per-qubit draw sequence of the legacy `DepolarizingModel`
  * and `DephasingModel`, so composing either one alone with q = 0 is
  * bit-identical to the pre-subsystem code.
+ *
+ * The sampling loops are call-free: Rng::next() is inline. Where every
+ * bit costs exactly one draw (dephasing, measurement flips), the loop
+ * packs 64 coin results into a word and XORs it in once; the draws and
+ * their order are those of the per-qubit loop. The depolarizing, biased
+ * and erasure loops stay per qubit, because their extra draws are
+ * conditional on the coin.
  */
 
 #ifndef NISQPP_NOISE_CHANNELS_HH
@@ -59,7 +66,10 @@ class DepolarizingChannel : public NoiseChannel
     std::uint64_t thresh_; ///< Rng::threshold(p), hot-loop coin
 };
 
-/** Pauli Z with probability p per data qubit (the paper's headline). */
+/**
+ * Pauli Z with probability p per data qubit (the paper's headline),
+ * sampled one word of 64 qubits at a time.
+ */
 class DephasingChannel : public NoiseChannel
 {
   public:
@@ -131,6 +141,7 @@ class ErasureChannel : public NoiseChannel
  * Measurement-flip channel: each measured syndrome bit flips
  * independently with probability q per round (faulty readout). q = 0
  * draws nothing, keeping perfect-measurement streams bit-identical.
+ * Flips are drawn per ancilla in order and applied one word at a time.
  */
 class MeasurementFlipChannel
 {

@@ -49,6 +49,16 @@ class ErrorState
         mut(type).flip(data_idx);
     }
 
+    /**
+     * Flip the @p type components of data qubits 64w..64w+63 set in
+     * @p bits (word-packed sampling; see PackedBits::xorWord).
+     */
+    void
+    xorWord(ErrorType type, std::size_t w, PackedBits::Word bits)
+    {
+        mut(type).xorWord(w, bits);
+    }
+
     /** XOR another error/correction pattern into this one. */
     void compose(const ErrorState &other);
 

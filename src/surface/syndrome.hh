@@ -36,6 +36,13 @@ class Syndrome
     void flip(int ancilla_idx) { bits_.flip(ancilla_idx); }
     void clear() { bits_.clear(); }
 
+    /** Flip ancillas 64w..64w+63 set in @p bits (PackedBits::xorWord). */
+    void
+    xorWord(std::size_t w, PackedBits::Word bits)
+    {
+        bits_.xorWord(w, bits);
+    }
+
     /** Number of hot (firing) ancillas. */
     int weight() const { return bits_.popcount(); }
 

@@ -5,7 +5,8 @@
  * corrections as the workspace-free decode() entry point, across
  * lattices d = 3..11 and many random syndromes. Also pins the
  * frontier-scan union-find growth to a retained reference
- * implementation of the original whole-graph scan.
+ * implementation of the original whole-graph scan, and checks that the
+ * union-find buffers return to their neutral state after every decode.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -24,6 +26,7 @@
 #include "decoders/workspace.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
+#include "surface/syndrome_window.hh"
 
 namespace nisqpp {
 namespace {
@@ -222,6 +225,108 @@ TEST(Workspace, UnionFindMatchesReferenceImplementation)
                 EXPECT_EQ(ws.correction.dataFlips,
                           reference.decode(syn))
                     << "d=" << d << " round=" << round;
+            }
+        }
+    }
+}
+
+/**
+ * A random faulty-measurement window of @p rounds rounds: fresh @p type
+ * errors at rate @p p each noisy round, readouts flipped at rate @p p,
+ * and a perfect final commit round.
+ */
+SyndromeWindow
+randomWindow(Rng &rng, const SurfaceLattice &lat, ErrorType type,
+             int rounds, double p)
+{
+    SyndromeWindow win(lat, type, rounds);
+    ErrorState state(lat);
+    Syndrome syn(lat, type);
+    for (int t = 0; t < rounds; ++t) {
+        const bool noisy = t + 1 < rounds;
+        if (noisy)
+            for (int d = 0; d < lat.numData(); ++d)
+                if (rng.bernoulli(p))
+                    state.flip(type, d);
+        extractSyndromeInto(state, type, syn);
+        if (noisy)
+            for (int a = 0; a < syn.size(); ++a)
+                if (rng.bernoulli(p))
+                    syn.flip(a);
+        win.recordRound(t, syn);
+    }
+    return win;
+}
+
+/**
+ * The union-find buffers' between-decodes state (TrialWorkspace): the
+ * identity forest, every flag and counter zero, no support, no
+ * erasure bit.
+ */
+void
+expectUnionFindNeutral(const TrialWorkspace &ws, const std::string &where)
+{
+    for (std::size_t v = 0; v < ws.ufParent.size(); ++v)
+        ASSERT_EQ(ws.ufParent[v], static_cast<int>(v)) << where;
+    auto allZero = [](const auto &buf) {
+        return std::all_of(buf.begin(), buf.end(),
+                           [](auto x) { return x == 0; });
+    };
+    EXPECT_TRUE(allZero(ws.ufRank)) << where;
+    EXPECT_TRUE(allZero(ws.ufParity)) << where;
+    EXPECT_TRUE(allZero(ws.ufBoundary)) << where;
+    EXPECT_TRUE(allZero(ws.ufStamp)) << where;
+    EXPECT_TRUE(allZero(ws.ufHot)) << where;
+    EXPECT_TRUE(allZero(ws.ufVisited)) << where;
+    EXPECT_TRUE(allZero(ws.ufSupport)) << where;
+    EXPECT_TRUE(allZero(ws.ufErasureBits)) << where;
+}
+
+TEST(Workspace, UnionFindNeutralStateSurvivesGraphSwitches)
+{
+    // The union-find buffers are never re-initialized per decode: each
+    // decode rewinds only what its erasure touched. One workspace
+    // therefore carries state across a fixed interleaving of graphs —
+    // distances out of order (so graphs shrink and regrow), both error
+    // types, the 2D graph and spacetime windows of 2-8 rounds — at
+    // rates up to p = 0.12 so erasures are large. Every decode must
+    // equal a fresh-workspace decode and leave the buffers neutral.
+    Rng rng(0x9e07ULL);
+    TrialWorkspace ws;
+    for (const int d : {9, 3, 7, 5, 11}) {
+        SurfaceLattice lat(d);
+        for (const ErrorType type : {ErrorType::Z, ErrorType::X}) {
+            UnionFindDecoder decoder(lat, type);
+            for (int rounds = 2; rounds <= 8; ++rounds) {
+                const double p = 0.015 * rounds; // 0.03-0.12
+                const std::string where =
+                    "d=" + std::to_string(d) +
+                    " type=" + std::to_string(static_cast<int>(type)) +
+                    " rounds=" + std::to_string(rounds);
+
+                const Syndrome syn = randomSyndrome(rng, lat, type, p);
+                TrialWorkspace fresh;
+                decoder.decode(syn, fresh);
+                const int freshRounds = decoder.lastGrowthRounds();
+                decoder.decode(syn, ws);
+                EXPECT_EQ(ws.correction.dataFlips,
+                          fresh.correction.dataFlips) << "2D " << where;
+                EXPECT_EQ(decoder.lastGrowthRounds(), freshRounds)
+                    << "2D " << where;
+                expectUnionFindNeutral(ws, "2D " + where);
+
+                const SyndromeWindow win =
+                    randomWindow(rng, lat, type, rounds, p);
+                TrialWorkspace freshWin;
+                decoder.decodeWindow(win, freshWin);
+                const int freshWinRounds = decoder.lastGrowthRounds();
+                decoder.decodeWindow(win, ws);
+                EXPECT_EQ(ws.correction.dataFlips,
+                          freshWin.correction.dataFlips)
+                    << "window " << where;
+                EXPECT_EQ(decoder.lastGrowthRounds(), freshWinRounds)
+                    << "window " << where;
+                expectUnionFindNeutral(ws, "window " + where);
             }
         }
     }

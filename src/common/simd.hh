@@ -121,6 +121,18 @@ orElem(W &w, int el, std::uint64_t v)
 }
 
 template <typename W>
+inline void
+andElem(W &w, int el, std::uint64_t v)
+{
+    if constexpr (sizeof(W) == sizeof(std::uint64_t)) {
+        (void)el;
+        w &= v;
+    } else {
+        w[el] &= v;
+    }
+}
+
+template <typename W>
 inline bool
 anyW(const W &w)
 {

@@ -39,7 +39,13 @@
  * lanes never idle waiting for a slow sibling, and the amortized cost
  * per trial is one L-th of a mesh step per cycle.
  *
- * A batch of one (the lifetime protocol and the tiered stream, whose
+ * The same engine runs independent lifetimes (decodeLifetimes): a
+ * lane that frees takes the next pending round of any lifetime, so no
+ * lane waits for a slow sibling's round. Wide lane words are stepped
+ * 128 bits at a time — the step is elementwise — which keeps a row's
+ * signals in registers at the portable ISA.
+ *
+ * A batch of one (a lone lifetime and the tiered stream, whose
  * rounds depend on the previous correction) has a single lane and
  * lays it out as horizontal *strips* instead: the span mesh rows are
  * cut into k = min(span, 64/span) strips of h = ceil(span/k) rows, and
@@ -73,7 +79,7 @@ namespace nisqpp {
  * The SFQ mesh decoder. Implements the Decoder interface so the Monte
  * Carlo harness can drive it interchangeably with the software baselines.
  */
-class MeshDecoder : public Decoder
+class MeshDecoder : public Decoder, public LifetimeLaneDecoder
 {
   public:
     /** Largest lane count any batch geometry uses (v512 at d = 3). */
@@ -98,11 +104,29 @@ class MeshDecoder : public Decoder
 
     const MeshDecodeStats *meshStats(std::size_t lane = 0) const override;
 
+    LifetimeLaneDecoder *lifetimeLanes() override { return this; }
+
+    /** batchLanes(): one lifetime per lane of the packed engine. */
+    std::size_t
+    lanes() const override
+    {
+        return static_cast<std::size_t>(batchLanes_);
+    }
+
+    /**
+     * Run the packed engine as a lifetime pump: every lane that frees
+     * takes the feed's next pending round, so lanes stay busy across
+     * rounds. Corrections and telemetry are bit-identical to decoding
+     * each round alone.
+     */
+    void decodeLifetimes(LifetimeFeed &feed) override;
+
     /**
      * Emit `decoder.mesh.*` work counters accumulated since
-     * construction: decode counts, total mesh cycles/pairings/resets,
-     * and the cap (`decoder.mesh.cycles_capped`) and quiescence exit
-     * counts. Scalar and batched decodes accumulate identically.
+     * construction (MeshWorkCounters::exportTo): decode counts, total
+     * mesh cycles/pairings/resets, and the cap
+     * (`decoder.mesh.cycles_capped`) and quiescence exit counts.
+     * Scalar and batched decodes accumulate identically.
      */
     void exportMetrics(obs::MetricSet &out) const override;
 
@@ -184,19 +208,16 @@ class MeshDecoder : public Decoder
         W guardE{};      ///< cleared before << 1 (per strip)
         W guardW{};      ///< cleared before >> 1
         std::vector<W> interior, bnd, valid; ///< replicated row masks
-        std::array<W, kMaxLanes> laneMask{};
         /** Lane address: element index + sub-lane mask/base inside it. */
         std::array<int, kMaxLanes> laneElem{};
         std::array<std::uint64_t, kMaxLanes> laneSub{};
         std::array<int, kMaxLanes> laneBase{};
 
         // Per-decode mesh state, shared by every lane. The signal
-        // planes are double-buffered *outputs*: `g`/`rq`/`gr`/`pr`
-        // hold the previous cycle's emissions (each cycle derives its
-        // shifted inputs from them on the fly), `gOut`... collect this
-        // cycle's and the buffers swap at the end of the step.
+        // planes hold *emissions*: `g`/`rq`/`gr`/`pr` keep the last
+        // cycle's, and each step derives its shifted inputs from them
+        // on the fly while overwriting them row by row in place.
         Planes g, rq, gr, pr;       ///< last cycle's emitted signals
-        Planes gOut, rqOut, grOut, prOut; ///< this cycle's (scratch)
         Planes grantLatch;          ///< hot modules' grant choice
         std::vector<W> formed; ///< sticky "this module formed a pair"
         std::vector<W> fired;  ///< cleared endpoints still absorbing
@@ -206,10 +227,11 @@ class MeshDecoder : public Decoder
 
         // Per-lane control state: diverging lanes freeze independently.
         std::array<int, kMaxLanes> resetCountdown{};
-        std::array<int, kMaxLanes> lastFire{};
+        std::array<std::int64_t, kMaxLanes> lastFire{};
         std::array<int, kMaxLanes> hotCount{};
         std::array<bool, kMaxLanes> active{};
-        int cycle = 0;
+        /** Steps since decodeLanes began (a lifetime pump runs long). */
+        std::int64_t cycle = 0;
         W prOcc{}; ///< pair-plane occupancy after the last step
 
         /** Placement of physical mesh row @p row (strip row / rows). */
@@ -221,16 +243,26 @@ class MeshDecoder : public Decoder
     };
 
     template <typename W>
+    static int laneCount(int span, int max_lanes);
+    template <typename W>
     void buildEngine(LaneEngine<W> &e, int max_lanes) const;
+    template <typename W>
+    LaneEngine<W> &packedEngine(LaneEngine<W> &e);
     template <typename W>
     void stepLanes(LaneEngine<W> &e, MeshDecodeStats *const *laneStats);
     template <typename W>
     void finishLane(LaneEngine<W> &e, int lane, Correction &out,
                     MeshDecodeStats &stats);
-    template <typename W>
-    void decodeLanes(LaneEngine<W> &e,
-                     const Syndrome *const *syndromes, int count,
-                     Correction *out, MeshDecodeStats *stats);
+    /**
+     * Step @p e until @p source runs dry. Source hands trials to free
+     * lanes (pull) and takes back finished ones (retire); see
+     * BatchSource and FeedSource in the .cc.
+     */
+    template <typename W, typename Source>
+    void decodeLanes(LaneEngine<W> &e, Source &source);
+    /** Call @p f with the latched width's packed engine (built once). */
+    template <typename F>
+    void withPackedEngine(F &&f);
 
     MeshConfig config_;
     int span_;      ///< grid size + 2 (boundary ring included)
@@ -241,7 +273,11 @@ class MeshDecoder : public Decoder
     simd::Width width_;
 
     LaneEngine<std::uint64_t> scalar_; ///< one lane: batches of one
-    /** Packed-lane engines; only the latched width's is built. @{ */
+    /**
+     * Packed-lane engines. Only the latched width's is ever built, and
+     * only by the first multi-lane batch, so decoders that only see
+     * batches of one never pay for it. @{
+     */
     LaneEngine<simd::W64> batch64_;
     LaneEngine<simd::W256> batch256_;
     LaneEngine<simd::W512> batch512_;
@@ -250,17 +286,17 @@ class MeshDecoder : public Decoder
     /** Lane count of the latched batch engine. */
     int batchLanes_ = 1;
 
-    /** Telemetry of the last decode, one entry per lane decoded. */
+    /** decodeLifetimes' per-lane corrections, handed to the feed. */
+    std::vector<Correction> feedOut_;
+
+    /**
+     * Telemetry of the last decode, one entry per lane decoded (after
+     * decodeLifetimes: each lane's last decode).
+     */
     std::vector<MeshDecodeStats> batchStats_{1};
 
-    /** Deterministic work counters (see exportMetrics). @{ */
-    std::uint64_t decodes_ = 0;
-    std::uint64_t cyclesTotal_ = 0;
-    std::uint64_t pairingsTotal_ = 0;
-    std::uint64_t resetsTotal_ = 0;
-    std::uint64_t cappedTotal_ = 0;
-    std::uint64_t quiescedTotal_ = 0;
-    /** @} */
+    /** Deterministic work counters (see exportMetrics). */
+    MeshWorkCounters work_;
 };
 
 } // namespace nisqpp

@@ -10,7 +10,13 @@
 #ifndef NISQPP_CORE_MESH_STATS_HH
 #define NISQPP_CORE_MESH_STATS_HH
 
+#include <cstdint>
+
 namespace nisqpp {
+
+namespace obs {
+class MetricSet;
+}
 
 /** Telemetry from one mesh decode (one lane of a batched decode). */
 struct MeshDecodeStats
@@ -30,6 +36,40 @@ struct MeshDecodeStats
     }
 
     bool operator==(const MeshDecodeStats &o) const = default;
+};
+
+/**
+ * Work counters summed over mesh decodes. Every `decoder.mesh.*`
+ * counter is a function of MeshDecodeStats, so a decoder's running
+ * totals and a tally of one lane's meshStats() are the same sums —
+ * which is what lets lifetimes share a mesh and still report exact
+ * per-lifetime counters.
+ */
+struct MeshWorkCounters
+{
+    std::uint64_t decodes = 0;
+    std::uint64_t cycles = 0;
+    std::uint64_t pairings = 0;
+    std::uint64_t resets = 0;
+    std::uint64_t capped = 0;
+    std::uint64_t quiesced = 0;
+
+    void
+    add(const MeshDecodeStats &s)
+    {
+        ++decodes;
+        cycles += static_cast<std::uint64_t>(s.cycles);
+        pairings += static_cast<std::uint64_t>(s.pairings);
+        resets += static_cast<std::uint64_t>(s.resets);
+        capped += s.timedOut ? 1 : 0;
+        quiesced += s.quiesced ? 1 : 0;
+    }
+
+    /**
+     * Emit as decoder.mesh.decodes/cycles/pairings/resets/
+     * cycles_capped/quiesced; nothing before the first decode.
+     */
+    void exportTo(obs::MetricSet &out) const;
 };
 
 } // namespace nisqpp

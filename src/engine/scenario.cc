@@ -351,9 +351,10 @@ printUsage(std::ostream &os, const std::string &binary, bool withScenario)
           " (env) is the warn-and-ignore twin\n"
           "(drop=X,corrupt=X,dup=X,delay=X,stall=X,fail=X,seed=S,"
           "delay-cycles=N,\nstall-factor=X).\n";
-    os << "NISQPP_BATCH (env) / --batch N group N rounds per decode"
-          " batch (1 = scalar;\nlane-packed mesh decoding otherwise;"
-          " aggregates are identical either way).\n";
+    os << "NISQPP_BATCH (env) / --batch N group N per-round or windowed"
+          " trials per decode\nbatch (1 = scalar; lane-packed decoding"
+          " otherwise; aggregates are identical\neither way). Lifetime"
+          " cells ignore it: the decoder sizes their lanes.\n";
     os << "NISQPP_SIMD (env) / --simd scalar|v256|v512 pin the"
           " lane-word width of the\nbatch substrates (default: widest"
           " the CPU supports); results are\nbit-identical at every"

@@ -85,45 +85,20 @@ planShards(const StopRule &rule, std::size_t shardTrials,
     return shards;
 }
 
-/** Run one shard to completion: exactly shard.trials rounds. */
-MonteCarloResult
-runShard(const CellSpec &spec, const Shard &shard)
+/**
+ * Whether cells @p a and @p b may run as lanes of one simulator: the
+ * same lattice, decoders and protocol, differing at most in physical
+ * rate and seed (in runSweep: the cells of one distance).
+ */
+bool
+sharesSimulator(const CellSpec &a, const CellSpec &b)
 {
-    // One trial workspace per worker thread, warm across every shard
-    // (and cell) that thread ever runs: decoders borrow all scratch
-    // from it, so steady-state decoding performs no heap allocation.
-    static thread_local TrialWorkspace workspace;
-
-    obs::TraceSpan span(obs::Stage::Shard);
-    auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
-    std::unique_ptr<Decoder> x_dec;
-    const std::unique_ptr<NoiseModel> model =
-        makeNoiseModel(spec.noise, spec.physicalRate);
-    if (model->producesX())
-        x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
-    LifetimeSimulator sim(*spec.lattice, *model, *z_dec, x_dec.get(),
-                          shard.seed, spec.throughCircuits, &workspace);
-    sim.setLifetimeMode(spec.lifetimeMode);
-    sim.setBatchLanes(spec.batchLanes);
-    sim.setMeasurementWindow(spec.windowRounds);
-    StopRule fixed;
-    fixed.minTrials = fixed.maxTrials = shard.trials;
-    fixed.targetFailures = ~std::size_t{0};
-    MonteCarloResult result = sim.run(fixed);
-
-    // Attach this shard's deterministic work counters to the result:
-    // they ride through the ordered prefix merge with it, so shards
-    // discarded past the stop index drop their counters too and the
-    // aggregate stays byte-identical at any thread count. The decoders
-    // are shard-private, so their exported totals are exactly this
-    // shard's work.
-    result.metrics.add("engine.shards");
-    result.metrics.add("engine.trials", result.trials);
-    result.metrics.add("engine.failures", result.failures);
-    z_dec->exportMetrics(result.metrics);
-    if (x_dec)
-        x_dec->exportMetrics(result.metrics);
-    return result;
+    return a.lattice == b.lattice && a.factory == b.factory &&
+           a.noise.kind == b.noise.kind && a.noise.eta == b.noise.eta &&
+           a.noise.q == b.noise.q && a.windowRounds == b.windowRounds &&
+           a.throughCircuits == b.throughCircuits &&
+           a.lifetimeMode == b.lifetimeMode &&
+           a.batchLanes == b.batchLanes;
 }
 
 } // namespace
@@ -136,9 +111,9 @@ runShard(const CellSpec &spec, const Shard &shard)
  * published so not-yet-claimed shards past k are never run — they can
  * never affect the result, which is always the ordered prefix [0, k].
  *
- * Shards are claimed in index order through nextShard by a bounded set
- * of pump chains (the wave), so an early-stopped cell never pays
- * submit/queue churn for the rest of its trial budget.
+ * Shards are claimed in index order through nextShard by the pumps of
+ * the cell's group (see CellGroup), so an early-stopped cell never
+ * pays submit/queue churn for the rest of its trial budget.
  */
 struct Engine::CellRun
 {
@@ -149,8 +124,16 @@ struct Engine::CellRun
     std::size_t frontier = 0; ///< first shard not yet merged
     std::size_t stop = 0;     ///< shards >= stop are never merged
     std::atomic<std::size_t> stopHint{0};
-    std::atomic<std::size_t> nextShard{0}; ///< next index to claim
+    std::size_t nextShard = 0; ///< next index to claim (group mutex)
     std::mutex mutex;
+
+    /** End of the claimable shards: the plan, or the stop index. */
+    std::size_t
+    claimLimit() const
+    {
+        return std::min(shards.size(),
+                        stopHint.load(std::memory_order_acquire));
+    }
 
     void onShardDone(std::size_t index, MonteCarloResult result)
     {
@@ -171,6 +154,148 @@ struct Engine::CellRun
     }
 };
 
+/**
+ * Cells whose shards may run as lifetimes of one simulator
+ * (sharesSimulator). Pumps claim unstarted shards across them — cells
+ * in descending physical rate, the slowest lifetimes first, so a
+ * drained group's stragglers are short; each cell's shards in index
+ * order.
+ */
+struct Engine::CellGroup
+{
+    std::vector<CellRun *> cells;
+    /**
+     * Lifetimes one pump runs side by side: the Z decoder's lifetime
+     * lanes for lifetime cells on a lane decoder — such a pump keeps
+     * claiming until the group is drained — else 1, one shard per pump.
+     */
+    std::size_t lanes = 1;
+    std::mutex mutex;       ///< guards cursor and the cells' nextShard
+    std::size_t cursor = 0; ///< cells before it have nothing to claim
+
+    /** Claim the next shard into @p out; false once drained. */
+    bool
+    claim(std::pair<CellRun *, std::size_t> &out)
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!advance())
+            return false;
+        CellRun &run = *cells[cursor];
+        out = {&run, run.nextShard++};
+        return true;
+    }
+
+    /** Whether every claimable shard of the group is claimed. */
+    bool
+    drained()
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        return !advance();
+    }
+
+    /** Shards still to claim (the wave size); call before pumping. */
+    std::size_t
+    unclaimed() const
+    {
+        std::size_t n = 0;
+        for (const CellRun *run : cells)
+            n += run->claimLimit() - std::min(run->claimLimit(),
+                                              run->nextShard);
+        return n;
+    }
+
+  private:
+    /**
+     * Skip cells with nothing left to claim; a stop index only ever
+     * shrinks a cell's claimable range, so skipped cells stay done.
+     */
+    bool
+    advance()
+    {
+        while (cursor < cells.size() &&
+               cells[cursor]->nextShard >= cells[cursor]->claimLimit())
+            ++cursor;
+        return cursor < cells.size();
+    }
+};
+
+/**
+ * One pump's view of its group: hands claimed shards to the simulator
+ * as fixed-length lifetimes and routes each finished shard into its
+ * cell's ordered merge with its deterministic work counters.
+ */
+struct Engine::ShardSource final : LifetimeSource
+{
+    Engine &engine;
+    CellGroup &group;
+    const Decoder &zDecoder;
+    const Decoder *xDecoder;
+    /** Claimed shards and their noise models, by tag. @{ */
+    std::vector<std::pair<CellRun *, std::size_t>> claims;
+    std::vector<std::unique_ptr<NoiseModel>> models;
+    /** @} */
+
+    ShardSource(Engine &e, CellGroup &g, const Decoder &z, const Decoder *x)
+        : engine(e), group(g), zDecoder(z), xDecoder(x)
+    {}
+
+    /** Whether lifetimes share the decoders (a lane pump). */
+    bool shared() const { return group.lanes > 1; }
+
+    bool
+    claim(LifetimeLane &lane) override
+    {
+        // A pump without lanes runs one shard on fresh decoders; once a
+        // checkpointed run sees an interrupt, pumps stop claiming and
+        // the pool drains (gated on the policy so stray flags never
+        // affect plain runs).
+        if (!shared() && !claims.empty())
+            return false;
+        if (engine.checkpointEnabled_ && ckpt::interruptRequested())
+            return false;
+        std::pair<CellRun *, std::size_t> next;
+        if (!group.claim(next))
+            return false;
+        const CellRun &run = *next.first;
+        const Shard &shard = run.shards[next.second];
+        claims.push_back(next);
+        models.push_back(
+            makeNoiseModel(run.spec.noise, run.spec.physicalRate));
+        lane.model = models.back().get();
+        lane.seed = shard.seed;
+        lane.rule.minTrials = lane.rule.maxTrials = shard.trials;
+        lane.rule.targetFailures = ~std::size_t{0};
+        lane.tag = claims.size() - 1;
+        return true;
+    }
+
+    void
+    finish(std::size_t tag, MonteCarloResult result,
+           const MeshWorkCounters &work) override
+    {
+        // Attach the shard's deterministic work counters to its result:
+        // they ride through the ordered prefix merge with it, so shards
+        // discarded past the stop index drop their counters too and
+        // the aggregate stays byte-identical at any thread count.
+        // Fresh decoders' exported totals are exactly the shard's work;
+        // lifetimes sharing a lane decoder report their own tally
+        // (every lane decoder counter derives from MeshDecodeStats).
+        result.metrics.add("engine.shards");
+        result.metrics.add("engine.trials", result.trials);
+        result.metrics.add("engine.failures", result.failures);
+        if (shared()) {
+            work.exportTo(result.metrics);
+        } else {
+            zDecoder.exportMetrics(result.metrics);
+            if (xDecoder)
+                xDecoder->exportMetrics(result.metrics);
+        }
+        const auto [run, index] = claims[tag];
+        run->onShardDone(index, std::move(result));
+        engine.maybeWriteCheckpoint();
+    }
+};
+
 Engine::Engine(EngineOptions options)
     : options_(options),
       pool_(std::make_unique<ThreadPool>(options.threads))
@@ -188,36 +313,41 @@ Engine::threads() const
 }
 
 void
-Engine::pumpCell(CellRun &run)
+Engine::pumpGroup(CellGroup &group)
 {
-    pool_->submit([this, &run] {
-        // Cooperative interruption: once a checkpointed run sees the
-        // flag, chains stop claiming and the pool drains naturally;
-        // executeInvocation then persists the drained state. Gated on
-        // the policy so stray flags never affect plain runs.
-        if (checkpointEnabled_ && ckpt::interruptRequested())
+    pool_->submit([this, &group] {
+        if (group.drained())
             return;
-        // Claim the next unstarted shard. Claims are sequential, so
-        // once the claim passes the published stop index every lower
-        // shard is already running or done and this chain can die —
-        // the remaining budget is never submitted at all.
-        const std::size_t i =
-            run.nextShard.fetch_add(1, std::memory_order_relaxed);
-        if (i >= run.shards.size() ||
-            i >= run.stopHint.load(std::memory_order_acquire))
-            return;
-        run.onShardDone(i, runShard(run.spec, run.shards[i]));
-        maybeWriteCheckpoint();
-        // Resubmitting before this task returns keeps the pool's
-        // in-flight count nonzero, so wait() cannot wake early. The
-        // chain dies once every shard below the (published) stop
-        // index has been claimed; a stop racing in after this check
-        // just makes the successor claim-and-exit.
-        const std::size_t limit =
-            std::min(run.shards.size(),
-                     run.stopHint.load(std::memory_order_acquire));
-        if (run.nextShard.load(std::memory_order_relaxed) < limit)
-            pumpCell(run);
+        // One trial workspace per worker thread, warm across every
+        // shard (and cell) that thread ever runs: decoders borrow all
+        // scratch from it, so steady-state decoding performs no heap
+        // allocation.
+        static thread_local TrialWorkspace workspace;
+        obs::TraceSpan span(obs::Stage::Shard);
+        const CellSpec &spec = group.cells.front()->spec;
+        const auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
+        std::unique_ptr<Decoder> x_dec;
+        if (makeNoiseModel(spec.noise, spec.physicalRate)->producesX())
+            x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
+        LifetimeSimulator sim(*spec.lattice, *z_dec, x_dec.get(),
+                              spec.throughCircuits, &workspace);
+        sim.setLifetimeMode(spec.lifetimeMode);
+        sim.setBatchLanes(spec.batchLanes);
+        sim.setMeasurementWindow(spec.windowRounds);
+        ShardSource source(*this, group, *z_dec, x_dec.get());
+        sim.runLifetimes(source, group.lanes);
+        if (spec.lifetimeMode && !source.claims.empty()) {
+            lifetimeGroups_.fetch_add(1, std::memory_order_relaxed);
+            lifetimeLanes_.fetch_add(source.claims.size(),
+                                     std::memory_order_relaxed);
+        }
+        // A one-shard pump resubmits before this task returns, which
+        // keeps the pool's in-flight count nonzero so wait() cannot
+        // wake early; it dies once every shard below the (published)
+        // stop indices has been claimed. A lane pump has drained its
+        // group (or seen an interrupt) by the time it returns.
+        if (!source.shared() && !group.drained())
+            pumpGroup(group);
     });
 }
 
@@ -235,28 +365,52 @@ Engine::prepareCell(const CellSpec &spec, CellRun &run)
     run.pending.resize(run.shards.size());
     run.stop = run.shards.size();
     run.stopHint.store(run.shards.size(), std::memory_order_release);
-    run.nextShard.store(0, std::memory_order_release);
+    run.nextShard = 0;
 }
 
 void
-Engine::schedulePumps(CellRun &run)
+Engine::scheduleGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
 {
-    // Schedule the cell as a wave of claim chains instead of its whole
-    // shard budget: enough chains to keep every worker busy (2x the
-    // pool, so a finishing shard always finds a queued successor), but
-    // never more than the cell still needs (a restored cell starts at
-    // its frontier; a restored-stopped cell schedules nothing).
-    const std::size_t start =
-        run.nextShard.load(std::memory_order_relaxed);
-    const std::size_t limit =
-        std::min(run.shards.size(),
-                 run.stopHint.load(std::memory_order_acquire));
-    const std::size_t remaining = limit > start ? limit - start : 0;
-    const std::size_t wave =
-        std::min(remaining,
-                 2 * static_cast<std::size_t>(pool_->threadCount()));
-    for (std::size_t i = 0; i < wave; ++i)
-        pumpCell(run);
+    groups_.clear();
+    for (const auto &run : runs) {
+        if (groups_.empty() ||
+            !sharesSimulator(groups_.back()->cells.front()->spec,
+                             run->spec))
+            groups_.push_back(std::make_unique<CellGroup>());
+        groups_.back()->cells.push_back(run.get());
+    }
+    // Largest lattices first: their lifetimes are the longest, so the
+    // workers share them and the small ones fill in at the end.
+    std::stable_sort(groups_.begin(), groups_.end(),
+                     [](const auto &a, const auto &b) {
+                         return a->cells.front()->spec.lattice->distance() >
+                                b->cells.front()->spec.lattice->distance();
+                     });
+    for (const auto &group : groups_) {
+        std::stable_sort(group->cells.begin(), group->cells.end(),
+                         [](const CellRun *a, const CellRun *b) {
+                             return a->spec.physicalRate >
+                                    b->spec.physicalRate;
+                         });
+        const CellSpec &spec = group->cells.front()->spec;
+        if (spec.lifetimeMode) {
+            const auto probe = (*spec.factory)(*spec.lattice, ErrorType::Z);
+            if (const LifetimeLaneDecoder *pump = probe->lifetimeLanes())
+                group->lanes = pump->lanes();
+        }
+        // Schedule the group as a wave of claim chains instead of its
+        // whole shard budget: enough chains to keep every worker busy
+        // (2x the pool, so a finishing claim always finds a queued
+        // successor), but never more than the group still needs (a
+        // restored cell starts at its frontier; a restored-stopped
+        // cell needs nothing).
+        const std::size_t claims =
+            (group->unclaimed() + group->lanes - 1) / group->lanes;
+        const std::size_t wave = std::min(
+            claims, 2 * static_cast<std::size_t>(pool_->threadCount()));
+        for (std::size_t i = 0; i < wave; ++i)
+            pumpGroup(*group);
+    }
 }
 
 MonteCarloResult
@@ -279,6 +433,10 @@ Engine::runtimeMetricsInto(obs::MetricSet &out) const
                  static_cast<std::uint64_t>(pool_->threadCount()));
     out.add("sched.pool.tasks", pool_->taskCount());
     out.add("sched.pool.steals", pool_->stealCount());
+    out.add("sched.lifetime.groups",
+            lifetimeGroups_.load(std::memory_order_relaxed));
+    out.add("sched.lifetime.lanes",
+            lifetimeLanes_.load(std::memory_order_relaxed));
 }
 
 void
@@ -434,8 +592,7 @@ Engine::executeInvocation(std::vector<std::unique_ptr<CellRun>> &runs)
     const std::size_t inv = invocationIndex_++;
     const bool tracked = checkpointEnabled_ || hasRestored_;
     if (!tracked) {
-        for (auto &run : runs)
-            schedulePumps(*run);
+        scheduleGroups(runs);
         pool_->wait();
         return;
     }
@@ -471,8 +628,7 @@ Engine::executeInvocation(std::vector<std::unique_ptr<CellRun>> &runs)
     activeRuns_.reserve(runs.size());
     for (auto &run : runs)
         activeRuns_.push_back(run.get());
-    for (auto &run : runs)
-        schedulePumps(*run);
+    scheduleGroups(runs);
     pool_->wait();
 
     const bool interrupted =
@@ -505,7 +661,7 @@ Engine::applyRestoredCell(CellRun &run, const ckpt::CellLedger &cell,
     run.frontier = cell.frontier;
     run.stop = cell.stopped ? cell.frontier : run.shards.size();
     run.stopHint.store(run.stop, std::memory_order_release);
-    run.nextShard.store(cell.frontier, std::memory_order_release);
+    run.nextShard = cell.frontier;
     restoredCells_ += 1;
     restoredShards_ += cell.frontier;
 }

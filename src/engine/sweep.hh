@@ -7,20 +7,24 @@
  * seed (via Rng::split child streams) and the merge order is fixed, an
  * N-thread run produces byte-identical aggregates to a 1-thread run.
  *
- * Shards are scheduled in waves (2x the worker count in flight per
- * cell) rather than enqueueing a cell's whole maxTrials budget up
- * front: each finished shard claims-and-submits its successor, so an
- * early-stopped cell never pays submit/queue churn for shards that
- * would only be skipped.
+ * Shards are claimed by pumps, a wave of them (up to 2x the worker
+ * count) per group of cells that can share decoders — in runSweep,
+ * the cells of one distance — rather than enqueueing a cell's whole
+ * maxTrials budget up front, so an early-stopped cell never pays
+ * submit/queue churn for shards that would only be skipped. A pump
+ * runs one shard on fresh decoders and submits its successor; in
+ * lifetime mode on a decoder with lifetime lanes (the mesh) it runs
+ * as many shards side by side as the decoder has lanes, claiming the
+ * next shard whenever one ends, until the group is drained.
  *
- * Protocol note: each shard runs its own LifetimeSimulator from a
- * clean lattice state. In lifetime mode a cell is therefore sampled
- * as independent logical-memory *segments* of shardTrials rounds
- * rather than one continuous run — statistically equivalent in steady
- * state, but each segment carries a warmup transient of order d
- * rounds, so very small shardTrials slightly undercounts PL. Raise
- * EngineOptions::shardTrials (or use one shard: shardTrials >=
- * maxTrials) when segment boundaries matter.
+ * Protocol note: each shard is its own lifetime from a clean lattice
+ * state, whether it runs alone or as a lane. In lifetime mode a cell
+ * is therefore sampled as independent logical-memory *segments* of
+ * shardTrials rounds rather than one continuous run — statistically
+ * equivalent in steady state, but each segment carries a warmup
+ * transient of order d rounds, so very small shardTrials slightly
+ * undercounts PL. Raise EngineOptions::shardTrials (or use one shard:
+ * shardTrials >= maxTrials) when segment boundaries matter.
  */
 
 #ifndef NISQPP_ENGINE_SWEEP_HH
@@ -96,12 +100,15 @@ struct EngineOptions
     std::size_t shardTrials = 512;
 
     /**
-     * Trials grouped per Decoder::decodeBatch / decodeWindowBatch
-     * call (LifetimeSimulator::setBatchLanes): 1 = groups of one,
-     * larger values feed the mesh and union-find lane engines;
-     * lifetime mode always runs groups of one. Aggregates are
-     * byte-identical for every value (and every thread count) at a
-     * fixed seed; only throughput changes.
+     * Per-round and windowed trials grouped per Decoder::decodeBatch /
+     * decodeWindowBatch call (LifetimeSimulator::setBatchLanes): 1 =
+     * groups of one, larger values feed the mesh and union-find lane
+     * engines. It does not apply to lifetime cells, whose rounds each
+     * depend on the last: the decoder sizes those, running as many
+     * shards as lanes as it has lifetime lanes
+     * (Decoder::lifetimeLanes; one shard at a time otherwise).
+     * Aggregates are byte-identical for every value (and every thread
+     * count) at a fixed seed; only throughput changes.
      */
     std::size_t batchLanes = 1;
 };
@@ -128,7 +135,7 @@ struct CellSpec
     StopRule rule{};          ///< already env/flag scaled by the caller
     std::uint64_t seed = 0;   ///< cell master seed
     const DecoderFactory *factory = nullptr;
-    /** Rounds per decodeBatch group; 0 = the engine's default. */
+    /** Per-round trials per decodeBatch group; 0 = engine default. */
     std::size_t batchLanes = 0;
 };
 
@@ -177,9 +184,12 @@ class Engine
 
     /**
      * Append the engine's host-dependent runtime counters to @p out:
-     * `sched.pool.threads/tasks/steals` from the thread pool. Steal
-     * counts are scheduling races at N > 1 threads, hence the masked
-     * `sched.*` namespace (a 1-thread pool reports zero steals).
+     * `sched.pool.threads/tasks/steals` from the thread pool, and
+     * `sched.lifetime.groups/lanes` — the simulators that ran lifetime
+     * cells and the shards they ran, so lanes / groups is how many
+     * lifetimes shared a decoder. Steal counts and the grouping are
+     * scheduling races at N > 1 threads, hence the masked `sched.*`
+     * namespace (a 1-thread pool reports zero steals).
      */
     void runtimeMetricsInto(obs::MetricSet &out) const;
 
@@ -220,11 +230,13 @@ class Engine
     void checkpointMetricsInto(obs::MetricSet &out) const;
 
   private:
-    struct CellRun; ///< in-flight ordered-merge state of one cell
+    struct CellRun;   ///< in-flight ordered-merge state of one cell
+    struct CellGroup; ///< cells whose shards may share a simulator
+    struct ShardSource; ///< a pump's claims, as simulator lifetimes
 
     void prepareCell(const CellSpec &spec, CellRun &run);
-    void schedulePumps(CellRun &run);
-    void pumpCell(CellRun &run);
+    void scheduleGroups(const std::vector<std::unique_ptr<CellRun>> &runs);
+    void pumpGroup(CellGroup &group);
     MonteCarloResult collectCell(CellRun &run);
 
     /**
@@ -245,6 +257,12 @@ class Engine
     EngineOptions options_;
     std::unique_ptr<ThreadPool> pool_;
     obs::MetricSet totals_;
+    /** Groups of the running invocation; stable while pool is busy. */
+    std::vector<std::unique_ptr<CellGroup>> groups_;
+    /** Lifetime simulators run, and the shards they ran as lanes. @{ */
+    std::atomic<std::uint64_t> lifetimeGroups_{0};
+    std::atomic<std::uint64_t> lifetimeLanes_{0};
+    /** @} */
 
     /** Checkpoint state (inert unless a policy/ledger is installed). @{ */
     ckpt::CheckpointPolicy ckpt_{};

@@ -86,9 +86,20 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      std::uint64_t seed,
                                      bool throughCircuits,
                                      TrialWorkspace *workspace)
-    : lattice_(lattice), model_(model), rng_(seed),
+    : LifetimeSimulator(lattice, zDecoder, xDecoder, throughCircuits,
+                        workspace)
+{
+    model_ = &model;
+    seed_ = seed;
+}
+
+LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
+                                     Decoder &zDecoder, Decoder *xDecoder,
+                                     bool throughCircuits,
+                                     TrialWorkspace *workspace)
+    : lattice_(lattice),
+      maxCycles_(static_cast<std::size_t>(128 * (lattice.gridSize() + 2))),
       throughCircuits_(throughCircuits),
-      noisyReadout_(model.measurementFlipRate() > 0.0),
       families_{{{ErrorType::Z, &zDecoder, {}, {}},
                  {ErrorType::X, xDecoder, {}, {}}}},
       ws_(workspace)
@@ -123,14 +134,21 @@ LifetimeSimulator::setMeasurementWindow(int rounds)
 }
 
 void
-LifetimeSimulator::recordMeshStats(const MeshDecodeStats *stats,
-                                   MonteCarloResult &acc) const
+LifetimeSimulator::recordMeshStats(const MeshDecodeStats &stats,
+                                   Lane &lane) const
 {
-    if (!stats)
-        return;
-    acc.cycles.add(stats->cycles);
-    if (acc.cycleHistogram.numBins() > 1)
-        acc.cycleHistogram.add(static_cast<std::size_t>(stats->cycles));
+    lane.acc.cycles.add(stats.cycles);
+    const auto cycles = static_cast<std::size_t>(stats.cycles);
+    if (!lane.compact) {
+        lane.acc.cycleHistogram.add(cycles);
+    } else if (cycles > maxCycles_) {
+        ++lane.cycleOverflow;
+    } else {
+        // Grown to the slot's high-water mark, then kept.
+        if (cycles >= lane.cycleCounts.size())
+            lane.cycleCounts.resize(cycles + 1, 0);
+        ++lane.cycleCounts[cycles];
+    }
 }
 
 void
@@ -144,77 +162,130 @@ LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
 }
 
 void
-LifetimeSimulator::ensureLanes(std::size_t count)
+LifetimeSimulator::ensureSlots(std::size_t slots)
 {
-    while (states_.size() < count)
+    while (states_.size() < slots)
         states_.emplace_back(lattice_);
     const int total = windowRounds_ + 1;
     for (Family &f : families_) {
         if (!f.decoder)
             continue;
-        while (f.syndromes.size() < count)
+        while (f.syndromes.size() < slots)
             f.syndromes.emplace_back(lattice_, f.type);
         if (windowRounds_ == 0)
             continue;
         if (!f.windows.empty() && f.windows[0].rounds() != total)
             f.windows.clear();
-        while (f.windows.size() < count)
+        while (f.windows.size() < slots)
             f.windows.emplace_back(lattice_, f.type, total);
     }
-    synPtrs_.resize(count);
-    winPtrs_.resize(count);
+    if (synPtrs_.size() < slots) {
+        synPtrs_.resize(slots);
+        winPtrs_.resize(slots);
+    }
+}
+
+void
+LifetimeSimulator::startLane(std::size_t slot, const LifetimeLane &spec,
+                             bool compactCycles)
+{
+    require(spec.model != nullptr,
+            "LifetimeSimulator: lifetime has no error model");
+    require(windowRounds_ == 0 || !lifetimeMode_,
+            "LifetimeSimulator: windowed decoding and lifetime mode are "
+            "mutually exclusive (use the streaming pipeline for "
+            "persistent windowed runs)");
+    // Single-round protocols never call flipMeasurements: running a
+    // noisy-readout model without a window would silently simulate
+    // q = 0 while reporting a q > 0 configuration.
+    require(windowRounds_ > 0 || spec.model->measurementFlipRate() == 0.0,
+            "LifetimeSimulator: measurement noise (q > 0) requires a "
+            "decode window (setMeasurementWindow)");
+    Lane &lane = lanes_[slot];
+    lane.model = spec.model;
+    lane.rng = Rng(spec.seed);
+    lane.rule = spec.rule;
+    lane.tag = spec.tag;
+    lane.acc = MonteCarloResult{};
+    lane.compact = compactCycles;
+    if (compactCycles) {
+        std::fill(lane.cycleCounts.begin(), lane.cycleCounts.end(), 0);
+        lane.cycleOverflow = 0;
+    } else {
+        lane.acc.cycleHistogram = Histogram(maxCycles_);
+    }
+    lane.work = MeshWorkCounters{};
+    lane.parity = {};
+    lane.done = spec.rule.maxTrials == 0;
+    states_[slot].clear();
+}
+
+void
+LifetimeSimulator::finishLane(std::size_t slot, LifetimeSource &source)
+{
+    Lane &lane = lanes_[slot];
+    if (lane.compact) {
+        std::vector<std::size_t> bins(maxCycles_ + 1, 0);
+        std::copy(lane.cycleCounts.begin(), lane.cycleCounts.end(),
+                  bins.begin());
+        lane.acc.cycleHistogram =
+            Histogram::fromParts(std::move(bins), lane.cycleOverflow);
+    }
+    lane.acc.finalize();
+    source.finish(lane.tag, std::move(lane.acc), lane.work);
 }
 
 /**
- * Run lane @p lane's window on its state: windowRounds_ noisy rounds
+ * Run slot @p slot's window on its state: windowRounds_ noisy rounds
  * (sample data errors; extract; corrupt with the model's measurement-
  * flip rate) plus one perfect commit round, extracting through the
- * lane's syndrome scratch. RNG draw order per round is data sample,
- * Z flips, X flips, so lane l draws exactly what trial l would.
+ * slot's syndrome scratch. RNG draw order per round is data sample,
+ * Z flips, X flips, so slot s draws exactly what trial s would.
  */
 void
-LifetimeSimulator::fillWindows(std::size_t lane)
+LifetimeSimulator::fillWindow(std::size_t slot)
 {
-    ErrorState &state = states_[lane];
+    Lane &lane = lanes_[0];
+    ErrorState &state = states_[slot];
     state.clear();
     for (Family &f : families_)
         if (f.decoder)
-            f.windows[lane].reset();
+            f.windows[slot].reset();
     for (int t = 0; t <= windowRounds_; ++t) {
         const bool commit = t == windowRounds_;
         if (!commit)
-            model_.sample(rng_, state);
+            lane.model->sample(lane.rng, state);
         for (Family &f : families_) {
             if (!f.decoder)
                 continue;
-            Syndrome &syn = f.syndromes[lane];
+            Syndrome &syn = f.syndromes[slot];
             extractInto(state, f.type, syn);
             if (!commit)
-                model_.flipMeasurements(rng_, syn);
-            f.windows[lane].recordRound(t, syn);
+                lane.model->flipMeasurements(lane.rng, syn);
+            f.windows[slot].recordRound(t, syn);
         }
     }
 }
 
-bool
-LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
-                            const StopRule &rule)
+void
+LifetimeSimulator::runGroup(std::size_t count)
 {
     const bool windowed = windowRounds_ > 0;
-    ensureLanes(count);
+    Lane &lane = lanes_[0];
+    ensureSlots(count);
 
-    // Produce every lane up front — the exact RNG draw sequence of
+    // Produce every slot up front — the exact RNG draw sequence of
     // `count` consecutive trials. Phases take one coarse span per
-    // group rather than one per lane.
+    // group rather than one per slot.
     {
         obs::TraceSpan span(obs::Stage::Sample);
-        for (std::size_t l = 0; l < count; ++l) {
+        for (std::size_t s = 0; s < count; ++s) {
             if (windowed) {
-                fillWindows(l);
+                fillWindow(s);
             } else {
                 if (!lifetimeMode_)
-                    states_[l].clear();
-                model_.sample(rng_, states_[l]);
+                    states_[s].clear();
+                lane.model->sample(lane.rng, states_[s]);
             }
         }
     }
@@ -226,60 +297,191 @@ LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
         if (!f.decoder)
             continue;
         if (windowed) {
-            for (std::size_t l = 0; l < count; ++l)
-                winPtrs_[l] = &f.windows[l];
+            for (std::size_t s = 0; s < count; ++s)
+                winPtrs_[s] = &f.windows[s];
             obs::TraceSpan span(obs::Stage::Decode);
             f.decoder->decodeWindowBatch(winPtrs_.data(), count, *ws_);
         } else {
             {
                 obs::TraceSpan span(obs::Stage::Extract);
-                for (std::size_t l = 0; l < count; ++l) {
-                    extractInto(states_[l], f.type, f.syndromes[l]);
-                    synPtrs_[l] = &f.syndromes[l];
+                for (std::size_t s = 0; s < count; ++s) {
+                    extractInto(states_[s], f.type, f.syndromes[s]);
+                    synPtrs_[s] = &f.syndromes[s];
                 }
             }
             obs::TraceSpan span(obs::Stage::Decode);
             f.decoder->decodeBatch(synPtrs_.data(), count, *ws_);
         }
-        for (std::size_t l = 0; l < count; ++l)
-            ws_->laneCorrections[l].applyTo(states_[l], f.type);
+        for (std::size_t s = 0; s < count; ++s)
+            ws_->laneCorrections[s].applyTo(states_[s], f.type);
     }
 
-    // Record and classify in trial order: telemetry and counter
-    // updates interleave exactly as trial-at-a-time decoding would
-    // (decoders retain per-lane stats, so Z and X stats of trial l
-    // are recorded back-to-back even though the decodes ran
-    // family-batched).
+    // Settle in trial order: telemetry and counter updates interleave
+    // exactly as trial-at-a-time decoding would (decoders retain
+    // per-lane stats, so Z and X stats of one trial are recorded
+    // back-to-back even though the decodes ran family-batched).
     obs::TraceSpan classifySpan(obs::Stage::Classify);
-    for (std::size_t l = 0; l < count; ++l) {
-        bool failed = false;
-        for (Family &f : families_) {
-            if (!f.decoder) {
-                require(states_[l].weight(f.type) == 0,
-                        "LifetimeSimulator: X errors present but no X "
-                        "decoder");
-                continue;
-            }
-            if (!windowed)
-                recordMeshStats(f.decoder->meshStats(l), acc);
-            if (lifetimeMode_) {
-                const bool parity = crossingParity(states_[l], f.type);
-                failed |= parity != f.parity;
-                f.parity = parity;
-            } else {
-                const FailureReport report =
-                    classifyResidual(states_[l], f.type);
-                if (report.syndromeNonzero)
-                    ++acc.syndromeResidualFailures;
-                failed |= report.failed();
-            }
+    for (std::size_t s = 0; s < count && !lane.done; ++s) {
+        std::array<const MeshDecodeStats *, 2> stats{};
+        for (std::size_t fi = 0; fi < families_.size(); ++fi)
+            if (families_[fi].decoder)
+                stats[fi] = families_[fi].decoder->meshStats(s);
+        settleTrial(lane, states_[s], stats);
+    }
+}
+
+void
+LifetimeSimulator::settleTrial(
+    Lane &lane, const ErrorState &state,
+    const std::array<const MeshDecodeStats *, 2> &stats)
+{
+    MonteCarloResult &acc = lane.acc;
+    bool failed = false;
+    for (std::size_t fi = 0; fi < families_.size(); ++fi) {
+        const Family &f = families_[fi];
+        if (!f.decoder) {
+            require(state.weight(f.type) == 0,
+                    "LifetimeSimulator: X errors present but no X "
+                    "decoder");
+            continue;
         }
-        ++acc.trials;
-        if (failed)
-            ++acc.failures;
-        if (acc.trials >= rule.minTrials &&
-            acc.failures >= rule.targetFailures)
+        if (stats[fi]) {
+            lane.work.add(*stats[fi]);
+            if (windowRounds_ == 0)
+                recordMeshStats(*stats[fi], lane);
+        }
+        if (lifetimeMode_) {
+            const bool parity = crossingParity(state, f.type);
+            failed |= parity != lane.parity[fi];
+            lane.parity[fi] = parity;
+        } else {
+            const FailureReport report = classifyResidual(state, f.type);
+            if (report.syndromeNonzero)
+                ++acc.syndromeResidualFailures;
+            failed |= report.failed();
+        }
+    }
+    ++acc.trials;
+    if (failed)
+        ++acc.failures;
+    lane.done = acc.trials >= lane.rule.maxTrials ||
+                (acc.trials >= lane.rule.minTrials &&
+                 acc.failures >= lane.rule.targetFailures);
+}
+
+void
+LifetimeSimulator::runLifetimes(LifetimeSource &source, std::size_t lanes)
+{
+    LifetimeLaneDecoder *pump = families_[0].decoder->lifetimeLanes();
+    if (lanes > 1 && lifetimeMode_ && pump) {
+        pumpLifetimes(source, lanes, *pump);
+        return;
+    }
+    lanes_.resize(1);
+    ensureSlots(1);
+    for (LifetimeLane spec; source.claim(spec);) {
+        startLane(0, spec, false);
+        runLane();
+        finishLane(0, source);
+    }
+}
+
+void
+LifetimeSimulator::runLane()
+{
+    // A lifetime's rounds are groups of one; independent trials group
+    // up to batchLanes_.
+    Lane &lane = lanes_[0];
+    const std::size_t group = lifetimeMode_ ? 1 : batchLanes_;
+    while (!lane.done)
+        runGroup(std::min(group, lane.rule.maxTrials - lane.acc.trials));
+}
+
+void
+LifetimeSimulator::pumpLifetimes(LifetimeSource &source,
+                                 std::size_t lanes,
+                                 LifetimeLaneDecoder &pump)
+{
+    lanes_.resize(lanes);
+    ensureSlots(lanes);
+    pending_.resize(lanes);
+    pendingHead_ = pendingSize_ = 0;
+    source_ = &source;
+    for (std::size_t s = 0; s < lanes && claimInto(s); ++s) {
+    }
+    // Sampling, extraction and classification run inside the pump's
+    // callbacks, so this one span covers them too.
+    obs::TraceSpan span(obs::Stage::Decode);
+    pump.decodeLifetimes(*this);
+    source_ = nullptr;
+}
+
+/** Sample slot @p slot's next round and queue its Z syndrome. */
+void
+LifetimeSimulator::beginRound(std::size_t slot)
+{
+    Lane &lane = lanes_[slot];
+    lane.model->sample(lane.rng, states_[slot]);
+    extractInto(states_[slot], ErrorType::Z, families_[0].syndromes[slot]);
+    pending_[(pendingHead_ + pendingSize_) % pending_.size()] = slot;
+    ++pendingSize_;
+}
+
+bool
+LifetimeSimulator::next(const Syndrome *&syndrome, std::size_t &lifetime)
+{
+    if (pendingSize_ == 0)
+        return false;
+    lifetime = pending_[pendingHead_];
+    pendingHead_ = (pendingHead_ + 1) % pending_.size();
+    --pendingSize_;
+    syndrome = &families_[0].syndromes[lifetime];
+    return true;
+}
+
+void
+LifetimeSimulator::finished(std::size_t lifetime,
+                            const Correction &correction,
+                            const MeshDecodeStats &stats)
+{
+    // The rest of the round, as runGroup runs it: apply Z, decode and
+    // apply X (a batch of one on the X decoder), then settle.
+    const std::size_t slot = lifetime;
+    ErrorState &state = states_[slot];
+    correction.applyTo(state, ErrorType::Z);
+    std::array<const MeshDecodeStats *, 2> laneStats{&stats, nullptr};
+    Family &x = families_[1];
+    if (x.decoder) {
+        extractInto(state, x.type, x.syndromes[slot]);
+        const Syndrome *syn = &x.syndromes[slot];
+        x.decoder->decodeBatch(&syn, 1, *ws_);
+        ws_->laneCorrections[0].applyTo(state, x.type);
+        laneStats[1] = x.decoder->meshStats(0);
+    }
+    settleTrial(lanes_[slot], state, laneStats);
+    if (!lanes_[slot].done) {
+        beginRound(slot);
+        return;
+    }
+    // A lifetime that ended hands its slot to the next one claimed.
+    finishLane(slot, *source_);
+    claimInto(slot);
+}
+
+/**
+ * Start the source's next nonempty lifetime in @p slot and queue its
+ * first round; false once the source is dry.
+ */
+bool
+LifetimeSimulator::claimInto(std::size_t slot)
+{
+    for (LifetimeLane spec; source_->claim(spec);) {
+        startLane(slot, spec, true);
+        if (!lanes_[slot].done) {
+            beginRound(slot);
             return true;
+        }
+        finishLane(slot, *source_);
     }
     return false;
 }
@@ -287,27 +489,14 @@ LifetimeSimulator::runGroup(std::size_t count, MonteCarloResult &acc,
 MonteCarloResult
 LifetimeSimulator::run(const StopRule &rule)
 {
-    MonteCarloResult acc;
-    acc.cycleHistogram =
-        Histogram(static_cast<std::size_t>(128 * (lattice_.gridSize()
-                                                  + 2)));
-    // Single-round protocols never call flipMeasurements: running a
-    // noisy-readout model without a window would silently simulate
-    // q = 0 while reporting a q > 0 configuration.
-    require(windowRounds_ > 0 || !noisyReadout_,
-            "LifetimeSimulator: measurement noise (q > 0) requires a "
-            "decode window (setMeasurementWindow)");
-    require(windowRounds_ == 0 || !lifetimeMode_,
-            "LifetimeSimulator: windowed decoding and lifetime mode are "
-            "mutually exclusive (use the streaming pipeline for "
-            "persistent windowed runs)");
-    const std::size_t lanes = lifetimeMode_ ? 1 : batchLanes_;
-    while (acc.trials < rule.maxTrials)
-        if (runGroup(std::min(lanes, rule.maxTrials - acc.trials), acc,
-                     rule))
-            break;
-    acc.finalize();
-    return acc;
+    require(model_ != nullptr,
+            "LifetimeSimulator: run() needs the constructor's model");
+    lanes_.resize(1);
+    ensureSlots(1);
+    startLane(0, {model_, seed_, rule, 0}, false);
+    runLane();
+    lanes_[0].acc.finalize();
+    return std::move(lanes_[0].acc);
 }
 
 } // namespace nisqpp

@@ -96,6 +96,36 @@ struct MonteCarloResult
 
 class TrialWorkspace;
 
+/** One independent lifetime (or per-round trial stream) to run. */
+struct LifetimeLane
+{
+    const ErrorModel *model = nullptr; ///< channel sampled each round
+    std::uint64_t seed = 0;            ///< the lane's own RNG stream
+    StopRule rule{};
+    std::size_t tag = 0; ///< the source's handle, passed back on finish
+};
+
+/**
+ * Supplies lifetimes to LifetimeSimulator::runLifetimes and takes back
+ * their results.
+ */
+class LifetimeSource
+{
+  public:
+    /** Fill @p lane with the next lifetime to run; false when none. */
+    virtual bool claim(LifetimeLane &lane) = 0;
+
+    /**
+     * The lifetime claimed with @p tag ended: @p result is its
+     * finalized aggregate, @p work the mesh work of its decodes.
+     */
+    virtual void finish(std::size_t tag, MonteCarloResult result,
+                        const MeshWorkCounters &work) = 0;
+
+  protected:
+    ~LifetimeSource() = default;
+};
+
 /**
  * Per-round, code-capacity lifetime simulator for one error type.
  * Dephasing noise exercises the Z-error path the paper evaluates; the
@@ -104,20 +134,22 @@ class TrialWorkspace;
  * The per-trial hot path is allocation-free: syndromes are extracted
  * into member scratch, decoders borrow buffers from a TrialWorkspace
  * (the engine shares one per worker thread across shards; a simulator
- * without one owns a private workspace). Every protocol — per-round,
- * lifetime, windowed, at any batch size — runs through one group
- * runner; a scalar trial is a group of one.
+ * without one owns a private workspace). A lifetime runs through one
+ * group runner at any batch size — a scalar trial is a group of one —
+ * unless several share a decoder with lifetime lanes
+ * (runLifetimes).
  */
-class LifetimeSimulator
+class LifetimeSimulator : private LifetimeFeed
 {
   public:
     /**
      * @param lattice  Lattice under test.
-     * @param model    Error channel sampled each round.
+     * @param model    Error channel sampled each round by run().
      * @param zDecoder Decoder for Z data errors (X-ancilla syndromes).
      * @param xDecoder Decoder for X data errors; may be null when the
      *                 channel produces no X component (pure dephasing).
-     * @param seed     Master RNG seed (deterministic reproduction).
+     * @param seed     Master RNG seed of run() (deterministic
+     *                 reproduction).
      * @param throughCircuits Extract syndromes by running the Fig. 3
      *                 stabilizer circuits instead of direct parity.
      * @param workspace Scratch shared with other simulators on the
@@ -127,6 +159,11 @@ class LifetimeSimulator
                       const ErrorModel &model, Decoder &zDecoder,
                       Decoder *xDecoder, std::uint64_t seed,
                       bool throughCircuits = false,
+                      TrialWorkspace *workspace = nullptr);
+
+    /** A simulator for runLifetimes only (no run()). */
+    LifetimeSimulator(const SurfaceLattice &lattice, Decoder &zDecoder,
+                      Decoder *xDecoder, bool throughCircuits = false,
                       TrialWorkspace *workspace = nullptr);
 
     ~LifetimeSimulator();
@@ -144,15 +181,16 @@ class LifetimeSimulator
     bool lifetimeMode() const { return lifetimeMode_; }
 
     /**
-     * Group up to @p lanes trials per Decoder::decodeBatch (or
-     * decodeWindowBatch) call, feeding the lane-packed substrates of
-     * the mesh and union-find decoders. Every trial runs through one
-     * group runner whatever the group size: sampling, extraction and
-     * classification happen lane by lane in the exact order of
-     * consecutive trials, so every aggregate — counters, cycle
-     * statistics, histograms — is byte-identical to lanes = 1 for the
-     * same seed. Ignored in lifetime mode, where round k + 1's state
-     * depends on round k's correction (groups of one).
+     * Group up to @p lanes consecutive per-round or windowed trials
+     * per Decoder::decodeBatch (or decodeWindowBatch) call, feeding
+     * the lane-packed substrates of the mesh and union-find decoders.
+     * Sampling, extraction and classification happen trial by trial
+     * in the exact order of consecutive trials, so every aggregate —
+     * counters, cycle statistics, histograms — is byte-identical to
+     * lanes = 1 for the same seed. Lifetime mode ignores it: round
+     * k + 1 depends on round k's correction, so a lifetime's groups
+     * are rounds of one; only runLifetimes with several lifetimes on a
+     * lifetime-lane decoder decodes lifetimes side by side.
      */
     void setBatchLanes(std::size_t lanes);
     std::size_t batchLanes() const { return batchLanes_; }
@@ -172,52 +210,130 @@ class LifetimeSimulator
     void setMeasurementWindow(int rounds);
     int measurementWindow() const { return windowRounds_; }
 
-    /** Run @p rule-governed trials and aggregate. */
+    /**
+     * Run @p rule-governed trials from the constructor's model and
+     * seed, and aggregate.
+     */
     MonteCarloResult run(const StopRule &rule);
 
+    /**
+     * Run every lifetime @p source hands out, each exactly as run()
+     * would with its model, seed and rule, and give each result back
+     * to the source as it ends. With @p lanes > 1, lifetime mode and
+     * a Z decoder with lifetime lanes (Decoder::lifetimeLanes), up to
+     * @p lanes lifetimes run side by side through the decoder's lane
+     * pump: each lifetime's next round starts the moment its last
+     * decode finishes, and a lifetime that ends hands its lane to the
+     * next one claimed. Otherwise lifetimes run one after another.
+     */
+    void runLifetimes(LifetimeSource &source, std::size_t lanes);
+
   private:
-    /** One error family: its decoder and per-lane scratch. */
+    /** One error family: its decoder and per-slot scratch. */
     struct Family
     {
         ErrorType type;
         Decoder *decoder; ///< null: the channel has no such errors
-        std::vector<Syndrome> syndromes;     ///< extraction, per lane
-        std::vector<SyndromeWindow> windows; ///< windowed mode, per lane
-        bool parity = false; ///< lifetime-mode crossing parity tracker
+        std::vector<Syndrome> syndromes;     ///< extraction, per slot
+        std::vector<SyndromeWindow> windows; ///< windowed mode, per slot
+    };
+
+    /** A running lifetime (or per-round trial stream). */
+    struct Lane
+    {
+        const ErrorModel *model = nullptr;
+        Rng rng{0};
+        StopRule rule{};
+        std::size_t tag = 0;
+        MonteCarloResult acc;
+        MeshWorkCounters work;
+        /**
+         * Compact lanes (the pump's, which run many at once) count
+         * cycles here and build acc's histogram when they end:
+         * counts up to the largest value seen, then the overflow.
+         * @{
+         */
+        bool compact = false;
+        std::vector<std::uint64_t> cycleCounts;
+        std::uint64_t cycleOverflow = 0;
+        /** @} */
+        std::array<bool, 2> parity{}; ///< lifetime crossing parities
+        bool done = true;
     };
 
     /**
-     * Run one group of @p count trials: produce every lane (sample a
-     * round, or fill a window), then per family extract, decode the
-     * whole group in one call and apply the corrections, then record
-     * and classify lane by lane in trial order. Returns true when
-     * @p rule stops the run mid-group; the remaining lanes are
-     * dropped, exactly as if those trials had never run.
+     * Start @p spec in lane @p slot (state slot @p slot): a fresh RNG
+     * stream, aggregate and parities on a clean lattice. With
+     * @p compactCycles its cycle histogram is counted compactly until
+     * the lifetime ends.
      */
-    bool runGroup(std::size_t count, MonteCarloResult &acc,
-                  const StopRule &rule);
-    void ensureLanes(std::size_t count);
-    void fillWindows(std::size_t lane);
-    void recordMeshStats(const MeshDecodeStats *stats,
-                         MonteCarloResult &acc) const;
+    void startLane(std::size_t slot, const LifetimeLane &spec,
+                   bool compactCycles);
+    /** Finalize lane @p slot's aggregate and give it to @p source. */
+    void finishLane(std::size_t slot, LifetimeSource &source);
+
+    /** Run lane 0 until its rule stops it, group by group. */
+    void runLane();
+
+    /**
+     * Run one group of @p count consecutive trials of lane 0: produce
+     * every slot (sample a round, or fill a window), then per family
+     * extract, decode the whole group in one call and apply the
+     * corrections, then settle slot by slot in trial order. When the
+     * rule stops the lane mid-group the remaining slots are dropped,
+     * exactly as if those trials had never run.
+     */
+    void runGroup(std::size_t count);
+
+    /** runLifetimes' lane pump (see there). @{ */
+    void pumpLifetimes(LifetimeSource &source, std::size_t lanes,
+                       LifetimeLaneDecoder &pump);
+    bool claimInto(std::size_t slot);
+    void beginRound(std::size_t slot);
+    bool next(const Syndrome *&syndrome, std::size_t &lifetime) override;
+    void finished(std::size_t lifetime, const Correction &correction,
+                  const MeshDecodeStats &stats) override;
+    /** @} */
+
+    /**
+     * Record a trial's telemetry (@p stats per family, null when
+     * absent), classify @p state and count the trial into @p lane,
+     * marking it done when its rule stops it.
+     */
+    void settleTrial(Lane &lane, const ErrorState &state,
+                     const std::array<const MeshDecodeStats *, 2> &stats);
+    void ensureSlots(std::size_t slots);
+    void fillWindow(std::size_t slot);
+    void recordMeshStats(const MeshDecodeStats &stats, Lane &lane) const;
     void extractInto(const ErrorState &state, ErrorType type,
                      Syndrome &out);
 
     const SurfaceLattice &lattice_;
-    const ErrorModel &model_;
-    Rng rng_;
+    /** Largest cycle count the histograms track exactly. */
+    const std::size_t maxCycles_;
+    const ErrorModel *model_ = nullptr; ///< run()'s lifetime
+    std::uint64_t seed_ = 0;
     bool throughCircuits_;
     bool lifetimeMode_ = false;
-    /** model_.measurementFlipRate() > 0, cached off the hot path. */
-    bool noisyReadout_ = false;
     /** Built only for circuit-based extraction (it is not cheap). */
     std::unique_ptr<StabilizerCircuit> circuit_;
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off
     /** Z first, then X: the per-round RNG and decode order. */
     std::array<Family, 2> families_;
-    /** Per-lane trial state; lane 0 persists in lifetime mode. */
+    /** Running lifetimes: lane 0 alone, or one per pump slot. */
+    std::vector<Lane> lanes_;
+    /**
+     * Trial states, one per slot: a group's consecutive trials, or the
+     * pump's lifetimes (slot l is lane l's persistent state).
+     */
     std::vector<ErrorState> states_;
+    LifetimeSource *source_ = nullptr; ///< pumpLifetimes' source
+    /** pumpLifetimes' pending slots: a FIFO ring. @{ */
+    std::vector<std::size_t> pending_;
+    std::size_t pendingHead_ = 0;
+    std::size_t pendingSize_ = 0;
+    /** @} */
     std::vector<const Syndrome *> synPtrs_;
     std::vector<const SyndromeWindow *> winPtrs_;
     TrialWorkspace *ws_;                 ///< borrowed (or owned_)

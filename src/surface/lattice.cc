@@ -40,8 +40,13 @@ SurfaceLattice::SurfaceLattice(int distance)
     for (const ErrorType type : {ErrorType::X, ErrorType::Z}) {
         const int slot = typeSlot(type);
         const auto &sites = (type == ErrorType::Z) ? xSites_ : zSites_;
+        // At most four neighbors each: one allocation per list.
         ancillaData_[slot].resize(sites.size());
+        for (auto &list : ancillaData_[slot])
+            list.reserve(kOffsets.size());
         dataAncilla_[slot].resize(dataSites_.size());
+        for (auto &list : dataAncilla_[slot])
+            list.reserve(kOffsets.size());
         for (std::size_t a = 0; a < sites.size(); ++a) {
             for (const auto &off : kOffsets) {
                 const Coord nb{sites[a].row + off.row,

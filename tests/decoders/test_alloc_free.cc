@@ -27,6 +27,8 @@
 #include "decoders/workspace.hh"
 #include "noise/channels.hh"
 #include "sim/experiment.hh"
+#include "sim/monte_carlo.hh"
+#include "surface/error_model.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 #include "surface/syndrome_window.hh"
@@ -261,6 +263,67 @@ TEST_P(AllocFree, Window)
             dec_->decodeWindow(w, ws_);
     });
     EXPECT_EQ(n, 0u) << "over " << kWindows << " window decodes";
+}
+
+/**
+ * Fixed-length d = 9, p = 5% dephasing lifetimes, claimed in turn and
+ * kept as they finish (into slots reserved up front).
+ */
+class Lifetimes final : public LifetimeSource
+{
+  public:
+    Lifetimes(std::size_t count, std::size_t rounds)
+        : count_(count), rounds_(rounds), results_(count)
+    {}
+
+    bool
+    claim(LifetimeLane &lane) override
+    {
+        if (next_ == count_)
+            return false;
+        lane.model = &model_;
+        lane.seed = 0x11fe + next_;
+        lane.rule = {rounds_, rounds_, ~std::size_t{0}};
+        lane.tag = next_++;
+        return true;
+    }
+
+    void
+    finish(std::size_t tag, MonteCarloResult result,
+           const MeshWorkCounters &) override
+    {
+        results_[tag] = std::move(result);
+    }
+
+  private:
+    const DephasingModel model_{0.05};
+    std::size_t count_;
+    std::size_t rounds_;
+    std::size_t next_ = 0;
+    std::vector<MonteCarloResult> results_;
+};
+
+TEST(AllocFreeLifetimes, LaneRoundsAllocateNothing)
+{
+    // A mesh lane pump running lifetimes side by side allocates per
+    // lifetime (its result) but nothing per round: once warm, a run
+    // of 8-round lifetimes and one of 64-round lifetimes allocate
+    // exactly the same.
+    const SurfaceLattice lat(kDistance);
+    const auto dec = makeDecoder("sfq_mesh", lat);
+    ASSERT_NE(dec->lifetimeLanes(), nullptr);
+    const std::size_t lanes = dec->lifetimeLanes()->lanes();
+    ASSERT_GT(lanes, 1u);
+    TrialWorkspace ws;
+    LifetimeSimulator sim(lat, *dec, nullptr, false, &ws);
+    sim.setLifetimeMode(true);
+    const auto run = [&](std::size_t rounds) {
+        Lifetimes source(lanes, rounds);
+        return allocationsDuring([&] { sim.runLifetimes(source, lanes); });
+    };
+    run(64);
+    const std::uint64_t shortRun = run(8);
+    EXPECT_EQ(run(64), shortRun) << "over " << lanes << " lifetimes";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -158,6 +158,79 @@ TEST(CheckpointResume, CompletedCheckpointRestoresWithoutRecompute)
     std::remove(path.c_str());
 }
 
+/** Every deterministic counter of every cell, in name order. */
+std::string
+cellCounters(const SweepResult &result)
+{
+    std::string out;
+    for (const auto &row : result.cells)
+        for (const MonteCarloResult &cell : row) {
+            cell.metrics.forEachScalar(
+                [&out](const std::string &name, bool, std::uint64_t v) {
+                    if (!obs::maskedName(name))
+                        out += name + '=' + std::to_string(v) + ' ';
+                });
+            out += '\n';
+        }
+    return out;
+}
+
+TEST(CheckpointResume, LifetimeLanesResumeMidGroup)
+{
+    // Lifetime cells on the mesh run many shards as lanes of one
+    // simulator. 16-round shards give every distance 76 of them, more
+    // than any lane pump holds, so an interrupt lands while a group
+    // still has shards to claim. The in-flight lanes finish and are
+    // persisted; the resumed run (at another thread count) claims the
+    // rest and must reproduce results and counters byte for byte.
+    CkptStateGuard guard;
+    const SweepConfig config = smallSweep();
+    const auto factory = meshDecoderFactory(MeshConfig::finalDesign());
+
+    EngineOptions base;
+    base.threads = 1; // uncontended writes: a deterministic trigger
+    base.shardTrials = 16;
+    const SweepResult golden = Engine(base).runSweep(config, factory);
+
+    const std::string path = ckptPath("lanes.ckpt");
+    std::remove(path.c_str());
+    ckpt::CheckpointPolicy policy;
+    policy.path = path;
+    policy.intervalShards = 1;
+    std::uint64_t writes = 0;
+    ckpt::setWriteObserver([&writes](std::uint64_t) {
+        if (++writes == 5)
+            ckpt::requestInterrupt();
+    });
+    Engine interrupted(base);
+    interrupted.setCheckpointPolicy(policy);
+    EXPECT_THROW(interrupted.runSweep(config, factory),
+                 ckpt::InterruptedError);
+    ckpt::setWriteObserver(nullptr);
+    ckpt::clearInterrupt();
+
+    EngineOptions other = base;
+    other.threads = 3;
+    Engine resumed(other);
+    resumed.setCheckpointPolicy(policy);
+    resumed.resumeFrom(ckpt::loadCheckpoint(path));
+    const SweepResult result = resumed.runSweep(config, factory);
+    expectIdentical(golden, result);
+    EXPECT_EQ(cellCounters(golden), cellCounters(result));
+    EXPECT_NE(cellCounters(golden).find("decoder.mesh.cycles="),
+              std::string::npos);
+
+    // The checkpoint held part of the plan: the interrupt landed
+    // mid-group, not before the first claim or after the last.
+    obs::MetricSet ckptMetrics;
+    resumed.checkpointMetricsInto(ckptMetrics);
+    const std::uint64_t restored =
+        ckptMetrics.value("ckpt.restored_shards");
+    EXPECT_GT(restored, 0u);
+    EXPECT_LT(restored, 4u * 38u);
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointResume, ConfigMismatchIsAHardError)
 {
     CkptStateGuard guard;

@@ -273,8 +273,10 @@ TEST(MonteCarlo, BatchedEarlyStopMatchesScalar)
 
 TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
 {
-    // Lifetime mode carries state across rounds, so the knob must be
-    // a no-op there rather than a protocol change.
+    // A lifetime's round k + 1 depends on round k's correction, so
+    // batchLanes (which sizes per-round groups only) must be a no-op
+    // for it rather than a protocol change; lifetimes share decodes
+    // only as lanes of several lifetimes, sized by the decoder.
     SurfaceLattice lat(3);
     DephasingModel model(0.1);
     const StopRule rule{200, 200, ~std::size_t{0}};

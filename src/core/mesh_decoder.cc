@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <type_traits>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
@@ -29,15 +28,12 @@ using simd::elemOf;
 using simd::orElem;
 
 /**
- * Working word of the step: a lone 64-bit word, or 128 bits of a wide
- * lane word, read and written in place through a W128 pointer. GCC
- * gives vector types the alias set of their element type, so such a
- * view of a W256/W512 plane is well defined.
+ * Working word of stepChunks: 128 bits of a wide lane word, read and
+ * written in place through a W128 pointer. GCC gives vector types the
+ * alias set of their element type, so such a view of a W256/W512
+ * plane is well defined.
  */
 using W128 __attribute__((vector_size(16))) = std::uint64_t;
-template <typename W>
-using Chunk = std::conditional_t<sizeof(W) == sizeof(std::uint64_t),
-                                 std::uint64_t, W128>;
 
 } // namespace
 
@@ -139,6 +135,12 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
     for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
         for (auto &plane : *planes)
             plane.assign(e.rows, W{});
+    // Only one-word engines double-buffer (stepLanes); wide ones step
+    // in place (stepChunks).
+    if constexpr (sizeof(W) == sizeof(std::uint64_t))
+        for (auto *planes : {&e.gOut, &e.rqOut, &e.grOut, &e.prOut})
+            for (auto &plane : *planes)
+                plane.assign(e.rows, W{});
     e.formed.assign(e.rows, W{});
     e.fired.assign(e.rows, W{});
     e.hot.assign(e.rows, W{});
@@ -193,13 +195,278 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         if (e.resetCountdown[l] > 0)
             orElem(inReset, e.laneElem[l], e.laneSub[l]);
 
-    // Wide lane words are stepped in 128-bit chunks: elementwise the
-    // step is independent per 64-bit element (lanes never straddle
-    // one), and a 128-bit working set keeps the row's many live
-    // signals in registers where a whole 256/512-bit word would spill.
-    // A chunk whose lanes are all idle holds only zeros, which step to
-    // zeros, so it is skipped.
-    using C = Chunk<W>;
+    W fire_any{};
+    const W guardE = e.guardE, guardW = e.guardW;
+
+    // The planes hold last cycle's *emissions*; each row derives the
+    // shifted inputs on the fly (a signal traveling East into row r is
+    // last cycle's East emission of the same row, one column over),
+    // saving a full materialization pass per plane per cycle.
+    const auto inE = [&](const std::vector<W> &out, int r) {
+        return ((out[r] & guardE) << 1) & e.valid[r];
+    };
+    const auto inW = [&](const std::vector<W> &out, int r) {
+        return ((out[r] & guardW) >> 1) & e.valid[r];
+    };
+    // Stacked strips continue across words: north of a strip's last
+    // row lies the next strip's first row (word 0, one span higher),
+    // south of its first row the previous strip's last row (last word,
+    // one span lower).
+    // Only a lone 64-bit lane is ever stacked (vector words always
+    // pack several lanes), so vector engines compile the wrap away.
+    const int rows = e.rows;
+    const bool stacked =
+        sizeof(W) == sizeof(std::uint64_t) && rows < span_;
+    const auto inN = [&](const std::vector<W> &out, int r) {
+        const W src = r + 1 < rows ? out[r + 1]
+                      : stacked    ? W(out[0] >> span_)
+                                   : W{};
+        return src & e.valid[r];
+    };
+    const auto inS = [&](const std::vector<W> &out, int r) {
+        const W src = r > 0     ? out[r - 1]
+                      : stacked ? W(out[rows - 1] << span_)
+                                : W{};
+        return src & e.valid[r];
+    };
+
+    for (int r = 0; r < rows; ++r) {
+        const W hot = e.hot[r];
+        DirRow<W> pr_in{inN(e.pr[dN], r), inE(e.pr[dE], r),
+                        inS(e.pr[dS], r), inW(e.pr[dW], r)};
+        const W pr_in_any =
+            pr_in[dN] | pr_in[dE] | pr_in[dS] | pr_in[dW];
+
+        // Pair pulses reaching a hot module complete a pairing.
+        e.fire[r] = pr_in_any & hot;
+        fire_any |= e.fire[r];
+
+        // Grow: hot modules emit in all directions (blocked during
+        // reset); interior modules pass. In the variants without the
+        // equidistant mechanism the meets happen on grow trains, so a
+        // formed module consumes them.
+        DirRow<W> grow_in{inN(e.g[dN], r), inE(e.g[dE], r),
+                          inS(e.g[dS], r), inW(e.g[dW], r)};
+        const W met_grow =
+            config_.equidistantMechanism ? W{} : e.formed[r];
+        for (int d = 0; d < kNumDirs; ++d)
+            e.gOut[d][r] = (grow_in[d] & e.interior[r] & ~met_grow) |
+                           (hot & ~inReset);
+
+        // Meets of grow rays: requests in the final design, pair pulses
+        // directly in the variants without the equidistant mechanism.
+        //
+        // A module that formed a pair latches `formed` (sticky until
+        // the global reset) and consumes the trains that met there: it
+        // emits exactly one pair pulse per leg and stops passing the
+        // met trains, both this cycle (met_now) and afterwards.
+        // Without this, the overlap region of two persistent trains
+        // keeps expanding and excess pair pulses leak through the
+        // cleared endpoints (see DESIGN.md).
+        const W formed = e.formed[r];
+        const W form_allow = e.interior[r] & ~hot & ~formed;
+        DirRow<W> pr_raw{W{}, W{}, W{}, W{}};
+        if (config_.equidistantMechanism) {
+            DirRow<W> rq_emit{W{}, W{}, W{}, W{}};
+            emitFromMeets(grow_in, e.interior[r] & ~hot, rq_emit);
+            DirRow<W> rq_in{inN(e.rq[dN], r), inE(e.rq[dE], r),
+                            inS(e.rq[dS], r), inW(e.rq[dW], r)};
+            for (int d = 0; d < kNumDirs; ++d) {
+                e.rqOut[d][r] = (rq_in[d] & e.interior[r] & ~hot) |
+                                rq_emit[d];
+                // Boundary modules answer grow with a request.
+                e.rqOut[d][r] |= grow_in[kRev[d]] & e.bnd[r];
+            }
+
+            // Hot modules latch exactly one grant.
+            DirRow<W> latch{e.grantLatch[dN][r], e.grantLatch[dE][r],
+                            e.grantLatch[dS][r], e.grantLatch[dW][r]};
+            updateGrantLatch(rq_in, hot, latch);
+            DirRow<W> gr_in{inN(e.gr[dN], r), inE(e.gr[dE], r),
+                            inS(e.gr[dS], r), inW(e.gr[dW], r)};
+            for (int d = 0; d < kNumDirs; ++d) {
+                e.grantLatch[d][r] = latch[d];
+                // Hot modules do not pass foreign grant trains (they
+                // emit their own); a passed-through train would form
+                // spurious meets beyond the endpoint.
+                e.grOut[d][r] =
+                    (gr_in[d] & e.interior[r] & ~hot & ~formed) |
+                    (latch[d] & hot);
+            }
+
+            // Pair pulses form where grant trains meet, and at boundary
+            // modules that received a grant.
+            emitFromMeets(gr_in, form_allow, pr_raw);
+            for (int d = 0; d < kNumDirs; ++d)
+                pr_raw[d] |= gr_in[kRev[d]] & e.bnd[r] & ~formed;
+            const W met_now =
+                pr_raw[dN] | pr_raw[dE] | pr_raw[dS] | pr_raw[dW];
+            for (int d = 0; d < kNumDirs; ++d)
+                e.grOut[d][r] &= ~met_now | (e.grantLatch[d][r] & hot);
+            e.formed[r] = formed | met_now;
+        } else {
+            emitFromMeets(grow_in, form_allow, pr_raw);
+            for (int d = 0; d < kNumDirs; ++d)
+                pr_raw[d] |= grow_in[kRev[d]] & e.bnd[r] & ~formed;
+            const W met_now =
+                pr_raw[dN] | pr_raw[dE] | pr_raw[dS] | pr_raw[dW];
+            for (int d = 0; d < kNumDirs; ++d)
+                e.gOut[d][r] &= ~met_now | hot;
+            e.formed[r] = formed | met_now;
+        }
+
+        // Emission is one pulse per formation (formed gating above);
+        // non-hot interior modules pass, hot modules absorb. An
+        // endpoint cleared this round keeps absorbing until the
+        // round's pair pulses have drained: otherwise a second pulse
+        // aimed at it (a competing pairing, or the second boundary
+        // ring answering the same grow rays in the variants without
+        // request-grant arbitration) leaks through and paints a bogus
+        // crossing chain.
+        const W absorb = hot | e.fired[r];
+        for (int d = 0; d < kNumDirs; ++d)
+            e.prOut[d][r] =
+                (pr_in[d] & e.interior[r] & ~absorb) | pr_raw[d];
+
+        // Chain membership: everything a pair pulse touches, including
+        // the emitting module and the absorbing endpoints. Touches
+        // TOGGLE membership (XOR): chains from successive pairing
+        // rounds that cross the same data qubit must cancel, exactly
+        // as destructive-read DRO error outputs drained after every
+        // pairing would accumulate in the control layer's Pauli frame.
+        e.chain[r] ^= e.prOut[dN][r] | e.prOut[dE][r] |
+                      e.prOut[dS][r] | e.prOut[dW][r] | e.fire[r];
+    }
+
+    // Complete pairings: clear latches; maybe fire the per-lane global
+    // reset. `resetNow` marks lanes whose reset fires this cycle,
+    // `clearHeld` the lanes mid-reset-window without a fire — the two
+    // lane sets whose grow/request/grant outputs are suppressed.
+    W resetNow{};
+    W fireLanes{};
+    if (anyW(fire_any)) {
+        for (int r = 0; r < rows; ++r) {
+            const W fire = e.fire[r];
+            if (!anyW(fire))
+                continue;
+            for (int el = 0; el < elementsOf<W>(); ++el) {
+                const std::uint64_t f = elemOf(fire, el);
+                if (!f)
+                    continue;
+                const int first = el * e.perElem;
+                const int last = std::min(first + e.perElem, e.lanes);
+                for (int l = first; l < last; ++l) {
+                    const int cleared =
+                        std::popcount(f & e.laneSub[l]);
+                    laneStats[l]->pairings += cleared;
+                    e.hotCount[l] -= cleared;
+                }
+            }
+            e.hot[r] &= ~fire;
+            e.fired[r] |= fire;
+            for (int d = 0; d < kNumDirs; ++d)
+                e.grantLatch[d][r] &= ~fire;
+        }
+        for (int l = 0; l < e.lanes; ++l) {
+            if (!(elemOf(fire_any, e.laneElem[l]) & e.laneSub[l]))
+                continue;
+            orElem(fireLanes, e.laneElem[l], e.laneSub[l]);
+            e.lastFire[l] = e.cycle;
+            if (config_.resetMechanism) {
+                ++laneStats[l]->resets;
+                e.resetCountdown[l] = config_.resetCycles;
+                orElem(resetNow, e.laneElem[l], e.laneSub[l]);
+            }
+        }
+    }
+    const W clearHeld = inReset & ~fireLanes;
+    const W clear_out = resetNow | clearHeld;
+    if (anyW(clear_out)) {
+        const W keep = ~clear_out;
+        for (int r = 0; r < rows; ++r)
+            for (int d = 0; d < kNumDirs; ++d) {
+                e.gOut[d][r] &= keep;
+                e.rqOut[d][r] &= keep;
+                e.grOut[d][r] &= keep;
+            }
+    }
+    if (anyW(resetNow)) {
+        const W keep = ~resetNow;
+        for (int r = 0; r < rows; ++r) {
+            // In the final design in-flight pair pulses are exempt so
+            // the farther chain leg completes (Section VI-B); the
+            // paper ties that exemption to the request-grant design,
+            // so the intermediate variants clear them too.
+            if (!config_.equidistantMechanism)
+                for (int d = 0; d < kNumDirs; ++d)
+                    e.prOut[d][r] &= keep;
+            e.formed[r] &= keep;
+            for (int d = 0; d < kNumDirs; ++d)
+                e.grantLatch[d][r] &= keep;
+        }
+    }
+
+    // End of a lane's reset window: its cleared endpoints resume
+    // passing (spurious same-round pulses are gone by now in the final
+    // design; the variants without the pair exemption cleared them at
+    // the reset itself).
+    W windowOver{};
+    for (int l = 0; l < e.lanes; ++l) {
+        if (e.resetCountdown[l] > 0 && --e.resetCountdown[l] == 0)
+            orElem(windowOver, e.laneElem[l], e.laneSub[l]);
+    }
+    if (anyW(windowOver))
+        for (int r = 0; r < rows; ++r)
+            e.fired[r] &= ~windowOver;
+
+    // The pairing round is over once a lane's pair pulses have all
+    // drained: occupancy of next cycle's (shifted) pair inputs,
+    // derived without materializing them.
+    W pr_occ{};
+    for (int r = 0; r < rows; ++r)
+        pr_occ |= inN(e.prOut[dN], r) | inE(e.prOut[dE], r) |
+                  inS(e.prOut[dS], r) | inW(e.prOut[dW], r);
+    e.prOcc = pr_occ;
+    W drained{};
+    for (int l = 0; l < e.lanes; ++l)
+        if (!(elemOf(pr_occ, e.laneElem[l]) & e.laneSub[l]))
+            orElem(drained, e.laneElem[l], e.laneSub[l]);
+    if (anyW(drained))
+        for (int r = 0; r < rows; ++r)
+            e.fired[r] &= ~drained;
+
+    // Publish this cycle's emissions as next cycle's inputs-to-derive.
+    std::swap(e.g, e.gOut);
+    if (config_.equidistantMechanism) {
+        std::swap(e.rq, e.rqOut);
+        std::swap(e.gr, e.grOut);
+    }
+    std::swap(e.pr, e.prOut);
+    ++e.cycle;
+}
+
+template <typename W>
+void
+MeshDecoder::stepChunks(LaneEngine<W> &e,
+                        MeshDecodeStats *const *laneStats)
+{
+    static_assert(sizeof(W) > sizeof(std::uint64_t),
+                  "one-word engines step through stepLanes");
+    // Lanes inside their reset window at cycle entry: grow emission is
+    // blocked there, and grow/request/grant outputs are cleared again
+    // below unless the lane fires this very cycle.
+    W inReset{};
+    for (int l = 0; l < e.lanes; ++l)
+        if (e.resetCountdown[l] > 0)
+            orElem(inReset, e.laneElem[l], e.laneSub[l]);
+
+    // The word is stepped in 128-bit chunks: elementwise the step is
+    // independent per 64-bit element (lanes never straddle one), and a
+    // 128-bit working set keeps the row's many live signals in
+    // registers where a whole 256/512-bit word would spill. A chunk
+    // whose lanes are all idle holds only zeros, which step to zeros,
+    // so it is skipped.
+    using C = W128;
     constexpr int kChunks = sizeof(W) / sizeof(C);
     constexpr int kChunkElems = sizeof(C) / sizeof(std::uint64_t);
     unsigned busy = 0;
@@ -244,18 +511,9 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     // emission of the same row, one column over). A row's N/E/W inputs
     // are still last cycle's when it is stepped; its S input (the row
     // below, already stepped) comes from `carry`, which keeps each
-    // plane's pre-step South row per chunk.
-    //
-    // Stacked strips continue across words: north of a strip's last
-    // row lies the next strip's first row (word 0, one span higher),
-    // south of its first row the previous strip's last row (last word,
-    // one span lower). Only a lone 64-bit lane is ever stacked (vector
-    // words always pack several lanes), so vector engines compile the
-    // wrap away.
-    const int rows = e.rows;
-    const int last = (rows - 1) * kChunks;
-    const bool stacked =
-        sizeof(W) == sizeof(std::uint64_t) && rows < span_;
+    // plane's pre-step South row per chunk. Packed words keep one mesh
+    // row each (no strips), so nothing wraps.
+    const int last = (e.rows - 1) * kChunks;
     /** Inputs of chunk index i from plane set @p p (pre-step rows). */
     const auto inputs = [&](const Planes &p, C north, C south, int i,
                             int c) {
@@ -265,28 +523,16 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
                          south & valid,
                          ((p[dW][i] & guardW[c]) >> 1) & valid};
     };
-    /** Pre-step North neighbour of chunk index i (row 0 saved). */
-    const auto north = [&](const Planes &p, C top, int i) {
-        return i < last ? p[dN][i + kChunks]
-               : stacked ? C(top >> span_)
-                         : C{};
-    };
-    /** Pre-step South neighbour: the carry, or the wrap at row 0. */
-    const auto south = [&](const Planes &p, C carry, int i, int c) {
-        return i >= kChunks ? carry
-               : stacked    ? C(p[dS][last + c] << span_)
-                            : C{};
+    /** Pre-step North neighbour of chunk index i. */
+    const auto north = [&](const Planes &p, int i) {
+        return i < last ? p[dN][i + kChunks] : C{};
     };
     /** Step-time inputs; advances the plane's South carry. */
-    const auto dirIn = [&](const Planes &p, C &carry, C top, int i,
-                           int c) {
-        const DirRow<C> in =
-            inputs(p, north(p, top, i), south(p, carry, i, c), i, c);
+    const auto dirIn = [&](const Planes &p, C &carry, int i, int c) {
+        const DirRow<C> in = inputs(p, north(p, i), carry, i, c);
         carry = p[dS][i];
         return in;
     };
-    const C topG = g[dN][0], topRq = rq[dN][0], topGr = gr[dN][0],
-            topPr = pr[dN][0];
     std::array<C, kChunks> carryG{}, carryRq{}, carryGr{}, carryPr{};
 
     // Row-major: a row's chunks share its cache lines.
@@ -300,7 +546,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         const C hot = hotAt[i];
         const C interior = interiorAt[i];
         const C bnd = bndAt[i];
-        const DirRow<C> pr_in = dirIn(pr, carryPr[c], topPr, i, c);
+        const DirRow<C> pr_in = dirIn(pr, carryPr[c], i, c);
         const C pr_in_any =
             pr_in[dN] | pr_in[dE] | pr_in[dS] | pr_in[dW];
 
@@ -313,7 +559,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         // reset); interior modules pass. In the variants without
         // the equidistant mechanism the meets happen on grow
         // trains, so a formed module consumes them.
-        const DirRow<C> grow_in = dirIn(g, carryG[c], topG, i, c);
+        const DirRow<C> grow_in = dirIn(g, carryG[c], i, c);
         const C formed = formedAt[i];
         const C met_grow =
             config_.equidistantMechanism ? C{} : formed;
@@ -339,7 +585,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         if (config_.equidistantMechanism) {
             DirRow<C> rq_emit{C{}, C{}, C{}, C{}};
             emitFromMeets(grow_in, interior & ~hot, rq_emit);
-            const DirRow<C> rq_in = dirIn(rq, carryRq[c], topRq, i, c);
+            const DirRow<C> rq_in = dirIn(rq, carryRq[c], i, c);
             for (int d = 0; d < kNumDirs; ++d)
                 // Boundary modules answer grow with a request.
                 rq[d][i] = (rq_in[d] & interior & ~hot) | rq_emit[d] |
@@ -349,7 +595,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
             DirRow<C> latch{latchAt[dN][i], latchAt[dE][i],
                             latchAt[dS][i], latchAt[dW][i]};
             updateGrantLatch(rq_in, hot, latch);
-            const DirRow<C> gr_in = dirIn(gr, carryGr[c], topGr, i, c);
+            const DirRow<C> gr_in = dirIn(gr, carryGr[c], i, c);
 
             // Pair pulses form where grant trains meet, and at
             // boundary modules that received a grant.
@@ -498,8 +744,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         C occ{};
         for (int i = c; i <= last + c; i += kChunks) {
             const C below = i >= kChunks ? pr[dS][i - kChunks] : C{};
-            const DirRow<C> in = inputs(pr, north(pr, pr[dN][c], i),
-                                        south(pr, below, i, c), i, c);
+            const DirRow<C> in = inputs(pr, north(pr, i), below, i, c);
             occ |= in[dN] | in[dE] | in[dS] | in[dW];
         }
         reinterpret_cast<C *>(&pr_occ)[c] = occ;
@@ -779,8 +1024,12 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e, Source &source)
         // source is dry.
         if (running == 0 && !retired)
             break;
-        if (running > 0)
+        if (running == 0)
+            continue;
+        if constexpr (sizeof(W) == sizeof(std::uint64_t))
             stepLanes(e, laneStats.data());
+        else
+            stepChunks(e, laneStats.data());
     }
 }
 

@@ -42,8 +42,8 @@
  * The same engine runs independent lifetimes (decodeLifetimes): a
  * lane that frees takes the next pending round of any lifetime, so no
  * lane waits for a slow sibling's round. Wide lane words are stepped
- * 128 bits at a time — the step is elementwise — which keeps a row's
- * signals in registers at the portable ISA.
+ * 128 bits at a time, in place — the step is elementwise — which keeps
+ * a row's signals in registers at the portable ISA.
  *
  * A batch of one (a lone lifetime and the tiered stream, whose
  * rounds depend on the previous correction) has a single lane and
@@ -76,10 +76,34 @@
 namespace nisqpp {
 
 /**
+ * Source and sink of MeshDecoder::decodeLifetimes: hands out the
+ * pending round of some lifetime and takes back each finished decode,
+ * after which that lifetime's next round may become pending.
+ */
+class LifetimeFeed
+{
+  public:
+    /**
+     * The next pending syndrome and its lifetime; false when no round
+     * is pending right now (finished() may make more pending). The
+     * decoder reads the syndrome before calling into the feed again.
+     */
+    virtual bool next(const Syndrome *&syndrome, std::size_t &lifetime) = 0;
+
+    /** The decode of @p lifetime's pending round finished. */
+    virtual void finished(std::size_t lifetime,
+                          const Correction &correction,
+                          const MeshDecodeStats &stats) = 0;
+
+  protected:
+    ~LifetimeFeed() = default;
+};
+
+/**
  * The SFQ mesh decoder. Implements the Decoder interface so the Monte
  * Carlo harness can drive it interchangeably with the software baselines.
  */
-class MeshDecoder : public Decoder, public LifetimeLaneDecoder
+class MeshDecoder : public Decoder
 {
   public:
     /** Largest lane count any batch geometry uses (v512 at d = 3). */
@@ -104,22 +128,16 @@ class MeshDecoder : public Decoder, public LifetimeLaneDecoder
 
     const MeshDecodeStats *meshStats(std::size_t lane = 0) const override;
 
-    LifetimeLaneDecoder *lifetimeLanes() override { return this; }
-
-    /** batchLanes(): one lifetime per lane of the packed engine. */
-    std::size_t
-    lanes() const override
-    {
-        return static_cast<std::size_t>(batchLanes_);
-    }
-
     /**
-     * Run the packed engine as a lifetime pump: every lane that frees
-     * takes the feed's next pending round, so lanes stay busy across
+     * Run the packed engine as a lifetime pump until @p feed has no
+     * round left: every lane that frees takes the feed's next pending
+     * round, so batchLanes() lifetimes keep every lane busy across
      * rounds. Corrections and telemetry are bit-identical to decoding
-     * each round alone.
+     * each round alone, and every `decoder.mesh.*` counter is a sum of
+     * the MeshDecodeStats handed back, so lifetimes sharing the
+     * decoder can tally their own work.
      */
-    void decodeLifetimes(LifetimeFeed &feed) override;
+    void decodeLifetimes(LifetimeFeed &feed);
 
     /**
      * Emit `decoder.mesh.*` work counters accumulated since
@@ -214,10 +232,14 @@ class MeshDecoder : public Decoder, public LifetimeLaneDecoder
         std::array<int, kMaxLanes> laneBase{};
 
         // Per-decode mesh state, shared by every lane. The signal
-        // planes hold *emissions*: `g`/`rq`/`gr`/`pr` keep the last
-        // cycle's, and each step derives its shifted inputs from them
-        // on the fly while overwriting them row by row in place.
+        // planes hold *emissions*: `g`/`rq`/`gr`/`pr` keep the previous
+        // cycle's, and each cycle derives its shifted inputs from them
+        // on the fly. One-word engines collect this cycle's in
+        // `gOut`... and swap the buffers at the end of the step
+        // (stepLanes); wide engines overwrite them row by row in
+        // place (stepChunks) and leave `gOut`... empty.
         Planes g, rq, gr, pr;       ///< last cycle's emitted signals
+        Planes gOut, rqOut, grOut, prOut; ///< this cycle's (scratch)
         Planes grantLatch;          ///< hot modules' grant choice
         std::vector<W> formed; ///< sticky "this module formed a pair"
         std::vector<W> fired;  ///< cleared endpoints still absorbing
@@ -248,8 +270,18 @@ class MeshDecoder : public Decoder, public LifetimeLaneDecoder
     void buildEngine(LaneEngine<W> &e, int max_lanes) const;
     template <typename W>
     LaneEngine<W> &packedEngine(LaneEngine<W> &e);
+    /**
+     * One mesh cycle of every lane. stepLanes serves one-word engines
+     * (the strip-stacked single lane and the 64-bit packed engine) and
+     * double-buffers the signal planes; stepChunks serves 256/512-bit
+     * words, 128 bits at a time and in place, skipping idle chunks.
+     * Both compute the same cycle: the chunked form is faster on wide
+     * words and slower on one word.
+     */
     template <typename W>
     void stepLanes(LaneEngine<W> &e, MeshDecodeStats *const *laneStats);
+    template <typename W>
+    void stepChunks(LaneEngine<W> &e, MeshDecodeStats *const *laneStats);
     template <typename W>
     void finishLane(LaneEngine<W> &e, int lane, Correction &out,
                     MeshDecodeStats &stats);

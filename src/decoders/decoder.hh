@@ -45,49 +45,6 @@ struct Correction
 };
 
 /**
- * Source and sink of lifetime-lane decoding: hands out the pending
- * round of some lifetime and takes back each finished decode, after
- * which that lifetime's next round may become pending.
- */
-class LifetimeFeed
-{
-  public:
-    /**
-     * The next pending syndrome and its lifetime; false when no round
-     * is pending right now (finished() may make more pending). The
-     * decoder reads the syndrome before calling into the feed again.
-     */
-    virtual bool next(const Syndrome *&syndrome, std::size_t &lifetime) = 0;
-
-    /** The decode of @p lifetime's pending round finished. */
-    virtual void finished(std::size_t lifetime,
-                          const Correction &correction,
-                          const MeshDecodeStats &stats) = 0;
-
-  protected:
-    ~LifetimeFeed() = default;
-};
-
-/**
- * A decoder that runs many independent lifetimes at once: each of its
- * lanes decodes one lifetime's round and, the moment that decode
- * finishes, takes the next pending round of any lifetime — so no lane
- * waits for the slowest decode of a round.
- */
-class LifetimeLaneDecoder
-{
-  public:
-    /** Lifetimes that keep every lane busy. */
-    virtual std::size_t lanes() const = 0;
-
-    /** Decode pending rounds until @p feed has none left. */
-    virtual void decodeLifetimes(LifetimeFeed &feed) = 0;
-
-  protected:
-    ~LifetimeLaneDecoder() = default;
-};
-
-/**
  * Abstract decoder bound to one lattice and one error type. Decoders are
  * stateful only in reusable scratch buffers; decoding is deterministic.
  */
@@ -195,15 +152,6 @@ class Decoder
         (void)lane;
         return nullptr;
     }
-
-    /**
-     * Lifetime-lane decoding, or null for decoders that serve one
-     * lifetime at a time (the default). Offered only by decoders whose
-     * every exported counter is a function of MeshDecodeStats, so the
-     * work of lifetimes sharing the decoder can be tallied lifetime by
-     * lifetime from the stats each decode hands back (the mesh).
-     */
-    virtual LifetimeLaneDecoder *lifetimeLanes() { return nullptr; }
 
     virtual std::string name() const = 0;
 

@@ -164,12 +164,6 @@ struct Engine::CellRun
 struct Engine::CellGroup
 {
     std::vector<CellRun *> cells;
-    /**
-     * Lifetimes one pump runs side by side: the Z decoder's lifetime
-     * lanes for lifetime cells on a lane decoder — such a pump keeps
-     * claiming until the group is drained — else 1, one shard per pump.
-     */
-    std::size_t lanes = 1;
     std::mutex mutex;       ///< guards cursor and the cells' nextShard
     std::size_t cursor = 0; ///< cells before it have nothing to claim
 
@@ -220,73 +214,80 @@ struct Engine::CellGroup
 };
 
 /**
- * One pump's view of its group: hands claimed shards to the simulator
- * as fixed-length lifetimes and routes each finished shard into its
- * cell's ordered merge with its deterministic work counters.
+ * One pump's view of its group: claims shards, hands them to the
+ * simulator as fixed-length lifetimes and routes each finished shard
+ * into its cell's ordered merge with its deterministic work counters.
+ * A pump whose simulator runs lifetimes as lanes keeps claiming until
+ * the group is drained; any other pump runs the one shard it claimed
+ * first on fresh decoders.
  */
 struct Engine::ShardSource final : LifetimeSource
 {
     Engine &engine;
     CellGroup &group;
-    const Decoder &zDecoder;
-    const Decoder *xDecoder;
+    /** The pump's decoders and whether its lifetimes share them. @{ */
+    const Decoder *zDecoder = nullptr;
+    const Decoder *xDecoder = nullptr;
+    bool shared = false;
+    /** @} */
     /** Claimed shards and their noise models, by tag. @{ */
     std::vector<std::pair<CellRun *, std::size_t>> claims;
     std::vector<std::unique_ptr<NoiseModel>> models;
     /** @} */
+    std::size_t handed = 0; ///< claims handed to the simulator
 
-    ShardSource(Engine &e, CellGroup &g, const Decoder &z, const Decoder *x)
-        : engine(e), group(g), zDecoder(z), xDecoder(x)
-    {}
+    ShardSource(Engine &e, CellGroup &g) : engine(e), group(g) {}
 
-    /** Whether lifetimes share the decoders (a lane pump). */
-    bool shared() const { return group.lanes > 1; }
-
+    /**
+     * Claim the group's next shard and build its noise model; false
+     * once drained. Once a checkpointed run sees an interrupt, pumps
+     * stop claiming and the pool drains (gated on the policy so stray
+     * flags never affect plain runs).
+     */
     bool
-    claim(LifetimeLane &lane) override
+    claimShard()
     {
-        // A pump without lanes runs one shard on fresh decoders; once a
-        // checkpointed run sees an interrupt, pumps stop claiming and
-        // the pool drains (gated on the policy so stray flags never
-        // affect plain runs).
-        if (!shared() && !claims.empty())
-            return false;
         if (engine.checkpointEnabled_ && ckpt::interruptRequested())
             return false;
         std::pair<CellRun *, std::size_t> next;
         if (!group.claim(next))
             return false;
-        const CellRun &run = *next.first;
-        const Shard &shard = run.shards[next.second];
+        const CellSpec &spec = next.first->spec;
         claims.push_back(next);
-        models.push_back(
-            makeNoiseModel(run.spec.noise, run.spec.physicalRate));
-        lane.model = models.back().get();
+        models.push_back(makeNoiseModel(spec.noise, spec.physicalRate));
+        return true;
+    }
+
+    bool
+    claim(LifetimeLane &lane) override
+    {
+        if (handed == claims.size() && !(shared && claimShard()))
+            return false;
+        const auto [run, index] = claims[handed];
+        const Shard &shard = run->shards[index];
+        lane.model = models[handed].get();
         lane.seed = shard.seed;
         lane.rule.minTrials = lane.rule.maxTrials = shard.trials;
         lane.rule.targetFailures = ~std::size_t{0};
-        lane.tag = claims.size() - 1;
+        lane.tag = handed++;
         return true;
     }
 
     void
-    finish(std::size_t tag, MonteCarloResult result,
-           const MeshWorkCounters &work) override
+    finish(std::size_t tag, MonteCarloResult result) override
     {
         // Attach the shard's deterministic work counters to its result:
         // they ride through the ordered prefix merge with it, so shards
         // discarded past the stop index drop their counters too and
         // the aggregate stays byte-identical at any thread count.
         // Fresh decoders' exported totals are exactly the shard's work;
-        // lifetimes sharing a lane decoder report their own tally
-        // (every lane decoder counter derives from MeshDecodeStats).
+        // lifetimes that shared a lane decoder already carry their own
+        // tally.
         result.metrics.add("engine.shards");
         result.metrics.add("engine.trials", result.trials);
         result.metrics.add("engine.failures", result.failures);
-        if (shared()) {
-            work.exportTo(result.metrics);
-        } else {
-            zDecoder.exportMetrics(result.metrics);
+        if (!shared) {
+            zDecoder->exportMetrics(result.metrics);
             if (xDecoder)
                 xDecoder->exportMetrics(result.metrics);
         }
@@ -316,7 +317,11 @@ void
 Engine::pumpGroup(CellGroup &group)
 {
     pool_->submit([this, &group] {
-        if (group.drained())
+        // Claim first: a pump that finds its group drained builds
+        // nothing, and the first shard's model says whether the group's
+        // noise needs an X decoder.
+        ShardSource source(*this, group);
+        if (!source.claimShard())
             return;
         // One trial workspace per worker thread, warm across every
         // shard (and cell) that thread ever runs: decoders borrow all
@@ -327,16 +332,18 @@ Engine::pumpGroup(CellGroup &group)
         const CellSpec &spec = group.cells.front()->spec;
         const auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
         std::unique_ptr<Decoder> x_dec;
-        if (makeNoiseModel(spec.noise, spec.physicalRate)->producesX())
+        if (source.models.front()->producesX())
             x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
         LifetimeSimulator sim(*spec.lattice, *z_dec, x_dec.get(),
                               spec.throughCircuits, &workspace);
         sim.setLifetimeMode(spec.lifetimeMode);
         sim.setBatchLanes(spec.batchLanes);
         sim.setMeasurementWindow(spec.windowRounds);
-        ShardSource source(*this, group, *z_dec, x_dec.get());
-        sim.runLifetimes(source, group.lanes);
-        if (spec.lifetimeMode && !source.claims.empty()) {
+        source.zDecoder = z_dec.get();
+        source.xDecoder = x_dec.get();
+        source.shared = sim.lifetimeLanes() > 1;
+        sim.runLifetimes(source);
+        if (spec.lifetimeMode) {
             lifetimeGroups_.fetch_add(1, std::memory_order_relaxed);
             lifetimeLanes_.fetch_add(source.claims.size(),
                                      std::memory_order_relaxed);
@@ -346,7 +353,7 @@ Engine::pumpGroup(CellGroup &group)
         // wake early; it dies once every shard below the (published)
         // stop indices has been claimed. A lane pump has drained its
         // group (or seen an interrupt) by the time it returns.
-        if (!source.shared() && !group.drained())
+        if (!source.shared && !group.drained())
             pumpGroup(group);
     });
 }
@@ -392,22 +399,16 @@ Engine::scheduleGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
                              return a->spec.physicalRate >
                                     b->spec.physicalRate;
                          });
-        const CellSpec &spec = group->cells.front()->spec;
-        if (spec.lifetimeMode) {
-            const auto probe = (*spec.factory)(*spec.lattice, ErrorType::Z);
-            if (const LifetimeLaneDecoder *pump = probe->lifetimeLanes())
-                group->lanes = pump->lanes();
-        }
         // Schedule the group as a wave of claim chains instead of its
         // whole shard budget: enough chains to keep every worker busy
         // (2x the pool, so a finishing claim always finds a queued
-        // successor), but never more than the group still needs (a
+        // successor), but never more than the group has shards (a
         // restored cell starts at its frontier; a restored-stopped
-        // cell needs nothing).
-        const std::size_t claims =
-            (group->unclaimed() + group->lanes - 1) / group->lanes;
-        const std::size_t wave = std::min(
-            claims, 2 * static_cast<std::size_t>(pool_->threadCount()));
+        // cell needs nothing). A lane pump drains the group, so the
+        // chains queued behind it claim nothing and die at once.
+        const std::size_t wave =
+            std::min(group->unclaimed(),
+                     2 * static_cast<std::size_t>(pool_->threadCount()));
         for (std::size_t i = 0; i < wave; ++i)
             pumpGroup(*group);
     }

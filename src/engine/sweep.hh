@@ -13,9 +13,9 @@
  * maxTrials budget up front, so an early-stopped cell never pays
  * submit/queue churn for shards that would only be skipped. A pump
  * runs one shard on fresh decoders and submits its successor; in
- * lifetime mode on a decoder with lifetime lanes (the mesh) it runs
- * as many shards side by side as the decoder has lanes, claiming the
- * next shard whenever one ends, until the group is drained.
+ * lifetime mode on the mesh decoder it runs as many shards side by
+ * side as the decoder has lanes, claiming the next shard whenever one
+ * ends, until the group is drained.
  *
  * Protocol note: each shard is its own lifetime from a clean lattice
  * state, whether it runs alone or as a lane. In lifetime mode a cell
@@ -105,10 +105,10 @@ struct EngineOptions
      * groups of one, larger values feed the mesh and union-find lane
      * engines. It does not apply to lifetime cells, whose rounds each
      * depend on the last: the decoder sizes those, running as many
-     * shards as lanes as it has lifetime lanes
-     * (Decoder::lifetimeLanes; one shard at a time otherwise).
-     * Aggregates are byte-identical for every value (and every thread
-     * count) at a fixed seed; only throughput changes.
+     * shards side by side as the mesh has lanes
+     * (LifetimeSimulator::lifetimeLanes; one shard at a time
+     * otherwise). Aggregates are byte-identical for every value (and
+     * every thread count) at a fixed seed; only throughput changes.
      */
     std::size_t batchLanes = 1;
 };

@@ -139,16 +139,14 @@ LifetimeSimulator::recordMeshStats(const MeshDecodeStats &stats,
 {
     lane.acc.cycles.add(stats.cycles);
     const auto cycles = static_cast<std::size_t>(stats.cycles);
-    if (!lane.compact) {
-        lane.acc.cycleHistogram.add(cycles);
-    } else if (cycles > maxCycles_) {
+    if (cycles > maxCycles_) {
         ++lane.cycleOverflow;
-    } else {
-        // Grown to the slot's high-water mark, then kept.
-        if (cycles >= lane.cycleCounts.size())
-            lane.cycleCounts.resize(cycles + 1, 0);
-        ++lane.cycleCounts[cycles];
+        return;
     }
+    // Grown to the slot's high-water mark, then kept.
+    if (cycles >= lane.cycleCounts.size())
+        lane.cycleCounts.resize(cycles + 1, 0);
+    ++lane.cycleCounts[cycles];
 }
 
 void
@@ -186,8 +184,7 @@ LifetimeSimulator::ensureSlots(std::size_t slots)
 }
 
 void
-LifetimeSimulator::startLane(std::size_t slot, const LifetimeLane &spec,
-                             bool compactCycles)
+LifetimeSimulator::startLane(std::size_t slot, const LifetimeLane &spec)
 {
     require(spec.model != nullptr,
             "LifetimeSimulator: lifetime has no error model");
@@ -207,32 +204,25 @@ LifetimeSimulator::startLane(std::size_t slot, const LifetimeLane &spec,
     lane.rule = spec.rule;
     lane.tag = spec.tag;
     lane.acc = MonteCarloResult{};
-    lane.compact = compactCycles;
-    if (compactCycles) {
-        std::fill(lane.cycleCounts.begin(), lane.cycleCounts.end(), 0);
-        lane.cycleOverflow = 0;
-    } else {
-        lane.acc.cycleHistogram = Histogram(maxCycles_);
-    }
+    std::fill(lane.cycleCounts.begin(), lane.cycleCounts.end(), 0);
+    lane.cycleOverflow = 0;
     lane.work = MeshWorkCounters{};
     lane.parity = {};
     lane.done = spec.rule.maxTrials == 0;
     states_[slot].clear();
 }
 
-void
-LifetimeSimulator::finishLane(std::size_t slot, LifetimeSource &source)
+MonteCarloResult
+LifetimeSimulator::finishLane(std::size_t slot)
 {
     Lane &lane = lanes_[slot];
-    if (lane.compact) {
-        std::vector<std::size_t> bins(maxCycles_ + 1, 0);
-        std::copy(lane.cycleCounts.begin(), lane.cycleCounts.end(),
-                  bins.begin());
-        lane.acc.cycleHistogram =
-            Histogram::fromParts(std::move(bins), lane.cycleOverflow);
-    }
+    std::vector<std::size_t> bins(maxCycles_ + 1, 0);
+    std::copy(lane.cycleCounts.begin(), lane.cycleCounts.end(),
+              bins.begin());
+    lane.acc.cycleHistogram =
+        Histogram::fromParts(std::move(bins), lane.cycleOverflow);
     lane.acc.finalize();
-    source.finish(lane.tag, std::move(lane.acc), lane.work);
+    return std::move(lane.acc);
 }
 
 /**
@@ -345,11 +335,8 @@ LifetimeSimulator::settleTrial(
                     "decoder");
             continue;
         }
-        if (stats[fi]) {
-            lane.work.add(*stats[fi]);
-            if (windowRounds_ == 0)
-                recordMeshStats(*stats[fi], lane);
-        }
+        if (stats[fi] && windowRounds_ == 0)
+            recordMeshStats(*stats[fi], lane);
         if (lifetimeMode_) {
             const bool parity = crossingParity(state, f.type);
             failed |= parity != lane.parity[fi];
@@ -369,39 +356,52 @@ LifetimeSimulator::settleTrial(
                  acc.failures >= lane.rule.targetFailures);
 }
 
-void
-LifetimeSimulator::runLifetimes(LifetimeSource &source, std::size_t lanes)
+MeshDecoder *
+LifetimeSimulator::lifetimePump() const
 {
-    LifetimeLaneDecoder *pump = families_[0].decoder->lifetimeLanes();
-    if (lanes > 1 && lifetimeMode_ && pump) {
-        pumpLifetimes(source, lanes, *pump);
-        return;
-    }
-    lanes_.resize(1);
-    ensureSlots(1);
-    for (LifetimeLane spec; source.claim(spec);) {
-        startLane(0, spec, false);
-        runLane();
-        finishLane(0, source);
-    }
+    auto *mesh = lifetimeMode_
+                     ? dynamic_cast<MeshDecoder *>(families_[0].decoder)
+                     : nullptr;
+    return mesh && mesh->batchLanes() > 1 ? mesh : nullptr;
+}
+
+std::size_t
+LifetimeSimulator::lifetimeLanes() const
+{
+    const MeshDecoder *pump = lifetimePump();
+    return pump ? static_cast<std::size_t>(pump->batchLanes()) : 1;
 }
 
 void
-LifetimeSimulator::runLane()
+LifetimeSimulator::runLifetimes(LifetimeSource &source)
 {
+    if (MeshDecoder *pump = lifetimePump()) {
+        pumpLifetimes(source, *pump);
+        return;
+    }
+    for (LifetimeLane spec; source.claim(spec);)
+        source.finish(spec.tag, runAlone(spec));
+}
+
+MonteCarloResult
+LifetimeSimulator::runAlone(const LifetimeLane &spec)
+{
+    lanes_.resize(1);
+    ensureSlots(1);
+    startLane(0, spec);
     // A lifetime's rounds are groups of one; independent trials group
     // up to batchLanes_.
     Lane &lane = lanes_[0];
     const std::size_t group = lifetimeMode_ ? 1 : batchLanes_;
     while (!lane.done)
         runGroup(std::min(group, lane.rule.maxTrials - lane.acc.trials));
+    return finishLane(0);
 }
 
 void
-LifetimeSimulator::pumpLifetimes(LifetimeSource &source,
-                                 std::size_t lanes,
-                                 LifetimeLaneDecoder &pump)
+LifetimeSimulator::pumpLifetimes(LifetimeSource &source, MeshDecoder &pump)
 {
+    const auto lanes = static_cast<std::size_t>(pump.batchLanes());
     lanes_.resize(lanes);
     ensureSlots(lanes);
     pending_.resize(lanes);
@@ -447,8 +447,11 @@ LifetimeSimulator::finished(std::size_t lifetime,
     // The rest of the round, as runGroup runs it: apply Z, decode and
     // apply X (a batch of one on the X decoder), then settle.
     const std::size_t slot = lifetime;
+    Lane &lane = lanes_[slot];
     ErrorState &state = states_[slot];
     correction.applyTo(state, ErrorType::Z);
+    // Lifetimes share the decoders, so each tallies its own decodes.
+    lane.work.add(stats);
     std::array<const MeshDecodeStats *, 2> laneStats{&stats, nullptr};
     Family &x = families_[1];
     if (x.decoder) {
@@ -457,15 +460,26 @@ LifetimeSimulator::finished(std::size_t lifetime,
         x.decoder->decodeBatch(&syn, 1, *ws_);
         ws_->laneCorrections[0].applyTo(state, x.type);
         laneStats[1] = x.decoder->meshStats(0);
+        lane.work.add(*laneStats[1]);
     }
-    settleTrial(lanes_[slot], state, laneStats);
-    if (!lanes_[slot].done) {
+    settleTrial(lane, state, laneStats);
+    if (!lane.done) {
         beginRound(slot);
         return;
     }
     // A lifetime that ended hands its slot to the next one claimed.
-    finishLane(slot, *source_);
+    endLifetime(slot);
     claimInto(slot);
+}
+
+/** Give pump slot @p slot's ended lifetime, with its work, back. */
+void
+LifetimeSimulator::endLifetime(std::size_t slot)
+{
+    const std::size_t tag = lanes_[slot].tag;
+    MonteCarloResult result = finishLane(slot);
+    lanes_[slot].work.exportTo(result.metrics);
+    source_->finish(tag, std::move(result));
 }
 
 /**
@@ -476,12 +490,12 @@ bool
 LifetimeSimulator::claimInto(std::size_t slot)
 {
     for (LifetimeLane spec; source_->claim(spec);) {
-        startLane(slot, spec, true);
+        startLane(slot, spec);
         if (!lanes_[slot].done) {
             beginRound(slot);
             return true;
         }
-        finishLane(slot, *source_);
+        endLifetime(slot);
     }
     return false;
 }
@@ -491,12 +505,7 @@ LifetimeSimulator::run(const StopRule &rule)
 {
     require(model_ != nullptr,
             "LifetimeSimulator: run() needs the constructor's model");
-    lanes_.resize(1);
-    ensureSlots(1);
-    startLane(0, {model_, seed_, rule, 0}, false);
-    runLane();
-    lanes_[0].acc.finalize();
-    return std::move(lanes_[0].acc);
+    return runAlone({model_, seed_, rule, 0});
 }
 
 } // namespace nisqpp

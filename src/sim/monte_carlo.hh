@@ -18,6 +18,7 @@
 
 #include "common/rng.hh"
 #include "common/stats.hh"
+#include "core/mesh_decoder.hh"
 #include "decoders/decoder.hh"
 #include "obs/metrics.hh"
 #include "surface/error_model.hh"
@@ -117,10 +118,10 @@ class LifetimeSource
 
     /**
      * The lifetime claimed with @p tag ended: @p result is its
-     * finalized aggregate, @p work the mesh work of its decodes.
+     * finalized aggregate. Lifetimes that shared a lane decoder carry
+     * their share of its decoder.* counters in result.metrics.
      */
-    virtual void finish(std::size_t tag, MonteCarloResult result,
-                        const MeshWorkCounters &work) = 0;
+    virtual void finish(std::size_t tag, MonteCarloResult result) = 0;
 
   protected:
     ~LifetimeSource() = default;
@@ -136,8 +137,7 @@ class LifetimeSource
  * (the engine shares one per worker thread across shards; a simulator
  * without one owns a private workspace). A lifetime runs through one
  * group runner at any batch size — a scalar trial is a group of one —
- * unless several share a decoder with lifetime lanes
- * (runLifetimes).
+ * unless several share a mesh decoder (runLifetimes).
  */
 class LifetimeSimulator : private LifetimeFeed
 {
@@ -189,8 +189,8 @@ class LifetimeSimulator : private LifetimeFeed
      * counters, cycle statistics, histograms — is byte-identical to
      * lanes = 1 for the same seed. Lifetime mode ignores it: round
      * k + 1 depends on round k's correction, so a lifetime's groups
-     * are rounds of one; only runLifetimes with several lifetimes on a
-     * lifetime-lane decoder decodes lifetimes side by side.
+     * are rounds of one. The decoder sizes lifetime lanes instead
+     * (lifetimeLanes).
      */
     void setBatchLanes(std::size_t lanes);
     std::size_t batchLanes() const { return batchLanes_; }
@@ -217,16 +217,24 @@ class LifetimeSimulator : private LifetimeFeed
     MonteCarloResult run(const StopRule &rule);
 
     /**
+     * Lifetimes runLifetimes runs side by side: in lifetime mode on a
+     * mesh Z decoder, its lane count (MeshDecoder::batchLanes), else 1.
+     * Only the mesh qualifies: every counter it exports is a sum of
+     * the MeshDecodeStats of its decodes, so lifetimes sharing it can
+     * report exact counters of their own.
+     */
+    std::size_t lifetimeLanes() const;
+
+    /**
      * Run every lifetime @p source hands out, each exactly as run()
      * would with its model, seed and rule, and give each result back
-     * to the source as it ends. With @p lanes > 1, lifetime mode and
-     * a Z decoder with lifetime lanes (Decoder::lifetimeLanes), up to
-     * @p lanes lifetimes run side by side through the decoder's lane
-     * pump: each lifetime's next round starts the moment its last
-     * decode finishes, and a lifetime that ends hands its lane to the
-     * next one claimed. Otherwise lifetimes run one after another.
+     * to the source as it ends. With lifetimeLanes() > 1 they run side
+     * by side through the Z decoder's lane pump: each lifetime's next
+     * round starts the moment its last decode finishes, and a lifetime
+     * that ends hands its lane to the next one claimed. Otherwise they
+     * run one after another.
      */
-    void runLifetimes(LifetimeSource &source, std::size_t lanes);
+    void runLifetimes(LifetimeSource &source);
 
   private:
     /** One error family: its decoder and per-slot scratch. */
@@ -246,34 +254,29 @@ class LifetimeSimulator : private LifetimeFeed
         StopRule rule{};
         std::size_t tag = 0;
         MonteCarloResult acc;
-        MeshWorkCounters work;
         /**
-         * Compact lanes (the pump's, which run many at once) count
-         * cycles here and build acc's histogram when they end:
-         * counts up to the largest value seen, then the overflow.
-         * @{
+         * Cycle histogram, built into acc when the lifetime ends:
+         * counts up to the largest value seen, then the overflow
+         * (a pump runs many lanes at once). @{
          */
-        bool compact = false;
         std::vector<std::uint64_t> cycleCounts;
         std::uint64_t cycleOverflow = 0;
         /** @} */
+        MeshWorkCounters work; ///< the pump's tally of its decodes
         std::array<bool, 2> parity{}; ///< lifetime crossing parities
         bool done = true;
     };
 
     /**
      * Start @p spec in lane @p slot (state slot @p slot): a fresh RNG
-     * stream, aggregate and parities on a clean lattice. With
-     * @p compactCycles its cycle histogram is counted compactly until
-     * the lifetime ends.
+     * stream, aggregate and parities on a clean lattice.
      */
-    void startLane(std::size_t slot, const LifetimeLane &spec,
-                   bool compactCycles);
-    /** Finalize lane @p slot's aggregate and give it to @p source. */
-    void finishLane(std::size_t slot, LifetimeSource &source);
+    void startLane(std::size_t slot, const LifetimeLane &spec);
+    /** Build lane @p slot's cycle histogram and finalize its result. */
+    MonteCarloResult finishLane(std::size_t slot);
 
-    /** Run lane 0 until its rule stops it, group by group. */
-    void runLane();
+    /** Run @p spec alone in lane 0, group by group. */
+    MonteCarloResult runAlone(const LifetimeLane &spec);
 
     /**
      * Run one group of @p count consecutive trials of lane 0: produce
@@ -285,10 +288,13 @@ class LifetimeSimulator : private LifetimeFeed
      */
     void runGroup(std::size_t count);
 
+    /** The Z decoder when lifetimes can run as its lanes, else null. */
+    MeshDecoder *lifetimePump() const;
+
     /** runLifetimes' lane pump (see there). @{ */
-    void pumpLifetimes(LifetimeSource &source, std::size_t lanes,
-                       LifetimeLaneDecoder &pump);
+    void pumpLifetimes(LifetimeSource &source, MeshDecoder &pump);
     bool claimInto(std::size_t slot);
+    void endLifetime(std::size_t slot);
     void beginRound(std::size_t slot);
     bool next(const Syndrome *&syndrome, std::size_t &lifetime) override;
     void finished(std::size_t lifetime, const Correction &correction,
@@ -296,9 +302,9 @@ class LifetimeSimulator : private LifetimeFeed
     /** @} */
 
     /**
-     * Record a trial's telemetry (@p stats per family, null when
-     * absent), classify @p state and count the trial into @p lane,
-     * marking it done when its rule stops it.
+     * Record a trial's cycle telemetry (@p stats per family, null
+     * when absent), classify @p state and count the trial into
+     * @p lane, marking it done when its rule stops it.
      */
     void settleTrial(Lane &lane, const ErrorState &state,
                      const std::array<const MeshDecodeStats *, 2> &stats);

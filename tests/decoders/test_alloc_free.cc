@@ -289,8 +289,7 @@ class Lifetimes final : public LifetimeSource
     }
 
     void
-    finish(std::size_t tag, MonteCarloResult result,
-           const MeshWorkCounters &) override
+    finish(std::size_t tag, MonteCarloResult result) override
     {
         results_[tag] = std::move(result);
     }
@@ -311,15 +310,14 @@ TEST(AllocFreeLifetimes, LaneRoundsAllocateNothing)
     // exactly the same.
     const SurfaceLattice lat(kDistance);
     const auto dec = makeDecoder("sfq_mesh", lat);
-    ASSERT_NE(dec->lifetimeLanes(), nullptr);
-    const std::size_t lanes = dec->lifetimeLanes()->lanes();
-    ASSERT_GT(lanes, 1u);
     TrialWorkspace ws;
     LifetimeSimulator sim(lat, *dec, nullptr, false, &ws);
     sim.setLifetimeMode(true);
+    const std::size_t lanes = sim.lifetimeLanes();
+    ASSERT_GT(lanes, 1u);
     const auto run = [&](std::size_t rounds) {
         Lifetimes source(lanes, rounds);
-        return allocationsDuring([&] { sim.runLifetimes(source, lanes); });
+        return allocationsDuring([&] { sim.runLifetimes(source); });
     };
     run(64);
     const std::uint64_t shortRun = run(8);

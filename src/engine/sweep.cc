@@ -179,14 +179,6 @@ struct Engine::CellGroup
         return true;
     }
 
-    /** Whether every claimable shard of the group is claimed. */
-    bool
-    drained()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return !advance();
-    }
-
     /** Shards still to claim (the wave size); call before pumping. */
     std::size_t
     unclaimed() const
@@ -350,10 +342,11 @@ Engine::pumpGroup(CellGroup &group)
         }
         // A one-shard pump resubmits before this task returns, which
         // keeps the pool's in-flight count nonzero so wait() cannot
-        // wake early; it dies once every shard below the (published)
-        // stop indices has been claimed. A lane pump has drained its
-        // group (or seen an interrupt) by the time it returns.
-        if (!source.shared && !group.drained())
+        // wake early; the chain dies at the first claim that finds
+        // every shard below the (published) stop indices claimed. A
+        // lane pump has drained its group (or seen an interrupt) by
+        // the time it returns.
+        if (!source.shared)
             pumpGroup(group);
     });
 }

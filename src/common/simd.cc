@@ -16,6 +16,8 @@ activeSlot()
     return w;
 }
 
+bool portableForTest = false;
+
 } // namespace
 
 Width
@@ -23,9 +25,9 @@ detectWidth()
 {
 #if (defined(__GNUC__) || defined(__clang__)) && \
     (defined(__x86_64__) || defined(__i386__))
-    if (__builtin_cpu_supports("avx512f"))
+    if (cpuSupports(Width::V512))
         return Width::V512;
-    if (__builtin_cpu_supports("avx2"))
+    if (cpuSupports(Width::V256))
         return Width::V256;
     return Width::Scalar;
 #else
@@ -34,6 +36,46 @@ detectWidth()
     // 256-bit word, which lowers to NEON / scalar pairs acceptably.
     return Width::V256;
 #endif
+}
+
+bool
+cpuSupports(Width w)
+{
+#if (defined(__GNUC__) || defined(__clang__)) && \
+    (defined(__x86_64__) || defined(__i386__))
+    switch (w) {
+      case Width::Scalar:
+        return true;
+      case Width::V256:
+        return __builtin_cpu_supports("avx2");
+      case Width::V512:
+        return __builtin_cpu_supports("avx512f");
+    }
+    return false;
+#else
+    return w == Width::Scalar;
+#endif
+}
+
+bool
+nativeEngine(Width w)
+{
+    // Which native units the build compiled (see CMakeLists.txt).
+    bool built = true;
+#ifndef NISQPP_NATIVE_AVX2
+    built &= w != Width::V256;
+#endif
+#ifndef NISQPP_NATIVE_AVX512
+    built &= w != Width::V512;
+#endif
+    return w == Width::Scalar ||
+           (built && !portableForTest && cpuSupports(w));
+}
+
+void
+setPortableForTest(bool portable)
+{
+    portableForTest = portable;
 }
 
 Width

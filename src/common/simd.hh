@@ -7,13 +7,18 @@
  * chosen once at startup from CPUID and overridable by the validated
  * `NISQPP_SIMD` env knob or the hard-failing `--simd` CLI flag.
  *
- * The vector types deliberately compile WITHOUT -mavx2/-mavx512f:
- * GNU vector extensions lower to whatever the baseline ISA offers
- * (SSE2 pairs, or plain scalar words), so selecting a wider word on
- * older hardware is safe — it just packs more lanes per loop without
- * the single-instruction step. CPUID therefore only picks the default
- * that is *fastest*, not the widest that is *legal*, and tests can pin
- * any width on any machine.
+ * The vector types compile at the baseline ISA everywhere except in
+ * the mesh lane engine's native units: GNU vector extensions lower to
+ * whatever the baseline offers (SSE2 pairs, or plain scalar words), so
+ * selecting a wider word on older hardware is safe — it just packs
+ * more lanes per loop without the single-instruction step. CPUID
+ * therefore only picks the default that is *fastest*, not the widest
+ * that is *legal*, and tests can pin any width on any machine. The
+ * mesh engine's 256/512-bit words are also compiled a second time, in
+ * units built with -mavx2 / -mavx512f (the features detectWidth()
+ * probes), under the ISA tags below; a decoder steps that native build
+ * whenever nativeEngine() says the CPU runs it, and the baseline build
+ * otherwise.
  *
  * Decoders latch the active width at construction (and build only that
  * engine), so changing the width mid-run never mixes engines. Lane
@@ -40,6 +45,25 @@ enum class Width
     V512    ///< 8 x 64-bit GNU vector (AVX-512-sized)
 };
 
+/**
+ * ISA tags of a lane engine's build. Portable names the baseline-ISA
+ * build of the engine templates; Avx2 and Avx512 name the native builds
+ * of the 256- and 512-bit words, each instantiated only in a translation
+ * unit compiled for that ISA. The tag is part of every native symbol's
+ * name, so the linker can never hand a native body to a portable caller.
+ * @{
+ */
+struct Portable
+{
+};
+struct Avx2
+{
+};
+struct Avx512
+{
+};
+/** @} */
+
 /** 64-bit lane word (the scalar dispatch target). */
 using W64 = std::uint64_t;
 
@@ -65,6 +89,30 @@ Width activeWidth();
 /** Override the dispatch width (CLI/env plumbing and tests). */
 void setActiveWidth(Width w);
 
+/**
+ * CPUID probe: whether this CPU executes @p w's ISA — AVX2 for V256,
+ * AVX-512F for V512, exactly the features detectWidth() probes. Always
+ * true for Scalar.
+ */
+bool cpuSupports(Width w);
+
+/**
+ * Whether a lane engine latched to @p w runs a native-ISA build: the
+ * build compiled one (an x86-64 target whose compiler accepts the
+ * flag), cpuSupports(w), and no test forced the portable build. A
+ * 64-bit word is native everywhere. Decoders latch this at
+ * construction, next to the width.
+ */
+bool nativeEngine(Width w);
+
+/**
+ * Tests only: make decoders built from now on step every width through
+ * the portable build (true), or natively where nativeEngine() allows
+ * (false, the default). Neither the CLI, the environment nor any config
+ * reaches it; it exists so tests can run one batch through both builds.
+ */
+void setPortableForTest(bool portable);
+
 /** Canonical token of @p w: "scalar", "v256" or "v512". */
 const char *widthName(Width w);
 
@@ -86,9 +134,18 @@ Width widthFromEnv(Width fallback, const char *var = "NISQPP_SIMD");
 /**
  * Element accessors bridging the lane word types: a plain uint64_t and
  * the multi-element vectors. Batch stepping code is written against
- * these, so one templated implementation serves every width.
+ * these, so one templated implementation serves every width. They are
+ * always inlined: an out-of-line copy emitted by a native-ISA unit
+ * would share its name with the portable one, and the linker could
+ * keep the native copy for every caller.
  * @{
  */
+#if defined(__GNUC__) || defined(__clang__)
+#define NISQPP_LANE_INLINE [[gnu::always_inline]] inline
+#else
+#define NISQPP_LANE_INLINE inline
+#endif
+
 template <typename W>
 constexpr int
 elementsOf()
@@ -97,7 +154,7 @@ elementsOf()
 }
 
 template <typename W>
-inline std::uint64_t
+NISQPP_LANE_INLINE std::uint64_t
 elemOf(const W &w, int el)
 {
     if constexpr (sizeof(W) == sizeof(std::uint64_t)) {
@@ -109,7 +166,7 @@ elemOf(const W &w, int el)
 }
 
 template <typename W>
-inline void
+NISQPP_LANE_INLINE void
 orElem(W &w, int el, std::uint64_t v)
 {
     if constexpr (sizeof(W) == sizeof(std::uint64_t)) {
@@ -121,7 +178,7 @@ orElem(W &w, int el, std::uint64_t v)
 }
 
 template <typename W>
-inline void
+NISQPP_LANE_INLINE void
 andElem(W &w, int el, std::uint64_t v)
 {
     if constexpr (sizeof(W) == sizeof(std::uint64_t)) {
@@ -133,7 +190,7 @@ andElem(W &w, int el, std::uint64_t v)
 }
 
 template <typename W>
-inline bool
+NISQPP_LANE_INLINE bool
 anyW(const W &w)
 {
     if constexpr (sizeof(W) == sizeof(std::uint64_t))

@@ -41,9 +41,11 @@
  *
  * The same engine runs independent lifetimes (decodeLifetimes): a
  * lane that frees takes the next pending round of any lifetime, so no
- * lane waits for a slow sibling's round. Wide lane words are stepped
- * 128 bits at a time, in place — the step is elementwise — which keeps
- * a row's signals in registers at the portable ISA.
+ * lane waits for a slow sibling's round. The 256/512-bit engines are
+ * compiled twice: at the baseline ISA, and in units built with -mavx2 /
+ * -mavx512f (mesh_lanes_avx2.cc, mesh_lanes_avx512.cc). A decoder
+ * latches the native build at construction when the CPU runs it
+ * (simd::nativeEngine) and the portable one otherwise.
  *
  * A batch of one (a lone lifetime and the tiered stream, whose
  * rounds depend on the previous correction) has a single lane and
@@ -56,7 +58,7 @@
  * empty masks. Lattices wider than 32 columns keep one row per word.
  *
  * Every trial's corrections and telemetry are bit-identical whichever
- * engine, width or layout steps it.
+ * engine, width, build or layout steps it.
  */
 
 #ifndef NISQPP_CORE_MESH_DECODER_HH
@@ -64,6 +66,7 @@
 
 #include <array>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "common/logging.hh"
@@ -167,6 +170,12 @@ class MeshDecoder : public Decoder
     /** Lane word width the batch engine was latched to (telemetry). */
     simd::Width batchWidth() const { return width_; }
 
+    /**
+     * Whether the batch engine runs its native-ISA build (latched with
+     * the width; see simd::nativeEngine).
+     */
+    bool batchNative() const { return native_; }
+
     /** Hard cap on simulated cycles per decode. */
     int cycleCap() const { return cycleCap_; }
 
@@ -204,6 +213,43 @@ class MeshDecoder : public Decoder
     };
 
     /**
+     * Allocator of lane-word planes, aligned to the word's size. A GNU
+     * vector's alignof follows the ISA its unit is compiled for (16
+     * bytes at the baseline, the full width under -mavx2/-mavx512f), so
+     * planes the generic unit allocates must already meet the native
+     * units' alignment. For the same reason every lane word held in a
+     * LaneEngine is alignas(sizeof(W)): the struct then has one layout
+     * in every unit.
+     */
+    template <typename W>
+    struct WordAllocator
+    {
+        using value_type = W;
+
+        WordAllocator() = default;
+        template <typename U>
+        WordAllocator(const WordAllocator<U> &)
+        {
+        }
+
+        W *
+        allocate(std::size_t n)
+        {
+            return static_cast<W *>(::operator new(
+                n * sizeof(W), std::align_val_t{sizeof(W)}));
+        }
+
+        void
+        deallocate(W *p, std::size_t n)
+        {
+            ::operator delete(p, n * sizeof(W),
+                              std::align_val_t{sizeof(W)});
+        }
+
+        bool operator==(const WordAllocator &) const = default;
+    };
+
+    /**
      * Everything the stepping core needs for one lane layout: the lane
      * geometry (masks placed into every lane of every element, shift
      * guards), the mesh planes, per-step scratch and the per-lane
@@ -218,14 +264,15 @@ class MeshDecoder : public Decoder
     template <typename W>
     struct LaneEngine
     {
-        using Planes = DirRow<std::vector<W>>;
+        using Words = std::vector<W, WordAllocator<W>>;
+        using Planes = DirRow<Words>;
 
         int lanes = 1;
         int perElem = 1; ///< sub-lanes per 64-bit element (64 / span)
         int rows = 0;    ///< words per plane (< span when stacked)
-        W guardE{};      ///< cleared before << 1 (per strip)
-        W guardW{};      ///< cleared before >> 1
-        std::vector<W> interior, bnd, valid; ///< replicated row masks
+        alignas(sizeof(W)) W guardE{}; ///< cleared before << 1 (per strip)
+        alignas(sizeof(W)) W guardW{}; ///< cleared before >> 1
+        Words interior, bnd, valid;    ///< replicated row masks
         /** Lane address: element index + sub-lane mask/base inside it. */
         std::array<int, kMaxLanes> laneElem{};
         std::array<std::uint64_t, kMaxLanes> laneSub{};
@@ -234,18 +281,16 @@ class MeshDecoder : public Decoder
         // Per-decode mesh state, shared by every lane. The signal
         // planes hold *emissions*: `g`/`rq`/`gr`/`pr` keep the previous
         // cycle's, and each cycle derives its shifted inputs from them
-        // on the fly. One-word engines collect this cycle's in
-        // `gOut`... and swap the buffers at the end of the step
-        // (stepLanes); wide engines overwrite them row by row in
-        // place (stepChunks) and leave `gOut`... empty.
+        // on the fly, collects this cycle's in `gOut`... and swaps the
+        // buffers at the end of the step (stepLanes).
         Planes g, rq, gr, pr;       ///< last cycle's emitted signals
         Planes gOut, rqOut, grOut, prOut; ///< this cycle's (scratch)
         Planes grantLatch;          ///< hot modules' grant choice
-        std::vector<W> formed; ///< sticky "this module formed a pair"
-        std::vector<W> fired;  ///< cleared endpoints still absorbing
-        std::vector<W> hot;
-        std::vector<W> chain;
-        std::vector<W> fire; ///< per-step scratch (no allocation)
+        Words formed; ///< sticky "this module formed a pair"
+        Words fired;  ///< cleared endpoints still absorbing
+        Words hot;
+        Words chain;
+        Words fire; ///< per-step scratch (no allocation)
 
         // Per-lane control state: diverging lanes freeze independently.
         std::array<int, kMaxLanes> resetCountdown{};
@@ -254,7 +299,8 @@ class MeshDecoder : public Decoder
         std::array<bool, kMaxLanes> active{};
         /** Steps since decodeLanes began (a lifetime pump runs long). */
         std::int64_t cycle = 0;
-        W prOcc{}; ///< pair-plane occupancy after the last step
+        /** Pair-plane occupancy after the last step. */
+        alignas(sizeof(W)) W prOcc{};
 
         /** Placement of physical mesh row @p row (strip row / rows). */
         RowSlot
@@ -270,29 +316,53 @@ class MeshDecoder : public Decoder
     void buildEngine(LaneEngine<W> &e, int max_lanes) const;
     template <typename W>
     LaneEngine<W> &packedEngine(LaneEngine<W> &e);
-    /**
-     * One mesh cycle of every lane. stepLanes serves one-word engines
-     * (the strip-stacked single lane and the 64-bit packed engine) and
-     * double-buffers the signal planes; stepChunks serves 256/512-bit
-     * words, 128 bits at a time and in place, skipping idle chunks.
-     * Both compute the same cycle: the chunked form is faster on wide
-     * words and slower on one word.
+    /*
+     * The lane engine proper: decodeLanes drives stepLanes and
+     * finishLane, defined in mesh_lanes.hh. Isa is the build's tag
+     * (simd::Portable, Avx2 or Avx512): the portable build of every word
+     * is instantiated in mesh_decoder.cc, and each native build only in
+     * its own unit compiled for that ISA, so its symbols carry the tag.
+     * They take the engine and the source by reference: no lane word
+     * crosses a unit boundary by value, whose ABI differs per ISA.
      */
-    template <typename W>
+    /**
+     * One mesh cycle of every lane, double-buffered: this cycle's
+     * emissions go to the `*Out` planes, swapped in at the end.
+     */
+    template <typename Isa, typename W>
     void stepLanes(LaneEngine<W> &e, MeshDecodeStats *const *laneStats);
-    template <typename W>
-    void stepChunks(LaneEngine<W> &e, MeshDecodeStats *const *laneStats);
-    template <typename W>
+    template <typename Isa, typename W>
     void finishLane(LaneEngine<W> &e, int lane, Correction &out,
                     MeshDecodeStats &stats);
     /**
      * Step @p e until @p source runs dry. Source hands trials to free
      * lanes (pull) and takes back finished ones (retire); see
-     * BatchSource and FeedSource in the .cc.
+     * BatchSource and FeedSource.
      */
-    template <typename W, typename Source>
+    template <typename Isa, typename W, typename Source>
     void decodeLanes(LaneEngine<W> &e, Source &source);
-    /** Call @p f with the latched width's packed engine (built once). */
+    struct BatchSource;
+    struct FeedSource;
+    /*
+     * Per-trial bookkeeping of the lane engine, out of line in the
+     * generic unit so the native units compile none of the inline
+     * helpers it needs (require, Syndrome::weight, std::vector).
+     */
+    /**
+     * Start a trial of @p syn: check its type, clear @p out and
+     * @p stats, and return its weight (hot syndrome bits).
+     */
+    int admit(const Syndrome &syn, Correction &out,
+              MeshDecodeStats &stats) const;
+    /**
+     * Append the data-qubit flips of mesh row @p r + 1's chain bits
+     * @p row (bit c + 1 is column c) to @p out.
+     */
+    void harvestRow(int r, std::uint64_t row, Correction &out) const;
+    /**
+     * Call @p f with the latched build's ISA tag and the latched
+     * width's packed engine (built once).
+     */
     template <typename F>
     void withPackedEngine(F &&f);
 
@@ -303,6 +373,8 @@ class MeshDecoder : public Decoder
 
     /** Dispatch width latched at construction (simd::activeWidth). */
     simd::Width width_;
+    /** Whether the width's native build runs (simd::nativeEngine). */
+    bool native_;
 
     LaneEngine<std::uint64_t> scalar_; ///< one lane: batches of one
     /**

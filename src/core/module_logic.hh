@@ -17,6 +17,8 @@
 #include <array>
 #include <cstdint>
 
+#include "common/simd.hh"
+
 namespace nisqpp {
 
 /** Travel direction of a mesh signal. */
@@ -61,9 +63,13 @@ using DirRow = std::array<Word, kNumDirs>;
  * @param allow Mask of modules permitted to act as intermediates
  *              (non-hot interior modules).
  * @param out   Accumulates emissions by travel direction (ORed in).
+ *
+ * Always inlined, like updateGrantLatch: the mesh's native-ISA lane
+ * units must not emit out-of-line copies under a name the portable
+ * build shares (see common/simd.hh).
  */
 template <typename Word>
-void
+NISQPP_LANE_INLINE void
 emitFromMeets(const DirRow<Word> &in, Word allow, DirRow<Word> &out)
 {
     const auto n = static_cast<int>(Dir::N);
@@ -94,7 +100,7 @@ emitFromMeets(const DirRow<Word> &in, Word allow, DirRow<Word> &out)
  * @param latch Grant latches by *grant* travel direction (updated).
  */
 template <typename Word>
-void
+NISQPP_LANE_INLINE void
 updateGrantLatch(const DirRow<Word> &rq, Word hot, DirRow<Word> &latch)
 {
     const auto n = static_cast<int>(Dir::N);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "common/simd.hh"
 #include "decoders/workspace.hh"
 #include "engine/thread_pool.hh"
 #include "obs/trace.hh"
@@ -431,6 +432,12 @@ Engine::runtimeMetricsInto(obs::MetricSet &out) const
             lifetimeGroups_.load(std::memory_order_relaxed));
     out.add("sched.lifetime.lanes",
             lifetimeLanes_.load(std::memory_order_relaxed));
+    const simd::Width width = simd::activeWidth();
+    out.maxGauge("sched.simd.width_bits",
+                 width == simd::Width::V512   ? 512u
+                 : width == simd::Width::V256 ? 256u
+                                              : 64u);
+    out.maxGauge("sched.simd.native", simd::nativeEngine(width) ? 1u : 0u);
 }
 
 void

@@ -189,7 +189,11 @@ class Engine
      * cells and the shards they ran, so lanes / groups is how many
      * lifetimes shared a decoder. Steal counts and the grouping are
      * scheduling races at N > 1 threads, hence the masked `sched.*`
-     * namespace (a 1-thread pool reports zero steals).
+     * namespace (a 1-thread pool reports zero steals). Also
+     * `sched.simd.width_bits` (64/256/512) and `sched.simd.native`
+     * (1 when lane engines at that width run their native-ISA build,
+     * simd::nativeEngine): host facts, masked so runs pinned to
+     * different widths still compare clean.
      */
     void runtimeMetricsInto(obs::MetricSet &out) const;
 

@@ -121,6 +121,39 @@ TEST(Simd, DetectWidthIsAValidWidth)
                 w == simd::Width::V512);
 }
 
+TEST(Simd, DetectWidthIsTheWidestTheCpuSupports)
+{
+    EXPECT_TRUE(simd::cpuSupports(simd::Width::Scalar));
+    const simd::Width w = simd::detectWidth();
+    EXPECT_TRUE(simd::cpuSupports(w) || w == simd::Width::V256)
+        << simd::widthName(w);
+    if (w != simd::Width::V512) {
+        EXPECT_FALSE(simd::cpuSupports(simd::Width::V512));
+    }
+}
+
+TEST(Simd, NativeEngineNeedsTheCpuAndTheBuild)
+{
+    for (simd::Width w : {simd::Width::Scalar, simd::Width::V256,
+                          simd::Width::V512}) {
+        if (simd::nativeEngine(w)) {
+            EXPECT_TRUE(simd::cpuSupports(w)) << simd::widthName(w);
+        }
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+        // x86-64 builds compile both native units.
+        EXPECT_EQ(simd::nativeEngine(w), simd::cpuSupports(w))
+            << simd::widthName(w);
+#endif
+    }
+    // The 64-bit word is native everywhere; the test switch moves only
+    // the wide words to their portable build.
+    simd::setPortableForTest(true);
+    EXPECT_TRUE(simd::nativeEngine(simd::Width::Scalar));
+    EXPECT_FALSE(simd::nativeEngine(simd::Width::V256));
+    EXPECT_FALSE(simd::nativeEngine(simd::Width::V512));
+    simd::setPortableForTest(false);
+}
+
 /** The element accessors must agree across all three word types. */
 template <typename W>
 void

@@ -8,18 +8,23 @@
  * stacked into strips, two or more the lane-packed one with one row
  * per word), including lanes that hit
  * quiescence or the cycle cap while sibling lanes keep stepping, and
- * empty lanes that finish at cycle 0 next to heavy ones.
+ * empty lanes that finish at cycle 0 next to heavy ones. The 256- and
+ * 512-bit words are also decoded through both of their builds, portable
+ * and native-ISA, which must agree bit for bit.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
 #include "core/mesh_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
+#include "obs/metrics.hh"
 
 namespace nisqpp {
 namespace {
@@ -279,6 +284,136 @@ TEST(MeshBatch, RepeatedBatchesReuseStateCleanly)
                 << "batch size " << size << " lane " << i;
             EXPECT_EQ(*batched.meshStats(i), reference.lastStats());
         }
+    }
+}
+
+/** Restores the SIMD width and the engine build on scope exit. */
+struct BuildGuard
+{
+    simd::Width saved = simd::activeWidth();
+    ~BuildGuard()
+    {
+        simd::setActiveWidth(saved);
+        simd::setPortableForTest(false);
+    }
+};
+
+/** Everything a batch decode must reproduce, as comparable text. */
+std::string
+decodeRecord(MeshDecoder &mesh, const std::vector<Syndrome> &syns)
+{
+    std::vector<const Syndrome *> ptrs;
+    for (const Syndrome &syn : syns)
+        ptrs.push_back(&syn);
+    TrialWorkspace ws;
+    mesh.decodeBatch(ptrs.data(), ptrs.size(), ws);
+    std::ostringstream os;
+    for (std::size_t i = 0; i < syns.size(); ++i) {
+        const MeshDecodeStats &st = *mesh.meshStats(i);
+        os << "lane " << i << ": cycles=" << st.cycles
+           << " pairings=" << st.pairings << " resets=" << st.resets
+           << " hot=" << st.remainingHot << " quiesced=" << st.quiesced
+           << " timedOut=" << st.timedOut << " flips=";
+        for (int q : ws.laneCorrections[i].dataFlips)
+            os << q << ',';
+        os << '\n';
+    }
+    obs::MetricSet counters;
+    mesh.exportMetrics(counters);
+    counters.forEachScalar(
+        [&os](const std::string &name, bool, std::uint64_t value) {
+            os << name << '=' << value << '\n';
+        });
+    return os.str();
+}
+
+/**
+ * Decode mixed batches at @p width through the portable build, which
+ * must match one-at-a-time strip decodes, and then through the native
+ * build, which must match the portable one: corrections, per-lane
+ * MeshDecodeStats and decoder.mesh.* counters. Only the native half is
+ * skipped, and only when the CPU lacks the width's ISA.
+ */
+void
+expectNativeMatchesPortable(simd::Width width)
+{
+    BuildGuard guard;
+    simd::setActiveWidth(width);
+    const bool native = simd::cpuSupports(width);
+    Rng rng(0x1a5eedULL);
+    for (int d : {3, 5, 7, 9, 11}) {
+        SurfaceLattice lat(d);
+        for (const MeshConfig &config : allVariants()) {
+            for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
+                // More trials than lanes, so freed lanes are refilled.
+                std::vector<Syndrome> syns;
+                for (int t = 0; t < 90; ++t)
+                    syns.push_back(randomSyndrome(
+                        lat, type, 0.02 + 0.04 * (t % 6), rng));
+                const std::string label =
+                    "d=" + std::to_string(d) + " " + config.label() +
+                    (type == ErrorType::Z ? " Z" : " X");
+
+                simd::setPortableForTest(true);
+                MeshDecoder reference(lat, type, config);
+                MeshDecoder checked(lat, type, config);
+                ASSERT_FALSE(checked.batchNative()) << label;
+                expectBatchMatchesScalar(reference, checked, syns,
+                                         label.c_str());
+                MeshDecoder portable(lat, type, config);
+                const std::string expected = decodeRecord(portable, syns);
+
+                if (!native)
+                    continue;
+                simd::setPortableForTest(false);
+                MeshDecoder nativeMesh(lat, type, config);
+                ASSERT_TRUE(nativeMesh.batchNative()) << label;
+                EXPECT_EQ(decodeRecord(nativeMesh, syns), expected)
+                    << label;
+
+                // Tight limits: lanes exit by cap and quiescence.
+                portable.setLimitsForTest(3 * d, 4);
+                nativeMesh.setLimitsForTest(3 * d, 4);
+                EXPECT_EQ(decodeRecord(nativeMesh, syns),
+                          decodeRecord(portable, syns))
+                    << "capped " << label;
+            }
+        }
+    }
+    if (!native)
+        GTEST_SKIP() << "native half skipped: the CPU lacks the ISA of "
+                     << simd::widthName(width);
+}
+
+TEST(MeshBatch, NativeBuildMatchesPortableAtV256)
+{
+    expectNativeMatchesPortable(simd::Width::V256);
+}
+
+TEST(MeshBatch, NativeBuildMatchesPortableAtV512)
+{
+    expectNativeMatchesPortable(simd::Width::V512);
+}
+
+TEST(MeshBatch, PortableSwitchReachesOnlyWideWords)
+{
+    // The 64-bit word is native everywhere; forcing the portable build
+    // moves only the wide words, and only in decoders built afterwards.
+    BuildGuard guard;
+    const SurfaceLattice lat(5);
+    simd::setActiveWidth(simd::Width::Scalar);
+    simd::setPortableForTest(true);
+    EXPECT_TRUE(MeshDecoder(lat, ErrorType::Z).batchNative());
+    for (simd::Width w : {simd::Width::V256, simd::Width::V512}) {
+        simd::setActiveWidth(w);
+        simd::setPortableForTest(true);
+        const MeshDecoder latched(lat, ErrorType::Z);
+        EXPECT_FALSE(latched.batchNative()) << simd::widthName(w);
+        simd::setPortableForTest(false);
+        EXPECT_FALSE(latched.batchNative()) << simd::widthName(w);
+        EXPECT_EQ(MeshDecoder(lat, ErrorType::Z).batchNative(),
+                  simd::nativeEngine(w))
+            << simd::widthName(w);
     }
 }
 

@@ -6,7 +6,8 @@
  * claim races between threads. None of that may reach a result:
  * every cell's trials, failures, cycle histogram and exported
  * decoder.* / engine.* counters must equal the values recorded from
- * one-shard-per-simulator runs, at every thread count and width.
+ * one-shard-per-simulator runs, at every thread count and width, and
+ * through both builds (portable and native-ISA) of the wide words.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/simd.hh"
+#include "obs/metrics.hh"
 #include "sim/experiment.hh"
 
 namespace nisqpp {
@@ -60,12 +62,31 @@ describe(const MonteCarloResult &cell)
     return os.str();
 }
 
-/** Restores the process-wide SIMD width on scope exit. */
+/** Restores the process-wide SIMD width and engine build on exit. */
 struct WidthGuard
 {
     simd::Width saved = simd::activeWidth();
-    ~WidthGuard() { simd::setActiveWidth(saved); }
+    ~WidthGuard()
+    {
+        simd::setActiveWidth(saved);
+        simd::setPortableForTest(false);
+    }
 };
+
+/** Lane word bits of a dispatch width (sched.simd.width_bits). */
+std::uint64_t
+widthBits(simd::Width w)
+{
+    switch (w) {
+      case simd::Width::Scalar:
+        return 64;
+      case simd::Width::V256:
+        return 256;
+      case simd::Width::V512:
+        return 512;
+    }
+    return 0;
+}
 
 constexpr simd::Width kWidths[] = {simd::Width::Scalar,
                                    simd::Width::V256,
@@ -213,8 +234,73 @@ TEST(LifetimeLanes, MeshSweepMatchesPinnedAtEveryWidthAndThreadCount)
                 runtime.value("sched.lifetime.groups");
             EXPECT_GE(groups, 1u);
             EXPECT_GT(runtime.value("sched.lifetime.lanes"), groups);
+            // ... and which lane engine ran them.
+            EXPECT_EQ(runtime.value("sched.simd.width_bits"),
+                      widthBits(width));
+            EXPECT_EQ(runtime.value("sched.simd.native"),
+                      simd::nativeEngine(width) ? 1u : 0u);
         }
     }
+    // Host facts, so masked: runs pinned to different widths or builds
+    // still compare clean.
+    EXPECT_TRUE(obs::maskedName("sched.simd.width_bits"));
+    EXPECT_TRUE(obs::maskedName("sched.simd.native"));
+}
+
+/** describe() of every cell of meshSweep() on 3 threads. */
+std::vector<std::string>
+sweepCells(obs::MetricSet &runtime)
+{
+    Engine engine(options(3));
+    const SweepResult result = engine.runSweep(
+        meshSweep(), meshDecoderFactory(MeshConfig::finalDesign()));
+    engine.runtimeMetricsInto(runtime);
+    std::vector<std::string> cells;
+    for (const auto &row : result.cells)
+        for (const MonteCarloResult &cell : row)
+            cells.push_back(describe(cell));
+    return cells;
+}
+
+/**
+ * The lifetime sweep at @p width through the portable build, which
+ * must give the pinned values, and then through the native build,
+ * which must give the portable build's results and decoder.mesh.*
+ * counters. Only the native half is skipped, and only when the CPU
+ * lacks the width's ISA.
+ */
+void
+expectNativeSweepMatchesPortable(simd::Width width)
+{
+    WidthGuard guard;
+    simd::setActiveWidth(width);
+    simd::setPortableForTest(true);
+    obs::MetricSet portableRuntime;
+    const std::vector<std::string> portable = sweepCells(portableRuntime);
+    ASSERT_EQ(portable.size(), std::size(kMeshSweep));
+    for (std::size_t i = 0; i < portable.size(); ++i)
+        EXPECT_EQ(portable[i], kMeshSweep[i]) << "cell " << i;
+    EXPECT_EQ(portableRuntime.value("sched.simd.width_bits"),
+              widthBits(width));
+    EXPECT_EQ(portableRuntime.value("sched.simd.native"), 0u);
+
+    if (!simd::cpuSupports(width))
+        GTEST_SKIP() << "native half skipped: the CPU lacks the ISA of "
+                     << simd::widthName(width);
+    simd::setPortableForTest(false);
+    obs::MetricSet nativeRuntime;
+    EXPECT_EQ(sweepCells(nativeRuntime), portable);
+    EXPECT_EQ(nativeRuntime.value("sched.simd.native"), 1u);
+}
+
+TEST(LifetimeLanes, NativeSweepMatchesPortableAtV256)
+{
+    expectNativeSweepMatchesPortable(simd::Width::V256);
+}
+
+TEST(LifetimeLanes, NativeSweepMatchesPortableAtV512)
+{
+    expectNativeSweepMatchesPortable(simd::Width::V512);
 }
 
 TEST(LifetimeLanes, StoppedCellEndsMidPlan)

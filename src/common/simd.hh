@@ -133,8 +133,10 @@ Width widthFromEnv(Width fallback, const char *var = "NISQPP_SIMD");
 
 /**
  * Element accessors bridging the lane word types: a plain uint64_t and
- * the multi-element vectors. Batch stepping code is written against
- * these, so one templated implementation serves every width. They are
+ * the multi-element vectors, plus the element shifts a mesh whose rows
+ * run across elements reads its north/south neighbours with. Batch
+ * stepping code is written against these, so one templated
+ * implementation serves every width. They are
  * always inlined: an out-of-line copy emitted by a native-ISA unit
  * would share its name with the portable one, and the linker could
  * keep the native copy for every caller.
@@ -200,6 +202,62 @@ anyW(const W &w)
         for (int el = 0; el < elementsOf<W>(); ++el)
             acc |= w[el];
         return acc != 0;
+    }
+}
+
+/**
+ * One-element shifts across a run of lane words, for data laid out
+ * element-major (item i of the run in element i % E of word i / E).
+ * nextElems(w, next) is the word one item further on: elements 1..E-1
+ * of @p w, then element 0 of @p next. prevElems(prev, w) is the word
+ * one item back: element E-1 of @p prev, then elements 0..E-2 of @p w.
+ * For the 64-bit word (E = 1) they return @p next and @p prev.
+ */
+template <typename W>
+NISQPP_LANE_INLINE W
+nextElems(const W &w, const W &next)
+{
+    if constexpr (elementsOf<W>() == 1) {
+        (void)w;
+        return next;
+    } else if constexpr (elementsOf<W>() == 4) {
+#if defined(__clang__)
+        return __builtin_shufflevector(w, next, 1, 2, 3, 4);
+#else
+        return __builtin_shuffle(w, next, W{1, 2, 3, 4});
+#endif
+    } else {
+        static_assert(elementsOf<W>() == 8, "lane word of 1, 4 or 8");
+#if defined(__clang__)
+        return __builtin_shufflevector(w, next, 1, 2, 3, 4, 5, 6, 7, 8);
+#else
+        return __builtin_shuffle(w, next, W{1, 2, 3, 4, 5, 6, 7, 8});
+#endif
+    }
+}
+
+template <typename W>
+NISQPP_LANE_INLINE W
+prevElems(const W &prev, const W &w)
+{
+    if constexpr (elementsOf<W>() == 1) {
+        (void)w;
+        return prev;
+    } else if constexpr (elementsOf<W>() == 4) {
+#if defined(__clang__)
+        return __builtin_shufflevector(prev, w, 3, 4, 5, 6);
+#else
+        return __builtin_shuffle(prev, w, W{3, 4, 5, 6});
+#endif
+    } else {
+        static_assert(elementsOf<W>() == 8, "lane word of 1, 4 or 8");
+#if defined(__clang__)
+        return __builtin_shufflevector(prev, w, 7, 8, 9, 10, 11, 12, 13,
+                                       14);
+#else
+        return __builtin_shuffle(prev, w,
+                                 W{7, 8, 9, 10, 11, 12, 13, 14});
+#endif
     }
 }
 /** @} */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "core/mesh_lanes.hh"
@@ -47,10 +48,21 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
     e.lanes = laneCount<W>(span_, max_lanes);
     // A lone lane would leave most of its word empty, so it stacks the
     // mesh as horizontal strips instead: strip j holds rows
-    // [j*rows, (j+1)*rows) at bit offset j*span. Packed lanes keep one
-    // mesh row per word (a single strip).
-    const int strips = e.lanes == 1 ? std::min(span_, 64 / span_) : 1;
-    e.rows = (span_ + strips - 1) / strips;
+    // [j*h, (j+1)*h) at bit offset j*span, and its strip rows run
+    // across the word's elements: strip row s sits in word s / E,
+    // element s % E. h is rounded up to whole words. Packed lanes keep
+    // one mesh row per word (a single strip, one element).
+    e.stacked = e.lanes == 1;
+    const int elems = e.stacked ? elementsOf<W>() : 1;
+    const int fill = e.stacked ? std::min(span_, 64 / span_) : 1;
+    const int height =
+        ((span_ + fill - 1) / fill + elems - 1) / elems * elems;
+    const int strips = (span_ + height - 1) / height;
+    e.rows = height / elems;
+    for (int r = 0; r < span_; ++r) {
+        const int s = r % height;
+        e.slot[r] = {s / elems, s % elems, r / height * span_};
+    }
     const int lane_bits = strips * span_;
     const std::uint64_t low = lane_bits >= 64
                                   ? ~std::uint64_t{0}
@@ -63,6 +75,24 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
         e.laneBase[l] = (l % per_elem) * span_;
         e.laneSub[l] = low << e.laneBase[l];
     }
+
+    // Every plane in one allocation: three masks, nine direction-
+    // resolved signal planes and five per-module ones.
+    constexpr int kPlaneCount = 3 + 9 * kNumDirs + 5;
+    e.block.assign(static_cast<std::size_t>(kPlaneCount) * e.rows, W{});
+    W *next = e.block.data();
+    const auto take = [&] {
+        W *plane = next;
+        next += e.rows;
+        return plane;
+    };
+    for (W **plane : {&e.interior, &e.bnd, &e.valid, &e.formed,
+                      &e.fired, &e.hot, &e.chain, &e.fire})
+        *plane = take();
+    for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch,
+                         &e.gOut, &e.rqOut, &e.grOut, &e.prOut})
+        for (W *&plane : *planes)
+            plane = take();
 
     // Single-lane row masks, then placed into every lane.
     std::vector<std::uint64_t> interior(span_, 0), bnd(span_, 0);
@@ -95,18 +125,16 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
     }
 
     // Padding rows of a short last strip keep all-zero masks.
-    e.interior.assign(e.rows, W{});
-    e.bnd.assign(e.rows, W{});
-    e.valid.assign(e.rows, W{});
     W edgeE{}, edgeW{};
     for (int l = 0; l < e.lanes; ++l) {
         const int el = e.laneElem[l];
         const int base = e.laneBase[l];
         for (int r = 0; r < span_; ++r) {
-            const RowSlot at = e.slot(r, span_);
-            orElem(e.interior[at.word], el,
+            const RowSlot at = e.slot[r];
+            orElem(e.interior[at.word], el + at.elem,
                    interior[r] << (base + at.shift));
-            orElem(e.bnd[at.word], el, bnd[r] << (base + at.shift));
+            orElem(e.bnd[at.word], el + at.elem,
+                   bnd[r] << (base + at.shift));
         }
         // Shift guards: drop each strip's edge column before an
         // east/west shift — exactly the bits the valid mask would kill
@@ -114,24 +142,17 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
         // trajectory-neutral while keeping lanes and strips isolated.
         for (int j = 0; j < strips; ++j) {
             const int off = base + j * span_;
-            orElem(edgeE, el, std::uint64_t{1} << (off + span_ - 1));
-            orElem(edgeW, el, std::uint64_t{1} << off);
+            for (int x = 0; x < elems; ++x) {
+                orElem(edgeE, el + x,
+                       std::uint64_t{1} << (off + span_ - 1));
+                orElem(edgeW, el + x, std::uint64_t{1} << off);
+            }
         }
     }
     for (int r = 0; r < e.rows; ++r)
         e.valid[r] = e.interior[r] | e.bnd[r];
     e.guardE = ~edgeE;
     e.guardW = ~edgeW;
-
-    for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch,
-                         &e.gOut, &e.rqOut, &e.grOut, &e.prOut})
-        for (auto &plane : *planes)
-            plane.assign(e.rows, W{});
-    e.formed.assign(e.rows, W{});
-    e.fired.assign(e.rows, W{});
-    e.hot.assign(e.rows, W{});
-    e.chain.assign(e.rows, W{});
-    e.fire.assign(e.rows, W{});
 }
 
 MeshDecoder::MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
@@ -143,10 +164,10 @@ MeshDecoder::MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
     require(span_ <= 62, "MeshDecoder: lattice too wide for 64-bit rows");
     cycleCap_ = 128 * span_;
     quiescence_ = 3 * span_ + 10;
-    buildEngine(scalar_, 1);
-    // Only the latched width's batch engine is ever built (lazily, see
-    // packedEngine): lane results are indexed by trial and identical
-    // across widths, so the choice only moves throughput.
+    // Only the latched width's engines are ever built, the packed one
+    // lazily (see engine()): lane results are indexed by trial and
+    // identical across widths, so the choice only moves throughput.
+    withEngine(one_, [](auto, auto &) {});
     switch (width_) {
       case simd::Width::Scalar:
         batchLanes_ = laneCount<simd::W64>(span_, kMaxLanes);
@@ -162,11 +183,27 @@ MeshDecoder::MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
 
 template <typename W>
 MeshDecoder::LaneEngine<W> &
-MeshDecoder::packedEngine(LaneEngine<W> &e)
+MeshDecoder::engine(AnyEngine &slot)
 {
-    if (e.rows == 0)
-        buildEngine(e, kMaxLanes);
+    if (auto *e = std::get_if<LaneEngine<W>>(&slot))
+        return *e;
+    auto &e = slot.emplace<LaneEngine<W>>();
+    buildEngine(e, &slot == &one_ ? 1 : kMaxLanes);
     return e;
+}
+
+int
+MeshDecoder::stripWords() const
+{
+    return std::visit(
+        [](const auto &e) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(e)>,
+                                         std::monostate>)
+                return 0;
+            else
+                return e.rows;
+        },
+        one_);
 }
 
 int
@@ -181,29 +218,29 @@ MeshDecoder::admit(const Syndrome &syn, Correction &out,
 
 template <typename F>
 void
-MeshDecoder::withPackedEngine(F &&f)
+MeshDecoder::withEngine(AnyEngine &slot, F &&f)
 {
     switch (width_) {
       case simd::Width::Scalar:
-        f(simd::Portable{}, packedEngine(batch64_));
+        f(simd::Portable{}, engine<simd::W64>(slot));
         break;
       case simd::Width::V256:
 #ifdef NISQPP_NATIVE_AVX2
         if (native_) {
-            f(simd::Avx2{}, packedEngine(batch256_));
+            f(simd::Avx2{}, engine<simd::W256>(slot));
             break;
         }
 #endif
-        f(simd::Portable{}, packedEngine(batch256_));
+        f(simd::Portable{}, engine<simd::W256>(slot));
         break;
       case simd::Width::V512:
 #ifdef NISQPP_NATIVE_AVX512
         if (native_) {
-            f(simd::Avx512{}, packedEngine(batch512_));
+            f(simd::Avx512{}, engine<simd::W512>(slot));
             break;
         }
 #endif
-        f(simd::Portable{}, packedEngine(batch512_));
+        f(simd::Portable{}, engine<simd::W512>(slot));
         break;
     }
 }
@@ -218,11 +255,7 @@ MeshDecoder::decodeBatch(const Syndrome *const *syndromes,
     batchStats_.resize(count);
     BatchSource source{syndromes, out, batchStats_.data(),
                        static_cast<int>(count)};
-    if (count == 1) {
-        decodeLanes<simd::Portable>(scalar_, source);
-        return;
-    }
-    withPackedEngine([&](auto isa, auto &e) {
+    withEngine(count == 1 ? one_ : packed_, [&](auto isa, auto &e) {
         decodeLanes<decltype(isa)>(e, source);
     });
 }
@@ -233,7 +266,7 @@ MeshDecoder::decodeLifetimes(LifetimeFeed &feed)
     feedOut_.resize(static_cast<std::size_t>(batchLanes_));
     batchStats_.resize(static_cast<std::size_t>(batchLanes_));
     FeedSource source{feed, feedOut_.data(), batchStats_.data()};
-    withPackedEngine([&](auto isa, auto &e) {
+    withEngine(packed_, [&](auto isa, auto &e) {
         decodeLanes<decltype(isa)>(e, source);
     });
 }

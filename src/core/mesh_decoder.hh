@@ -41,21 +41,27 @@
  *
  * The same engine runs independent lifetimes (decodeLifetimes): a
  * lane that frees takes the next pending round of any lifetime, so no
- * lane waits for a slow sibling's round. The 256/512-bit engines are
- * compiled twice: at the baseline ISA, and in units built with -mavx2 /
- * -mavx512f (mesh_lanes_avx2.cc, mesh_lanes_avx512.cc). A decoder
- * latches the native build at construction when the CPU runs it
- * (simd::nativeEngine) and the portable one otherwise.
+ * lane waits for a slow sibling's round. The 256/512-bit engines,
+ * packed and one-lane alike, are compiled twice: at the baseline ISA,
+ * and in units built with -mavx2 / -mavx512f (mesh_lanes_avx2.cc,
+ * mesh_lanes_avx512.cc). A decoder latches the native build at
+ * construction when the CPU runs it (simd::nativeEngine) and the
+ * portable one otherwise.
  *
- * A batch of one (a lone lifetime and the tiered stream, whose
- * rounds depend on the previous correction) has a single lane and
- * lays it out as horizontal *strips* instead: the span mesh rows are
- * cut into k = min(span, 64/span) strips of h = ceil(span/k) rows, and
- * strip j sits at bit offset j * span, so each plane is h words (7
- * instead of 19 at d = 9). Edge guards work per strip like the lane
- * guards, and the north/south neighbour reads continue across strip
- * ends with a span-wide shift. Padding rows of a short last strip have
- * empty masks. Lattices wider than 32 columns keep one row per word.
+ * A batch of one (a lone lifetime, a mesh window, and every round of
+ * the tiered stream, which depends on the previous correction) has a
+ * single lane and lays it out as horizontal *strips* instead, on the
+ * same latched word: the span mesh rows are cut into k strips of h
+ * rows, strip j at bit offset j * span, and the h strip rows run across
+ * the word's E elements, strip row s in element s % E of word s / E.
+ * h is ceil(span / min(span, 64 / span)) rounded up to a multiple of E
+ * and k = ceil(span / h), so a plane is h / E words: at d = 9 (span
+ * 19) 7 words of 64 bits, 2 of 256 or 1 of 512, instead of 19 rows.
+ * Edge guards work per strip like the lane guards. The north/south
+ * neighbour reads shift by one element across words
+ * (simd::nextElems/prevElems) and continue across strip ends with a
+ * span-wide shift. Padding rows of a short last strip have empty
+ * masks. Lattices wider than 32 columns are a single strip.
  *
  * Every trial's corrections and telemetry are bit-identical whichever
  * engine, width, build or layout steps it.
@@ -67,6 +73,7 @@
 #include <array>
 #include <cstdint>
 #include <new>
+#include <variant>
 #include <vector>
 
 #include "common/logging.hh"
@@ -118,8 +125,8 @@ class MeshDecoder : public Decoder
     using Decoder::decodeBatch;
 
     /**
-     * A batch of one steps the single-lane scalar engine; larger
-     * batches run the lane-packed engine: up to batchLanes() syndromes
+     * A batch of one steps the one-lane strip engine; larger batches
+     * run the lane-packed engine: up to batchLanes() syndromes
      * advance through the mesh planes together, one lane each, and
      * every freed lane is refilled from the remaining batch, so
      * @p count may (and for throughput should) exceed batchLanes().
@@ -167,14 +174,23 @@ class MeshDecoder : public Decoder
      */
     int batchLanes() const { return batchLanes_; }
 
-    /** Lane word width the batch engine was latched to (telemetry). */
+    /**
+     * Lane word width both engines were latched to (telemetry): the
+     * packed engine's and the one-lane strip engine's.
+     */
     simd::Width batchWidth() const { return width_; }
 
     /**
-     * Whether the batch engine runs its native-ISA build (latched with
-     * the width; see simd::nativeEngine).
+     * Whether the engines run their native-ISA build (latched with the
+     * width; see simd::nativeEngine).
      */
     bool batchNative() const { return native_; }
+
+    /**
+     * Lane words per mesh plane of the one-lane strip engine: at d = 9
+     * 7 at the 64-bit word, 2 at v256 and 1 at v512.
+     */
+    int stripWords() const;
 
     /** Hard cap on simulated cycles per decode. */
     int cycleCap() const { return cycleCap_; }
@@ -208,7 +224,8 @@ class MeshDecoder : public Decoder
     /** Where a physical mesh row lives inside its lane. */
     struct RowSlot
     {
-        int word;  ///< plane word index (row mod rows-per-strip)
+        int word;  ///< plane word index
+        int elem;  ///< element of the word, relative to the lane's
         int shift; ///< bit offset of its strip within the lane
     };
 
@@ -253,26 +270,41 @@ class MeshDecoder : public Decoder
      * Everything the stepping core needs for one lane layout: the lane
      * geometry (masks placed into every lane of every element, shift
      * guards), the mesh planes, per-step scratch and the per-lane
-     * control state. Two engines exist — LaneEngine<uint64_t> serves
-     * batches of one with a single lane stacked into strips, and
-     * LaneEngine<simd::W64/W256/W512> packs batchLanes() trials with
-     * one mesh row per word — and both run the exact same (templated)
-     * stepping code. All per-lane control state is *relative* to the
-     * lane's own start cycle, which is what lets decodeLanes() refill a
-     * freed lane with the next pending trial mid-flight.
+     * control state. Each width has two: the one-lane engine serves
+     * batches of one with a single lane *stacked* into strips across
+     * the word's elements, and the packed engine packs batchLanes()
+     * trials with one mesh row per word. Both run the exact same
+     * (templated) stepping code. All per-lane control state is
+     * *relative* to the lane's own start cycle, which is what lets
+     * decodeLanes() refill a freed lane with the next pending trial
+     * mid-flight.
+     *
+     * Every plane is a run of `rows` words inside one word-aligned
+     * allocation, so an engine is not copyable.
      */
     template <typename W>
     struct LaneEngine
     {
-        using Words = std::vector<W, WordAllocator<W>>;
-        using Planes = DirRow<Words>;
+        using Planes = DirRow<W *>;
+
+        LaneEngine() = default;
+        LaneEngine(const LaneEngine &) = delete;
+        LaneEngine &operator=(const LaneEngine &) = delete;
 
         int lanes = 1;
         int perElem = 1; ///< sub-lanes per 64-bit element (64 / span)
         int rows = 0;    ///< words per plane (< span when stacked)
+        /**
+         * One lane whose strip rows run across the elements. Its lane
+         * owns every bit of its words: the bits outside the mesh stay
+         * zero, so its lane masks are whole words.
+         */
+        bool stacked = false;
         alignas(sizeof(W)) W guardE{}; ///< cleared before << 1 (per strip)
         alignas(sizeof(W)) W guardW{}; ///< cleared before >> 1
-        Words interior, bnd, valid;    ///< replicated row masks
+        W *interior = nullptr; ///< replicated row masks
+        W *bnd = nullptr;
+        W *valid = nullptr;
         /** Lane address: element index + sub-lane mask/base inside it. */
         std::array<int, kMaxLanes> laneElem{};
         std::array<std::uint64_t, kMaxLanes> laneSub{};
@@ -283,14 +315,14 @@ class MeshDecoder : public Decoder
         // cycle's, and each cycle derives its shifted inputs from them
         // on the fly, collects this cycle's in `gOut`... and swaps the
         // buffers at the end of the step (stepLanes).
-        Planes g, rq, gr, pr;       ///< last cycle's emitted signals
-        Planes gOut, rqOut, grOut, prOut; ///< this cycle's (scratch)
-        Planes grantLatch;          ///< hot modules' grant choice
-        Words formed; ///< sticky "this module formed a pair"
-        Words fired;  ///< cleared endpoints still absorbing
-        Words hot;
-        Words chain;
-        Words fire; ///< per-step scratch (no allocation)
+        Planes g{}, rq{}, gr{}, pr{}; ///< last cycle's emitted signals
+        Planes gOut{}, rqOut{}, grOut{}, prOut{}; ///< this cycle's
+        Planes grantLatch{}; ///< hot modules' grant choice
+        W *formed = nullptr; ///< sticky "this module formed a pair"
+        W *fired = nullptr;  ///< cleared endpoints still absorbing
+        W *hot = nullptr;
+        W *chain = nullptr;
+        W *fire = nullptr; ///< per-step scratch (no allocation)
 
         // Per-lane control state: diverging lanes freeze independently.
         std::array<int, kMaxLanes> resetCountdown{};
@@ -302,20 +334,28 @@ class MeshDecoder : public Decoder
         /** Pair-plane occupancy after the last step. */
         alignas(sizeof(W)) W prOcc{};
 
-        /** Placement of physical mesh row @p row (strip row / rows). */
-        RowSlot
-        slot(int row, int span) const
-        {
-            return {row % rows, row / rows * span};
-        }
+        /** Storage of every plane above (buildEngine). */
+        std::vector<W, WordAllocator<W>> block;
+
+        /** Placement of each physical mesh row (span <= 62). */
+        std::array<RowSlot, 64> slot{};
     };
+
+    /** An engine of the latched width, or none yet. */
+    using AnyEngine =
+        std::variant<std::monostate, LaneEngine<simd::W64>,
+                     LaneEngine<simd::W256>, LaneEngine<simd::W512>>;
 
     template <typename W>
     static int laneCount(int span, int max_lanes);
     template <typename W>
     void buildEngine(LaneEngine<W> &e, int max_lanes) const;
+    /**
+     * @p slot's engine (one_ or packed_), built on first use with one
+     * lane or with kMaxLanes.
+     */
     template <typename W>
-    LaneEngine<W> &packedEngine(LaneEngine<W> &e);
+    LaneEngine<W> &engine(AnyEngine &slot);
     /*
      * The lane engine proper: decodeLanes drives stepLanes and
      * finishLane, defined in mesh_lanes.hh. Isa is the build's tag
@@ -328,8 +368,9 @@ class MeshDecoder : public Decoder
     /**
      * One mesh cycle of every lane, double-buffered: this cycle's
      * emissions go to the `*Out` planes, swapped in at the end.
+     * Stacked is LaneEngine::stacked.
      */
-    template <typename Isa, typename W>
+    template <typename Isa, bool Stacked, typename W>
     void stepLanes(LaneEngine<W> &e, MeshDecodeStats *const *laneStats);
     template <typename Isa, typename W>
     void finishLane(LaneEngine<W> &e, int lane, Correction &out,
@@ -360,11 +401,11 @@ class MeshDecoder : public Decoder
      */
     void harvestRow(int r, std::uint64_t row, Correction &out) const;
     /**
-     * Call @p f with the latched build's ISA tag and the latched
-     * width's packed engine (built once).
+     * Call @p f with the latched build's ISA tag and @p slot's engine
+     * of the latched width (see engine()).
      */
     template <typename F>
-    void withPackedEngine(F &&f);
+    void withEngine(AnyEngine &slot, F &&f);
 
     MeshConfig config_;
     int span_;      ///< grid size + 2 (boundary ring included)
@@ -376,16 +417,13 @@ class MeshDecoder : public Decoder
     /** Whether the width's native build runs (simd::nativeEngine). */
     bool native_;
 
-    LaneEngine<std::uint64_t> scalar_; ///< one lane: batches of one
+    /** The one-lane strip engine (batches of one), built eagerly. */
+    AnyEngine one_;
     /**
-     * Packed-lane engines. Only the latched width's is ever built, and
-     * only by the first multi-lane batch, so decoders that only see
-     * batches of one never pay for it. @{
+     * The packed-lane engine, built by the first multi-lane batch, so
+     * decoders that only see batches of one never pay for it.
      */
-    LaneEngine<simd::W64> batch64_;
-    LaneEngine<simd::W256> batch256_;
-    LaneEngine<simd::W512> batch512_;
-    /** @} */
+    AnyEngine packed_;
 
     /** Lane count of the latched batch engine. */
     int batchLanes_ = 1;

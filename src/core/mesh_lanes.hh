@@ -46,7 +46,9 @@ using simd::andElem;
 using simd::anyW;
 using simd::elementsOf;
 using simd::elemOf;
+using simd::nextElems;
 using simd::orElem;
+using simd::prevElems;
 
 } // namespace mesh_lanes
 
@@ -100,20 +102,34 @@ struct MeshDecoder::FeedSource
     }
 };
 
-template <typename Isa, typename W>
+template <typename Isa, bool Stacked, typename W>
 void
 MeshDecoder::stepLanes(LaneEngine<W> &e,
                        MeshDecodeStats *const *laneStats)
 {
     using namespace mesh_lanes;
-    using Words = typename LaneEngine<W>::Words;
+    // Lane masks: a packed lane is a sub-lane of one element, the lone
+    // stacked lane every bit of the word (LaneEngine::stacked).
+    const auto has = [&](const W &w, int l) {
+        if constexpr (Stacked)
+            return anyW(w);
+        else
+            return (elemOf(w, e.laneElem[l]) & e.laneSub[l]) != 0;
+    };
+    const auto mark = [&](W &w, int l) {
+        if constexpr (Stacked)
+            w = ~W{};
+        else
+            orElem(w, e.laneElem[l], e.laneSub[l]);
+    };
+
     // Lanes inside their reset window at cycle entry: grow emission is
     // blocked there, and grow/request/grant outputs are cleared again
     // below unless the lane fires this very cycle.
     W inReset{};
     for (int l = 0; l < e.lanes; ++l)
         if (e.resetCountdown[l] > 0)
-            orElem(inReset, e.laneElem[l], e.laneSub[l]);
+            mark(inReset, l);
 
     W fire_any{};
     const W guardE = e.guardE, guardW = e.guardW;
@@ -122,31 +138,36 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     // shifted inputs on the fly (a signal traveling East into row r is
     // last cycle's East emission of the same row, one column over),
     // saving a full materialization pass per plane per cycle.
-    const auto inE = [&](const Words &out, int r) {
+    const auto inE = [&](const W *out, int r) {
         return ((out[r] & guardE) << 1) & e.valid[r];
     };
-    const auto inW = [&](const Words &out, int r) {
+    const auto inW = [&](const W *out, int r) {
         return ((out[r] & guardW) >> 1) & e.valid[r];
     };
-    // Stacked strips continue across words: north of a strip's last
-    // row lies the next strip's first row (word 0, one span higher),
-    // south of its first row the previous strip's last row (last word,
-    // one span lower).
-    // Only a lone 64-bit lane is ever stacked (vector words always
-    // pack several lanes), so vector engines compile the wrap away.
+    // Stacked strip rows run across elements, so north/south is one
+    // element over (continuing into the next/previous word), and
+    // strips continue across words: north of a strip's last row lies
+    // the next strip's first row (word 0, one span higher), south of
+    // its first row the previous strip's last row (last word, one span
+    // lower).
     const int rows = e.rows;
-    const bool stacked =
-        sizeof(W) == sizeof(std::uint64_t) && rows < span_;
-    const auto inN = [&](const Words &out, int r) {
-        const W src = r + 1 < rows ? out[r + 1]
-                      : stacked    ? W(out[0] >> span_)
-                                   : W{};
+    const auto inN = [&](const W *out, int r) {
+        W src;
+        if constexpr (Stacked)
+            src = nextElems(out[r], r + 1 < rows ? out[r + 1]
+                                                 : W(out[0] >> span_));
+        else
+            src = r + 1 < rows ? out[r + 1] : W{};
         return src & e.valid[r];
     };
-    const auto inS = [&](const Words &out, int r) {
-        const W src = r > 0     ? out[r - 1]
-                      : stacked ? W(out[rows - 1] << span_)
-                                : W{};
+    const auto inS = [&](const W *out, int r) {
+        W src;
+        if constexpr (Stacked)
+            src = prevElems(r > 0 ? out[r - 1]
+                                  : W(out[rows - 1] << span_),
+                            out[r]);
+        else
+            src = r > 0 ? out[r - 1] : W{};
         return src & e.valid[r];
     };
 
@@ -273,7 +294,8 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
                 const std::uint64_t f = elemOf(fire, el);
                 if (!f)
                     continue;
-                const int first = el * e.perElem;
+                // The stacked lane owns every element.
+                const int first = Stacked ? 0 : el * e.perElem;
                 const int last = std::min(first + e.perElem, e.lanes);
                 for (int l = first; l < last; ++l) {
                     const int cleared =
@@ -288,14 +310,14 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
                 e.grantLatch[d][r] &= ~fire;
         }
         for (int l = 0; l < e.lanes; ++l) {
-            if (!(elemOf(fire_any, e.laneElem[l]) & e.laneSub[l]))
+            if (!has(fire_any, l))
                 continue;
-            orElem(fireLanes, e.laneElem[l], e.laneSub[l]);
+            mark(fireLanes, l);
             e.lastFire[l] = e.cycle;
             if (config_.resetMechanism) {
                 ++laneStats[l]->resets;
                 e.resetCountdown[l] = config_.resetCycles;
-                orElem(resetNow, e.laneElem[l], e.laneSub[l]);
+                mark(resetNow, l);
             }
         }
     }
@@ -333,7 +355,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     W windowOver{};
     for (int l = 0; l < e.lanes; ++l) {
         if (e.resetCountdown[l] > 0 && --e.resetCountdown[l] == 0)
-            orElem(windowOver, e.laneElem[l], e.laneSub[l]);
+            mark(windowOver, l);
     }
     if (anyW(windowOver))
         for (int r = 0; r < rows; ++r)
@@ -349,8 +371,8 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
     e.prOcc = pr_occ;
     W drained{};
     for (int l = 0; l < e.lanes; ++l)
-        if (!(elemOf(pr_occ, e.laneElem[l]) & e.laneSub[l]))
-            orElem(drained, e.laneElem[l], e.laneSub[l]);
+        if (!has(pr_occ, l))
+            mark(drained, l);
     if (anyW(drained))
         for (int r = 0; r < rows; ++r)
             e.fired[r] &= ~drained;
@@ -394,30 +416,39 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
     const int n = lattice().gridSize();
     const std::uint64_t span_bits = (std::uint64_t{1} << span_) - 1;
     for (int r = 0; r < n; ++r) {
-        const RowSlot at = e.slot(r + 1, span_);
-        const std::uint64_t row = ((elemOf(e.chain[at.word], el) &
-                                    elemOf(e.interior[at.word], el)) >>
-                                   (base + at.shift)) &
-                                  span_bits;
+        const RowSlot at = e.slot[r + 1];
+        const int at_el = el + at.elem;
+        const std::uint64_t row =
+            ((elemOf(e.chain[at.word], at_el) &
+              elemOf(e.interior[at.word], at_el)) >>
+             (base + at.shift)) &
+            span_bits;
         if (row)
             harvestRow(r, row, out);
     }
 
     // Zero the lane everywhere: once freed it contributes no signals,
     // no firings and no stats, and the next trial injected into it
-    // starts from clean planes. Only its own element is touched.
+    // starts from clean planes. A packed lane touches only its own
+    // element; the stacked lane owns whole words.
     const std::uint64_t keep = ~e.laneSub[lane];
-    for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
-        for (auto &plane : *planes)
-            for (W &w : plane)
-                andElem(w, el, keep);
-    for (auto *rows : {&e.formed, &e.fired, &e.hot, &e.chain})
-        for (W &w : *rows)
+    const auto clear = [&](W &w) {
+        if (e.stacked)
+            w = W{};
+        else
             andElem(w, el, keep);
+    };
+    for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
+        for (W *plane : *planes)
+            for (int r = 0; r < e.rows; ++r)
+                clear(plane[r]);
+    for (W *plane : {e.formed, e.fired, e.hot, e.chain})
+        for (int r = 0; r < e.rows; ++r)
+            clear(plane[r]);
     e.resetCountdown[lane] = 0;
     e.hotCount[lane] = 0;
     e.active[lane] = false;
-    andElem(e.prOcc, el, keep); // its pair pulses are gone with it
+    clear(e.prOcc); // its pair pulses are gone with it
 }
 
 template <typename Isa, typename W, typename Source>
@@ -426,12 +457,12 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e, Source &source)
 {
     using namespace mesh_lanes;
     for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
-        for (auto &plane : *planes)
-            for (W &w : plane)
-                w = W{};
-    for (auto *rows : {&e.formed, &e.fired, &e.hot, &e.chain})
-        for (W &w : *rows)
-            w = W{};
+        for (W *plane : *planes)
+            for (int r = 0; r < e.rows; ++r)
+                plane[r] = W{};
+    for (W *plane : {e.formed, e.fired, e.hot, e.chain})
+        for (int r = 0; r < e.rows; ++r)
+            plane[r] = W{};
     e.cycle = 0;
     e.prOcc = W{};
 
@@ -473,14 +504,16 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e, Source &source)
                     syn->forEachHot([&](int a) {
                         const Coord rc =
                             lattice().ancillaCoord(type(), a);
-                        const RowSlot at = e.slot(rc.row + 1, span_);
-                        orElem(e.hot[at.word], el,
+                        const RowSlot at = e.slot[rc.row + 1];
+                        orElem(e.hot[at.word], el + at.elem,
                                std::uint64_t{1}
                                    << (base + at.shift + rc.col + 1));
                     });
                 }
                 const bool pr_empty =
-                    !(elemOf(e.prOcc, e.laneElem[l]) & e.laneSub[l]);
+                    e.stacked ? !anyW(e.prOcc)
+                              : !(elemOf(e.prOcc, e.laneElem[l]) &
+                                  e.laneSub[l]);
                 if (e.hotCount[l] == 0 && pr_empty) {
                     // completed
                 } else if (e.cycle - start[l] >= cycleCap_) {
@@ -505,7 +538,10 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e, Source &source)
             break;
         if (running == 0)
             continue;
-        stepLanes<Isa>(e, laneStats.data());
+        if (e.stacked)
+            stepLanes<Isa, true>(e, laneStats.data());
+        else
+            stepLanes<Isa, false>(e, laneStats.data());
     }
 }
 

@@ -10,7 +10,9 @@
  * quiescence or the cycle cap while sibling lanes keep stepping, and
  * empty lanes that finish at cycle 0 next to heavy ones. The 256- and
  * 512-bit words are also decoded through both of their builds, portable
- * and native-ISA, which must agree bit for bit.
+ * and native-ISA, which must agree bit for bit, and one-lane decodes at
+ * every width (whose strip rows run across the word's elements) must
+ * match the 64-bit strip decode.
  */
 
 #include <gtest/gtest.h>
@@ -123,6 +125,19 @@ TEST(MeshBatch, LaneCountTracksSpanAndWidth)
             EXPECT_EQ(mesh.batchWidth(), w) << "d=" << d;
             EXPECT_EQ(mesh.batchLanes(), expected) << "d=" << d;
             EXPECT_GE(expected, 1) << "d=" << d;
+            // The one-lane engine's strip rows run across the word's
+            // elements: at d = 9 (span 19, 3 strips of 7 rows) a plane
+            // is 7 words of 64 bits, 2 of 256 and 1 of 512.
+            const int strip_rows = (span + 64 / span - 1) / (64 / span);
+            const int e = elementsOfWidth(w);
+            EXPECT_EQ(mesh.stripWords(), (strip_rows + e - 1) / e)
+                << "d=" << d;
+            if (d == 9) {
+                EXPECT_EQ(mesh.stripWords(),
+                          w == simd::Width::Scalar ? 7
+                          : w == simd::Width::V256 ? 2
+                                                   : 1);
+            }
         }
     }
     simd::setActiveWidth(before);
@@ -131,9 +146,9 @@ TEST(MeshBatch, LaneCountTracksSpanAndWidth)
 TEST(MeshBatch, MatchesScalarAcrossDistancesAndVariants)
 {
     // A batch of one stacks its rows into strips; larger batches keep
-    // one row per word, so this compares the two layouts. d = 3..9
-    // stack 7/5/4/3 strips, d = 11 and 13 two strips with a padding
-    // row, and d = 17 (span 35) is too wide to stack at all.
+    // one row per word, so this compares the two layouts at the
+    // default width. d = 11 and 13 have two strips with padding rows,
+    // and d = 17 (span 35) is a single strip.
     Rng rng(0xba7c4ULL);
     for (int d : {3, 5, 7, 9, 11, 13, 17}) {
         SurfaceLattice lat(d);
@@ -298,6 +313,32 @@ struct BuildGuard
     }
 };
 
+/** One decode's stats and correction, as comparable text. */
+void
+recordLane(std::ostream &os, std::size_t i, const MeshDecodeStats &st,
+           const Correction &correction)
+{
+    os << "lane " << i << ": cycles=" << st.cycles
+       << " pairings=" << st.pairings << " resets=" << st.resets
+       << " hot=" << st.remainingHot << " quiesced=" << st.quiesced
+       << " timedOut=" << st.timedOut << " flips=";
+    for (int q : correction.dataFlips)
+        os << q << ',';
+    os << '\n';
+}
+
+/** The decoder.mesh.* counters of @p mesh, as comparable text. */
+void
+recordCounters(std::ostream &os, const MeshDecoder &mesh)
+{
+    obs::MetricSet counters;
+    mesh.exportMetrics(counters);
+    counters.forEachScalar(
+        [&os](const std::string &name, bool, std::uint64_t value) {
+            os << name << '=' << value << '\n';
+        });
+}
+
 /** Everything a batch decode must reproduce, as comparable text. */
 std::string
 decodeRecord(MeshDecoder &mesh, const std::vector<Syndrome> &syns)
@@ -308,22 +349,9 @@ decodeRecord(MeshDecoder &mesh, const std::vector<Syndrome> &syns)
     TrialWorkspace ws;
     mesh.decodeBatch(ptrs.data(), ptrs.size(), ws);
     std::ostringstream os;
-    for (std::size_t i = 0; i < syns.size(); ++i) {
-        const MeshDecodeStats &st = *mesh.meshStats(i);
-        os << "lane " << i << ": cycles=" << st.cycles
-           << " pairings=" << st.pairings << " resets=" << st.resets
-           << " hot=" << st.remainingHot << " quiesced=" << st.quiesced
-           << " timedOut=" << st.timedOut << " flips=";
-        for (int q : ws.laneCorrections[i].dataFlips)
-            os << q << ',';
-        os << '\n';
-    }
-    obs::MetricSet counters;
-    mesh.exportMetrics(counters);
-    counters.forEachScalar(
-        [&os](const std::string &name, bool, std::uint64_t value) {
-            os << name << '=' << value << '\n';
-        });
+    for (std::size_t i = 0; i < syns.size(); ++i)
+        recordLane(os, i, *mesh.meshStats(i), ws.laneCorrections[i]);
+    recordCounters(os, mesh);
     return os.str();
 }
 
@@ -383,6 +411,84 @@ expectNativeMatchesPortable(simd::Width width)
     if (!native)
         GTEST_SKIP() << "native half skipped: the CPU lacks the ISA of "
                      << simd::widthName(width);
+}
+
+/** decodeRecord of @p syns decoded one at a time (batches of one). */
+std::string
+oneLaneRecord(MeshDecoder &mesh, const std::vector<Syndrome> &syns)
+{
+    std::ostringstream os;
+    for (std::size_t i = 0; i < syns.size(); ++i) {
+        const Correction correction = mesh.decode(syns[i]);
+        recordLane(os, i, mesh.lastStats(), correction);
+    }
+    recordCounters(os, mesh);
+    return os.str();
+}
+
+TEST(MeshBatch, OneLaneMatchesScalarStripAtEveryWidth)
+{
+    // A batch of one runs the latched width's one-lane engine, whose
+    // strip rows run across the word's elements (2 words of 256 or 1
+    // of 512 bits per plane at d = 9, 7 of 64). Every width and build
+    // must reproduce the 64-bit strip decode: corrections, per-decode
+    // stats and counters, also under tight cap/quiescence limits.
+    BuildGuard guard;
+    Rng rng(0x0e1a2eULL);
+    for (int d : {3, 5, 7, 9, 11, 17}) {
+        SurfaceLattice lat(d);
+        for (const MeshConfig &config : allVariants()) {
+            for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
+                std::vector<Syndrome> syns;
+                for (double p : {0.0, 0.05, 0.25, 0.1, 0.05, 0.4})
+                    syns.push_back(randomSyndrome(lat, type, p, rng));
+                const std::string label =
+                    "d=" + std::to_string(d) + " " + config.label() +
+                    (type == ErrorType::Z ? " Z" : " X");
+
+                simd::setActiveWidth(simd::Width::Scalar);
+                MeshDecoder strip(lat, type, config);
+                const std::string expected = oneLaneRecord(strip, syns);
+                MeshDecoder stripCapped(lat, type, config);
+                stripCapped.setLimitsForTest(3 * d, 4);
+                const std::string expectedCapped =
+                    oneLaneRecord(stripCapped, syns);
+                EXPECT_TRUE(
+                    expectedCapped.find("quiesced=1") != std::string::npos ||
+                    expectedCapped.find("timedOut=1") != std::string::npos)
+                    << "no decode hit the tight limits: " << label;
+
+                for (simd::Width w :
+                     {simd::Width::V256, simd::Width::V512}) {
+                    simd::setActiveWidth(w);
+                    for (bool portable : {true, false}) {
+                        if (!portable && !simd::cpuSupports(w))
+                            continue;
+                        simd::setPortableForTest(portable);
+                        const std::string at =
+                            label + " " + simd::widthName(w) +
+                            (portable ? " portable" : " native");
+                        MeshDecoder mesh(lat, type, config);
+                        ASSERT_EQ(mesh.batchNative(),
+                                  simd::nativeEngine(w))
+                            << at;
+                        const int e = elementsOfWidth(w);
+                        EXPECT_EQ(mesh.stripWords(),
+                                  (strip.stripWords() + e - 1) / e)
+                            << at;
+                        EXPECT_EQ(oneLaneRecord(mesh, syns), expected)
+                            << at;
+                        MeshDecoder capped(lat, type, config);
+                        capped.setLimitsForTest(3 * d, 4);
+                        EXPECT_EQ(oneLaneRecord(capped, syns),
+                                  expectedCapped)
+                            << "capped " << at;
+                    }
+                    simd::setPortableForTest(false);
+                }
+            }
+        }
+    }
 }
 
 TEST(MeshBatch, NativeBuildMatchesPortableAtV256)

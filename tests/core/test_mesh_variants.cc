@@ -35,6 +35,28 @@ variantFailures(const MeshConfig &config, int d, double p, int trials,
     return fails;
 }
 
+TEST(MeshVariants, FailuresMatchAtEveryWidth)
+{
+    // One decode at a time runs the one-lane strip engine of the
+    // latched lane word, laid out differently at every width: each
+    // variant must fail exactly the same trials of a fixed stream.
+    const simd::Width before = simd::activeWidth();
+    for (const MeshConfig &config :
+         {MeshConfig::baseline(), MeshConfig::withReset(),
+          MeshConfig::withResetAndBoundary(),
+          MeshConfig::finalDesign()}) {
+        simd::setActiveWidth(simd::Width::Scalar);
+        const int expected = variantFailures(config, 5, 0.06, 300, 7);
+        EXPECT_GT(expected, 0) << config.label();
+        for (simd::Width w : {simd::Width::V256, simd::Width::V512}) {
+            simd::setActiveWidth(w);
+            EXPECT_EQ(variantFailures(config, 5, 0.06, 300, 7), expected)
+                << config.label() << " at " << simd::widthName(w);
+        }
+    }
+    simd::setActiveWidth(before);
+}
+
 TEST(MeshVariants, BoundaryMechanismRequiredForOddSyndromes)
 {
     // A single syndrome is unresolvable without boundary modules.

@@ -94,7 +94,7 @@ TEST_F(TraceEnv, ChromeTraceIsValidDocument)
     EXPECT_EQ(traceDroppedCount(), 0u);
 
     std::ostringstream os;
-    writeChromeTrace(os);
+    EXPECT_TRUE(writeChromeTrace(os));
     const std::string doc = os.str();
     EXPECT_EQ(doc.rfind("{\"traceEvents\":[", 0), 0u);
     EXPECT_NE(doc.find("\"name\":\"decode\""), std::string::npos);

@@ -6,7 +6,6 @@
 #include <atomic>
 #include <bit>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -559,25 +558,8 @@ loadCheckpoint(const std::string &path)
 std::size_t
 checkpointIntervalFromEnv(std::size_t fallback)
 {
-    const char *env = std::getenv("NISQPP_CKPT_INTERVAL");
-    if (!env || !*env)
-        return fallback;
-    // Validated like NISQPP_TRIALS/NISQPP_BATCH: zero, negative,
-    // non-numeric, fractional and absurdly large values all warn and
-    // keep the previous setting.
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || (end && *end != '\0') || !std::isfinite(v) ||
-        v < 1 || v > static_cast<double>(kMaxCheckpointInterval) ||
-        v != std::floor(v)) {
-        warn("NISQPP_CKPT_INTERVAL='" + std::string(env) +
-             "' is not an integer in [1, " +
-             std::to_string(kMaxCheckpointInterval) +
-             "]; keeping checkpoint interval = " +
-             std::to_string(fallback));
-        return fallback;
-    }
-    return static_cast<std::size_t>(v);
+    return countFromEnv("NISQPP_CKPT_INTERVAL", kMaxCheckpointInterval,
+                        "checkpoint interval", fallback);
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
- * Runtime SIMD width dispatch for the lane-packed batch decoders. The
- * mesh and union-find batch engines are templated on a lane word type;
- * this header provides the three word candidates — a plain 64-bit word
- * and GNU-vector 256/512-bit words — plus a process-wide active width,
+ * Runtime SIMD width dispatch for the mesh decoder's lane engine,
+ * which is templated on a lane word type. This header provides the
+ * three word candidates — a plain 64-bit word and GNU-vector
+ * 256/512-bit words — plus a process-wide active width,
  * chosen once at startup from CPUID and overridable by the validated
  * `NISQPP_SIMD` env knob or the hard-failing `--simd` CLI flag.
  *
@@ -37,7 +37,7 @@
 namespace nisqpp {
 namespace simd {
 
-/** Lane word widths the batch engines can step. */
+/** Lane word widths the lane engine can step. */
 enum class Width
 {
     Scalar, ///< one 64-bit word per step

@@ -68,9 +68,9 @@ class Decoder
      * @p ws so repeated decodes allocate nothing. @p out may alias
      * ws.correction or ws.laneCorrections, so implementations never
      * touch those two fields. A scalar decode is a batch of one:
-     * decoders with a lane-packed substrate (union-find, mesh) pick
-     * their scalar core or their lane engine from @p count, and every
-     * lane's correction and exported counter is identical either way.
+     * the mesh picks its one-lane or packed lane engine from @p count,
+     * and every lane's correction and exported counter is identical
+     * either way.
      */
     virtual void decodeBatch(const Syndrome *const *syndromes,
                              std::size_t count, Correction *out,

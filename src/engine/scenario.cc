@@ -352,11 +352,12 @@ printUsage(std::ostream &os, const std::string &binary, bool withScenario)
           "(drop=X,corrupt=X,dup=X,delay=X,stall=X,fail=X,seed=S,"
           "delay-cycles=N,\nstall-factor=X).\n";
     os << "NISQPP_BATCH (env) / --batch N group N per-round or windowed"
-          " trials per decode\nbatch (1 = scalar; lane-packed decoding"
-          " otherwise; aggregates are identical\neither way). Lifetime"
+          " trials per decode\nbatch (1 = scalar; the mesh decodes a"
+          " batch lane-packed; aggregates are\nidentical either way)."
+          " Lifetime"
           " cells ignore it: the decoder sizes their lanes.\n";
     os << "NISQPP_SIMD (env) / --simd scalar|v256|v512 pin the"
-          " lane-word width of the\nbatch substrates (default: widest"
+          " lane-word width of the\nmesh lane engines (default: widest"
           " the CPU supports); results are\nbit-identical at every"
           " width.\n";
     os << "\n--checkpoint FILE periodically persists the sweep's shard"
@@ -396,7 +397,7 @@ parseArgs(int argc, char **argv, bool scenarioFlagAllowed)
 {
     ParsedArgs parsed;
     parsed.options.batchLanes = batchLanesFromEnv(1);
-    // NISQPP_SIMD retargets the lane-packed decode substrates before
+    // NISQPP_SIMD retargets the mesh decoder's lane engines before
     // any decoder is built; like every env knob it warns and keeps the
     // CPUID default on an invalid value, while --simd below fails
     // hard. Read only here (the CLI path): in-process scenario runs —

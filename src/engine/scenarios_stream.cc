@@ -101,7 +101,7 @@ runStreamCells(ScenarioContext &ctx, const std::vector<StreamCell> &cells)
     std::vector<std::function<void()>> jobs;
     jobs.reserve(cells.size());
     // --batch / NISQPP_BATCH drives the batched streaming consumer the
-    // same way it drives the engine's lane-packed trial batching;
+    // same way it drives the engine's trial batching;
     // results are byte-identical at any lane count.
     const std::size_t batchLanes = ctx.engine().options().batchLanes;
     for (std::size_t i = 0; i < cells.size(); ++i) {

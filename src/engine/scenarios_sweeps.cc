@@ -257,9 +257,7 @@ microHotpath(ScenarioContext &ctx)
 
     /**
      * Round-group size of the forced-batch rows: one full shard
-     * (EngineOptions::shardTrials), which also fills the widest
-     * (512-bit) union-find lane engine so every shared bit-plane
-     * sweep is amortized over a whole word of lanes.
+     * (EngineOptions::shardTrials).
      */
     constexpr std::size_t kBatchRows = 512;
 
@@ -348,11 +346,11 @@ microHotpath(ScenarioContext &ctx)
     addRows("sfq_mesh_batch",
             families[decoderFamilyIndex("sfq_mesh")].factory,
             kBatchRows);
-    // Union-find through its lane-packed batch engine (bit-plane
-    // support counters, shared word-parallel edge sweeps): same cells,
-    // same seeds as the union_find rows, so any PL deviation is a
-    // lane-equivalence bug (bench_compare checks). The trials/s ratio
-    // against union_find is the tracked speedup of this substrate.
+    // Union-find through its decodeBatch group path, which loops the
+    // scalar core: same cells, same seeds as the union_find rows, so
+    // any PL deviation is a batch-equivalence bug (bench_compare
+    // checks). The trials/s ratio against union_find is the group
+    // path's overhead.
     addRows("union_find_batch",
             families[decoderFamilyIndex("union_find")].factory,
             kBatchRows);

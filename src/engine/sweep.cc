@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
 #include <sstream>
 
@@ -20,25 +19,8 @@ namespace nisqpp {
 std::size_t
 batchLanesFromEnv(std::size_t fallback)
 {
-    const char *env = std::getenv("NISQPP_BATCH");
-    if (!env || !*env)
-        return fallback;
-    // Validated like NISQPP_TRIALS: zero, negative, non-numeric,
-    // fractional and absurdly large values all warn and keep the
-    // previous setting (strtoull would silently wrap negatives and
-    // accept "0" as a lane count).
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env || (end && *end != '\0') || !std::isfinite(v) ||
-        v < 1 || v > static_cast<double>(kMaxBatchLanes) ||
-        v != std::floor(v)) {
-        warn("NISQPP_BATCH='" + std::string(env) +
-             "' is not an integer in [1, " +
-             std::to_string(kMaxBatchLanes) +
-             "]; keeping batch lanes = " + std::to_string(fallback));
-        return fallback;
-    }
-    return static_cast<std::size_t>(v);
+    return countFromEnv("NISQPP_BATCH", kMaxBatchLanes, "batch lanes",
+                        fallback);
 }
 
 std::vector<double>

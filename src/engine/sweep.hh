@@ -102,8 +102,8 @@ struct EngineOptions
     /**
      * Per-round and windowed trials grouped per Decoder::decodeBatch /
      * decodeWindowBatch call (LifetimeSimulator::setBatchLanes): 1 =
-     * groups of one, larger values feed the mesh and union-find lane
-     * engines. It does not apply to lifetime cells, whose rounds each
+     * groups of one, larger values feed the mesh's lane engine
+     * (union-find loops its scalar core). It does not apply to lifetime cells, whose rounds each
      * depend on the last: the decoder sizes those, running as many
      * shards side by side as the mesh has lanes
      * (LifetimeSimulator::lifetimeLanes; one shard at a time

@@ -60,6 +60,31 @@ buildMeets(Netlist &net, const Ports &in, NodeId allow, Ports &emit)
     emit[dS] = m_ns;
 }
 
+/**
+ * The reset keeper: five cascaded buffers (DROs) fed by global |
+ * trigger keep the reset asserted for the circuit depth. Returns the
+ * seven taps (global, trigger, b1..b5) whose OR is the block signal,
+ * matching Table III's 7-input OR. The buffers are state cells
+ * (level-0 sequential state): their stagger is the function, so they
+ * are exempt from path balancing, matching how the paper's depth-6
+ * full circuit accounts for them.
+ */
+std::vector<NodeId>
+addResetKeeperTaps(Netlist &net, NodeId global, NodeId trigger)
+{
+    std::vector<NodeId> taps{global, trigger};
+    NodeId prev = net.addStateDff("b1");
+    net.connectFeedback(prev, net.orGate(global, trigger));
+    taps.push_back(prev);
+    for (char i = '2'; i <= '5'; ++i) {
+        const NodeId next = net.addStateDff(std::string{'b', i});
+        net.connectFeedback(next, prev);
+        prev = next;
+        taps.push_back(prev);
+    }
+    return taps;
+}
+
 } // namespace
 
 Netlist
@@ -208,23 +233,8 @@ resetKeeperSubcircuit()
     Netlist net("reset_keeper");
     const NodeId global = net.addInput("global_reset");
     const NodeId trigger = net.addInput("trigger");
-
-    // Five cascaded buffers (DROs) keep the reset asserted for the
-    // circuit depth; the 7-input OR matches Table III. The buffers are
-    // state cells (level-0 sequential state): their stagger is the
-    // function, so they are exempt from path balancing, matching how
-    // the paper's depth-6 full circuit accounts for them.
-    std::vector<NodeId> taps{global, trigger};
-    NodeId prev = net.addStateDff("b1");
-    net.connectFeedback(prev, net.orGate(global, trigger));
-    taps.push_back(prev);
-    for (int i = 2; i <= 5; ++i) {
-        const NodeId next = net.addStateDff("b" + std::to_string(i));
-        net.connectFeedback(next, prev);
-        prev = next;
-        taps.push_back(prev);
-    }
-    net.markOutput(net.orTree(taps), "block");
+    net.markOutput(net.orTree(addResetKeeperTaps(net, global, trigger)),
+                   "block");
     return net;
 }
 
@@ -241,18 +251,8 @@ fullDecoderModule()
     const Ports gr = addDirInputs(net, "gr");
     const Ports pr = addDirInputs(net, "pr");
 
-    // Reset keeper (state buffers; see resetKeeperSubcircuit()).
-    std::vector<NodeId> taps{global, trigger_in};
-    NodeId prev = net.addStateDff("b1");
-    net.connectFeedback(prev, net.orGate(global, trigger_in));
-    taps.push_back(prev);
-    for (int i = 2; i <= 5; ++i) {
-        const NodeId next = net.addStateDff("b" + std::to_string(i));
-        net.connectFeedback(next, prev);
-        prev = next;
-        taps.push_back(prev);
-    }
-    const NodeId reset = net.orTree(taps);
+    const NodeId reset =
+        net.orTree(addResetKeeperTaps(net, global, trigger_in));
     const NodeId not_reset = net.notGate(reset);
     const NodeId not_hot = net.notGate(hot);
 

@@ -183,7 +183,8 @@ class LifetimeSimulator : private LifetimeFeed
     /**
      * Group up to @p lanes consecutive per-round or windowed trials
      * per Decoder::decodeBatch (or decodeWindowBatch) call, feeding
-     * the lane-packed substrates of the mesh and union-find decoders.
+     * the mesh decoder's lane engine (union-find loops its scalar
+     * core).
      * Sampling, extraction and classification happen trial by trial
      * in the exact order of consecutive trials, so every aggregate —
      * counters, cycle statistics, histograms — is byte-identical to

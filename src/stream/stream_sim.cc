@@ -448,10 +448,10 @@ runStream(const StreamConfig &config, Decoder &decoder,
     };
 
     // The batched consumer gathers up to batchLanes produced rounds
-    // and decodes them through the decoder's lane-packed decodeBatch
-    // in one call. This is possible because the decode loop is
-    // *round-synchronous*: the only coupling between consecutive
-    // decodes is the committed correction, and for a decoder whose
+    // and decodes them through the decoder's decodeBatch in one call.
+    // This is possible because the decode loop is *round-synchronous*:
+    // the only coupling between consecutive decodes is the committed
+    // correction, and for a decoder whose
     // correction annihilates its syndrome the uncorrected (raw)
     // syndromes telescope — S_eff[j] = S_raw[j] XOR S_raw[j-1] is
     // exactly the syndrome the scalar loop would have emitted after

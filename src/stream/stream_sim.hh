@@ -71,7 +71,7 @@ struct StreamConfig
      * Rounds drained per decodeBatch group (--batch, NISQPP_BATCH):
      * 1 decodes every round scalar; larger values let the consumer
      * gather up to this many produced rounds and decode them through
-     * the decoder's lane-packed decodeBatch in one call, replaying the
+     * the decoder's decodeBatch in one call, replaying the
      * virtual-clock timeline round by round afterwards. The batched
      * consumer engages only when it is provably equivalent — per-round
      * pipeline, a decoder whose corrections annihilate their syndrome

@@ -1,14 +1,13 @@
 /**
  * @file
- * Lane-packed batch union-find pinned bit-exact against the scalar
- * reference: for every distance the experiments sweep, every noise
- * channel (including erasure marks) and every SIMD dispatch width,
- * decodeBatch() / decodeWindowBatch() must emit corrections AND
- * decoder.uf.* telemetry byte-identical to one-at-a-time scalar
- * decodes of the same syndromes — on both sides of the count
- * selection (a batch of one runs the scalar core, two or more the lane
- * engine), across chunk boundaries, weight-0 lanes and repeated
- * batches through one engine.
+ * Batch union-find pinned bit-exact against the scalar reference: for
+ * every distance the experiments sweep, every noise channel (including
+ * erasure marks) and every SIMD dispatch width, decodeBatch() /
+ * decodeWindowBatch() must emit corrections AND decoder.uf.* telemetry
+ * byte-identical to one-at-a-time scalar decodes of the same syndromes
+ * — for batches of one and of many, weight-0 inputs and repeated
+ * batches through one decoder. A batch loops the scalar core, so the
+ * width loops also pin that union-find ignores the latched width.
  */
 
 #include <gtest/gtest.h>
@@ -149,18 +148,14 @@ TEST(UnionFindBatch, MatchesScalarAcrossDistancesAndChannels)
                         continue;
                     UnionFindDecoder scalar(lat, type);
                     UnionFindDecoder batched(lat, type);
-                    EXPECT_EQ(batched.batchWidth(), w);
-                    // 2.5 chunks of the widest engine so every width
-                    // exercises chunk boundaries and a ragged tail.
                     const auto syns = sampleSyndromes(
                         lat, *channel, type, 160, rng);
                     const std::string label =
                         "d=" + std::to_string(d) + " " +
                         channel->name() + " " + simd::widthName(w) +
                         (type == ErrorType::Z ? " Z" : " X");
-                    // Both sides of the count selection first: one
-                    // lane (scalar core) and two (smallest lane-engine
-                    // batch), skipping the forced-empty lane 0.
+                    // Batches of one and two first, skipping the
+                    // forced-empty input 0.
                     for (std::size_t size : {1u, 2u})
                         expectBatchMatchesScalar(
                             scalar, batched,
@@ -176,10 +171,10 @@ TEST(UnionFindBatch, MatchesScalarAcrossDistancesAndChannels)
 
 TEST(UnionFindBatch, HeavySyndromesAndRepeatedBatches)
 {
-    // Back-to-back batches of varying sizes (including size 1 and a
-    // sub-word tail) through one decoder: later batches must not see
-    // earlier lanes' cluster state, and counters accumulate across
-    // batches exactly as a scalar decoder's do.
+    // Back-to-back batches of varying sizes (including size 1) through
+    // one decoder: later batches must not see earlier inputs' cluster
+    // state, and counters accumulate across batches exactly as a
+    // scalar decoder's do.
     Rng rng(0x0ddba11ULL);
     for (simd::Width w : kWidths) {
         WidthGuard guard(w);
@@ -327,8 +322,8 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
 
 TEST(UnionFindBatchDeathTest, MixedRoundWindowsAreRejected)
 {
-    // The lane engine shares one spacetime graph per chunk, so a batch
-    // of windows with unequal round counts is a caller bug.
+    // The decoder caches one spacetime graph, so a batch of windows
+    // with unequal round counts is a caller bug.
     SurfaceLattice lat(5);
     UnionFindDecoder batched(lat, ErrorType::Z);
     SyndromeWindow three(lat, ErrorType::Z, 4);

@@ -161,11 +161,10 @@ TEST(EngineDeterminism, BatchedDepolarizingSweepMatchesScalar)
 
 TEST(EngineDeterminism, UnionFindLaneAndThreadGridIsInvariant)
 {
-    // The lane-packed union-find batch engine under the full grid of
-    // batch lanes {1, 4, 64} x threads {1, 4}: every combination must
-    // produce the same bytes as the scalar single-threaded reference,
-    // including the bit-planed growth rounds folded into the cycle
-    // statistics.
+    // Union-find's batch path under the full grid of batch lanes
+    // {1, 4, 64} x threads {1, 4}: every combination must produce the
+    // same bytes as the scalar single-threaded reference, including
+    // the growth rounds folded into the cycle statistics.
     SweepConfig config;
     config.distances = {3, 5};
     config.physicalRates = {0.04, 0.09};

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -37,6 +38,9 @@ const std::vector<std::string> kMaskedColumns{
 
 /** Row keys whose values depend on the build type, not the physics. */
 const std::vector<std::string> kMaskedRowKeys{"assertions"};
+
+/** What a masked cell reads after sanitize(). */
+const std::string kMask = "-";
 
 std::filesystem::path
 goldenPath(const std::string &scenario)
@@ -109,12 +113,11 @@ sanitize(const std::string &csv)
         }
         for (std::size_t c : masked)
             if (c < cells.size())
-                cells[c] = "-";
+                cells[c] = kMask;
         if (!cells.empty())
             for (const std::string &key : kMaskedRowKeys)
                 if (cells[0] == key)
-                    for (std::size_t c = 1; c < cells.size(); ++c)
-                        cells[c] = "-";
+                    std::fill(cells.begin() + 1, cells.end(), kMask);
         os << joinCells(cells) << '\n';
     }
     return os.str();

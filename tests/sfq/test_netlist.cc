@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sfq/netlist.hh"
 
 namespace nisqpp {
@@ -51,8 +53,8 @@ TEST(Netlist, OrTreeCounts)
 {
     Netlist net("t");
     std::vector<NodeId> ins;
-    for (int i = 0; i < 7; ++i)
-        ins.push_back(net.addInput("i" + std::to_string(i)));
+    for (char i = '0'; i < '7'; ++i)
+        ins.push_back(net.addInput(std::string{'i', i}));
     net.markOutput(net.orTree(ins), "o");
     // n-input OR tree uses n-1 two-input gates.
     EXPECT_EQ(net.countKind(CellKind::Or2), 6u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.hh"
 #include "sfq/path_balance.hh"
 
@@ -82,8 +84,8 @@ TEST(PathBalance, RandomDagsBalance)
     for (int trial = 0; trial < 40; ++trial) {
         Netlist net("rand");
         std::vector<NodeId> pool;
-        for (int i = 0; i < 4; ++i)
-            pool.push_back(net.addInput("i" + std::to_string(i)));
+        for (char i = '0'; i < '4'; ++i)
+            pool.push_back(net.addInput(std::string{'i', i}));
         for (int g = 0; g < 15; ++g) {
             const NodeId x =
                 pool[rng.uniformInt(pool.size())];

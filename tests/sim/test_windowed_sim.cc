@@ -84,7 +84,7 @@ TEST(WindowedSim, BatchLanesMatchScalarDepolarizing)
 
 TEST(WindowedSim, UnionFindDepolarizingBatchMatchesScalar)
 {
-    // Both families through the lane-packed spacetime engine.
+    // Union-find through the batched spacetime path.
     SurfaceLattice lat(5);
     expectBatchMatchesScalar<UnionFindDecoder>(
         lat, NoiseModel::depolarizing(0.03, 0.02), true, 5, 64,

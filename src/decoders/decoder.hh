@@ -119,9 +119,9 @@ class Decoder
      * greedy always produce complete matchings — and for union-find,
      * whose peel drains every interior vertex by construction. False
      * by default: the mesh is approximate (cycle caps and quiescence
-     * exits can strand hot modules), and the streaming pipeline's
-     * batched consumer relies on this property to difference
-     * consecutive syndromes, so it must never be claimed loosely.
+     * exits can strand hot modules). The benchmark driver's replay
+     * counts every nonzero residual syndrome of a decoder that claims
+     * this as a mismatch, so it must never be claimed loosely.
      */
     virtual bool correctionClearsSyndrome() const { return false; }
 

@@ -352,10 +352,11 @@ printUsage(std::ostream &os, const std::string &binary, bool withScenario)
           "(drop=X,corrupt=X,dup=X,delay=X,stall=X,fail=X,seed=S,"
           "delay-cycles=N,\nstall-factor=X).\n";
     os << "NISQPP_BATCH (env) / --batch N group N per-round or windowed"
-          " trials per decode\nbatch (1 = scalar; the mesh decodes a"
-          " batch lane-packed; aggregates are\nidentical either way)."
-          " Lifetime"
-          " cells ignore it: the decoder sizes their lanes.\n";
+          " trials per decode\ncall of the mesh and tiered decoders,"
+          " which decode a group lane-packed; every\nother decoder"
+          " decodes one trial at a time (aggregates are identical"
+          " either\nway). Lifetime cells and streams ignore it: the"
+          " decoder sizes lifetime lanes.\n";
     os << "NISQPP_SIMD (env) / --simd scalar|v256|v512 pin the"
           " lane-word width of the\nmesh lane engines (default: widest"
           " the CPU supports); results are\nbit-identical at every"

@@ -41,9 +41,9 @@ struct RunOptions
     bool seedSet = false; ///< --seed given: overrides scenario defaults
     OutputFormat format = OutputFormat::Table;
     /**
-     * Rounds per decodeBatch group (--batch, NISQPP_BATCH): 1 decodes
-     * scalar, larger values drive the mesh decoder's lane-packed batch
-     * substrate. Aggregates are byte-identical either way.
+     * Trials per decode group of the mesh and tiered decoders (--batch,
+     * NISQPP_BATCH; EngineOptions::batchLanes). Other decoders decode
+     * one trial at a time. Aggregates are byte-identical either way.
      */
     std::size_t batchLanes = 1;
     /** --metrics-out FILE: write the machine-readable run report. */

@@ -65,16 +65,11 @@ runFaultCells(ScenarioContext &ctx, const SurfaceLattice &lattice,
     std::vector<StreamingResult> results(cells.size());
     std::vector<std::function<void()>> jobs;
     jobs.reserve(cells.size());
-    // --batch / NISQPP_BATCH engages the batched streaming consumer on
-    // eligible decoders; fault-struck rounds always replay scalar, so
-    // every row is byte-identical at any lane count.
-    const std::size_t batchLanes = ctx.engine().options().batchLanes;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattice, batchLanes, i] {
+        jobs.push_back([&cells, &results, &lattice, i] {
             const FaultCell &cell = cells[i];
             StreamConfig config = cell.config;
             config.lattice = &lattice;
-            config.batchLanes = batchLanes;
             std::unique_ptr<Decoder> decoder;
             if (cell.decoder == "tiered")
                 decoder = tieredDecoderFactory(

@@ -100,16 +100,10 @@ runStreamCells(ScenarioContext &ctx, const std::vector<StreamCell> &cells)
     std::vector<StreamingResult> results(cells.size());
     std::vector<std::function<void()>> jobs;
     jobs.reserve(cells.size());
-    // --batch / NISQPP_BATCH drives the batched streaming consumer the
-    // same way it drives the engine's trial batching;
-    // results are byte-identical at any lane count.
-    const std::size_t batchLanes = ctx.engine().options().batchLanes;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattices, &distances,
-                        batchLanes, i] {
+        jobs.push_back([&cells, &results, &lattices, &distances, i] {
             const StreamCell &cell = cells[i];
             StreamConfig config = cell.config;
-            config.batchLanes = batchLanes;
             for (std::size_t di = 0; di < distances.size(); ++di)
                 if (distances[di] == cell.distance)
                     config.lattice = lattices[di].get();

@@ -250,7 +250,8 @@ microHotpath(ScenarioContext &ctx)
              "error streams per distance via shared cell seeds; "
              "sfq_mesh_batch = the same mesh decoder through the "
              "lane-packed decodeBatch path, PL identical by "
-             "construction)\n");
+             "construction; union_find_batch = union-find at the same "
+             "batch setting, which it decodes one trial at a time)\n");
 
     const std::vector<DecoderFamily> &families = decoderFamilies();
     const std::vector<int> distances{3, 5, 7, 9};
@@ -346,11 +347,10 @@ microHotpath(ScenarioContext &ctx)
     addRows("sfq_mesh_batch",
             families[decoderFamilyIndex("sfq_mesh")].factory,
             kBatchRows);
-    // Union-find through its decodeBatch group path, which loops the
-    // scalar core: same cells, same seeds as the union_find rows, so
-    // any PL deviation is a batch-equivalence bug (bench_compare
-    // checks). The trials/s ratio against union_find is the group
-    // path's overhead.
+    // Union-find at the same batch setting: it has no lane engine, so
+    // it runs groups of one and these rows only guard PL identity with
+    // the union_find rows (same cells, same seeds; bench_compare
+    // checks).
     addRows("union_find_batch",
             families[decoderFamilyIndex("union_find")].factory,
             kBatchRows);

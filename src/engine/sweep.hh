@@ -101,11 +101,12 @@ struct EngineOptions
 
     /**
      * Per-round and windowed trials grouped per Decoder::decodeBatch /
-     * decodeWindowBatch call (LifetimeSimulator::setBatchLanes): 1 =
-     * groups of one, larger values feed the mesh's lane engine
-     * (union-find loops its scalar core). It does not apply to lifetime cells, whose rounds each
-     * depend on the last: the decoder sizes those, running as many
-     * shards side by side as the mesh has lanes
+     * decodeWindowBatch call (LifetimeSimulator::setBatchLanes) when
+     * the Z decoder has a lane engine (the mesh and the tiered
+     * decoder); every other decoder runs groups of one
+     * (LifetimeSimulator::groupLanes). It does not apply to lifetime
+     * cells, whose rounds each depend on the last: the decoder sizes
+     * those, running as many shards side by side as the mesh has lanes
      * (LifetimeSimulator::lifetimeLanes; one shard at a time
      * otherwise). Aggregates are byte-identical for every value (and
      * every thread count) at a fixed seed; only throughput changes.

@@ -372,6 +372,14 @@ LifetimeSimulator::lifetimeLanes() const
     return pump ? static_cast<std::size_t>(pump->batchLanes()) : 1;
 }
 
+std::size_t
+LifetimeSimulator::groupLanes() const
+{
+    return !lifetimeMode_ && families_[0].decoder->meshStats() != nullptr
+               ? batchLanes_
+               : 1;
+}
+
 void
 LifetimeSimulator::runLifetimes(LifetimeSource &source)
 {
@@ -389,10 +397,8 @@ LifetimeSimulator::runAlone(const LifetimeLane &spec)
     lanes_.resize(1);
     ensureSlots(1);
     startLane(0, spec);
-    // A lifetime's rounds are groups of one; independent trials group
-    // up to batchLanes_.
     Lane &lane = lanes_[0];
-    const std::size_t group = lifetimeMode_ ? 1 : batchLanes_;
+    const std::size_t group = groupLanes();
     while (!lane.done)
         runGroup(std::min(group, lane.rule.maxTrials - lane.acc.trials));
     return finishLane(0);

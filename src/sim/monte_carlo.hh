@@ -181,20 +181,15 @@ class LifetimeSimulator : private LifetimeFeed
     bool lifetimeMode() const { return lifetimeMode_; }
 
     /**
-     * Group up to @p lanes consecutive per-round or windowed trials
-     * per Decoder::decodeBatch (or decodeWindowBatch) call, feeding
-     * the mesh decoder's lane engine (union-find loops its scalar
-     * core).
+     * Size the lane groups (--batch): a Z decoder with a lane engine
+     * decodes up to @p lanes consecutive per-round or windowed trials
+     * per call (groupLanes).
      * Sampling, extraction and classification happen trial by trial
      * in the exact order of consecutive trials, so every aggregate —
      * counters, cycle statistics, histograms — is byte-identical to
-     * lanes = 1 for the same seed. Lifetime mode ignores it: round
-     * k + 1 depends on round k's correction, so a lifetime's groups
-     * are rounds of one. The decoder sizes lifetime lanes instead
-     * (lifetimeLanes).
+     * lanes = 1 for the same seed.
      */
     void setBatchLanes(std::size_t lanes);
-    std::size_t batchLanes() const { return batchLanes_; }
 
     /**
      * Faulty-measurement windowed protocol: each trial clears the
@@ -288,6 +283,17 @@ class LifetimeSimulator : private LifetimeFeed
      * exactly as if those trials had never run.
      */
     void runGroup(std::size_t count);
+
+    /**
+     * Consecutive trials decoded per call outside the lifetime pump:
+     * the batch lanes when the Z decoder has a lane engine (it reports
+     * mesh telemetry: the mesh and the tiered decoder), else 1, since
+     * every other decoder decodes a group as that many scalar decodes.
+     * Lifetime mode runs groups of one as well: round k + 1 depends on
+     * round k's correction, so lifetimes run side by side instead
+     * (lifetimeLanes).
+     */
+    std::size_t groupLanes() const;
 
     /** The Z decoder when lifetimes can run as its lanes, else null. */
     MeshDecoder *lifetimePump() const;

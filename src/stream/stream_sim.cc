@@ -191,38 +191,6 @@ runStream(const StreamConfig &config, Decoder &decoder,
         }
     };
 
-    // Post-decode accounting shared by the scalar and batched
-    // consumers: service statistics, the queue push and the backlog /
-    // trajectory telemetry of round @p k.
-    auto accountRound = [&](std::size_t k, double arriveNs,
-                            double serviceNs, bool decoded,
-                            bool duplicated) {
-        // Only rounds that actually ran a decode enter the service
-        // statistics: non-closing windowed rounds cost no decode work,
-        // and their zero "services" would dilute the percentiles
-        // relative to the per-round path. (They still pass through the
-        // queue with zero service so arrival accounting is unchanged.)
-        if (decoded) {
-            result.serviceNs.add(serviceNs);
-            serviceHist.add(
-                static_cast<std::size_t>(std::llround(serviceNs)));
-        }
-
-        queue.push({k, arriveNs, serviceNs, false});
-        if (duplicated)
-            queue.push({k, arriveNs, 0.0, true});
-        ++result.rounds;
-
-        const std::size_t backlog = (k + 1) - completed;
-        result.maxBacklogRounds =
-            std::max(result.maxBacklogRounds, backlog);
-        result.maxQueueDepth =
-            std::max(result.maxQueueDepth, queue.fastDepth());
-        if (k % stride == 0 || k + 1 == config.rounds)
-            result.trajectory.push_back(
-                {k, backlog, queue.fastDepth()});
-    };
-
     auto processRound = [&](std::size_t k) {
         const double tArrive = static_cast<double>(k) * cycle;
         retireBefore(tArrive);
@@ -444,125 +412,35 @@ runStream(const StreamConfig &config, Decoder &decoder,
                 (*observer)(k, syndrome, emptyCorrection);
             }
         }
-        accountRound(k, arriveNs, serviceNs, decoded, duplicated);
+
+        // Only rounds that actually ran a decode enter the service
+        // statistics: non-closing windowed rounds cost no decode work,
+        // and their zero "services" would dilute the percentiles
+        // relative to the per-round path. (They still pass through the
+        // queue with zero service so arrival accounting is unchanged.)
+        if (decoded) {
+            result.serviceNs.add(serviceNs);
+            serviceHist.add(
+                static_cast<std::size_t>(std::llround(serviceNs)));
+        }
+
+        queue.push({k, arriveNs, serviceNs, false});
+        if (duplicated)
+            queue.push({k, arriveNs, 0.0, true});
+        ++result.rounds;
+
+        const std::size_t backlog = (k + 1) - completed;
+        result.maxBacklogRounds =
+            std::max(result.maxBacklogRounds, backlog);
+        result.maxQueueDepth =
+            std::max(result.maxQueueDepth, queue.fastDepth());
+        if (k % stride == 0 || k + 1 == config.rounds)
+            result.trajectory.push_back(
+                {k, backlog, queue.fastDepth()});
     };
 
-    // The batched consumer gathers up to batchLanes produced rounds
-    // and decodes them through the decoder's decodeBatch in one call.
-    // This is possible because the decode loop is *round-synchronous*:
-    // the only coupling between consecutive decodes is the committed
-    // correction, and for a decoder whose
-    // correction annihilates its syndrome the uncorrected (raw)
-    // syndromes telescope — S_eff[j] = S_raw[j] XOR S_raw[j-1] is
-    // exactly the syndrome the scalar loop would have emitted after
-    // round j-1's commit. Crossing parities recorded at emit time
-    // supply the per-round failure accounting (the replayed state is
-    // missing rounds j+1.. of the group's errors, whose parity
-    // contribution is emitParity[last] XOR emitParity[j]), and the
-    // virtual-clock timeline is then replayed round by round, so every
-    // result field, metric and observer callback is byte-identical to
-    // the scalar consumer. Rounds struck by injected faults (and any
-    // configuration the equivalence argument does not cover) run
-    // through the untouched scalar path.
-    const bool batchedConsumer =
-        config.batchLanes > 1 && w == 0 &&
-        decoder.correctionClearsSyndrome() &&
-        decoder.tieredStats() == nullptr &&
-        config.recovery.shedThreshold == 0;
-
-    if (!batchedConsumer) {
-        for (std::size_t k = 0; k < config.rounds; ++k)
-            processRound(k);
-    } else {
-        std::vector<Syndrome> lanes(
-            config.batchLanes, Syndrome(*config.lattice, ErrorType::Z));
-        std::vector<char> emitParity(config.batchLanes, 0);
-        std::vector<const Syndrome *> ptrs(config.batchLanes, nullptr);
-        std::size_t k = 0;
-        while (k < config.rounds) {
-            if (faultsActive && plan->eventFor(k).anyFault()) {
-                processRound(k);
-                ++k;
-                continue;
-            }
-            std::size_t n = 1;
-            while (k + n < config.rounds && n < config.batchLanes &&
-                   !(faultsActive && plan->eventFor(k + n).anyFault()))
-                ++n;
-
-            // Phase 1: emit the group's raw (uncorrected) syndromes in
-            // production order — the producer's RNG draw sequence is
-            // untouched — recording each round's crossing parity.
-            for (std::size_t i = 0; i < n; ++i) {
-                {
-                    obs::TraceSpan produceSpan(
-                        obs::Stage::StreamProduce);
-                    lanes[i] = stream.emit();
-                }
-                emitParity[i] =
-                    crossingParity(stream.state(), ErrorType::Z) ? 1
-                                                                 : 0;
-            }
-
-            // Phase 2: telescope raw -> effective syndromes in place
-            // (backwards, so each XOR still sees its raw predecessor)
-            // and decode the whole group lane-parallel.
-            for (std::size_t i = n; i-- > 1;)
-                lanes[i].xorMask(lanes[i - 1].bits());
-            for (std::size_t i = 0; i < n; ++i)
-                ptrs[i] = &lanes[i];
-            {
-                obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
-                decoder.decodeBatch(ptrs.data(), n, *workspace);
-            }
-
-            // Phase 3: replay the virtual-clock timeline round by
-            // round, committing each lane's correction in order.
-            const bool groupEndParity = emitParity[n - 1] != 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::size_t kk = k + i;
-                const double tArrive =
-                    static_cast<double>(kk) * cycle;
-                retireBefore(tArrive);
-                if (faultsActive) {
-                    // Fault-free rounds under an active fault plan
-                    // still maintain the recovery bookkeeping the next
-                    // (scalar) fault round may consume.
-                    if (config.recovery.carryForward) {
-                        *lastGood = lanes[i];
-                        lastGoodValid = true;
-                    }
-                    ++result.faults.decodedRounds;
-                }
-                double serviceNs = config.latency.decodeNs(
-                    decoder.meshStats(i), lanes[i].weight());
-                if (faultsActive && config.recovery.deadlineNs > 0.0 &&
-                    serviceNs > config.recovery.deadlineNs) {
-                    ++result.faults.deadlineClamps;
-                    serviceNs = config.recovery.deadlineNs;
-                }
-                bool nowParity;
-                {
-                    obs::TraceSpan commitSpan(obs::Stage::StreamCommit);
-                    workspace->laneCorrections[i].applyTo(
-                        stream.state(), ErrorType::Z);
-                    const bool futureParity =
-                        (emitParity[i] != 0) != groupEndParity;
-                    nowParity =
-                        crossingParity(stream.state(), ErrorType::Z) !=
-                        futureParity;
-                }
-                if (nowParity != parity)
-                    ++result.failures;
-                parity = nowParity;
-                if (observer && *observer)
-                    (*observer)(kk, lanes[i],
-                                workspace->laneCorrections[i]);
-                accountRound(kk, tArrive, serviceNs, true, false);
-            }
-            k += n;
-        }
-    }
+    for (std::size_t k = 0; k < config.rounds; ++k)
+        processRound(k);
 
     // Production is over; drain whatever is still pending.
     double lastDone = consumerFreeNs;

@@ -68,17 +68,9 @@ struct StreamConfig
     /** @} */
 
     /**
-     * Rounds drained per decodeBatch group (--batch, NISQPP_BATCH):
-     * 1 decodes every round scalar; larger values let the consumer
-     * gather up to this many produced rounds and decode them through
-     * the decoder's decodeBatch in one call, replaying the
-     * virtual-clock timeline round by round afterwards. The batched
-     * consumer engages only when it is provably equivalent — per-round
-     * pipeline, a decoder whose corrections annihilate their syndrome
-     * (correctionClearsSyndrome), no tiered escalation and no load
-     * shedding — and falls back to the scalar path otherwise; rounds
-     * struck by injected faults always run scalar. Every result field
-     * and metric is byte-identical either way.
+     * Ignored: runStream decodes round by round, whatever the decoder.
+     * Kept only because the benchmark driver still sets it; drop it
+     * with the next change to the benchmark.
      */
     std::size_t batchLanes = 1;
 };

@@ -336,8 +336,9 @@ TEST(UnionFindBatchDeathTest, MixedRoundWindowsAreRejected)
 
 TEST(UnionFindBatch, CorrectionClearsSyndromeHolds)
 {
-    // The annihilation trait the batched streaming consumer relies
-    // on: applying the committed correction leaves a clear syndrome.
+    // The annihilation trait the benchmark replay's residual check
+    // relies on: applying the committed correction leaves a clear
+    // syndrome.
     Rng rng(0xc1ea2ULL);
     SurfaceLattice lat(9);
     UnionFindDecoder dec(lat, ErrorType::Z);

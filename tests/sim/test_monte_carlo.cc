@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "core/mesh_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
+#include "decoders/union_find_decoder.hh"
+#include "noise/noise_model.hh"
 #include "sim/monte_carlo.hh"
 
 #include "aggregates.hh"
@@ -293,20 +296,81 @@ TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
     expectSameAggregates(reference, batched.run(rule));
 }
 
+/** DecoderT recording the largest group either decode entry saw. */
+template <typename DecoderT>
+class GroupCounting : public DecoderT
+{
+  public:
+    using DecoderT::DecoderT;
+    using DecoderT::decodeBatch;
+    using DecoderT::decodeWindowBatch;
+
+    void
+    decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                Correction *out, TrialWorkspace &ws) override
+    {
+        maxGroup = std::max(maxGroup, count);
+        DecoderT::decodeBatch(syndromes, count, out, ws);
+    }
+
+    void
+    decodeWindowBatch(const SyndromeWindow *const *windows,
+                      std::size_t count, Correction *out,
+                      TrialWorkspace &ws) override
+    {
+        maxGroup = std::max(maxGroup, count);
+        DecoderT::decodeWindowBatch(windows, count, out, ws);
+    }
+
+    std::size_t maxGroup = 0;
+};
+
+/**
+ * Run 200 per-round (@p window = 0) or windowed trials at batch 1 and
+ * at batch 64 on fresh DecoderT decoders, require identical
+ * aggregates and decoder counters, and return the largest group the
+ * batch-64 decoder was handed.
+ */
+template <typename DecoderT>
+std::size_t
+largestGroupAtBatch64(const SurfaceLattice &lat, const NoiseModel &model,
+                      int window)
+{
+    const StopRule rule{200, 200, ~std::size_t{0}};
+    GroupCounting<DecoderT> one(lat, ErrorType::Z);
+    GroupCounting<DecoderT> many(lat, ErrorType::Z);
+    const auto run = [&](Decoder &dec, std::size_t lanes) {
+        LifetimeSimulator sim(lat, model, dec, nullptr, 11);
+        sim.setMeasurementWindow(window);
+        sim.setBatchLanes(lanes);
+        return sim.run(rule);
+    };
+    expectSameAggregates(run(one, 1), run(many, 64));
+    EXPECT_EQ(decoderCounters(many), decoderCounters(one));
+    EXPECT_EQ(one.maxGroup, 1u);
+    return many.maxGroup;
+}
+
 TEST(MonteCarlo, BatchedSoftwareDecoderUsesFallbackLoop)
 {
+    // Only a decoder with a lane engine (one that reports mesh
+    // telemetry) is handed groups. Software decoders decode one trial
+    // per call at any batch setting, per round and windowed, and the
+    // results do not move.
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
-    const StopRule rule{200, 200, ~std::size_t{0}};
-
-    MwpmDecoder d1(lat, ErrorType::Z);
-    LifetimeSimulator scalar(lat, model, d1, nullptr, 11);
-    const MonteCarloResult reference = scalar.run(rule);
-
-    MwpmDecoder d2(lat, ErrorType::Z);
-    LifetimeSimulator batched(lat, model, d2, nullptr, 11);
-    batched.setBatchLanes(8);
-    expectSameAggregates(reference, batched.run(rule));
+    const NoiseModel perRound = NoiseModel::dephasing(0.08, 0.0);
+    const NoiseModel noisyReadout = NoiseModel::dephasing(0.03, 0.03);
+    EXPECT_EQ(largestGroupAtBatch64<UnionFindDecoder>(lat, perRound, 0),
+              1u);
+    EXPECT_EQ(
+        largestGroupAtBatch64<UnionFindDecoder>(lat, noisyReadout, 3),
+        1u);
+    EXPECT_EQ(largestGroupAtBatch64<MwpmDecoder>(lat, perRound, 0), 1u);
+    EXPECT_EQ(largestGroupAtBatch64<MwpmDecoder>(lat, noisyReadout, 3),
+              1u);
+    EXPECT_EQ(largestGroupAtBatch64<MeshDecoder>(lat, perRound, 0), 64u);
+    EXPECT_EQ(largestGroupAtBatch64<MeshDecoder>(lat, noisyReadout, 3),
+              64u);
 }
 
 } // namespace

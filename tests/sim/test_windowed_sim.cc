@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "core/mesh_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "noise/noise_model.hh"
@@ -96,13 +97,14 @@ TEST(WindowedSim, EarlyStopMidGroupMatchesScalar)
     // The stop rule trips inside a group: the surplus lanes are
     // dropped, so the aggregates match the one-at-a-time run exactly.
     // Their windows were still decoded, so the batched decoder's
-    // counters run on to the end of the last group.
+    // counters run on to the end of the last group. Only a decoder
+    // with a lane engine is handed groups, so this runs the mesh.
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.06, 0.06);
     const StopRule rule{10, 4000, 25};
     const std::size_t lanes = 7;
-    UnionFindDecoder scalarDec(lat, ErrorType::Z);
-    UnionFindDecoder batchDec(lat, ErrorType::Z);
+    MeshDecoder scalarDec(lat, ErrorType::Z);
+    MeshDecoder batchDec(lat, ErrorType::Z);
     const MonteCarloResult scalar =
         runWindowed(lat, model, scalarDec, nullptr, 3, 1, rule, 0x5709);
     const MonteCarloResult batched = runWindowed(
@@ -115,8 +117,8 @@ TEST(WindowedSim, EarlyStopMidGroupMatchesScalar)
     obs::MetricSet sm, bm;
     scalarDec.exportMetrics(sm);
     batchDec.exportMetrics(bm);
-    EXPECT_EQ(sm.value("decoder.uf.window_decodes"), scalar.trials);
-    EXPECT_EQ(bm.value("decoder.uf.window_decodes"),
+    EXPECT_EQ(sm.value("decoder.mesh.decodes"), scalar.trials);
+    EXPECT_EQ(bm.value("decoder.mesh.decodes"),
               (scalar.trials + lanes - 1) / lanes * lanes);
 }
 

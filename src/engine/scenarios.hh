@@ -7,6 +7,11 @@
 #ifndef NISQPP_ENGINE_SCENARIOS_HH
 #define NISQPP_ENGINE_SCENARIOS_HH
 
+#include <vector>
+
+#include "engine/sweep.hh"
+#include "stream/stream_sim.hh"
+
 namespace nisqpp {
 
 class ScenarioContext;
@@ -36,6 +41,23 @@ void fig05Backlog(ScenarioContext &ctx);
 void fig06Runtime(ScenarioContext &ctx);
 void streamingBacklog(ScenarioContext &ctx);
 /** @} */
+
+/** One streaming cell: the decoder to build and its run's config. */
+struct StreamJob
+{
+    DecoderFactory factory;
+    StreamConfig config; ///< with config.lattice set
+};
+
+/**
+ * Run every job through the engine's job pool, each on a fresh decoder
+ * from its factory (scenarios_stream.cc). Results land in job order at
+ * any thread count, and each run's deterministic stream.* / decoder.*
+ * counters fold into the scenario sink in that order, so the fold is
+ * thread-count-invariant. Serves every streaming scenario.
+ */
+std::vector<StreamingResult> runStreamJobs(ScenarioContext &ctx,
+                                           const std::vector<StreamJob> &jobs);
 
 /** Noise subsystem: faulty measurement + channel zoo
  * (scenarios_noise.cc). @{ */

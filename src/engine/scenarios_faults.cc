@@ -13,8 +13,6 @@
 
 #include "engine/scenarios.hh"
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,13 +25,12 @@ namespace scenarios {
 
 namespace {
 
-/** One streaming run: a recovery policy under one fault operating point. */
+/** Row labels of one run: a recovery policy at one fault rate. */
 struct FaultCell
 {
     std::string policy;
     std::string decoder; ///< family name, or "tiered" for the deadline tier
     double rate = 0.0;   ///< headline fault rate (0 = fault-free)
-    StreamConfig config;
 };
 
 /** Escalation backend and confidence threshold of the deadline cells. */
@@ -56,38 +53,6 @@ specAtRate(double r)
     spec.duplicateRate = r / 2.0;
     spec.decodeFailRate = r / 4.0;
     return spec;
-}
-
-std::vector<StreamingResult>
-runFaultCells(ScenarioContext &ctx, const SurfaceLattice &lattice,
-              const std::vector<FaultCell> &cells)
-{
-    std::vector<StreamingResult> results(cells.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattice, i] {
-            const FaultCell &cell = cells[i];
-            StreamConfig config = cell.config;
-            config.lattice = &lattice;
-            std::unique_ptr<Decoder> decoder;
-            if (cell.decoder == "tiered")
-                decoder = tieredDecoderFactory(
-                    MeshConfig::finalDesign(), kExactFamily,
-                    kDeadlineThreshold)(lattice, ErrorType::Z);
-            else
-                decoder =
-                    decoderFamilies()[decoderFamilyIndex(cell.decoder)]
-                        .factory(lattice, ErrorType::Z);
-            results[i] = runStream(config, *decoder);
-        });
-    }
-    ctx.engine().runJobs(std::move(jobs));
-    // Fixed cell order: every job is a deterministic function of its
-    // cell, so the metric fold is thread-count-invariant.
-    for (const StreamingResult &r : results)
-        ctx.metrics().merge(r.metrics);
-    return results;
 }
 
 } // namespace
@@ -126,77 +91,74 @@ faultSweep(ScenarioContext &ctx)
     base.syndromeCycleNs = 400.0;
     base.rounds = rounds;
     base.seed = streamSeed;
+    base.lattice = &lattice;
 
-    auto cellFor = [&](const std::string &policy,
+    std::vector<FaultCell> cells;
+    std::vector<StreamJob> jobs;
+    auto addCell = [&](const std::string &policy,
                        const std::string &decoder, double rate,
                        const faults::FaultSpec &spec,
                        const faults::RecoveryPolicy &recovery) {
-        FaultCell cell;
-        cell.policy = policy;
-        cell.decoder = decoder;
-        cell.rate = rate;
-        cell.config = base;
-        cell.config.latency =
-            decoder == "tiered"
-                ? StreamLatencyModel::tiered(kExactFamily, distance)
-                : StreamLatencyModel::forFamily(decoder, distance);
-        cell.config.faults = spec;
-        cell.config.recovery = recovery;
-        return cell;
+        cells.push_back({policy, decoder, rate});
+        StreamJob job;
+        const bool tiered = decoder == "tiered";
+        job.factory =
+            tiered ? tieredDecoderFactory(MeshConfig::finalDesign(),
+                                          kExactFamily,
+                                          kDeadlineThreshold)
+                   : decoderFamilies()[decoderFamilyIndex(decoder)]
+                         .factory;
+        job.config = base;
+        job.config.latency =
+            tiered ? StreamLatencyModel::tiered(kExactFamily, distance)
+                   : StreamLatencyModel::forFamily(decoder, distance);
+        job.config.faults = spec;
+        job.config.recovery = recovery;
+        jobs.push_back(std::move(job));
     };
 
-    std::vector<FaultCell> cells;
     const faults::RecoveryPolicy none;
     // Fault-free baselines, one per decoder the policies run on.
-    cells.push_back(
-        cellFor("baseline", "union_find", 0.0, specAtRate(0.0), none));
-    cells.push_back(
-        cellFor("baseline", "tiered", 0.0, specAtRate(0.0), none));
-    cells.push_back(
-        cellFor("baseline", "mwpm", 0.0, specAtRate(0.0), none));
+    addCell("baseline", "union_find", 0.0, specAtRate(0.0), none);
+    addCell("baseline", "tiered", 0.0, specAtRate(0.0), none);
+    addCell("baseline", "mwpm", 0.0, specAtRate(0.0), none);
 
     for (double rate : rates) {
         const faults::FaultSpec spec =
             pinned ? *pinned : specAtRate(rate);
         const double shownRate = pinned ? -1.0 : rate;
 
-        cells.push_back(
-            cellFor("unprotected", "union_find", shownRate, spec, none));
+        addCell("unprotected", "union_find", shownRate, spec, none);
 
         faults::RecoveryPolicy retransmit;
         retransmit.parityRetransmit = true;
         retransmit.maxRetransmits = 3;
-        cells.push_back(cellFor("retransmit", "union_find", shownRate,
-                                spec, retransmit));
+        addCell("retransmit", "union_find", shownRate, spec,
+                retransmit);
 
         faults::RecoveryPolicy carry;
         carry.carryForward = true;
-        cells.push_back(cellFor("carry_forward", "union_find",
-                                shownRate, spec, carry));
+        addCell("carry_forward", "union_find", shownRate, spec, carry);
 
         faults::RecoveryPolicy deadline;
         deadline.deadlineNs = deadlineNs;
-        cells.push_back(
-            cellFor("deadline", "tiered", shownRate, spec, deadline));
+        addCell("deadline", "tiered", shownRate, spec, deadline);
 
         faults::RecoveryPolicy shedDrop;
         shedDrop.shedThreshold = kShedThreshold;
         shedDrop.shedMode = faults::ShedMode::DropOldest;
-        cells.push_back(
-            cellFor("shed_drop", "mwpm", shownRate, spec, shedDrop));
+        addCell("shed_drop", "mwpm", shownRate, spec, shedDrop);
 
         faults::RecoveryPolicy shedMerge;
         shedMerge.shedThreshold = kShedThreshold;
         shedMerge.shedMode = faults::ShedMode::XorMerge;
-        cells.push_back(
-            cellFor("shed_merge", "mwpm", shownRate, spec, shedMerge));
+        addCell("shed_merge", "mwpm", shownRate, spec, shedMerge);
 
-        cells.push_back(
-            cellFor("unshed", "mwpm", shownRate, spec, none));
+        addCell("unshed", "mwpm", shownRate, spec, none);
     }
 
     const std::vector<StreamingResult> results =
-        runFaultCells(ctx, lattice, cells);
+        runStreamJobs(ctx, jobs);
 
     auto rateLabel = [&](double rate) {
         return rate < 0.0 ? std::string("pinned")
@@ -217,16 +179,14 @@ faultSweep(ScenarioContext &ctx)
         const FaultCell &cell = cells[i];
         const StreamingResult &r = results[i];
         const faults::FaultCounts &fc = r.faults;
-        const bool faultless = !cell.config.faults.any() &&
-                               !cell.config.recovery.active();
-        // rounds == decoded + carried + lost + shed + merged; the
-        // fault-free path never fills the ledger, so it conserves by
+        // rounds == decoded + carried + lost + shed + merged; a
+        // fault-free run never fills the ledger, so it conserves by
         // construction (decodedRounds stays zero there).
         const std::uint64_t accounted =
             fc.decodedRounds + fc.carriedForward + fc.lostRounds +
             fc.shedRounds + fc.mergedRounds;
         const bool conserved =
-            faultless ||
+            !jobs[i].config.faultsActive() ||
             (accounted == static_cast<std::uint64_t>(r.rounds) &&
              r.clockMonotone);
         table.addRow({cell.policy, cell.decoder, rateLabel(cell.rate),

@@ -3,15 +3,16 @@
  * Streaming scenario bodies: the backlog/runtime paper claims measured
  * on the live streaming decode pipeline instead of (only) the Section
  * III closed forms. The streaming_backlog family sweeps decoder x
- * distance x cycle time through Engine::runJobs (one deterministic job
+ * distance x cycle time through runStreamJobs (one deterministic job
  * per cell, so aggregates are byte-identical at any thread count), and
  * fig05_backlog / fig06_runtime derive their operating ratios from
  * streaming measurements, keeping the closed-form model as cross-check.
+ * runStreamJobs, defined here, also runs the fault and tiered cells.
  */
 
 #include "engine/scenarios.hh"
 
-#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,44 +29,50 @@ namespace scenarios {
 
 namespace {
 
-/** Fully specified streaming cell: family index + run configuration. */
-struct StreamCell
+/**
+ * A families x distances x cycle-times streaming grid at dephasing
+ * p = 5%: one lattice per distance, shared read-only by its cells, and
+ * one job per cell with the decoderFamilies() index it runs.
+ */
+struct StreamGrid
 {
-    std::size_t family = 0;
-    int distance = 3;
-    StreamConfig config;
+    std::vector<std::unique_ptr<SurfaceLattice>> lattices;
+    std::vector<std::size_t> families;
+    std::vector<StreamJob> jobs;
 };
 
 /**
- * Build the cells of a families x distances x cycle-times streaming
- * grid at dephasing p = 5%, drawing per-cell seeds from @p masterSeed
- * in fixed grid order (so the grid is reproducible and thread-count
- * invariant). @p families holds decoderFamilies() indices.
+ * Build the grid's cells, drawing per-cell seeds from @p masterSeed in
+ * fixed grid order (so the grid is reproducible and thread-count
+ * invariant).
  */
-std::vector<StreamCell>
-makeStreamCells(const std::vector<std::size_t> &families,
-                const std::vector<int> &distances,
-                const std::vector<double> &cycles, std::size_t rounds,
-                std::uint64_t masterSeed)
+StreamGrid
+makeStreamGrid(const std::vector<std::size_t> &families,
+               const std::vector<int> &distances,
+               const std::vector<double> &cycles, std::size_t rounds,
+               std::uint64_t masterSeed)
 {
+    StreamGrid grid;
+    for (int d : distances)
+        grid.lattices.push_back(std::make_unique<SurfaceLattice>(d));
     Rng master(masterSeed);
-    std::vector<StreamCell> cells;
     for (std::size_t fi : families)
-        for (int d : distances)
+        for (std::size_t di = 0; di < distances.size(); ++di)
             for (double cycleNs : cycles) {
-                StreamCell cell;
-                cell.family = fi;
-                cell.distance = d;
-                cell.config.physicalRate = 0.05;
-                cell.config.syndromeCycleNs = cycleNs;
-                cell.config.rounds = rounds;
-                cell.config.latency = StreamLatencyModel::forFamily(
-                    decoderFamilies()[fi].name, d);
+                StreamJob job;
+                job.factory = decoderFamilies()[fi].factory;
+                job.config.lattice = grid.lattices[di].get();
+                job.config.physicalRate = 0.05;
+                job.config.syndromeCycleNs = cycleNs;
+                job.config.rounds = rounds;
+                job.config.latency = StreamLatencyModel::forFamily(
+                    decoderFamilies()[fi].name, distances[di]);
                 Rng child = master.split();
-                cell.config.seed = child.next();
-                cells.push_back(cell);
+                job.config.seed = child.next();
+                grid.families.push_back(fi);
+                grid.jobs.push_back(std::move(job));
             }
-    return cells;
+    return grid;
 }
 
 /** Indices of every registered decoder family. */
@@ -78,50 +85,6 @@ allFamilies()
     return indices;
 }
 
-/**
- * Run every cell through the engine's job pool; results land in cell
- * order regardless of the thread count (each job is deterministic and
- * owns one slot). Lattices are built once per distance and shared
- * read-only across cells.
- */
-std::vector<StreamingResult>
-runStreamCells(ScenarioContext &ctx, const std::vector<StreamCell> &cells)
-{
-    std::vector<std::unique_ptr<SurfaceLattice>> lattices;
-    std::vector<int> distances;
-    for (const StreamCell &cell : cells)
-        if (std::find(distances.begin(), distances.end(),
-                      cell.distance) == distances.end()) {
-            distances.push_back(cell.distance);
-            lattices.push_back(
-                std::make_unique<SurfaceLattice>(cell.distance));
-        }
-
-    std::vector<StreamingResult> results(cells.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattices, &distances, i] {
-            const StreamCell &cell = cells[i];
-            StreamConfig config = cell.config;
-            for (std::size_t di = 0; di < distances.size(); ++di)
-                if (distances[di] == cell.distance)
-                    config.lattice = lattices[di].get();
-            auto decoder = decoderFamilies()[cell.family].factory(
-                *config.lattice, ErrorType::Z);
-            results[i] = runStream(config, *decoder);
-        });
-    }
-    ctx.engine().runJobs(std::move(jobs));
-    // Fold each cell's deterministic stream.*/decoder.* counters into
-    // the scenario sink in fixed cell order: every job is a
-    // deterministic function of its cell config, so the fold is
-    // thread-count-invariant.
-    for (const StreamingResult &r : results)
-        ctx.metrics().merge(r.metrics);
-    return results;
-}
-
 std::string
 us(double ns)
 {
@@ -129,6 +92,25 @@ us(double ns)
 }
 
 } // namespace
+
+std::vector<StreamingResult>
+runStreamJobs(ScenarioContext &ctx, const std::vector<StreamJob> &jobs)
+{
+    std::vector<StreamingResult> results(jobs.size());
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        tasks.push_back([&jobs, &results, i] {
+            const StreamJob &job = jobs[i];
+            const auto decoder =
+                job.factory(*job.config.lattice, ErrorType::Z);
+            results[i] = runStream(job.config, *decoder);
+        });
+    ctx.engine().runJobs(std::move(tasks));
+    for (const StreamingResult &r : results)
+        ctx.metrics().merge(r.metrics);
+    return results;
+}
 
 void
 streamingBacklog(ScenarioContext &ctx)
@@ -144,11 +126,11 @@ streamingBacklog(ScenarioContext &ctx)
 
     const std::size_t rounds =
         ctx.scaled({4000, 4000, 1u << 30}).maxTrials;
-    const std::vector<StreamCell> cells =
-        makeStreamCells(allFamilies(), {3, 5, 7, 9}, {400.0, 1000.0},
-                        rounds, ctx.seed(0x57e40ULL));
+    const StreamGrid grid =
+        makeStreamGrid(allFamilies(), {3, 5, 7, 9}, {400.0, 1000.0},
+                       rounds, ctx.seed(0x57e40ULL));
     const std::vector<StreamingResult> results =
-        runStreamCells(ctx, cells);
+        runStreamJobs(ctx, grid.jobs);
 
     TablePrinter env({"key", "value"});
     env.addRow({"rounds per cell", std::to_string(rounds)});
@@ -161,13 +143,13 @@ streamingBacklog(ScenarioContext &ctx)
                         "svc mean (ns)", "svc p50", "svc p99",
                         "max depth", "overflow", "final backlog",
                         "growth/round", "model growth", "drain (us)"});
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const StreamCell &cell = cells[i];
+    for (std::size_t i = 0; i < grid.jobs.size(); ++i) {
+        const StreamConfig &config = grid.jobs[i].config;
         const StreamingResult &r = results[i];
         table.addRow(
-            {decoderFamilies()[cell.family].name,
-             std::to_string(cell.distance),
-             TablePrinter::num(cell.config.syndromeCycleNs, 4),
+            {decoderFamilies()[grid.families[i]].name,
+             std::to_string(config.lattice->distance()),
+             TablePrinter::num(config.syndromeCycleNs, 4),
              TablePrinter::num(r.logicalErrorRate, 3),
              TablePrinter::num(r.fEmpirical, 4),
              TablePrinter::num(r.serviceNs.mean(), 4),
@@ -187,11 +169,11 @@ streamingBacklog(ScenarioContext &ctx)
     // software baselines grow without bound (Section III).
     std::vector<std::string> header{"round"};
     std::vector<std::size_t> picks;
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        if (cells[i].distance == 9 &&
-            cells[i].config.syndromeCycleNs == 400.0) {
+    for (std::size_t i = 0; i < grid.jobs.size(); ++i)
+        if (grid.jobs[i].config.lattice->distance() == 9 &&
+            grid.jobs[i].config.syndromeCycleNs == 400.0) {
             picks.push_back(i);
-            header.push_back(decoderFamilies()[cells[i].family].name);
+            header.push_back(decoderFamilies()[grid.families[i]].name);
         }
     TablePrinter trajectory(header);
     if (!picks.empty()) {
@@ -227,12 +209,12 @@ fig05Backlog(ScenarioContext &ctx)
 
     const std::size_t rounds =
         ctx.scaled({2000, 2000, 1u << 30}).maxTrials;
-    const std::vector<StreamCell> cells = makeStreamCells(
+    const StreamGrid grid = makeStreamGrid(
         {decoderFamilyIndex("union_find"),
          decoderFamilyIndex("sfq_mesh")},
         {9}, {400.0}, rounds, ctx.seed(0xf165ULL));
     const std::vector<StreamingResult> results =
-        runStreamCells(ctx, cells);
+        runStreamJobs(ctx, grid.jobs);
     const StreamingResult &uf = results[0];
     const StreamingResult &mesh = results[1];
 
@@ -316,17 +298,17 @@ fig06Runtime(ScenarioContext &ctx)
     // Measure each decoder family's operating ratio on the pipeline.
     const std::size_t rounds =
         ctx.scaled({1000, 1000, 1u << 30}).maxTrials;
-    const std::vector<StreamCell> cells = makeStreamCells(
+    const StreamGrid grid = makeStreamGrid(
         allFamilies(), {9}, {400.0}, rounds, ctx.seed(0xf166ULL));
     const std::vector<StreamingResult> results =
-        runStreamCells(ctx, cells);
+        runStreamJobs(ctx, grid.jobs);
 
     TablePrinter measured({"decoder", "svc mean (ns)", "measured f",
                            "max backlog (rounds)"});
     std::vector<double> measuredRatios;
-    for (std::size_t fi = 0; fi < cells.size(); ++fi) {
+    for (std::size_t fi = 0; fi < grid.jobs.size(); ++fi) {
         const StreamingResult &r = results[fi];
-        measured.addRow({decoderFamilies()[cells[fi].family].name,
+        measured.addRow({decoderFamilies()[grid.families[fi]].name,
                          TablePrinter::num(r.serviceNs.mean(), 4),
                          TablePrinter::num(r.fEmpirical, 4),
                          std::to_string(r.maxBacklogRounds)});
@@ -337,8 +319,8 @@ fig06Runtime(ScenarioContext &ctx)
 
     // Running time of every benchmark at the *measured* ratios.
     std::vector<std::string> header{"benchmark (T count)"};
-    for (std::size_t fi = 0; fi < cells.size(); ++fi)
-        header.push_back(decoderFamilies()[cells[fi].family].name);
+    for (std::size_t fi : grid.families)
+        header.push_back(decoderFamilies()[fi].name);
     TablePrinter measuredRuntime(header);
     for (const QCircuit &qc : tableOneBenchmarks()) {
         std::vector<std::string> row{

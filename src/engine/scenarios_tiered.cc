@@ -14,8 +14,6 @@
 #include "engine/scenarios.hh"
 
 #include <algorithm>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,53 +27,55 @@ namespace scenarios {
 
 namespace {
 
-/** One streaming run of the frontier: a policy plus its latency model. */
+/** Row labels of one frontier run. */
 struct TieredCell
 {
     std::string label;
     /** >= 0: tiered decoder at this confidence threshold. */
     double threshold = -1.0;
-    /** Baseline decoder family when threshold < 0. */
-    std::string family = "sfq_mesh";
-    StreamConfig config;
 };
 
 /** Escalation backend of every tiered cell in this scenario. */
 constexpr const char *kExactFamily = "union_find";
 
 /**
- * Run every cell through the engine's job pool (results land in cell
- * order at any thread count) and fold each cell's deterministic
- * stream/decoder counters into the scenario sink in fixed cell order.
+ * A frontier table's cells, all on @p base's noise stream: the
+ * pure-mesh baseline, the tiered decoder at every threshold, and the
+ * exact baseline, each priced by its own latency model.
  */
-std::vector<StreamingResult>
-runTieredCells(ScenarioContext &ctx, const SurfaceLattice &lattice,
-               const std::vector<TieredCell> &cells)
+struct Frontier
 {
-    std::vector<StreamingResult> results(cells.size());
-    std::vector<std::function<void()>> jobs;
-    jobs.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        jobs.push_back([&cells, &results, &lattice, i] {
-            const TieredCell &cell = cells[i];
-            StreamConfig config = cell.config;
-            config.lattice = &lattice;
-            std::unique_ptr<Decoder> decoder;
-            if (cell.threshold >= 0.0)
-                decoder = tieredDecoderFactory(
-                    MeshConfig::finalDesign(), kExactFamily,
-                    cell.threshold)(lattice, ErrorType::Z);
-            else
-                decoder =
-                    decoderFamilies()[decoderFamilyIndex(cell.family)]
-                        .factory(lattice, ErrorType::Z);
-            results[i] = runStream(config, *decoder);
-        });
-    }
-    ctx.engine().runJobs(std::move(jobs));
-    for (const StreamingResult &r : results)
-        ctx.metrics().merge(r.metrics);
-    return results;
+    std::vector<TieredCell> cells;
+    std::vector<StreamJob> jobs;
+};
+
+Frontier
+makeFrontier(const std::vector<double> &thresholds,
+             const std::string &meshLabel, const std::string &exactLabel,
+             const StreamConfig &base)
+{
+    const int d = base.lattice->distance();
+    Frontier f;
+    auto add = [&](const TieredCell &cell, const DecoderFactory &factory,
+                   const StreamLatencyModel &latency) {
+        f.cells.push_back(cell);
+        f.jobs.push_back({factory, base});
+        f.jobs.back().config.latency = latency;
+    };
+    auto family = [d, &add](const std::string &label,
+                            const std::string &name) {
+        add({label, -1.0},
+            decoderFamilies()[decoderFamilyIndex(name)].factory,
+            StreamLatencyModel::forFamily(name, d));
+    };
+    family(meshLabel, "sfq_mesh");
+    for (double threshold : thresholds)
+        add({"tiered", threshold},
+            tieredDecoderFactory(MeshConfig::finalDesign(), kExactFamily,
+                                 threshold),
+            StreamLatencyModel::tiered(kExactFamily, d));
+    family(exactLabel, kExactFamily);
+    return f;
 }
 
 /** The threshold grid: --escalate-threshold pins a single point. */
@@ -151,41 +151,16 @@ tieredDecode(ScenarioContext &ctx)
     const std::uint64_t windowedSeed = master.split().next();
     const SurfaceLattice lattice(d);
 
-    std::vector<TieredCell> cells;
-    auto baseConfig = [&](const std::string &latencyFamily) {
-        StreamConfig config;
-        config.physicalRate = 0.05;
-        config.syndromeCycleNs = 400.0;
-        config.rounds = rounds;
-        config.seed = frontierSeed;
-        config.latency = latencyFamily == "tiered"
-                             ? StreamLatencyModel::tiered(kExactFamily, d)
-                             : StreamLatencyModel::forFamily(
-                                   latencyFamily, d);
-        return config;
-    };
-    {
-        TieredCell mesh;
-        mesh.label = "sfq_mesh";
-        mesh.config = baseConfig("sfq_mesh");
-        cells.push_back(mesh);
-    }
-    for (double threshold : thresholds) {
-        TieredCell cell;
-        cell.label = "tiered";
-        cell.threshold = threshold;
-        cell.config = baseConfig("tiered");
-        cells.push_back(cell);
-    }
-    {
-        TieredCell uf;
-        uf.label = kExactFamily;
-        uf.family = kExactFamily;
-        uf.config = baseConfig(kExactFamily);
-        cells.push_back(uf);
-    }
+    StreamConfig base;
+    base.lattice = &lattice;
+    base.physicalRate = 0.05;
+    base.syndromeCycleNs = 400.0;
+    base.rounds = rounds;
+    base.seed = frontierSeed;
+    const Frontier front =
+        makeFrontier(thresholds, "sfq_mesh", kExactFamily, base);
     const std::vector<StreamingResult> results =
-        runTieredCells(ctx, lattice, cells);
+        runStreamJobs(ctx, front.jobs);
 
     TablePrinter env({"key", "value"});
     env.addRow({"distance", std::to_string(d)});
@@ -196,8 +171,8 @@ tieredDecode(ScenarioContext &ctx)
     ctx.table("tiered_env", env);
 
     TablePrinter frontier(kColumns);
-    for (std::size_t i = 0; i < cells.size(); ++i)
-        addResultRow(frontier, cells[i], results[i]);
+    for (std::size_t i = 0; i < front.cells.size(); ++i)
+        addResultRow(frontier, front.cells[i], results[i]);
     ctx.table("tiered_frontier_d9_400ns", frontier);
 
     // --- Windowed pipeline under faulty measurement: the mesh's
@@ -210,48 +185,23 @@ tieredDecode(ScenarioContext &ctx)
     wrounds = std::max(w, wrounds - wrounds % w);
     const SurfaceLattice wlattice(wd);
 
-    std::vector<TieredCell> wcells;
-    auto windowConfig = [&](const std::string &latencyFamily) {
-        StreamConfig config;
-        config.physicalRate = 0.03;
-        config.measurementFlipRate = 0.03;
-        config.windowRounds = w;
-        config.syndromeCycleNs = 400.0;
-        config.rounds = wrounds;
-        config.seed = windowedSeed;
-        config.latency =
-            latencyFamily == "tiered"
-                ? StreamLatencyModel::tiered(kExactFamily, wd)
-                : StreamLatencyModel::forFamily(latencyFamily, wd);
-        return config;
-    };
-    {
-        TieredCell mesh;
-        mesh.label = "sfq_mesh (majority)";
-        mesh.family = "sfq_mesh";
-        mesh.config = windowConfig("sfq_mesh");
-        wcells.push_back(mesh);
-    }
-    for (double threshold : thresholds) {
-        TieredCell cell;
-        cell.label = "tiered";
-        cell.threshold = threshold;
-        cell.config = windowConfig("tiered");
-        wcells.push_back(cell);
-    }
-    {
-        TieredCell uf;
-        uf.label = std::string(kExactFamily) + " (spacetime)";
-        uf.family = kExactFamily;
-        uf.config = windowConfig(kExactFamily);
-        wcells.push_back(uf);
-    }
+    StreamConfig wbase;
+    wbase.lattice = &wlattice;
+    wbase.physicalRate = 0.03;
+    wbase.measurementFlipRate = 0.03;
+    wbase.windowRounds = w;
+    wbase.syndromeCycleNs = 400.0;
+    wbase.rounds = wrounds;
+    wbase.seed = windowedSeed;
+    const Frontier wfront = makeFrontier(
+        thresholds, "sfq_mesh (majority)",
+        std::string(kExactFamily) + " (spacetime)", wbase);
     const std::vector<StreamingResult> wresults =
-        runTieredCells(ctx, wlattice, wcells);
+        runStreamJobs(ctx, wfront.jobs);
 
     TablePrinter windowed(kColumns);
-    for (std::size_t i = 0; i < wcells.size(); ++i)
-        addResultRow(windowed, wcells[i], wresults[i]);
+    for (std::size_t i = 0; i < wfront.cells.size(); ++i)
+        addResultRow(windowed, wfront.cells[i], wresults[i]);
     ctx.table("tiered_windowed_d5_q3", windowed);
 
     ctx.note("\nreading the frontier: threshold 0 is pure mesh, 1.0 "

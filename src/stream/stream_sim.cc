@@ -22,62 +22,62 @@ constexpr std::size_t kLatencyBinMaxNs = 8191;
 
 } // namespace
 
+void
+StreamConfig::validate() const
+{
+    require(lattice != nullptr, "runStream: lattice required");
+    require(rounds > 0, "runStream: rounds must be positive");
+    require(syndromeCycleNs > 0,
+            "runStream: syndrome cycle must be positive");
+    if (windowRounds > 0)
+        require(rounds % windowRounds == 0,
+                "runStream: rounds must be a multiple of windowRounds");
+    else
+        require(measurementFlipRate == 0.0,
+                "runStream: measurement noise requires windowRounds "
+                "> 0 (per-round decoding cannot see readout flips)");
+    require(windowRounds == 0 || !faultsActive(),
+            "runStream: fault injection and recovery policies "
+            "require the per-round pipeline (windowRounds == 0)");
+    recovery.validate();
+}
+
 StreamingResult
 runStream(const StreamConfig &config, Decoder &decoder,
           TrialWorkspace *workspace, const StreamObserver *observer)
 {
-    require(config.lattice != nullptr, "runStream: lattice required");
-    require(config.rounds > 0, "runStream: rounds must be positive");
-    require(config.syndromeCycleNs > 0,
-            "runStream: syndrome cycle must be positive");
+    config.validate();
     require(decoder.type() == ErrorType::Z,
             "runStream: streaming decodes the dephasing (Z) family");
+    if (config.latency.meshCycles)
+        require(decoder.meshStats() != nullptr,
+                "runStream: mesh-cycle latency model needs a decoder "
+                "with mesh telemetry");
 
     std::unique_ptr<TrialWorkspace> owned;
     if (!workspace) {
         owned = std::make_unique<TrialWorkspace>();
         workspace = owned.get();
     }
-    if (config.latency.meshCycles)
-        require(decoder.meshStats() != nullptr,
-                "runStream: mesh-cycle latency model needs a decoder "
-                "with mesh telemetry");
-
-    const std::size_t w = config.windowRounds;
-    if (w > 0)
-        require(config.rounds % w == 0,
-                "runStream: rounds must be a multiple of windowRounds");
-    else
-        require(config.measurementFlipRate == 0.0,
-                "runStream: measurement noise requires windowRounds "
-                "> 0 (per-round decoding cannot see readout flips)");
 
     // Fault injection and recovery are a strict superset of the fault-
-    // free pipeline: when neither is active the code below takes
-    // exactly the pre-fault path (no extra RNG draws, no stream.fault.*
-    // metric keys), keeping fault-free runs byte-identical to the
-    // goldens that predate this layer.
-    const bool faultsActive =
-        config.faults.any() || config.recovery.active();
+    // free pipeline: when neither is active every round gets the empty
+    // RoundFaults{} under the inactive policy, which fires nothing (no
+    // RNG draws, no ledger counts, no stream.fault.* metric keys), so
+    // fault-free runs stay byte-identical to the goldens that predate
+    // this layer.
+    const bool faultsActive = config.faultsActive();
+    const faults::RecoveryPolicy &policy = config.recovery;
     std::unique_ptr<faults::FaultPlan> plan;
-    std::unique_ptr<Syndrome> corruptScratch;
-    std::unique_ptr<Syndrome> lastGood;
-    bool lastGoodValid = false;
-    double pendingMergeNs = 0.0;
-    if (faultsActive) {
-        require(w == 0,
-                "runStream: fault injection and recovery policies "
-                "require the per-round pipeline (windowRounds == 0)");
-        config.recovery.validate();
+    if (faultsActive)
         plan = std::make_unique<faults::FaultPlan>(
             config.faults,
             static_cast<std::uint32_t>(
                 config.lattice->numAncilla(ErrorType::Z)));
-        corruptScratch =
-            std::make_unique<Syndrome>(*config.lattice, ErrorType::Z);
-        lastGood =
-            std::make_unique<Syndrome>(*config.lattice, ErrorType::Z);
-    }
+    Syndrome corruptScratch(*config.lattice, ErrorType::Z);
+    Syndrome lastGood(*config.lattice, ErrorType::Z);
+    bool lastGoodValid = false;
+    double pendingMergeNs = 0.0;
 
     const NoiseModel model = NoiseModel::dephasing(
         config.physicalRate, config.measurementFlipRate);
@@ -87,6 +87,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
     Histogram serviceHist(kLatencyBinMaxNs);
 
     StreamingResult result;
+    faults::FaultCounts &fc = result.faults;
     const double cycle = config.syndromeCycleNs;
     const double endOfProduction =
         static_cast<double>(config.rounds) * cycle;
@@ -101,9 +102,10 @@ runStream(const StreamConfig &config, Decoder &decoder,
     std::size_t completedByEnd = 0;
     bool parity = false;
 
-    // Windowed-consumer state: w measured rounds accumulate, then a
-    // perfect commit round closes the window, the decode happens once
-    // and its correction is committed at the boundary.
+    // Windowed state: w measured rounds accumulate, then a perfect
+    // commit round closes the window, the decode happens once and its
+    // correction is committed at the boundary.
+    const std::size_t w = config.windowRounds;
     std::unique_ptr<SyndromeWindow> window;
     std::unique_ptr<Syndrome> commitSyn;
     if (w > 0) {
@@ -113,6 +115,12 @@ runStream(const StreamConfig &config, Decoder &decoder,
             std::make_unique<Syndrome>(*config.lattice, ErrorType::Z);
     }
     const Correction emptyCorrection; ///< observer arg between commits
+
+    auto observe = [&](std::size_t k, const Syndrome &syndrome,
+                       const Correction &correction) {
+        if (observer && *observer)
+            (*observer)(k, syndrome, correction);
+    };
 
     // Commit the decode's correction and return the resulting crossing
     // parity. A tiered decode that was repaired commits in two steps —
@@ -166,7 +174,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
             // Second delivery of a round already handled: discarded by
             // sequence number, so it completes nothing and its queue
             // residence is not a sojourn.
-            ++result.faults.dedupRounds;
+            ++fc.dedupRounds;
         } else {
             result.sojournNs.add(done - entry.arriveNs);
             if (done <= endOfProduction)
@@ -191,6 +199,11 @@ runStream(const StreamConfig &config, Decoder &decoder,
         }
     };
 
+    // One consumer for both pipelines. Every round passes transport
+    // (its faults, recovery and shedding) and joins the queue; a round
+    // that closes a group — every round when w == 0, the w-th round of
+    // each window otherwise — is decoded, priced, committed and
+    // observed by the single tail below.
     auto processRound = [&](std::size_t k) {
         const double tArrive = static_cast<double>(k) * cycle;
         retireBefore(tArrive);
@@ -204,224 +217,174 @@ runStream(const StreamConfig &config, Decoder &decoder,
             produced = &stream.emit();
         }
         const Syndrome &syndrome = *produced;
-        double serviceNs = 0.0;
+        const faults::RoundFaults rf =
+            plan ? plan->eventFor(k) : faults::RoundFaults{};
         double arriveNs = tArrive;
-        bool decoded = false;
-        bool duplicated = false;
-        if (w == 0 && faultsActive) {
-            const faults::RoundFaults rf = plan->eventFor(k);
-            const faults::RecoveryPolicy &policy = config.recovery;
-            faults::FaultCounts &fc = result.faults;
 
-            if (rf.delayCycles > 0) {
-                ++fc.delays;
-                arriveNs += static_cast<double>(rf.delayCycles) * cycle;
-            }
+        if (rf.delayCycles > 0) {
+            ++fc.delays;
+            arriveNs += static_cast<double>(rf.delayCycles) * cycle;
+        }
 
-            // Transport outcome for round k's delivery.
-            bool carried = false;   // decode the last clean frame
-            bool lost = false;      // no decode at all
-            bool corrupted = false; // decode the corrupted copy
-            if (rf.transportFault()) {
-                if (rf.dropped)
-                    ++fc.drops;
+        // Transport outcome for round k's delivery.
+        bool carried = false;   // decode the last clean frame
+        bool lost = false;      // no decode at all
+        bool corrupted = false; // decode the corrupted copy
+        if (rf.transportFault()) {
+            if (rf.dropped)
+                ++fc.drops;
+            else
+                ++fc.corruptions;
+            const int attempts = rf.retransmitsNeeded + 1;
+            if (policy.parityRetransmit &&
+                attempts <= policy.maxRetransmits) {
+                // Parity caught the fault; bounded re-requests are paid
+                // in virtual ns with linear backoff (attempt i costs
+                // i * retransmitNs), then the clean round arrives.
+                obs::TraceSpan span(obs::Stage::StreamRecover);
+                fc.retransmits += static_cast<std::uint64_t>(attempts);
+                for (int i = 1; i <= attempts; ++i)
+                    arriveNs +=
+                        static_cast<double>(i) * policy.retransmitNs;
+            } else if (rf.dropped || policy.parityRetransmit) {
+                // A drop, or a corruption parity caught but could not
+                // recover within the re-request budget.
+                if (policy.carryForward && lastGoodValid)
+                    carried = true;
                 else
-                    ++fc.corruptions;
-                const int attempts = rf.retransmitsNeeded + 1;
-                if (policy.parityRetransmit &&
-                    attempts <= policy.maxRetransmits) {
-                    // Parity caught the fault; bounded re-requests are
-                    // paid in virtual ns with linear backoff (attempt
-                    // i costs i * retransmitNs), then the clean round
-                    // arrives.
-                    obs::TraceSpan span(obs::Stage::StreamRecover);
-                    fc.retransmits +=
-                        static_cast<std::uint64_t>(attempts);
-                    for (int i = 1; i <= attempts; ++i)
-                        arriveNs += static_cast<double>(i) *
-                                    policy.retransmitNs;
-                } else if (rf.dropped || policy.parityRetransmit) {
-                    // A drop, or a corruption parity caught but could
-                    // not recover within the re-request budget.
-                    if (policy.carryForward && lastGoodValid)
-                        carried = true;
-                    else
-                        lost = true;
-                } else {
-                    // No parity protection: the corruption is silent
-                    // and the consumer decodes the corrupted round.
-                    corrupted = true;
-                }
-            }
-            // Only delivered rounds can arrive twice.
-            duplicated = rf.duplicated && !lost && !carried;
-            if (duplicated)
-                ++fc.duplicates;
-
-            // Load shedding: above the backlog threshold the consumer
-            // refuses the decode. The lifetime syndrome is cumulative,
-            // so the next decoded round supersedes a shed one's
-            // information — DropOldest discards it outright, XorMerge
-            // folds it into the next decode for a small surcharge.
-            bool shed = false;
-            bool mergedRound = false;
-            if (!lost && policy.shedThreshold > 0 &&
-                queue.depth() >= policy.shedThreshold) {
-                if (policy.shedMode == faults::ShedMode::DropOldest) {
-                    shed = true;
-                    ++fc.shedRounds;
-                } else {
-                    mergedRound = true;
-                    ++fc.mergedRounds;
-                    pendingMergeNs += policy.mergeNs;
-                }
-            }
-
-            if (lost) {
-                ++fc.lostRounds;
-                if (observer && *observer)
-                    (*observer)(k, syndrome, emptyCorrection);
-            } else if (shed || mergedRound) {
-                if (observer && *observer)
-                    (*observer)(k, syndrome, emptyCorrection);
+                    lost = true;
             } else {
-                const Syndrome *toDecode = &syndrome;
-                if (carried) {
-                    obs::TraceSpan span(obs::Stage::StreamRecover);
-                    toDecode = lastGood.get();
-                    ++fc.carriedForward;
-                } else {
-                    if (corrupted) {
-                        *corruptScratch = syndrome;
-                        for (int i = 0; i < rf.corruptBits; ++i)
-                            corruptScratch->flip(static_cast<int>(
-                                rf.corruptAncilla
-                                    [static_cast<std::size_t>(i)]));
-                        toDecode = corruptScratch.get();
-                        ++fc.corruptDecodes;
-                    } else if (policy.carryForward) {
-                        *lastGood = syndrome;
-                        lastGoodValid = true;
-                    }
-                    ++fc.decodedRounds;
-                }
-                {
-                    obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
-                    decoder.decode(*toDecode, *workspace);
-                }
-                serviceNs = withEscalation(config.latency.decodeNs(
-                    decoder.meshStats(), toDecode->weight()));
-                if (pendingMergeNs > 0.0) {
-                    serviceNs += pendingMergeNs;
-                    pendingMergeNs = 0.0;
-                }
-                if (rf.stallFactor != 1.0) {
-                    ++fc.stalls;
-                    serviceNs *= rf.stallFactor;
-                }
-                bool provisionalOnly = false;
-                if (policy.deadlineNs > 0.0 &&
-                    serviceNs > policy.deadlineNs) {
-                    // Deadline miss: an escalated tiered decode
-                    // commits its provisional mesh answer instead of
-                    // waiting out the exact tier; anything else just
-                    // has its modeled service clamped to the budget.
-                    const TieredDecodeStats *ts = decoder.tieredStats();
-                    if (ts && ts->escalated) {
-                        provisionalOnly = true;
-                        ++fc.deadlineCommits;
-                    } else {
-                        ++fc.deadlineClamps;
-                    }
-                    serviceNs = policy.deadlineNs;
-                }
-                if (rf.decodeFailed) {
-                    // Transient decode failure: the service time is
-                    // paid but no correction lands; the residual
-                    // errors stay for the next round's decode.
-                    ++fc.decodeFailures;
-                    if (observer && *observer)
-                        (*observer)(k, syndrome, emptyCorrection);
-                } else {
-                    bool nowParity;
-                    {
-                        obs::TraceSpan commitSpan(
-                            obs::Stage::StreamCommit);
-                        nowParity = commitCorrection(provisionalOnly);
-                    }
-                    if (nowParity != parity)
-                        ++result.failures;
-                    parity = nowParity;
-                    if (observer && *observer)
-                        (*observer)(k, syndrome, workspace->correction);
-                }
-                decoded = true;
+                // No parity protection: the corruption is silent and
+                // the consumer decodes the corrupted round.
+                corrupted = true;
             }
-        } else if (w == 0) {
-            {
-                obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
-                decoder.decode(syndrome, *workspace);
+        }
+        // Only delivered rounds can arrive twice.
+        const bool duplicated = rf.duplicated && !lost && !carried;
+        if (duplicated)
+            ++fc.duplicates;
+
+        // Load shedding: above the backlog threshold the consumer
+        // refuses the decode. The lifetime syndrome is cumulative, so
+        // the next decoded round supersedes a shed one's information —
+        // DropOldest discards it outright, XorMerge folds it into the
+        // next decode for a small surcharge.
+        bool shed = false;
+        if (!lost && policy.shedThreshold > 0 &&
+            queue.depth() >= policy.shedThreshold) {
+            shed = true;
+            if (policy.shedMode == faults::ShedMode::DropOldest) {
+                ++fc.shedRounds;
+            } else {
+                ++fc.mergedRounds;
+                pendingMergeNs += policy.mergeNs;
             }
-            bool nowParity;
-            {
-                obs::TraceSpan commitSpan(obs::Stage::StreamCommit);
-                nowParity = commitCorrection(false);
-            }
-            if (nowParity != parity)
-                ++result.failures;
-            parity = nowParity;
-            if (observer && *observer)
-                (*observer)(k, syndrome, workspace->correction);
-            serviceNs = withEscalation(config.latency.decodeNs(
-                decoder.meshStats(), syndrome.weight()));
-            decoded = true;
+        }
+
+        if (window)
+            window->recordRound(static_cast<int>(k % w), syndrome);
+        const bool closesGroup = w == 0 || (k + 1) % w == 0;
+
+        double serviceNs = 0.0;
+        if (lost)
+            ++fc.lostRounds;
+        if (lost || shed || !closesGroup) {
+            observe(k, syndrome, emptyCorrection);
         } else {
-            const int t = static_cast<int>(k % w);
-            window->recordRound(t, syndrome);
-            if (t + 1 == static_cast<int>(w)) {
-                // Close the window with a perfect commit round,
-                // decode it as one spacetime problem, commit.
+            const Syndrome *toDecode = &syndrome;
+            if (carried) {
+                obs::TraceSpan span(obs::Stage::StreamRecover);
+                toDecode = &lastGood;
+                ++fc.carriedForward;
+            } else {
+                if (corrupted) {
+                    corruptScratch = syndrome;
+                    for (int i = 0; i < rf.corruptBits; ++i)
+                        corruptScratch.flip(static_cast<int>(
+                            rf.corruptAncilla[static_cast<std::size_t>(i)]));
+                    toDecode = &corruptScratch;
+                    ++fc.corruptDecodes;
+                } else if (policy.carryForward) {
+                    lastGood = syndrome;
+                    lastGoodValid = true;
+                }
+                if (faultsActive) // fault-free ledgers stay all-zero
+                    ++fc.decodedRounds;
+            }
+            if (window) {
+                // Close the window with a perfect commit round; it
+                // decodes as one spacetime problem.
                 stream.extractPerfectInto(*commitSyn);
                 window->recordRound(static_cast<int>(w), *commitSyn);
-                {
-                    obs::TraceSpan decodeSpan(
-                        obs::Stage::StreamDecode);
+                ++result.windows;
+            }
+            {
+                obs::TraceSpan decodeSpan(obs::Stage::StreamDecode);
+                if (window)
                     decoder.decodeWindow(*window, *workspace);
+                else
+                    decoder.decode(*toDecode, *workspace);
+            }
+            serviceNs = withEscalation(config.latency.decodeNs(
+                decoder.meshStats(),
+                window ? window->eventWeight() : toDecode->weight()));
+            if (pendingMergeNs > 0.0) {
+                serviceNs += pendingMergeNs;
+                pendingMergeNs = 0.0;
+            }
+            if (rf.stallFactor != 1.0) {
+                ++fc.stalls;
+                serviceNs *= rf.stallFactor;
+            }
+            bool provisionalOnly = false;
+            if (policy.deadlineNs > 0.0 &&
+                serviceNs > policy.deadlineNs) {
+                // Deadline miss: an escalated tiered decode commits its
+                // provisional mesh answer instead of waiting out the
+                // exact tier; anything else just has its modeled
+                // service clamped to the budget.
+                const TieredDecodeStats *ts = decoder.tieredStats();
+                if (ts && ts->escalated) {
+                    provisionalOnly = true;
+                    ++fc.deadlineCommits;
+                } else {
+                    ++fc.deadlineClamps;
                 }
+                serviceNs = policy.deadlineNs;
+            }
+            if (rf.decodeFailed) {
+                // Transient decode failure: the service time is paid
+                // but no correction lands; the residual errors stay for
+                // the next round's decode.
+                ++fc.decodeFailures;
+                observe(k, syndrome, emptyCorrection);
+            } else {
                 bool nowParity;
                 {
-                    obs::TraceSpan commitSpan(
-                        obs::Stage::StreamCommit);
-                    ++result.windows;
-                    nowParity = commitCorrection(false);
+                    obs::TraceSpan commitSpan(obs::Stage::StreamCommit);
+                    nowParity = commitCorrection(provisionalOnly);
                 }
                 if (nowParity != parity)
                     ++result.failures;
                 parity = nowParity;
-                if (observer && *observer)
-                    (*observer)(k, syndrome, workspace->correction);
-                serviceNs = withEscalation(config.latency.decodeNs(
-                    decoder.meshStats(), window->eventWeight()));
-                decoded = true;
-                // Re-arm: the next window's round-0 events are
-                // measured against the post-commit perfect frame.
-                stream.extractPerfectInto(*commitSyn);
-                window->reset();
-                window->setBaseline(*commitSyn);
-            } else if (observer && *observer) {
-                (*observer)(k, syndrome, emptyCorrection);
+                observe(k, syndrome, workspace->correction);
             }
-        }
-
-        // Only rounds that actually ran a decode enter the service
-        // statistics: non-closing windowed rounds cost no decode work,
-        // and their zero "services" would dilute the percentiles
-        // relative to the per-round path. (They still pass through the
-        // queue with zero service so arrival accounting is unchanged.)
-        if (decoded) {
+            // Only rounds that run a decode enter the service
+            // statistics: non-closing windowed rounds cost no decode
+            // work, and their zero "services" would dilute the
+            // percentiles relative to the per-round pipeline. (They
+            // still pass through the queue with zero service so
+            // arrival accounting is unchanged.)
             result.serviceNs.add(serviceNs);
             serviceHist.add(
                 static_cast<std::size_t>(std::llround(serviceNs)));
+            if (window) {
+                // Re-arm: the next window's round-0 events are measured
+                // against the post-commit perfect frame.
+                stream.extractPerfectInto(*commitSyn);
+                window->reset();
+                window->setBaseline(*commitSyn);
+            }
         }
 
         queue.push({k, arriveNs, serviceNs, false});
@@ -496,7 +459,6 @@ runStream(const StreamConfig &config, Decoder &decoder,
     // fault-free metric reports (and every pre-fault golden) keep
     // their exact key set.
     if (faultsActive) {
-        const faults::FaultCounts &fc = result.faults;
         result.metrics.add("stream.fault.drops", fc.drops);
         result.metrics.add("stream.fault.corruptions", fc.corruptions);
         result.metrics.add("stream.fault.duplicates", fc.duplicates);

@@ -43,8 +43,10 @@ struct StreamConfig
      * immediately (perfect-measurement pipeline). When set, the
      * consumer accumulates w measured rounds plus a perfect commit
      * round, decodes the window through Decoder::decodeWindow, and
-     * commits the correction at the window boundary; rounds must be
-     * a multiple of w.
+     * commits the correction at the window boundary. A round and a
+     * window drain through one consumer: the round that closes a
+     * group (every round when w = 0, every w-th otherwise) runs the
+     * same decode, pricing, commit and observer step.
      */
     std::size_t windowRounds = 0;
     double syndromeCycleNs = 400.0; ///< generation cycle (paper [27])
@@ -58,10 +60,9 @@ struct StreamConfig
     /**
      * Seeded fault injection striking transport and consumer (all-zero
      * = fault-free), and the recovery/degradation policy answering it.
-     * Both default-inactive; a run with neither active takes exactly
-     * the fault-free code path (no extra RNG draws, no fault metrics),
-     * so existing goldens are untouched. Fault injection requires the
-     * per-round pipeline (windowRounds == 0). @{
+     * Both default-inactive; with neither active every round meets no
+     * fault under an inactive policy (no extra RNG draws, no fault
+     * ledger counts or metrics), so existing goldens are untouched. @{
      */
     faults::FaultSpec faults;
     faults::RecoveryPolicy recovery;
@@ -73,6 +74,20 @@ struct StreamConfig
      * with the next change to the benchmark.
      */
     std::size_t batchLanes = 1;
+
+    /** True when fault injection or a recovery policy is enabled. */
+    bool faultsActive() const { return faults.any() || recovery.active(); }
+
+    /**
+     * Panics on a configuration runStream cannot run, whatever the
+     * decoder: a missing lattice, no rounds or cycle time, rounds not
+     * a multiple of windowRounds, measurement noise without a window,
+     * faults or recovery with a window (faults x windows is
+     * unsupported), or a negative recovery cost. Every combination
+     * check that reads only the config lives here; runStream calls it
+     * first and adds only the checks that need the decoder.
+     */
+    void validate() const;
 };
 
 /** Aggregates and telemetry of one streaming run. */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared equality checks of the simulator tests: a Monte Carlo result
- * compared field by field (FP accumulations included), and a decoder's
- * exported decoder.* counters flattened for whole-set comparison.
+ * compared field by field (FP accumulations included), a decoder's
+ * exported decoder.* counters flattened for whole-set comparison, and
+ * a decoder wrapper recording the largest group it was handed.
  */
 
 #ifndef NISQPP_TESTS_SIM_AGGREGATES_HH
@@ -10,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -59,6 +61,35 @@ decoderCounters(const Decoder &decoder)
     });
     return out;
 }
+
+/** DecoderT recording the largest group either decode entry saw. */
+template <typename DecoderT>
+class GroupCounting : public DecoderT
+{
+  public:
+    using DecoderT::DecoderT;
+    using DecoderT::decodeBatch;
+    using DecoderT::decodeWindowBatch;
+
+    void
+    decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                Correction *out, TrialWorkspace &ws) override
+    {
+        maxGroup = std::max(maxGroup, count);
+        DecoderT::decodeBatch(syndromes, count, out, ws);
+    }
+
+    void
+    decodeWindowBatch(const SyndromeWindow *const *windows,
+                      std::size_t count, Correction *out,
+                      TrialWorkspace &ws) override
+    {
+        maxGroup = std::max(maxGroup, count);
+        DecoderT::decodeWindowBatch(windows, count, out, ws);
+    }
+
+    std::size_t maxGroup = 0;
+};
 
 } // namespace nisqpp
 

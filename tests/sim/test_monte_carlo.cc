@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdlib>
 
 #include "core/mesh_decoder.hh"
@@ -295,35 +294,6 @@ TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
     batched.setBatchLanes(16);
     expectSameAggregates(reference, batched.run(rule));
 }
-
-/** DecoderT recording the largest group either decode entry saw. */
-template <typename DecoderT>
-class GroupCounting : public DecoderT
-{
-  public:
-    using DecoderT::DecoderT;
-    using DecoderT::decodeBatch;
-    using DecoderT::decodeWindowBatch;
-
-    void
-    decodeBatch(const Syndrome *const *syndromes, std::size_t count,
-                Correction *out, TrialWorkspace &ws) override
-    {
-        maxGroup = std::max(maxGroup, count);
-        DecoderT::decodeBatch(syndromes, count, out, ws);
-    }
-
-    void
-    decodeWindowBatch(const SyndromeWindow *const *windows,
-                      std::size_t count, Correction *out,
-                      TrialWorkspace &ws) override
-    {
-        maxGroup = std::max(maxGroup, count);
-        DecoderT::decodeWindowBatch(windows, count, out, ws);
-    }
-
-    std::size_t maxGroup = 0;
-};
 
 /**
  * Run 200 per-round (@p window = 0) or windowed trials at batch 1 and

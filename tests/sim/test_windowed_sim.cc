@@ -1,5 +1,6 @@
 /** @file Faulty-measurement windowed Monte Carlo protocol: batch-lane
- * equivalence, sub-threshold distance scaling, and mode guards. */
+ * equivalence of the grouped window paths (mesh, tiered), sub-threshold
+ * distance scaling, and mode guards. */
 
 #include <gtest/gtest.h>
 
@@ -7,6 +8,7 @@
 
 #include "core/mesh_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
+#include "decoders/tiered_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "noise/noise_model.hh"
 #include "sim/monte_carlo.hh"
@@ -36,60 +38,80 @@ runWindowed(const SurfaceLattice &lat, const NoiseModel &model,
 
 /**
  * Run the windowed protocol one trial at a time and @p lanes trials
- * per group, each with fresh DecoderT decoders (an X decoder too when
- * @p depolarizing), and require identical aggregates and identical
- * exported decoder counters. Returns the one-at-a-time result.
+ * per group, each side on fresh decoders from @p make (an X decoder
+ * too when @p depolarizing), and require identical aggregates and
+ * identical exported decoder counters, with the grouped side really
+ * handed groups of @p lanes. Returns the one-at-a-time Z decoder's
+ * counters.
  */
-template <typename DecoderT>
-MonteCarloResult
-expectBatchMatchesScalar(const SurfaceLattice &lat,
+template <typename Make>
+std::map<std::string, std::vector<std::uint64_t>>
+expectBatchMatchesScalar(const Make &make, const SurfaceLattice &lat,
                          const NoiseModel &model, bool depolarizing,
                          int windowRounds, std::size_t lanes,
                          const StopRule &rule, std::uint64_t seed)
 {
-    DecoderT scalarZ(lat, ErrorType::Z), scalarX(lat, ErrorType::X);
-    DecoderT batchZ(lat, ErrorType::Z), batchX(lat, ErrorType::X);
-    const MonteCarloResult scalar =
-        runWindowed(lat, model, scalarZ, depolarizing ? &scalarX : nullptr,
-                    windowRounds, 1, rule, seed);
-    const MonteCarloResult batched =
-        runWindowed(lat, model, batchZ, depolarizing ? &batchX : nullptr,
-                    windowRounds, lanes, rule, seed);
+    const auto scalarZ = make(ErrorType::Z), scalarX = make(ErrorType::X);
+    const auto batchZ = make(ErrorType::Z), batchX = make(ErrorType::X);
+    const MonteCarloResult scalar = runWindowed(
+        lat, model, *scalarZ, depolarizing ? scalarX.get() : nullptr,
+        windowRounds, 1, rule, seed);
+    const MonteCarloResult batched = runWindowed(
+        lat, model, *batchZ, depolarizing ? batchX.get() : nullptr,
+        windowRounds, lanes, rule, seed);
     expectSameAggregates(scalar, batched);
-    EXPECT_EQ(decoderCounters(batchZ), decoderCounters(scalarZ));
-    EXPECT_EQ(decoderCounters(batchX), decoderCounters(scalarX));
-    EXPECT_FALSE(decoderCounters(batchZ).empty());
-    EXPECT_EQ(decoderCounters(batchX).empty(), !depolarizing);
-    // Windowed runs record no mesh cycle telemetry.
-    EXPECT_EQ(scalar.cycles.count(), 0u);
+    EXPECT_EQ(decoderCounters(*batchZ), decoderCounters(*scalarZ));
+    EXPECT_EQ(decoderCounters(*batchX), decoderCounters(*scalarX));
+    EXPECT_FALSE(decoderCounters(*batchZ).empty());
+    EXPECT_EQ(scalarZ->maxGroup, 1u);
+    EXPECT_EQ(batchZ->maxGroup, lanes);
+    EXPECT_EQ(batchX->maxGroup, depolarizing ? lanes : 0u);
     EXPECT_GT(scalar.trials, 0u);
-    return scalar;
+    return decoderCounters(*scalarZ);
+}
+
+/** Group-counting mesh decoders of @p lat. */
+auto
+meshMaker(const SurfaceLattice &lat)
+{
+    return [&lat](ErrorType type) {
+        return std::make_unique<GroupCounting<MeshDecoder>>(lat, type);
+    };
 }
 
 TEST(WindowedSim, BatchLanesMatchScalarDephasing)
 {
+    // Windows reach the mesh's lane engine as round-majority votes.
     SurfaceLattice lat(3);
-    expectBatchMatchesScalar<UnionFindDecoder>(
-        lat, NoiseModel::dephasing(0.03, 0.03), false, 3, 7,
-        fixedTrials(400), 0xabc);
+    expectBatchMatchesScalar(meshMaker(lat), lat,
+                             NoiseModel::dephasing(0.03, 0.03), false, 3,
+                             7, fixedTrials(400), 0xabc);
 }
 
 TEST(WindowedSim, BatchLanesMatchScalarDepolarizing)
 {
     // Depolarizing + q > 0 exercises both families' windows.
-    SurfaceLattice lat(3);
-    expectBatchMatchesScalar<MwpmDecoder>(
-        lat, NoiseModel::depolarizing(0.03, 0.02), true, 3, 9,
-        fixedTrials(250), 0x77);
+    SurfaceLattice lat(5);
+    expectBatchMatchesScalar(meshMaker(lat), lat,
+                             NoiseModel::depolarizing(0.03, 0.02), true,
+                             5, 64, fixedTrials(300), 0x77);
 }
 
-TEST(WindowedSim, UnionFindDepolarizingBatchMatchesScalar)
+TEST(WindowedSim, TieredBatchMatchesScalar)
 {
-    // Union-find through the batched spacetime path.
+    // The tiered decoder's own decodeWindowBatch: the mesh votes on
+    // the whole group, then each low-confidence window escalates alone
+    // to union-find's spacetime decode.
     SurfaceLattice lat(5);
-    expectBatchMatchesScalar<UnionFindDecoder>(
-        lat, NoiseModel::depolarizing(0.03, 0.02), true, 5, 64,
+    const auto tiered = [&lat](ErrorType type) {
+        return std::make_unique<GroupCounting<TieredDecoder>>(
+            lat, type, std::make_unique<MeshDecoder>(lat, type),
+            std::make_unique<UnionFindDecoder>(lat, type), 0.9);
+    };
+    auto counters = expectBatchMatchesScalar(
+        tiered, lat, NoiseModel::depolarizing(0.04, 0.03), true, 5, 64,
         fixedTrials(300), 0xdeb0);
+    EXPECT_GT(counters["scalar.decoder.tiered.escalations"].at(0), 0u);
 }
 
 TEST(WindowedSim, EarlyStopMidGroupMatchesScalar)

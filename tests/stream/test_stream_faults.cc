@@ -1,14 +1,17 @@
 /**
  * @file Fault injection + graceful degradation through runStream: the
  * zero-fault path stays metric- and byte-identical to the pre-fault
- * pipeline, every recovery policy does what its name says, and the
- * round-conservation ledger balances under any fault mix.
+ * pipeline, every recovery policy does what its name says, the
+ * round-conservation ledger balances under any fault mix, and
+ * StreamConfig::validate() rejects every unsupported combination.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "faults/fault_plan.hh"
 #include "sim/experiment.hh"
@@ -47,6 +50,26 @@ run(const StreamConfig &config, const std::string &family)
     return runStream(config, *decoder);
 }
 
+/** One run's result plus every per-round observer correction. */
+struct ObservedRun
+{
+    StreamingResult result;
+    std::vector<std::vector<int>> corrections;
+};
+
+ObservedRun
+runObserved(const StreamConfig &config, const DecoderFactory &factory)
+{
+    ObservedRun run;
+    const StreamObserver observer = [&run](std::size_t, const Syndrome &,
+                                           const Correction &c) {
+        run.corrections.push_back(c.dataFlips);
+    };
+    const auto decoder = factory(*config.lattice, ErrorType::Z);
+    run.result = runStream(config, *decoder, nullptr, &observer);
+    return run;
+}
+
 std::uint64_t
 accountedRounds(const faults::FaultCounts &fc)
 {
@@ -66,6 +89,72 @@ TEST(StreamFaults, ZeroFaultRunEmitsNoFaultMetricsOrCounts)
                                std::uint64_t) {
         EXPECT_NE(name.rfind("stream.fault.", 0), 0u) << name;
     });
+}
+
+TEST(StreamFaults, ZeroFaultWindowedRunLeavesLedgerEmpty)
+{
+    SurfaceLattice lattice(3);
+    StreamConfig config = baseConfig(lattice, "union_find");
+    config.measurementFlipRate = 0.02;
+    config.windowRounds = 3;
+    const StreamingResult r = run(config, "union_find");
+    EXPECT_EQ(r.windows, kRounds / 3);
+    EXPECT_FALSE(r.faults.anyEvent());
+    EXPECT_EQ(r.faults.decodedRounds, 0u);
+}
+
+TEST(StreamFaults, RecoveryWithNothingFiringMatchesFaultFreeRun)
+{
+    // Parity retransmit makes the run fault-active, but with every rate 0 no
+    // round is struck: each is delivered clean and decoded by the same
+    // consumer tail as the fault-free run, so everything but the
+    // ledger must match it exactly.
+    SurfaceLattice lattice(3);
+    const std::vector<std::pair<std::string, DecoderFactory>> decoders{
+        {"union_find", unionFindDecoderFactory()},
+        {"tiered", tieredDecoderFactory(MeshConfig::finalDesign(),
+                                        "union_find", 0.9)}};
+    for (const auto &[name, factory] : decoders) {
+        SCOPED_TRACE(name);
+        StreamConfig clean = baseConfig(lattice, "union_find");
+        clean.physicalRate = 0.08; // hot enough to escalate and repair
+        if (name == "tiered")
+            clean.latency = StreamLatencyModel::tiered("union_find", 3);
+        StreamConfig armed = clean;
+        armed.recovery.parityRetransmit = true;
+        ASSERT_TRUE(armed.faultsActive());
+
+        const ObservedRun a = runObserved(clean, factory);
+        const ObservedRun b = runObserved(armed, factory);
+        const StreamingResult &ra = a.result;
+        const StreamingResult &rb = b.result;
+        EXPECT_GT(ra.failures, 0u);
+        EXPECT_GT(ra.maxQueueDepth, 1u);
+        EXPECT_EQ(ra.repairs > 0, name == "tiered");
+        EXPECT_EQ(rb.faults.decodedRounds, kRounds);
+        EXPECT_FALSE(rb.faults.anyEvent());
+
+        EXPECT_EQ(rb.failures, ra.failures);
+        EXPECT_EQ(rb.escalations, ra.escalations);
+        EXPECT_EQ(rb.repairs, ra.repairs);
+        EXPECT_EQ(rb.serviceNs.count(), ra.serviceNs.count());
+        EXPECT_EQ(rb.serviceNs.mean(), ra.serviceNs.mean());
+        EXPECT_EQ(rb.servicePercentiles.p50, ra.servicePercentiles.p50);
+        EXPECT_EQ(rb.servicePercentiles.p90, ra.servicePercentiles.p90);
+        EXPECT_EQ(rb.servicePercentiles.p99, ra.servicePercentiles.p99);
+        EXPECT_EQ(rb.servicePercentiles.max, ra.servicePercentiles.max);
+        EXPECT_EQ(rb.maxQueueDepth, ra.maxQueueDepth);
+        ASSERT_EQ(rb.trajectory.size(), ra.trajectory.size());
+        for (std::size_t s = 0; s < ra.trajectory.size(); ++s) {
+            EXPECT_EQ(rb.trajectory[s].round, ra.trajectory[s].round);
+            EXPECT_EQ(rb.trajectory[s].backlogRounds,
+                      ra.trajectory[s].backlogRounds);
+            EXPECT_EQ(rb.trajectory[s].queueDepth,
+                      ra.trajectory[s].queueDepth);
+        }
+        ASSERT_EQ(a.corrections.size(), kRounds);
+        EXPECT_EQ(b.corrections, a.corrections);
+    }
 }
 
 TEST(StreamFaults, FaultyRunIsDeterministic)
@@ -301,6 +390,51 @@ TEST(StreamFaultsDeath, WindowedPipelineRejectsFaults)
     config.faults.dropRate = 0.1;
     const auto decoder = makeDecoder(lattice, "union_find");
     EXPECT_DEATH(runStream(config, *decoder), "windowRounds");
+}
+
+/** A config validate() accepts: per-round, fault-free, q = 0. */
+StreamConfig
+validConfig(const SurfaceLattice &lattice)
+{
+    StreamConfig config = baseConfig(lattice, "union_find");
+    config.validate();
+    return config;
+}
+
+TEST(StreamConfigDeath, FaultsWithWindowsAreRejected)
+{
+    SurfaceLattice lattice(3);
+    StreamConfig config = validConfig(lattice);
+    config.windowRounds = 3;
+    config.validate(); // windows alone are fine
+    config.recovery.carryForward = true;
+    EXPECT_DEATH(config.validate(), "windowRounds");
+}
+
+TEST(StreamConfigDeath, MeasurementNoiseWithoutWindowIsRejected)
+{
+    SurfaceLattice lattice(3);
+    StreamConfig config = validConfig(lattice);
+    config.measurementFlipRate = 0.01;
+    EXPECT_DEATH(config.validate(), "requires windowRounds");
+}
+
+TEST(StreamConfigDeath, RoundsNotMultipleOfWindowAreRejected)
+{
+    SurfaceLattice lattice(3);
+    StreamConfig config = validConfig(lattice);
+    config.windowRounds = 7; // kRounds = 300
+    EXPECT_DEATH(config.validate(), "multiple of windowRounds");
+}
+
+TEST(StreamConfigDeath, NegativeRecoveryCostIsRejected)
+{
+    // Checked even while the policy is inactive.
+    SurfaceLattice lattice(3);
+    StreamConfig config = validConfig(lattice);
+    config.recovery.retransmitNs = -1.0;
+    ASSERT_FALSE(config.faultsActive());
+    EXPECT_DEATH(config.validate(), "retransmitNs must be >= 0");
 }
 
 } // namespace

@@ -7,15 +7,20 @@
  *   stream_torture [--plans N] [--seed S]
  *
  * Each plan draws a random operating point (distance, cycle time,
- * horizon, fault mix, recovery policy combo, decoder — including the
- * tiered decoder under a decode deadline) from a seeded generator and
- * runs it through runStream twice, asserting per plan:
+ * horizon, decoder — including the SFQ mesh and the tiered decoder
+ * under a decode deadline) from a seeded generator. Most plans draw a
+ * fault mix and recovery policy combo; a quarter instead run the
+ * windowed half of the consumer fault-free (w in {2, 3, 4}, q = p),
+ * since faults x windows is unsupported. Each plan runs through
+ * runStream twice, asserting:
  *
  *   1. completion — the run returns (a deadlock would hang the
- *      harness into the ctest timeout);
- *   2. conservation — every produced round is accounted for exactly
- *      once: rounds == decoded + carried + lost + shed + merged, and
- *      dedupRounds == duplicates injected;
+ *      harness into the ctest timeout) with every round produced and,
+ *      on windowed plans, every window committed;
+ *   2. conservation (fault-active plans) — every produced round is
+ *      accounted for exactly once: rounds == decoded + carried + lost
+ *      + shed + merged, and dedupRounds == duplicates injected; a
+ *      fault-free plan leaves the whole fault ledger at zero;
  *   3. monotone virtual clock — no completion time ran backwards, and
  *      the drain time is non-negative;
  *   4. determinism — the second run's full result fingerprint
@@ -93,8 +98,9 @@ drawPlan(nisqpp::Rng &rng)
     Plan plan;
     plan.distance = rng.bernoulli(0.5) ? 3 : 5;
 
-    const char *decoders[] = {"union_find", "greedy", "mwpm", "tiered"};
-    plan.decoder = decoders[rng.uniformInt(4)];
+    const char *decoders[] = {"union_find", "greedy", "mwpm", "sfq_mesh",
+                              "tiered"};
+    plan.decoder = decoders[rng.uniformInt(5)];
 
     nisqpp::StreamConfig &config = plan.config;
     config.physicalRate = 0.02 + 0.06 * rng.uniform();
@@ -107,6 +113,14 @@ drawPlan(nisqpp::Rng &rng)
                                                  plan.distance)
             : nisqpp::StreamLatencyModel::forFamily(plan.decoder,
                                                     plan.distance);
+
+    if (rng.bernoulli(0.25)) {
+        const std::size_t w = 2 + rng.uniformInt(3);
+        config.windowRounds = w;
+        config.measurementFlipRate = config.physicalRate;
+        config.rounds -= config.rounds % w;
+        return plan;
+    }
 
     nisqpp::faults::FaultSpec &spec = config.faults;
     spec.dropRate = 0.25 * rng.uniform();
@@ -144,6 +158,7 @@ describe(const Plan &plan)
     std::ostringstream os;
     os << "d=" << plan.distance << " decoder=" << plan.decoder
        << " rounds=" << c.rounds << " seed=" << c.seed
+       << " w=" << c.windowRounds << " q=" << c.measurementFlipRate
        << " fault-seed=" << c.faults.seed
        << " drop=" << c.faults.dropRate
        << " corrupt=" << c.faults.corruptRate
@@ -158,18 +173,33 @@ describe(const Plan &plan)
     return os.str();
 }
 
+/** Every fault-ledger counter, space-separated. */
+std::string
+ledger(const nisqpp::faults::FaultCounts &fc)
+{
+    std::ostringstream os;
+    os << fc.drops << ' ' << fc.corruptions << ' ' << fc.duplicates
+       << ' ' << fc.delays << ' ' << fc.stalls << ' '
+       << fc.decodeFailures << ' ' << fc.retransmits << ' '
+       << fc.carriedForward << ' ' << fc.lostRounds << ' '
+       << fc.corruptDecodes << ' ' << fc.deadlineCommits << ' '
+       << fc.deadlineClamps << ' ' << fc.shedRounds << ' '
+       << fc.mergedRounds << ' ' << fc.dedupRounds << ' '
+       << fc.decodedRounds;
+    return os.str();
+}
+
 /** Exact (bit-level) textual fingerprint of a streaming result. */
 std::string
 fingerprint(const nisqpp::StreamingResult &r)
 {
-    const nisqpp::faults::FaultCounts &fc = r.faults;
     char buf[128];
     std::ostringstream os;
     auto hexDouble = [&](double v) {
         std::snprintf(buf, sizeof buf, "%a", v);
         os << buf << '\n';
     };
-    os << r.rounds << '\n' << r.failures << '\n';
+    os << r.rounds << '\n' << r.windows << '\n' << r.failures << '\n';
     hexDouble(r.logicalErrorRate);
     hexDouble(r.serviceNs.mean());
     hexDouble(r.sojournNs.mean());
@@ -180,15 +210,8 @@ fingerprint(const nisqpp::StreamingResult &r)
        << r.maxBacklogRounds << '\n'
        << r.overflowRounds << '\n'
        << r.escalations << '\n'
-       << r.repairs << '\n';
-    os << fc.drops << ' ' << fc.corruptions << ' ' << fc.duplicates
-       << ' ' << fc.delays << ' ' << fc.stalls << ' '
-       << fc.decodeFailures << ' ' << fc.retransmits << ' '
-       << fc.carriedForward << ' ' << fc.lostRounds << ' '
-       << fc.corruptDecodes << ' ' << fc.deadlineCommits << ' '
-       << fc.deadlineClamps << ' ' << fc.shedRounds << ' '
-       << fc.mergedRounds << ' ' << fc.dedupRounds << ' '
-       << fc.decodedRounds << '\n';
+       << r.repairs << '\n'
+       << ledger(r.faults) << '\n';
     return os.str();
 }
 
@@ -215,7 +238,23 @@ runPlan(const Plan &plan)
 void
 checkInvariants(const Plan &plan, const nisqpp::StreamingResult &r)
 {
+    const nisqpp::StreamConfig &c = plan.config;
+    if (r.rounds != c.rounds ||
+        (c.windowRounds > 0 && r.windows != c.rounds / c.windowRounds))
+        fail("run did not complete (" + std::to_string(r.rounds) +
+             " rounds, " + std::to_string(r.windows) +
+             " windows): " + describe(plan));
+    if (!r.clockMonotone)
+        fail("virtual clock ran backwards: " + describe(plan));
+    if (!(r.drainNs >= 0.0))
+        fail("negative drain time: " + describe(plan));
     const nisqpp::faults::FaultCounts &fc = r.faults;
+    if (!c.faultsActive()) {
+        if (ledger(fc) != ledger({}))
+            fail("fault-free run filled the fault ledger: " +
+                 describe(plan));
+        return;
+    }
     const std::uint64_t accounted = fc.decodedRounds +
                                     fc.carriedForward + fc.lostRounds +
                                     fc.shedRounds + fc.mergedRounds;
@@ -228,10 +267,6 @@ checkInvariants(const Plan &plan, const nisqpp::StreamingResult &r)
              std::to_string(fc.dedupRounds) +
              " injected=" + std::to_string(fc.duplicates) +
              "): " + describe(plan));
-    if (!r.clockMonotone)
-        fail("virtual clock ran backwards: " + describe(plan));
-    if (!(r.drainNs >= 0.0))
-        fail("negative drain time: " + describe(plan));
 }
 
 /** fault_sweep CSV at a given thread count (tiny trial scale). */

@@ -1,115 +1,267 @@
 #include "decoders/union_find_decoder.hh"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 
 namespace nisqpp {
 
 namespace {
 
-/** Path-halving find on one parent array. */
-inline int
-findRoot(int *parent, int v)
+/**
+ * Cluster bits, kept at each root in ufCluster (stale at non-roots).
+ * A cluster is live, and grows, iff its bits are exactly kOdd.
+ */
+constexpr char kOdd = 1;      ///< odd number of hot vertices
+constexpr char kBoundary = 2; ///< holds a boundary vertex
+constexpr char kListed = 4;   ///< already in the next round's live list
+
+/** Mark vertex @p v in the erasure bitset @p bits. */
+inline void
+markErasure(std::uint64_t *bits, int v)
 {
-    while (parent[v] != v) {
-        parent[v] = parent[parent[v]];
-        v = parent[v];
-    }
-    return v;
+    bits[v >> 6] |= std::uint64_t{1} << (v & 63);
 }
 
 /**
  * Scan (and rezero) the erasure bitset @p bits of @p words words into
- * @p erasure. Bit order IS ascending vertex order, so forest roots are
- * chosen in the order of a whole-graph scan with no dedup pass or sort.
+ * @p erasure, returning its size. Bit order IS ascending vertex order,
+ * so forest roots are chosen in the order of a whole-graph scan with
+ * no dedup pass or sort.
  */
-inline void
-drainErasure(std::uint64_t *bits, std::size_t words,
-             std::vector<int> &erasure)
+inline std::size_t
+drainErasure(std::uint64_t *bits, std::size_t words, int *erasure)
 {
-    erasure.clear();
+    std::size_t n = 0;
     for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t word = bits[w];
         bits[w] = 0;
         while (word) {
-            erasure.push_back(static_cast<int>(w * 64) +
-                              std::countr_zero(word));
+            erasure[n++] = static_cast<int>(w * 64) +
+                           std::countr_zero(word);
             word &= word - 1;
         }
     }
+    return n;
 }
 
 } // namespace
 
-void
-UnionFindDecoder::peelErasure(const Graph &graph,
-                              const std::vector<int> &erasure,
-                              const char *support, TrialWorkspace &ws,
-                              Correction &out)
+std::size_t
+UnionFindDecoder::growClusters(const Graph &graph,
+                               const std::vector<int> &seeds,
+                               int growthBound, TrialWorkspace &ws)
 {
-    const auto &edges = graph.edges;
+    const GraphEdge *edges = graph.edges.data();
     const int *incOff = graph.incOff.data();
     const int *incEdges = graph.incEdges.data();
     const int numAncillaVertices = graph.numAncillaVertices;
+    int *parent = ws.ufParent.data();
+    int *next = ws.ufNext.data();
+    int *size = ws.ufSize.data();
+    char *cluster = ws.ufCluster.data();
+    char *support = ws.ufSupport.data();
+    int *live = ws.ufLive.data();
+    int *grown = ws.ufGrown.data();
 
-    // The FIFO queue IS the visit order, so one vector serves as both;
-    // `head` persists across roots (each BFS drains fully before the
-    // next root is seeded). Roots are stamped -1; every other vertex
-    // whose parentEdge the peel reads was reached, and so written,
-    // first.
+    // Every seed starts as a live singleton: odd, and an ancilla.
+    std::size_t numLive = seeds.size();
+    for (std::size_t i = 0; i < numLive; ++i) {
+        live[i] = seeds[i];
+        cluster[seeds[i]] = kOdd;
+    }
+    std::size_t numGrown = 0;
+    while (numLive > 0) {
+        ++lastRounds_;
+        // Every member of a live cluster adds a half edge to each
+        // incident edge below full support; an edge that reaches full
+        // support is appended to `grown` (the slot past the end is
+        // written either way). Which edges reach full support does not
+        // depend on the order the clusters are walked in.
+        const std::size_t roundStart = numGrown;
+        for (std::size_t i = 0; i < numLive; ++i) {
+            const int r = live[i];
+            int v = r;
+            do {
+                for (int k = incOff[v]; k < incOff[v + 1]; ++k) {
+                    const int e = incEdges[k];
+                    const char s = support[e];
+                    support[e] = static_cast<char>(s + (s < 2));
+                    grown[numGrown] = e;
+                    numGrown += s == 1;
+                }
+                v = next[v];
+            } while (v != r);
+        }
+
+        // Merge along this round's grown edges, quick-find style: the
+        // smaller cluster's members are relabelled to the larger
+        // root, and the two circular member lists are spliced.
+        for (std::size_t j = roundStart; j < numGrown; ++j) {
+            const GraphEdge &ed = edges[grown[j]];
+            int a = parent[ed.u];
+            int b = parent[ed.v];
+            if (a == b)
+                continue;
+            if (size[a] < size[b])
+                std::swap(a, b);
+            int w = b;
+            do {
+                parent[w] = a;
+                w = next[w];
+            } while (w != b);
+            std::swap(next[a], next[b]);
+            size[a] += size[b];
+            const bool touches = a >= numAncillaVertices ||
+                                 b >= numAncillaVertices;
+            cluster[a] = static_cast<char>(
+                (cluster[a] ^ (cluster[b] & kOdd)) |
+                (cluster[b] & kBoundary) | (touches ? kBoundary : 0));
+        }
+
+        // Every cluster a merge changed holds one of this round's live
+        // roots, so the next round's live roots are among their new
+        // roots. kListed makes a root listed once read as not live, so
+        // clusters that merged into one are listed once; it is
+        // cleared again right after.
+        std::size_t n = 0;
+        for (std::size_t i = 0; i < numLive; ++i) {
+            const int r = parent[live[i]];
+            const bool isLive = cluster[r] == kOdd;
+            live[n] = r;
+            n += isLive;
+            cluster[r] = static_cast<char>(cluster[r] |
+                                           (isLive ? kListed : 0));
+        }
+        for (std::size_t i = 0; i < n; ++i)
+            cluster[live[i]] = kOdd;
+        numLive = n;
+        require(lastRounds_ <= growthBound,
+                "UnionFindDecoder: growth failed to converge");
+    }
+    return numGrown;
+}
+
+void
+UnionFindDecoder::peelErasure(const Graph &graph,
+                              const std::vector<int> &seeds,
+                              std::size_t numGrown, TrialWorkspace &ws,
+                              Correction &out)
+{
+    const GraphEdge *edges = graph.edges.data();
+    const int *incOff = graph.incOff.data();
+    const int *incEdges = graph.incEdges.data();
+    const int *incNbr = graph.incNbr.data();
+    const int numAncillaVertices = graph.numAncillaVertices;
+    char *support = ws.ufSupport.data();
     char *hot = ws.ufHot.data();
     char *visited = ws.ufVisited.data();
     int *parentEdge = ws.ufParentEdge.data();
-    auto &bfsOrder = ws.ufBfsOrder;
-    bfsOrder.clear();
+    int *order = ws.ufBfsOrder.data();
+
+    // The erasure is the seeds plus both ends of every grown edge
+    // (every cluster member), ascending and deduplicated by the
+    // bitset. It overwrites the grown edges once they are all marked.
+    std::uint64_t *bits = ws.ufErasureBits.data();
+    for (int s : seeds) {
+        hot[s] = 1;
+        markErasure(bits, s);
+    }
+    int *erasure = ws.ufGrown.data();
+    for (std::size_t j = 0; j < numGrown; ++j) {
+        const GraphEdge &ed = edges[erasure[j]];
+        markErasure(bits, ed.u);
+        markErasure(bits, ed.v);
+    }
+    const std::size_t erasureSize = drainErasure(
+        bits, (static_cast<std::size_t>(graph.numVertices) + 63) / 64,
+        erasure);
+
+    // A BFS forest over the fully grown edges. The FIFO queue IS the
+    // visit order; `head` persists across roots (each BFS drains fully
+    // before the next root is offered). Every step writes its queue
+    // slot and selects, rather than branches on, whether it counts,
+    // so `order` holds one slot past the erasure. Roots get parent
+    // edge -1; every other vertex the flip pass reads was reached, and
+    // so written, first.
     std::size_t head = 0;
-    auto bfsFrom = [&](int root) {
-        bfsOrder.push_back(root);
+    std::size_t tail = 0;
+    auto offerRoot = [&](int root) {
+        const bool fresh = !visited[root];
+        order[tail] = root;
+        parentEdge[root] = fresh ? -1 : parentEdge[root];
         visited[root] = 1;
-        parentEdge[root] = -1;
-        while (head < bfsOrder.size()) {
-            const int v = bfsOrder[head++];
+        tail += fresh;
+        while (head < tail) {
+            const int v = order[head++];
             for (int k = incOff[v]; k < incOff[v + 1]; ++k) {
-                const int ed = incEdges[k];
-                if (support[ed] < 2)
-                    continue;
-                const int w = edges[ed].u == v ? edges[ed].v
-                                               : edges[ed].u;
-                if (visited[w])
-                    continue;
-                visited[w] = 1;
-                parentEdge[w] = ed;
-                bfsOrder.push_back(w);
+                const int e = incEdges[k];
+                const int w = incNbr[k];
+                const bool take = (support[e] == 2) & !visited[w];
+                order[tail] = w;
+                parentEdge[w] = take ? e : parentEdge[w];
+                visited[w] = static_cast<char>(visited[w] | take);
+                tail += take;
             }
         }
     };
-
     // Boundary roots first so leftover parity drains into boundaries.
-    for (int v : erasure)
-        if (v >= numAncillaVertices && !visited[v])
-            bfsFrom(v);
-    for (int v : erasure)
-        if (v < numAncillaVertices && !visited[v])
-            bfsFrom(v);
+    // Boundary vertices number after every ancilla vertex, so they
+    // are the erasure's suffix.
+    const std::size_t firstBoundary = static_cast<std::size_t>(
+        std::lower_bound(erasure, erasure + erasureSize,
+                         numAncillaVertices) -
+        erasure);
+    for (std::size_t i = firstBoundary; i < erasureSize; ++i)
+        offerRoot(erasure[i]);
+    for (std::size_t i = 0; i < firstBoundary; ++i)
+        offerRoot(erasure[i]);
 
-    for (std::size_t i = bfsOrder.size(); i-- > 0;) {
-        const int v = bfsOrder[i];
-        if (!hot[v] || parentEdge[v] < 0)
-            continue;
-        const GraphEdge &ed = edges[parentEdge[v]];
-        const int p = ed.u == v ? ed.v : ed.u;
-        // Time-like tree edges (dataIdx < 0) re-interpret measurement
-        // flips: parity still moves to the parent, no data flip.
-        if (ed.dataIdx >= 0)
-            out.dataFlips.push_back(ed.dataIdx);
+    // Leaves to roots: a hot non-root moves its parity across its tree
+    // edge to the parent. Time-like tree edges (dataIdx < 0)
+    // re-interpret measurement flips: parity still moves, no data flip.
+    // A root reads edge 0 and changes nothing. Only later (shallower)
+    // vertices can still move v's parity, so once v is done its hot
+    // byte is final: boundary vertices absorb anything left, and
+    // interior vertices must have drained (interior roots because
+    // their cluster parity is even by the growth exit condition).
+    // The same pass rewinds v to the neutral state: every vertex a
+    // decode wrote is in the erasure, and every edge whose support
+    // moved borders one.
+    int *parent = ws.ufParent.data();
+    int *next = ws.ufNext.data();
+    int *size = ws.ufSize.data();
+    char *cluster = ws.ufCluster.data();
+    int *flips = ws.ufFlips.data();
+    std::size_t numFlips = 0;
+    for (std::size_t i = tail; i-- > 0;) {
+        const int v = order[i];
+        const int pe = parentEdge[v];
+        const bool tree = pe >= 0;
+        const GraphEdge &ed = edges[tree ? pe : 0];
+        const char h = static_cast<char>(hot[v] & tree);
+        const int p = h ? (ed.u ^ ed.v ^ v) : v;
+        flips[numFlips] = ed.dataIdx;
+        numFlips += h & (ed.dataIdx >= 0);
+        hot[p] ^= h;
+        require(v >= numAncillaVertices || hot[v] == h,
+                "UnionFindDecoder: peeling left a hot interior vertex");
         hot[v] = 0;
-        hot[p] ^= 1;
+        parent[v] = v;
+        next[v] = v;
+        size[v] = 1;
+        cluster[v] = 0;
+        visited[v] = 0;
+        for (int k = incOff[v]; k < incOff[v + 1]; ++k)
+            support[incEdges[k]] = 0;
     }
+    out.dataFlips.assign(flips, flips + numFlips);
 }
 
 void
@@ -138,6 +290,7 @@ UnionFindDecoder::Graph::buildIncidence()
     // Counting sort of the edge endpoints by vertex, filled in
     // ascending edge id: each vertex's list is ascending, the same
     // order per-vertex push_back during construction would give.
+    // incNbr[k] is the far end of incidence k's edge.
     incOff.assign(numVertices + 1, 0);
     for (const GraphEdge &e : edges) {
         ++incOff[e.u + 1];
@@ -146,10 +299,14 @@ UnionFindDecoder::Graph::buildIncidence()
     for (int v = 0; v < numVertices; ++v)
         incOff[v + 1] += incOff[v];
     incEdges.resize(incOff[numVertices]);
+    incNbr.resize(incOff[numVertices]);
     std::vector<int> next(incOff.begin(), incOff.end() - 1);
     for (int id = 0; id < static_cast<int>(edges.size()); ++id) {
-        incEdges[next[edges[id].u]++] = id;
-        incEdges[next[edges[id].v]++] = id;
+        const GraphEdge &e = edges[id];
+        incNbr[next[e.u]] = e.v;
+        incEdges[next[e.u]++] = id;
+        incNbr[next[e.v]] = e.u;
+        incEdges[next[e.v]++] = id;
     }
 }
 
@@ -286,13 +443,9 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
         return;
     }
     const Graph &graph = graphFor(rounds);
-    const int growthBound = 4 * (lattice().gridSize() + rounds) + 8;
-    const auto &edges = graph.edges;
-    const int *incOff = graph.incOff.data();
-    const int *incEdges = graph.incEdges.data();
-    const int numAncillaVertices = graph.numAncillaVertices;
     const std::size_t numVertices =
         static_cast<std::size_t>(graph.numVertices);
+    const std::size_t numEdges = graph.edges.size();
 
     // Between decodes the union-find buffers hold one neutral state
     // that fits every graph (see TrialWorkspace): grow them, neutral,
@@ -301,129 +454,33 @@ UnionFindDecoder::decodeScalar(int rounds, const std::vector<int> &seeds,
     if (ws.ufParent.size() < numVertices) {
         const std::size_t old = ws.ufParent.size();
         ws.ufParent.resize(numVertices);
+        ws.ufNext.resize(numVertices);
         for (std::size_t v = old; v < numVertices; ++v)
-            ws.ufParent[v] = static_cast<int>(v);
-        ws.ufRank.resize(numVertices, 0);
-        ws.ufParity.resize(numVertices, 0);
-        ws.ufBoundary.resize(numVertices, 0);
-        ws.ufStamp.resize(numVertices, 0);
+            ws.ufParent[v] = ws.ufNext[v] = static_cast<int>(v);
+        ws.ufSize.resize(numVertices, 1);
+        ws.ufCluster.resize(numVertices, 0);
         ws.ufHot.resize(numVertices, 0);
         ws.ufVisited.resize(numVertices, 0);
-        ws.ufParentEdge.resize(numVertices);
         ws.ufErasureBits.resize((numVertices + 63) / 64, 0);
+        ws.ufLive.resize(numVertices);
+        ws.ufParentEdge.resize(numVertices);
+        ws.ufBfsOrder.resize(numVertices + 1);
+        ws.ufFlips.resize(numVertices);
     }
-    if (ws.ufSupport.size() < edges.size())
-        ws.ufSupport.resize(edges.size(), 0);
+    if (ws.ufSupport.size() < numEdges)
+        ws.ufSupport.resize(numEdges, 0);
+    if (ws.ufGrown.size() <= std::max(numEdges, numVertices))
+        ws.ufGrown.resize(std::max(numEdges, numVertices) + 1);
 
-    int *parent = ws.ufParent.data();
-    int *rank = ws.ufRank.data();
-    char *parity = ws.ufParity.data();
-    // boundary[r]: root r's cluster holds a boundary vertex other
-    // than (possibly) r itself.
-    char *boundary = ws.ufBoundary.data();
-    char *support = ws.ufSupport.data();
-    int *stamp = ws.ufStamp.data();
-    for (int s : seeds)
-        parity[s] = 1;
-
-    auto unite = [&](int a, int b) {
-        a = findRoot(parent, a);
-        b = findRoot(parent, b);
-        if (a == b)
-            return;
-        if (rank[a] < rank[b])
-            std::swap(a, b);
-        parent[b] = a;
-        if (rank[a] == rank[b])
-            ++rank[a];
-        parity[a] ^= parity[b];
-        boundary[a] |= boundary[b] | (b >= numAncillaVertices);
-    };
-
-    // Cluster growth: odd non-boundary clusters add half-edge support to
-    // all edges on their border each round; edges with full support merge
-    // their endpoints. Only cluster members can sit on an active border,
-    // and every member is a hot seed or an endpoint of a previously
-    // grown edge — so each round scans just that candidate frontier
-    // instead of the whole graph. Support increments, growth rounds and
-    // the final erasure are identical to the full-graph scan (each
-    // active endpoint contributes one half edge either way); the
-    // retained reference decoder in the tests pins this bit for bit.
-    auto &candidates = ws.ufCandidates;
-    auto &grown = ws.ufGrown;
-    candidates.assign(seeds.begin(), seeds.end());
-
-    for (;;) {
-        bool any_active = false;
-        grown.clear();
-        const int round_stamp = lastRounds_ + 1;
-        for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
-            const int v = candidates[ci];
-            if (stamp[v] == round_stamp)
-                continue;
-            stamp[v] = round_stamp;
-            const int r = findRoot(parent, v);
-            if (!parity[r] || r >= numAncillaVertices || boundary[r])
-                continue;
-            for (int k = incOff[v]; k < incOff[v + 1]; ++k) {
-                const int e = incEdges[k];
-                if (support[e] >= 2)
-                    continue;
-                any_active = true;
-                if (++support[e] >= 2)
-                    grown.push_back(e);
-            }
-        }
-        if (!any_active)
-            break;
-        ++lastRounds_;
-        for (int e : grown) {
-            unite(edges[e].u, edges[e].v);
-            candidates.push_back(edges[e].u);
-            candidates.push_back(edges[e].v);
-        }
-        require(lastRounds_ <= growthBound,
-                "UnionFindDecoder: growth failed to converge");
+    std::size_t numGrown;
+    {
+        obs::TraceSpan span(obs::Stage::UfGrow);
+        numGrown = growClusters(
+            graph, seeds, 4 * (lattice().gridSize() + rounds) + 8, ws);
     }
-
-    // Peeling on the erasure (fully grown edges). After the growth
-    // loop the candidate list holds exactly the hot seeds plus every
-    // grown edge's endpoints — i.e. the whole erasure (every hot vertex
-    // ends incident to a full edge); the all-zero erasure bitset turns
-    // it into the ascending, deduplicated erasure.
-    char *hot = ws.ufHot.data();
-    char *visited = ws.ufVisited.data();
-    for (int s : seeds)
-        hot[s] = 1;
-
-    std::uint64_t *eraseBits = ws.ufErasureBits.data();
-    for (int v : candidates)
-        eraseBits[v >> 6] |= std::uint64_t{1} << (v & 63);
-    auto &erasure = ws.ufGrown; // growth loop is done with it
-    drainErasure(eraseBits, (numVertices + 63) / 64, erasure);
-
-    peelErasure(graph, erasure, support, ws, out);
-
-    // One pass over the erasure. Boundary vertices absorb anything
-    // left; every interior vertex must have drained (non-roots by the
-    // peel, interior roots because their cluster parity is even by the
-    // growth exit condition). hot is only ever set on seeds and tree
-    // parents, both in the erasure, so this is the whole-graph check.
-    // The same pass rewinds the buffers to the neutral state: every
-    // vertex a decode wrote is in the erasure, and every edge whose
-    // support moved borders one.
-    for (int v : erasure) {
-        require(v >= numAncillaVertices || !hot[v],
-                "UnionFindDecoder: peeling left a hot interior vertex");
-        parent[v] = v;
-        rank[v] = 0;
-        parity[v] = 0;
-        boundary[v] = 0;
-        stamp[v] = 0;
-        hot[v] = 0;
-        visited[v] = 0;
-        for (int k = incOff[v]; k < incOff[v + 1]; ++k)
-            support[incEdges[k]] = 0;
+    {
+        obs::TraceSpan span(obs::Stage::UfPeel);
+        peelErasure(graph, seeds, numGrown, ws, out);
     }
     noteDecode(out);
 }

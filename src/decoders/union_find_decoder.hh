@@ -2,9 +2,9 @@
  * @file
  * Union-Find decoder (Delfosse & Nickerson [9], one of the paper's
  * approximate-baseline comparisons in Fig. 11). Odd clusters grow by
- * half-edges on the ancilla graph, merge through a union-find structure
- * tracking parity and boundary contact, and the final erasure is peeled
- * to a correction.
+ * half-edges on the ancilla graph, merge when an edge reaches full
+ * support, and stop growing once they are even or touch a boundary;
+ * the final erasure is peeled to a correction.
  *
  * The growth/peel core is graph-agnostic: the space-only decode runs it
  * on the 2D ancilla graph, and decodeWindowBatch runs the identical
@@ -12,11 +12,22 @@
  * edges carry no data qubit — they absorb measurement flips — so the
  * peeled correction is the XOR of the spatial edges only.
  *
- * A decode pays for its erasure, not for its graph: it reads one CSR
- * incidence per graph, enumerates the erasure ascending by scanning
- * (and rezeroing) an erasure bitset instead of sorting, and ends by
- * rewinding only the vertices in its erasure and the edges bordering
- * them, so no buffer is re-initialized per decode.
+ * Growth walks only live clusters (odd, no boundary vertex): each
+ * cluster is a circular member list under quick-find (every member
+ * points at its root; a merge relabels the smaller side), and a round
+ * walks the live roots' member lists. The edges that reach full
+ * support in a round, the cluster partition and each cluster's parity
+ * and boundary contact do not depend on that walk order, so
+ * corrections and growth-round counts equal the whole-graph scan's
+ * bit for bit (tests/decoders/test_workspace.cc pins this against a
+ * reference implementation).
+ *
+ * The peel is a BFS forest over the fully grown edges, then a
+ * leaves-to-roots flip pass; their inner loops select instead of
+ * branching on the data. A decode pays for its erasure, not for its
+ * graph: the erasure is enumerated ascending from a bitset instead of
+ * sorted, and the flip pass rewinds only the erasure's vertices and
+ * the edges bordering them, so no buffer is re-initialized per decode.
  *
  * A batch of N inputs runs the scalar core N times: a lane-packed
  * engine that grew many syndromes together measured 0.24x-0.99x of
@@ -89,17 +100,18 @@ class UnionFindDecoder : public Decoder
      * One static decoding graph (2D, or spacetime per window size).
      * Its incidence is one CSR, filled once per graph: vertex v's
      * edges are incEdges[incOff[v]..incOff[v+1]), in ascending edge
-     * id.
+     * id, and incNbr[k] is the other end of incidence k's edge.
      */
     struct Graph
     {
         std::vector<GraphEdge> edges;
         std::vector<int> incOff;   ///< numVertices + 1 offsets
         std::vector<int> incEdges; ///< edge ids, grouped by vertex
+        std::vector<int> incNbr;   ///< far endpoint per incidence
         int numAncillaVertices = 0; ///< real vertices; boundaries after
         int numVertices = 0;
 
-        /** Fill incOff/incEdges from the finished edge list. */
+        /** Fill incOff/incEdges/incNbr from the finished edge list. */
         void buildIncidence();
     };
 
@@ -125,15 +137,27 @@ class UnionFindDecoder : public Decoder
                       TrialWorkspace &ws, Correction &out);
 
     /**
-     * Peel @p erasure (ascending) into @p out: a BFS forest over the
-     * fully grown edges (support[edge id] >= 2) per cluster, rooted at
-     * a boundary vertex when available, then peeled from the leaves
-     * inward, flipping the tree edge below each hot vertex. ws's hot
-     * and visited bytes are only written inside the erasure.
+     * Grow the clusters seeded at @p seeds on @p graph until none is
+     * live, setting lastRounds_ (at most @p growthBound). Leaves the
+     * fully grown edges, in the order they reached full support, in
+     * ws.ufGrown and returns their count.
+     */
+    std::size_t growClusters(const Graph &graph,
+                             const std::vector<int> &seeds,
+                             int growthBound, TrialWorkspace &ws);
+
+    /**
+     * Peel the erasure that growClusters left in ws into @p out. The
+     * erasure is @p seeds plus both ends of the first @p numGrown
+     * grown edges. A BFS forest over the fully grown edges
+     * (ufSupport == 2) per cluster, rooted at a boundary vertex when
+     * available, is peeled from the leaves inward, flipping the tree
+     * edge below each hot vertex; the same pass rewinds ws's
+     * union-find buffers to their neutral state.
      */
     static void peelErasure(const Graph &graph,
-                            const std::vector<int> &erasure,
-                            const char *support, TrialWorkspace &ws,
+                            const std::vector<int> &seeds,
+                            std::size_t numGrown, TrialWorkspace &ws,
                             Correction &out);
 
     /**

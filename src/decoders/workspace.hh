@@ -66,28 +66,31 @@ class TrialWorkspace
 
     /**
      * @name Union-Find decoder
-     * Not assign()ed per decode: between decodes these hold one
-     * neutral state that fits every graph — ufParent[v] == v; rank,
-     * parity, boundary, stamp, hot and visited zero; ufSupport and
-     * ufErasureBits all-zero. The decoder grows them (neutral) only
-     * when a larger graph arrives, and each decode rewinds just the
-     * entries its erasure touched. Any other user must leave them be.
+     * Not assign()ed per decode: between decodes the per-vertex and
+     * per-edge buffers hold one neutral state that fits every graph —
+     * every vertex its own one-member cluster (ufParent[v] == v,
+     * ufNext[v] == v, ufSize[v] == 1), ufCluster, hot and visited
+     * zero; ufSupport and ufErasureBits all-zero. The decoder grows
+     * them (neutral) only when a larger graph arrives, and each decode
+     * rewinds just the entries its erasure touched. The scratch
+     * buffers after them are written before they are read. Any other
+     * user must leave all of them be.
      * @{
      */
-    std::vector<int> ufSeeds; ///< hot vertex ids (2D or spacetime)
-    std::vector<int> ufParent;
-    std::vector<int> ufRank;
-    std::vector<char> ufParity;
-    std::vector<char> ufBoundary; ///< root's cluster holds a boundary
-    std::vector<char> ufSupport;  ///< per edge: half-edges grown (0-2)
-    std::vector<int> ufCandidates; ///< cluster-member frontier vertices
-    std::vector<int> ufStamp;      ///< per-round vertex dedup stamps
-    std::vector<int> ufGrown;      ///< grown edges, then the erasure
+    std::vector<int> ufSeeds;    ///< hot vertex ids (2D or spacetime)
+    std::vector<int> ufParent;   ///< quick-find: every member's root
+    std::vector<int> ufNext;     ///< circular cluster member list
+    std::vector<int> ufSize;     ///< members, at roots
+    std::vector<char> ufCluster; ///< odd/boundary/listed bits, at roots
+    std::vector<char> ufSupport; ///< per edge: half-edges grown (0-2)
     std::vector<char> ufHot;
-    std::vector<int> ufParentEdge; ///< written before read (BFS)
-    std::vector<int> ufBfsOrder;   ///< BFS FIFO == visit order
     std::vector<char> ufVisited;
-    std::vector<std::uint64_t> ufErasureBits; ///< erasure, bit per vertex
+    std::vector<std::uint64_t> ufErasureBits; ///< bit per vertex
+    std::vector<int> ufLive;       ///< live cluster roots of a round
+    std::vector<int> ufGrown;      ///< grown edges + 1, then the erasure
+    std::vector<int> ufParentEdge; ///< BFS tree edge; -1 at roots
+    std::vector<int> ufBfsOrder;   ///< BFS FIFO == visit order, + 1
+    std::vector<int> ufFlips;      ///< peeled data flips
     /** @} */
 };
 

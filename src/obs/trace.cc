@@ -144,6 +144,8 @@ stageName(Stage stage)
       case Stage::StreamDecode: return "stream_decode";
       case Stage::StreamCommit: return "stream_commit";
       case Stage::StreamRecover: return "stream_recover";
+      case Stage::UfGrow: return "uf_grow";
+      case Stage::UfPeel: return "uf_peel";
       case Stage::Count: break;
     }
     return "unknown";

@@ -34,6 +34,8 @@ enum class Stage : int {
     StreamDecode,  ///< decode call in runStream
     StreamCommit,  ///< correction apply + parity in runStream
     StreamRecover, ///< transport-fault recovery in runStream
+    UfGrow,        ///< union-find cluster growth, per decode
+    UfPeel,        ///< union-find erasure peel and rewind, per decode
     Count
 };
 

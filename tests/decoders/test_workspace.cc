@@ -4,9 +4,10 @@
  * decoders, distances and error types) must produce exactly the same
  * corrections as the workspace-free decode() entry point, across
  * lattices d = 3..11 and many random syndromes. Also pins the
- * frontier-scan union-find growth to a retained reference
- * implementation of the original whole-graph scan, and checks that the
- * union-find buffers return to their neutral state after every decode.
+ * live-cluster union-find growth and branch-free peel to a retained
+ * reference implementation of the original whole-graph scan (2D and
+ * spacetime), and checks that the union-find buffers return to their
+ * neutral state after every decode.
  */
 
 #include <gtest/gtest.h>
@@ -44,43 +45,72 @@ randomSyndrome(Rng &rng, const SurfaceLattice &lat, ErrorType type,
 }
 
 /**
- * The pre-frontier union-find decoder, retained verbatim as the
- * reference the production decoder is pinned against: whole-graph
- * edge scan per growth round, queue-based BFS peel over all vertices.
+ * The original union-find decoder, retained as the reference the
+ * production decoder is pinned against: whole-graph edge scan per
+ * growth round with path-halving union by rank, queue-based BFS peel
+ * over all vertices. It builds the 2D graph for rounds == 0, else the
+ * production decoder's spacetime layout: vertex (t, a) = t * na + a,
+ * each round's spatial edges (private boundary vertices numbered as
+ * they appear) followed by its time-like edges to round t + 1.
  */
 class ReferenceUnionFind
 {
   public:
-    ReferenceUnionFind(const SurfaceLattice &lattice, ErrorType type)
-        : lattice_(&lattice), type_(type)
+    ReferenceUnionFind(const SurfaceLattice &lattice, ErrorType type,
+                       int rounds = 0)
     {
         const int na = lattice.numAncilla(type);
-        numAncillaVertices_ = na;
-        numVertices_ = na;
-        incident_.resize(na);
-        for (int d = 0; d < lattice.numData(); ++d) {
-            const auto &ancs = lattice.dataAncillaNeighbors(type, d);
-            if (ancs.size() == 2) {
-                const int id = static_cast<int>(edges_.size());
-                edges_.push_back({ancs[0], ancs[1], d});
-                incident_[ancs[0]].push_back(id);
-                incident_[ancs[1]].push_back(id);
-            } else {
-                const int bv = numVertices_++;
-                incident_.emplace_back();
-                const int id = static_cast<int>(edges_.size());
-                edges_.push_back({ancs[0], bv, d});
-                incident_[ancs[0]].push_back(id);
-                incident_[bv].push_back(id);
+        const int layers = std::max(rounds, 1);
+        numAncillaVertices_ = layers * na;
+        numVertices_ = numAncillaVertices_;
+        for (int t = 0; t < layers; ++t) {
+            const int base = t * na;
+            for (int d = 0; d < lattice.numData(); ++d) {
+                const auto &ancs = lattice.dataAncillaNeighbors(type, d);
+                if (ancs.size() == 2)
+                    edges_.push_back({base + ancs[0], base + ancs[1], d});
+                else
+                    edges_.push_back({base + ancs[0], numVertices_++, d});
             }
+            if (t + 1 < rounds)
+                for (int a = 0; a < na; ++a)
+                    edges_.push_back({base + a, base + na + a, -1});
+        }
+        incident_.resize(numVertices_);
+        for (int id = 0; id < static_cast<int>(edges_.size()); ++id) {
+            incident_[edges_[id].u].push_back(id);
+            incident_[edges_[id].v].push_back(id);
         }
     }
+
+    /** Growth rounds used by the last decode. */
+    int rounds() const { return rounds_; }
 
     std::vector<int>
     decode(const Syndrome &syndrome)
     {
+        std::vector<int> hot;
+        syndrome.forEachHot([&hot](int a) { hot.push_back(a); });
+        return decode(hot);
+    }
+
+    std::vector<int>
+    decode(const SyndromeWindow &window)
+    {
+        std::vector<int> hot;
+        const int na = window.numAncilla();
+        window.forEachEvent(
+            [&hot, na](int t, int a) { hot.push_back(t * na + a); });
+        return decode(hot);
+    }
+
+    /** Decode the hot (ancilla or spacetime) vertices @p hotVertices. */
+    std::vector<int>
+    decode(const std::vector<int> &hotVertices)
+    {
         std::vector<int> corr;
-        if (syndrome.weight() == 0)
+        rounds_ = 0;
+        if (hotVertices.empty())
             return corr;
 
         parent_.resize(numVertices_);
@@ -91,8 +121,8 @@ class ReferenceUnionFind
             parent_[v] = v;
         for (int v = numAncillaVertices_; v < numVertices_; ++v)
             boundary_[v] = 1;
-        for (int a = 0; a < numAncillaVertices_; ++a)
-            parity_[a] = syndrome.hot(a);
+        for (int v : hotVertices)
+            parity_[v] = 1;
 
         std::vector<char> support(edges_.size(), 0);
         auto clusterActive = [&](int v) {
@@ -118,13 +148,14 @@ class ReferenceUnionFind
             }
             if (!any_active)
                 break;
+            ++rounds_;
             for (int e : grown)
                 unite(edges_[e].u, edges_[e].v);
         }
 
         std::vector<char> hot(numVertices_, 0);
-        for (int a = 0; a < numAncillaVertices_; ++a)
-            hot[a] = syndrome.hot(a);
+        for (int v : hotVertices)
+            hot[v] = 1;
         std::vector<int> parent_edge(numVertices_, -1);
         std::vector<int> bfs_order;
         std::vector<char> visited(numVertices_, 0);
@@ -162,7 +193,9 @@ class ReferenceUnionFind
                 continue;
             const auto &e = edges_[parent_edge[v]];
             const int p = e.u == v ? e.v : e.u;
-            corr.push_back(e.dataIdx);
+            // Time-like edges carry no data qubit.
+            if (e.dataIdx >= 0)
+                corr.push_back(e.dataIdx);
             hot[v] = 0;
             hot[p] ^= 1;
         }
@@ -199,36 +232,14 @@ class ReferenceUnionFind
         boundary_[a] |= boundary_[b];
     }
 
-    const SurfaceLattice *lattice_;
-    ErrorType type_;
     std::vector<GraphEdge> edges_;
     std::vector<std::vector<int>> incident_;
     int numAncillaVertices_ = 0;
     int numVertices_ = 0;
+    int rounds_ = 0;
     std::vector<int> parent_, rank_;
     std::vector<char> parity_, boundary_;
 };
-
-TEST(Workspace, UnionFindMatchesReferenceImplementation)
-{
-    Rng rng(0x0f4eULL);
-    TrialWorkspace ws; // deliberately shared across everything below
-    for (int d = 3; d <= 11; d += 2) {
-        SurfaceLattice lat(d);
-        for (const ErrorType type : {ErrorType::Z, ErrorType::X}) {
-            UnionFindDecoder decoder(lat, type);
-            ReferenceUnionFind reference(lat, type);
-            for (int round = 0; round < 40; ++round) {
-                const Syndrome syn =
-                    randomSyndrome(rng, lat, type, 0.08);
-                decoder.decode(syn, ws);
-                EXPECT_EQ(ws.correction.dataFlips,
-                          reference.decode(syn))
-                    << "d=" << d << " round=" << round;
-            }
-        }
-    }
-}
 
 /**
  * A random faulty-measurement window of @p rounds rounds: fresh @p type
@@ -259,27 +270,125 @@ randomWindow(Rng &rng, const SurfaceLattice &lat, ErrorType type,
 }
 
 /**
- * The union-find buffers' between-decodes state (TrialWorkspace): the
- * identity forest, every flag and counter zero, no support, no
- * erasure bit.
+ * The union-find buffers' between-decodes state (TrialWorkspace):
+ * every vertex its own one-member cluster (root and member list back
+ * to identity), every flag zero, no support, no erasure bit.
  */
 void
 expectUnionFindNeutral(const TrialWorkspace &ws, const std::string &where)
 {
-    for (std::size_t v = 0; v < ws.ufParent.size(); ++v)
+    ASSERT_EQ(ws.ufNext.size(), ws.ufParent.size()) << where;
+    ASSERT_EQ(ws.ufSize.size(), ws.ufParent.size()) << where;
+    for (std::size_t v = 0; v < ws.ufParent.size(); ++v) {
         ASSERT_EQ(ws.ufParent[v], static_cast<int>(v)) << where;
+        ASSERT_EQ(ws.ufNext[v], static_cast<int>(v)) << where;
+        ASSERT_EQ(ws.ufSize[v], 1) << where;
+    }
     auto allZero = [](const auto &buf) {
         return std::all_of(buf.begin(), buf.end(),
                            [](auto x) { return x == 0; });
     };
-    EXPECT_TRUE(allZero(ws.ufRank)) << where;
-    EXPECT_TRUE(allZero(ws.ufParity)) << where;
-    EXPECT_TRUE(allZero(ws.ufBoundary)) << where;
-    EXPECT_TRUE(allZero(ws.ufStamp)) << where;
+    EXPECT_TRUE(allZero(ws.ufCluster)) << where;
     EXPECT_TRUE(allZero(ws.ufHot)) << where;
     EXPECT_TRUE(allZero(ws.ufVisited)) << where;
     EXPECT_TRUE(allZero(ws.ufSupport)) << where;
     EXPECT_TRUE(allZero(ws.ufErasureBits)) << where;
+}
+
+TEST(Workspace, UnionFindMatchesReferenceImplementation)
+{
+    // Corrections (flip order included) and growth-round counts equal
+    // the reference's on the 2D graph and on spacetime windows of 2-8
+    // rounds, from sparse to dense syndromes, through one shared
+    // workspace.
+    Rng rng(0x0f4eULL);
+    TrialWorkspace ws; // deliberately shared across everything below
+    for (int d = 3; d <= 11; d += 2) {
+        SurfaceLattice lat(d);
+        for (const ErrorType type : {ErrorType::Z, ErrorType::X}) {
+            UnionFindDecoder decoder(lat, type);
+            ReferenceUnionFind reference(lat, type);
+            for (const double p : {0.02, 0.08, 0.15}) {
+                const std::string where =
+                    "d=" + std::to_string(d) +
+                    " type=" + std::to_string(static_cast<int>(type)) +
+                    " p=" + std::to_string(p);
+                for (int round = 0; round < 20; ++round) {
+                    const Syndrome syn = randomSyndrome(rng, lat, type, p);
+                    decoder.decode(syn, ws);
+                    EXPECT_EQ(ws.correction.dataFlips,
+                              reference.decode(syn)) << "2D " << where;
+                    EXPECT_EQ(decoder.lastGrowthRounds(),
+                              reference.rounds()) << "2D " << where;
+                }
+                for (int rounds = 2; rounds <= 8; ++rounds) {
+                    ReferenceUnionFind windowReference(lat, type, rounds);
+                    for (int round = 0; round < 3; ++round) {
+                        const SyndromeWindow win =
+                            randomWindow(rng, lat, type, rounds, p);
+                        decoder.decodeWindow(win, ws);
+                        EXPECT_EQ(ws.correction.dataFlips,
+                                  windowReference.decode(win))
+                            << "window " << where << " rounds=" << rounds;
+                        EXPECT_EQ(decoder.lastGrowthRounds(),
+                                  windowReference.rounds())
+                            << "window " << where << " rounds=" << rounds;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Workspace, UnionFindThreeOddClustersMergeIntoOneLiveCluster)
+{
+    // Three hot ancillas in a row, away from the boundary: the first
+    // round grows the two edges between them to full support, so
+    // three live clusters merge into one cluster that is still odd
+    // and touches no boundary. It must then grow as one cluster, once
+    // per round, however many of the three live roots it came from.
+    SurfaceLattice lat(9);
+    for (const ErrorType type : {ErrorType::Z, ErrorType::X}) {
+        // Ancilla adjacency through interior data qubits, and which
+        // ancillas border a boundary data qubit.
+        const int na = lat.numAncilla(type);
+        std::vector<std::vector<int>> nbrs(na);
+        std::vector<char> onBoundary(na, 0);
+        for (int q = 0; q < lat.numData(); ++q) {
+            const auto &ancs = lat.dataAncillaNeighbors(type, q);
+            if (ancs.size() == 2) {
+                nbrs[ancs[0]].push_back(ancs[1]);
+                nbrs[ancs[1]].push_back(ancs[0]);
+            } else {
+                onBoundary[ancs[0]] = 1;
+            }
+        }
+        std::vector<int> chain;
+        for (int b = 0; b < na && chain.empty(); ++b) {
+            if (onBoundary[b])
+                continue;
+            std::vector<int> inner;
+            for (int a : nbrs[b])
+                if (!onBoundary[a])
+                    inner.push_back(a);
+            if (inner.size() >= 2)
+                chain = {inner[0], b, inner[1]};
+        }
+        ASSERT_EQ(chain.size(), 3u);
+
+        Syndrome syn(lat, type);
+        for (int a : chain)
+            syn.set(a, true);
+        UnionFindDecoder decoder(lat, type);
+        ReferenceUnionFind reference(lat, type);
+        TrialWorkspace ws;
+        decoder.decode(syn, ws);
+        EXPECT_EQ(ws.correction.dataFlips, reference.decode(syn));
+        EXPECT_EQ(decoder.lastGrowthRounds(), reference.rounds());
+        // The merged cluster stays live past the first round.
+        EXPECT_GE(reference.rounds(), 2);
+        expectUnionFindNeutral(ws, "three-ancilla chain");
+    }
 }
 
 TEST(Workspace, UnionFindNeutralStateSurvivesGraphSwitches)

@@ -54,7 +54,7 @@ main(int argc, char **argv)
         cell.lattice = &lattice;
         cell.physicalRate = p;
         cell.lifetimeMode = true;
-        cell.rule = StopRule{rounds, rounds, 1u << 30}.scaledByEnv();
+        cell.rule = StopRule{rounds, rounds, 1u << 30};
         cell.seed = 777; // same stream for every decoder family
         cell.factory = &family.factory;
         const MonteCarloResult res = engine.runCell(cell);

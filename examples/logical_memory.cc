@@ -44,7 +44,6 @@ main(int argc, char **argv)
     cell.rule.minTrials = cell.rule.maxTrials =
         static_cast<std::size_t>(rounds);
     cell.rule.targetFailures = 1u << 30;
-    cell.rule = cell.rule.scaledByEnv();
     cell.seed = 2026;
     cell.factory = &factory;
     const MonteCarloResult res = engine.runCell(cell);

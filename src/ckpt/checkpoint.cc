@@ -15,7 +15,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "common/fault_env.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
 
@@ -287,25 +286,10 @@ hashLines(const std::vector<std::string> &lines, std::size_t beg,
 
 /** @name Fault injection + write bookkeeping (process-global) @{ */
 
-using faultenv::WriteFaultMode;
-using faultenv::WriteFaultPlan;
-
 std::mutex g_writeMutex;
 std::uint64_t g_writeCount = 0;
-bool g_faultParsed = false;
-WriteFaultPlan g_faultPlan;
+WriteFault g_writeFault;
 std::function<void(std::uint64_t)> g_observer;
-
-/** Cached plan (env is read once per process; resetFaultState clears). */
-const WriteFaultPlan &
-faultPlan()
-{
-    if (!g_faultParsed) {
-        g_faultPlan = faultenv::writeFaultPlanFromEnv();
-        g_faultParsed = true;
-    }
-    return g_faultPlan;
-}
 
 void
 writeAll(int fd, const char *data, std::size_t len,
@@ -507,13 +491,13 @@ writeCheckpoint(const std::string &path, const CheckpointLedger &ledger)
 
     std::lock_guard<std::mutex> lock(g_writeMutex);
     const std::uint64_t index = ++g_writeCount;
-    const WriteFaultPlan &fault = faultPlan();
+    const WriteFault &fault = g_writeFault;
     // ">= N", not "== N": the counter is process-global and may have
     // advanced before a death-test fork, and the injector must still
     // fire exactly once.
-    const bool fire = fault.mode != WriteFaultMode::None &&
+    const bool fire = fault.mode != WriteFault::Mode::None &&
                       index >= fault.afterWrites;
-    const bool tear = fire && fault.mode == WriteFaultMode::Tear;
+    const bool tear = fire && fault.mode == WriteFault::Mode::Tear;
 
     const int fd =
         ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -555,13 +539,6 @@ loadCheckpoint(const std::string &path)
     return deserializeLedger(in);
 }
 
-std::size_t
-checkpointIntervalFromEnv(std::size_t fallback)
-{
-    return countFromEnv("NISQPP_CKPT_INTERVAL", kMaxCheckpointInterval,
-                        "checkpoint interval", fallback);
-}
-
 void
 installSignalHandlers()
 {
@@ -595,11 +572,11 @@ setWriteObserver(std::function<void(std::uint64_t)> observer)
 }
 
 void
-resetFaultState()
+setWriteFault(const WriteFault &fault)
 {
     std::lock_guard<std::mutex> lock(g_writeMutex);
     g_writeCount = 0;
-    g_faultParsed = false;
+    g_writeFault = fault;
 }
 
 } // namespace nisqpp::ckpt

@@ -24,10 +24,11 @@
  * mid-write (the fault injector's "tear" mode simulates one) leaves
  * the previous good checkpoint untouched.
  *
- * Fault injection (NISQPP_FAULT_INJECT=kill-after=N | tear-after=N)
- * deterministically kills the process at the Nth checkpoint write —
- * after the rename for "kill", mid-payload with no rename for "tear" —
- * so `tools/ckpt_torture` can prove the kill→resume→compare loop
+ * Fault injection (setWriteFault; on the CLI,
+ * NISQPP_FAULT_INJECT=kill-after=N | tear-after=N) deterministically
+ * kills the process at the Nth checkpoint write — after the rename
+ * for "kill", mid-payload with no rename for "tear" — so
+ * `tools/ckpt_torture` can prove the kill→resume→compare loop
  * converges with zero byte drift.
  */
 
@@ -174,24 +175,15 @@ CheckpointLedger deserializeLedger(std::istream &is);
 
 /**
  * Atomically persist @p ledger to @p path: serialize to `<path>.tmp`,
- * fsync, rename over @p path. Applies the NISQPP_FAULT_INJECT hook
- * (which may terminate the process by design) and then the test write
- * observer. Throws CheckpointError on I/O failure.
+ * fsync, rename over @p path. Applies the write fault set by
+ * setWriteFault (which may terminate the process by design) and then
+ * the test write observer. Throws CheckpointError on I/O failure.
  */
 void writeCheckpoint(const std::string &path,
                      const CheckpointLedger &ledger);
 
 /** Load and validate @p path; throws CheckpointError (read-only). */
 CheckpointLedger loadCheckpoint(const std::string &path);
-
-/**
- * Checkpoint interval from NISQPP_CKPT_INTERVAL (shard completions
- * between writes), or @p fallback when unset. Malformed values — zero,
- * negative, non-numeric, fractional, above kMaxCheckpointInterval —
- * warn and keep the fallback, exactly like NISQPP_TRIALS/NISQPP_BATCH.
- */
-std::size_t checkpointIntervalFromEnv(
-    std::size_t fallback = kDefaultCheckpointInterval);
 
 /** @name Cooperative interruption (SIGINT/SIGTERM → drain + save) @{ */
 
@@ -224,8 +216,27 @@ void clearInterrupt();
  */
 void setWriteObserver(std::function<void(std::uint64_t)> observer);
 
-/** Reset the process-lifetime write counter the fault injector uses. */
-void resetFaultState();
+/**
+ * A deliberate crash of a checkpoint write, for the torture harness
+ * (NISQPP_FAULT_INJECT=kill-after=N|tear-after=N).
+ */
+struct WriteFault
+{
+    enum class Mode
+    {
+        None, ///< no fault injection
+        Kill, ///< finish the Nth write, then exit
+        Tear  ///< die mid-payload of the Nth write (no rename)
+    };
+    Mode mode = Mode::None;
+    std::uint64_t afterWrites = 0; ///< N: the write that fires
+};
+
+/**
+ * Arm @p fault for the writes from now on and restart the
+ * process-lifetime write count it fires on. `WriteFault{}` disarms.
+ */
+void setWriteFault(const WriteFault &fault);
 
 /** @} */
 

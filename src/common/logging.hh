@@ -8,7 +8,6 @@
 #ifndef NISQPP_COMMON_LOGGING_HH
 #define NISQPP_COMMON_LOGGING_HH
 
-#include <cstddef>
 #include <sstream>
 #include <string>
 
@@ -25,16 +24,6 @@ void warn(const std::string &msg);
 
 /** Print "info: <msg>" to stderr and continue. */
 void inform(const std::string &msg);
-
-/**
- * An integer knob in [1, @p max] from environment variable @p name, or
- * @p fallback when it is unset or empty. Zero, negative, non-numeric,
- * fractional, infinite and too-large values warn "<name>='<value>' is
- * not an integer in [1, <max>]; keeping <what> = <fallback>" and keep
- * @p fallback. Parsed with strtod, so "1e2" reads as 100.
- */
-std::size_t countFromEnv(const char *name, std::size_t max,
-                         const char *what, std::size_t fallback);
 
 /**
  * Check an internal invariant; panics with "panic: <msg>" when violated.

@@ -1,9 +1,5 @@
 #include "common/simd.hh"
 
-#include <cstdlib>
-
-#include "common/logging.hh"
-
 namespace nisqpp {
 namespace simd {
 
@@ -102,36 +98,6 @@ widthName(Width w)
         return "v512";
     }
     return "scalar";
-}
-
-bool
-parseWidth(const std::string &text, Width &out)
-{
-    if (text == "scalar")
-        out = Width::Scalar;
-    else if (text == "v256")
-        out = Width::V256;
-    else if (text == "v512")
-        out = Width::V512;
-    else
-        return false;
-    return true;
-}
-
-Width
-widthFromEnv(Width fallback, const char *var)
-{
-    const char *env = std::getenv(var);
-    if (!env || !*env)
-        return fallback;
-    Width w;
-    if (!parseWidth(env, w)) {
-        warn(std::string(var) + "='" + env +
-             "' is not one of scalar|v256|v512; keeping simd width = " +
-             widthName(fallback));
-        return fallback;
-    }
-    return w;
 }
 
 } // namespace simd

@@ -117,21 +117,6 @@ void setPortableForTest(bool portable);
 const char *widthName(Width w);
 
 /**
- * Parse a width token ("scalar" | "v256" | "v512") into @p out.
- * Returns false (out untouched) on anything else; the `--simd` flag
- * turns that into a hard fatal(), the env twin into warn-and-ignore.
- */
-bool parseWidth(const std::string &text, Width &out);
-
-/**
- * Apply the NISQPP_SIMD env twin of --simd: returns the parsed width,
- * or @p fallback when the variable is unset. Malformed values warn
- * once and keep @p fallback, matching the NISQPP_BATCH contract. Read
- * only on the CLI path so in-process runs never see the environment.
- */
-Width widthFromEnv(Width fallback, const char *var = "NISQPP_SIMD");
-
-/**
  * Element accessors bridging the lane word types: a plain uint64_t and
  * the multi-element vectors, plus the element shifts a mesh whose rows
  * run across elements reads its north/south neighbours with. Batch

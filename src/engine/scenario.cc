@@ -1,13 +1,11 @@
 #include "engine/scenario.hh"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 
 #include "common/logging.hh"
 #include "common/simd.hh"
+#include "engine/knobs.hh"
 #include "engine/scenarios.hh"
 #include "obs/report.hh"
 #include "obs/trace.hh"
@@ -57,7 +55,7 @@ ScenarioContext::seed(std::uint64_t fallback) const
 StopRule
 ScenarioContext::scaled(const StopRule &rule) const
 {
-    return rule.scaled(options_.trialsScale).scaledByEnv();
+    return rule.scaled(options_.trialsScale);
 }
 
 void
@@ -339,28 +337,22 @@ printUsage(std::ostream &os, const std::string &binary, bool withScenario)
           "(deterministic counters\nplus masked timing/scheduling "
           "summaries); --trace-out writes a\nchrome://tracing event "
           "dump of the instrumented stages.\n";
-    os << "\nNISQPP_TRIALS (env) multiplies trial budgets on top of"
-          " --trials-scale.\n";
-    os << "--escalate-threshold X pins tiered_decode to one confidence"
+    os << "\n--escalate-threshold X pins tiered_decode to one confidence"
           " threshold in [0, 1]\ninstead of its default sweep.\n";
     os << "--fault-drop/--fault-corrupt/--fault-dup/--fault-delay/"
           "--fault-stall/--fault-fail\n(fractions in [0, 1]) and"
           " --fault-seed S pin fault_sweep to one fault operating\n"
           "point instead of its default rate grid; --deadline-ns X > 0"
-          " pins its per-round\ndecode deadline. NISQPP_STREAM_FAULTS"
-          " (env) is the warn-and-ignore twin\n"
-          "(drop=X,corrupt=X,dup=X,delay=X,stall=X,fail=X,seed=S,"
-          "delay-cycles=N,\nstall-factor=X).\n";
-    os << "NISQPP_BATCH (env) / --batch N group N per-round or windowed"
-          " trials per decode\ncall of the mesh and tiered decoders,"
-          " which decode a group lane-packed; every\nother decoder"
-          " decodes one trial at a time (aggregates are identical"
-          " either\nway). Lifetime cells and streams ignore it: the"
-          " decoder sizes lifetime lanes.\n";
-    os << "NISQPP_SIMD (env) / --simd scalar|v256|v512 pin the"
-          " lane-word width of the\nmesh lane engines (default: widest"
-          " the CPU supports); results are\nbit-identical at every"
-          " width.\n";
+          " pins its per-round\ndecode deadline.\n";
+    os << "--batch N groups N per-round or windowed trials per decode call"
+          " of the mesh\nand tiered decoders, which decode a group"
+          " lane-packed; every other decoder\ndecodes one trial at a"
+          " time (aggregates are identical either way). Lifetime\n"
+          "cells and streams ignore it: the decoder sizes lifetime"
+          " lanes.\n";
+    os << "--simd scalar|v256|v512 pins the lane-word width of the mesh"
+          " lane engines\n(default: widest the CPU supports); results"
+          " are bit-identical at every width.\n";
     os << "\n--checkpoint FILE periodically persists the sweep's shard"
           " ledger (atomic\ntemp+fsync+rename writes; SIGINT/SIGTERM"
           " write a final checkpoint and exit " +
@@ -368,21 +360,26 @@ printUsage(std::ostream &os, const std::string &binary, bool withScenario)
           ").\n--resume FILE restores a ledger and continues at each"
           " cell's first incomplete\nshard — byte-identical to an"
           " uninterrupted run at any --threads.\n"
-          "--checkpoint-interval N / NISQPP_CKPT_INTERVAL (env) set"
-          " shard completions\nbetween periodic writes (default " +
+          "--checkpoint-interval N sets shard completions between"
+          " periodic writes\n(default " +
               std::to_string(ckpt::kDefaultCheckpointInterval) +
           ").\n";
-}
-
-/** Parse one numeric flag value or die with a usage error. */
-double
-numericValue(const std::string &flag, const char *text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        fatal(flag + ": expected a number, got '" + text + "'");
-    return v;
+    os << "\nEnvironment twins set a flag's default, and the flag"
+          " overrides them. A bad\nflag value is fatal; a bad env"
+          " value warns once and is ignored.\n"
+          "  NISQPP_TRIALS=X         --trials-scale X\n"
+          "  NISQPP_BATCH=N          --batch N\n"
+          "  NISQPP_SIMD=W           --simd W\n"
+          "  NISQPP_CKPT_INTERVAL=N  --checkpoint-interval N\n"
+          "  NISQPP_STREAM_FAULTS=   --fault-KEY X for each key of"
+          " drop=X,corrupt=X,dup=X,\n"
+          "                          delay=X,stall=X,fail=X,seed=S, plus"
+          " env-only\n"
+          "                          delay-cycles=N,stall-factor=X\n"
+          "  NISQPP_FAULT_INJECT=    kill-after=N|tear-after=N (env only:"
+          " crash the Nth\n"
+          "                          checkpoint write, for the torture"
+          " harness)\n";
 }
 
 struct ParsedArgs
@@ -397,20 +394,20 @@ ParsedArgs
 parseArgs(int argc, char **argv, bool scenarioFlagAllowed)
 {
     ParsedArgs parsed;
-    parsed.options.batchLanes = batchLanesFromEnv(1);
-    // NISQPP_SIMD retargets the mesh decoder's lane engines before
-    // any decoder is built; like every env knob it warns and keeps the
-    // CPUID default on an invalid value, while --simd below fails
-    // hard. Read only here (the CLI path): in-process scenario runs —
-    // the golden net in particular — never see the environment.
-    simd::setActiveWidth(simd::widthFromEnv(simd::activeWidth()));
-    parsed.options.checkpointInterval = ckpt::checkpointIntervalFromEnv(
-        ckpt::kDefaultCheckpointInterval);
-    // Env twin first so explicit --fault-* flags override it. Read
-    // only here (the CLI path): in-process scenario runs — the golden
-    // net in particular — never see the environment.
-    if (faults::streamFaultsFromEnv(parsed.options.faultSpec))
-        parsed.options.faultGiven = true;
+    RunOptions &o = parsed.options;
+    // The only environment reads of a run, each through its flag's
+    // parser: the env twins set the defaults the flags below override.
+    // In-process runs (runScenario, the golden net) never see them.
+    knobs::fromEnv(knobs::trialsScale, o.trialsScale);
+    knobs::fromEnv(knobs::batch, o.batchLanes);
+    knobs::fromEnv(knobs::checkpointInterval, o.checkpointInterval);
+    o.faultGiven = knobs::fromEnv(knobs::streamFaults, o.faultSpec);
+    simd::Width width = simd::activeWidth();
+    if (knobs::fromEnv(knobs::simdWidth, width))
+        simd::setActiveWidth(width);
+    ckpt::WriteFault writeFault;
+    knobs::fromEnv(knobs::faultInject, writeFault);
+    ckpt::setWriteFault(writeFault);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -418,13 +415,10 @@ parseArgs(int argc, char **argv, bool scenarioFlagAllowed)
                 fatal(arg + ": missing value");
             return argv[++i];
         };
-        // Fraction-valued --fault-* flags share one parse contract.
-        auto faultRate = [&](double &slot) {
-            const double v = numericValue(arg, value());
-            if (!(v >= 0.0) || v > 1.0)
-                fatal(arg + ": expected a fraction in [0, 1]");
-            slot = v;
-            parsed.options.faultGiven = true;
+        auto path = [&](std::string &slot) {
+            slot = value();
+            if (slot.empty())
+                fatal(arg + ": expected a file path");
         };
         if (arg == "--help" || arg == "-h") {
             parsed.helpOnly = true;
@@ -433,122 +427,47 @@ parseArgs(int argc, char **argv, bool scenarioFlagAllowed)
         } else if (arg == "--scenario" && scenarioFlagAllowed) {
             parsed.scenario = value();
         } else if (arg == "--threads") {
-            const double v = numericValue(arg, value());
-            // Range-check before casting: out-of-range float->int
-            // conversion is undefined behavior.
-            if (!(v >= 0) || v > 4096 || v != std::floor(v))
-                fatal("--threads: expected an integer in [0, 4096]");
-            parsed.options.threads = static_cast<int>(v);
+            knobs::fromFlag(knobs::threads, value(), o.threads);
         } else if (arg == "--shard-trials") {
-            const double v = numericValue(arg, value());
-            if (!(v >= 1) || v > 1e15 || v != std::floor(v))
-                fatal("--shard-trials: expected an integer in "
-                      "[1, 1e15]");
-            parsed.options.shardTrials = static_cast<std::size_t>(v);
+            knobs::fromFlag(knobs::shardTrials, value(), o.shardTrials);
+        } else if (arg == "--trials-scale") {
+            knobs::fromFlag(knobs::trialsScale, value(), o.trialsScale);
+        } else if (arg == "--seed") {
+            knobs::fromFlag(knobs::runSeed, value(), o.seed);
+            o.seedSet = true;
         } else if (arg == "--batch") {
-            const double v = numericValue(arg, value());
-            if (!(v >= 1) ||
-                v > static_cast<double>(kMaxBatchLanes) ||
-                v != std::floor(v))
-                fatal("--batch: expected an integer in [1, " +
-                      std::to_string(kMaxBatchLanes) + "]");
-            parsed.options.batchLanes = static_cast<std::size_t>(v);
+            knobs::fromFlag(knobs::batch, value(), o.batchLanes);
         } else if (arg == "--simd") {
-            simd::Width width;
-            if (!simd::parseWidth(value(), width))
-                fatal("--simd: expected scalar, v256 or v512");
+            knobs::fromFlag(knobs::simdWidth, value(), width);
             simd::setActiveWidth(width);
         } else if (arg == "--escalate-threshold") {
-            const double v = numericValue(arg, value());
-            if (!(v >= 0.0) || v > 1.0)
-                fatal("--escalate-threshold: expected a fraction in "
-                      "[0, 1]");
-            parsed.options.escalateThreshold = v;
-        } else if (arg == "--fault-drop") {
-            faultRate(parsed.options.faultSpec.dropRate);
-        } else if (arg == "--fault-corrupt") {
-            faultRate(parsed.options.faultSpec.corruptRate);
-        } else if (arg == "--fault-dup") {
-            faultRate(parsed.options.faultSpec.duplicateRate);
-        } else if (arg == "--fault-delay") {
-            faultRate(parsed.options.faultSpec.delayRate);
-        } else if (arg == "--fault-stall") {
-            faultRate(parsed.options.faultSpec.stallRate);
-        } else if (arg == "--fault-fail") {
-            faultRate(parsed.options.faultSpec.decodeFailRate);
-        } else if (arg == "--fault-seed") {
-            const char *text = value();
-            char *end = nullptr;
-            errno = 0;
-            parsed.options.faultSpec.seed =
-                std::strtoull(text, &end, 0);
-            if (end == text || *end != '\0' || text[0] == '-' ||
-                errno == ERANGE)
-                fatal("--fault-seed: expected an unsigned 64-bit "
-                      "integer, got '" + std::string(text) + "'");
-            parsed.options.faultGiven = true;
+            knobs::fromFlag(knobs::escalateThreshold, value(),
+                            o.escalateThreshold);
+        } else if (const auto *fault = knobs::faultFlag(arg)) {
+            knobs::fromFlag(*fault, value(), o.faultSpec);
+            o.faultGiven = true;
         } else if (arg == "--deadline-ns") {
-            const double v = numericValue(arg, value());
-            if (!(v > 0) || v > 1e9)
-                fatal("--deadline-ns: expected a positive number "
-                      "<= 1e9");
-            parsed.options.deadlineNs = v;
-        } else if (arg == "--trials-scale") {
-            const double v = numericValue(arg, value());
-            if (!(v > 0) || v > kMaxTrialsMultiplier)
-                fatal("--trials-scale: expected a positive number "
-                      "<= 1e6");
-            parsed.options.trialsScale = v;
-        } else if (arg == "--seed") {
-            const char *text = value();
-            char *end = nullptr;
-            errno = 0;
-            parsed.options.seed = std::strtoull(text, &end, 0);
-            // strtoull silently wraps negatives and saturates on
-            // overflow; reject both so typo'd seeds never alias.
-            if (end == text || *end != '\0' || text[0] == '-' ||
-                errno == ERANGE)
-                fatal("--seed: expected an unsigned 64-bit integer, "
-                      "got '" + std::string(text) + "'");
-            parsed.options.seedSet = true;
+            knobs::fromFlag(knobs::deadlineNs, value(), o.deadlineNs);
         } else if (arg == "--checkpoint") {
-            parsed.options.checkpointPath = value();
-            if (parsed.options.checkpointPath.empty())
-                fatal("--checkpoint: expected a file path");
+            path(o.checkpointPath);
         } else if (arg == "--resume") {
-            parsed.options.resumePath = value();
-            if (parsed.options.resumePath.empty())
-                fatal("--resume: expected a file path");
+            path(o.resumePath);
         } else if (arg == "--checkpoint-interval") {
-            const double v = numericValue(arg, value());
-            // Same contract as the NISQPP_CKPT_INTERVAL env twin, but
-            // an explicit flag fails hard instead of warn-and-keep.
-            if (!(v >= 1) ||
-                v > static_cast<double>(ckpt::kMaxCheckpointInterval) ||
-                v != std::floor(v))
-                fatal("--checkpoint-interval: expected an integer in "
-                      "[1, " +
-                      std::to_string(ckpt::kMaxCheckpointInterval) +
-                      "]");
-            parsed.options.checkpointInterval =
-                static_cast<std::size_t>(v);
-            parsed.options.checkpointIntervalSet = true;
+            knobs::fromFlag(knobs::checkpointInterval, value(),
+                            o.checkpointInterval);
+            o.checkpointIntervalSet = true;
         } else if (arg == "--metrics-out") {
-            parsed.options.metricsOut = value();
-            if (parsed.options.metricsOut.empty())
-                fatal("--metrics-out: expected a file path");
+            path(o.metricsOut);
         } else if (arg == "--trace-out") {
-            parsed.options.traceOut = value();
-            if (parsed.options.traceOut.empty())
-                fatal("--trace-out: expected a file path");
+            path(o.traceOut);
         } else if (arg == "--format") {
             const std::string text = value();
             if (text == "table")
-                parsed.options.format = OutputFormat::Table;
+                o.format = OutputFormat::Table;
             else if (text == "csv")
-                parsed.options.format = OutputFormat::Csv;
+                o.format = OutputFormat::Csv;
             else if (text == "json")
-                parsed.options.format = OutputFormat::Json;
+                o.format = OutputFormat::Json;
             else
                 fatal("--format: expected table, csv or json");
         } else if (scenarioFlagAllowed && !arg.empty() &&
@@ -559,9 +478,8 @@ parseArgs(int argc, char **argv, bool scenarioFlagAllowed)
             fatal("unknown argument '" + arg + "' (try --help)");
         }
     }
-    if (parsed.options.checkpointIntervalSet &&
-        parsed.options.checkpointPath.empty() &&
-        parsed.options.resumePath.empty())
+    if (o.checkpointIntervalSet && o.checkpointPath.empty() &&
+        o.resumePath.empty())
         fatal("--checkpoint-interval requires --checkpoint or "
               "--resume");
     return parsed;

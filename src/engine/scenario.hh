@@ -36,6 +36,7 @@ struct RunOptions
 {
     int threads = 1;
     std::size_t shardTrials = 512;
+    /** Trial-budget multiplier (--trials-scale, NISQPP_TRIALS). */
     double trialsScale = 1.0;
     std::uint64_t seed = 0;
     bool seedSet = false; ///< --seed given: overrides scenario defaults
@@ -101,7 +102,7 @@ class ScenarioContext
     /** Scenario's master seed: --seed when given, else @p fallback. */
     std::uint64_t seed(std::uint64_t fallback) const;
 
-    /** Apply --trials-scale and then NISQPP_TRIALS to a stop rule. */
+    /** Scale a stop rule by the run's trial multiplier. */
     StopRule scaled(const StopRule &rule) const;
 
     /** --escalate-threshold when given, else negative. */

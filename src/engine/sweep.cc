@@ -16,13 +16,6 @@
 
 namespace nisqpp {
 
-std::size_t
-batchLanesFromEnv(std::size_t fallback)
-{
-    return countFromEnv("NISQPP_BATCH", kMaxBatchLanes, "batch lanes",
-                        fallback);
-}
-
 std::vector<double>
 SweepConfig::logSpaced(double lo, double hi, int count)
 {

@@ -114,13 +114,6 @@ struct EngineOptions
     std::size_t batchLanes = 1;
 };
 
-/**
- * Batch-lane count from the NISQPP_BATCH environment variable
- * (an integer round-group size, <= kMaxBatchLanes), or @p fallback
- * when unset. Malformed values warn and fall back.
- */
-std::size_t batchLanesFromEnv(std::size_t fallback = 1);
-
 /** Largest accepted round-group size (scratch-memory guard). */
 inline constexpr std::size_t kMaxBatchLanes = 4096;
 
@@ -133,7 +126,7 @@ struct CellSpec
     int windowRounds = 0; ///< noisy rounds per decode window; 0 = off
     bool throughCircuits = false;
     bool lifetimeMode = false;
-    StopRule rule{};          ///< already env/flag scaled by the caller
+    StopRule rule{};          ///< already scaled by the caller
     std::uint64_t seed = 0;   ///< cell master seed
     const DecoderFactory *factory = nullptr;
     /** Per-round trials per decodeBatch group; 0 = engine default. */

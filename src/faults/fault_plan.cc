@@ -1,11 +1,8 @@
 #include "faults/fault_plan.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
-#include "common/fault_env.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -104,62 +101,6 @@ FaultPlan::eventFor(std::uint64_t round) const
             ++f.retransmitsNeeded;
     }
     return f;
-}
-
-bool
-streamFaultsFromEnv(FaultSpec &spec, const char *var)
-{
-    const char *env = std::getenv(var);
-    if (!env || !*env)
-        return false;
-    const std::string text(env);
-    std::vector<faultenv::Directive> directives;
-    if (!faultenv::splitDirectives(text, directives)) {
-        warn(std::string(var) + "='" + text +
-             "' is not a k=v,k=v directive list; stream faults "
-             "disabled");
-        return false;
-    }
-    // Two-phase apply: validate every directive before touching spec
-    // so a half-good variable never half-applies.
-    FaultSpec updated = spec;
-    for (const faultenv::Directive &d : directives) {
-        bool ok = false;
-        if (d.key == "drop")
-            ok = faultenv::parseRate(d.value, updated.dropRate);
-        else if (d.key == "corrupt")
-            ok = faultenv::parseRate(d.value, updated.corruptRate);
-        else if (d.key == "dup")
-            ok = faultenv::parseRate(d.value, updated.duplicateRate);
-        else if (d.key == "delay")
-            ok = faultenv::parseRate(d.value, updated.delayRate);
-        else if (d.key == "stall")
-            ok = faultenv::parseRate(d.value, updated.stallRate);
-        else if (d.key == "fail")
-            ok = faultenv::parseRate(d.value, updated.decodeFailRate);
-        else if (d.key == "delay-cycles") {
-            std::uint64_t n = 0;
-            ok = faultenv::parseCount(d.value, n) && n <= 1024;
-            if (ok)
-                updated.delayCycles = static_cast<int>(n);
-        } else if (d.key == "stall-factor") {
-            char *end = nullptr;
-            const double v = std::strtod(d.value.c_str(), &end);
-            ok = end && end != d.value.c_str() && *end == '\0' &&
-                 v >= 1.0 && v <= 1e6;
-            if (ok)
-                updated.stallFactor = v;
-        } else if (d.key == "seed") {
-            ok = faultenv::parseCount(d.value, updated.seed);
-        }
-        if (!ok) {
-            warn(std::string(var) + ": bad directive '" + d.key + "=" +
-                 d.value + "'; stream faults disabled");
-            return false;
-        }
-    }
-    spec = updated;
-    return true;
 }
 
 } // namespace faults

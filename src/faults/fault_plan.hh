@@ -151,19 +151,6 @@ struct RecoveryPolicy
     void validate() const;
 };
 
-/**
- * Apply the NISQPP_STREAM_FAULTS env twin of the --fault-* flags to
- * @p spec: a comma-separated directive list
- * "drop=X,corrupt=X,dup=X,delay=X,delay-cycles=N,stall=X,
- * stall-factor=X,fail=X,seed=S". Returns true when the variable was
- * present and well-formed (spec updated). Warn-and-ignore: any
- * malformed token warns once and leaves @p spec untouched, matching
- * the NISQPP_FAULT_INJECT contract; the CLI flags fail hard instead.
- * Read only on the CLI path so in-process runs never see the env.
- */
-bool streamFaultsFromEnv(FaultSpec &spec,
-                         const char *var = "NISQPP_STREAM_FAULTS");
-
 /** Deterministic ledger of fault events and recovery outcomes. */
 struct FaultCounts
 {

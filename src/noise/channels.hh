@@ -5,9 +5,10 @@
  * Computers — How They Fail"). Each data channel samples i.i.d. per
  * data qubit per round; the measurement channel flips measured syndrome
  * bits with rate q. The depolarizing and dephasing channels reproduce
- * the exact per-qubit draw sequence of the legacy `DepolarizingModel`
- * and `DephasingModel`, so composing either one alone with q = 0 is
- * bit-identical to the pre-subsystem code.
+ * the exact per-qubit draw sequence of the closed depolarizing and
+ * dephasing models that preceded them, so composing either one alone
+ * with q = 0 (NoiseModel::depolarizing(p), NoiseModel::dephasing(p))
+ * is bit-identical to the pre-subsystem code.
  *
  * The sampling loops are call-free: Rng::next() is inline. Where every
  * bit costs exactly one draw (dephasing, measurement flips), the loop

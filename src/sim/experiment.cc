@@ -9,15 +9,6 @@
 
 namespace nisqpp {
 
-SweepResult
-sweepLogicalError(const SweepConfig &config, const DecoderFactory &factory)
-{
-    SweepConfig scaled = config;
-    scaled.stopRule = config.stopRule.scaledByEnv();
-    Engine engine{EngineOptions{}}; // one thread: serial reference run
-    return engine.runSweep(scaled, factory);
-}
-
 DecoderFactory
 meshDecoderFactory(const MeshConfig &config)
 {

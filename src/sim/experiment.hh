@@ -4,8 +4,8 @@
  * physical error rate) grids for a decoder family, collecting logical
  * error rate curves, decoder cycle statistics and fitted scaling
  * parameters. The sweep types and the sharded executor live in
- * engine/sweep.hh; this header keeps the decoder factories, the fitting
- * helper and a serial-equivalent convenience wrapper.
+ * engine/sweep.hh; this header keeps the decoder factories and the
+ * fitting helper.
  */
 
 #ifndef NISQPP_SIM_EXPERIMENT_HH
@@ -21,15 +21,6 @@
 #include "sim/threshold.hh"
 
 namespace nisqpp {
-
-/**
- * Run a logical-error-rate sweep for @p factory decoders on a
- * single-threaded engine (NISQPP_TRIALS-scaled). Produces the same
- * aggregates as Engine::runSweep at any thread count for the same
- * seed; use an Engine directly to parallelize.
- */
-SweepResult sweepLogicalError(const SweepConfig &config,
-                              const DecoderFactory &factory);
 
 /** Mesh decoder factory for a given design variant. */
 DecoderFactory meshDecoderFactory(const MeshConfig &config);

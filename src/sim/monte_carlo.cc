@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "decoders/workspace.hh"
@@ -40,23 +39,6 @@ StopRule::scaled(double mult) const
     out.minTrials = scaleTrials(out.minTrials, mult);
     out.maxTrials = scaleTrials(out.maxTrials, mult);
     return out;
-}
-
-StopRule
-StopRule::scaledByEnv() const
-{
-    const char *env = std::getenv("NISQPP_TRIALS");
-    if (!env || !*env)
-        return *this;
-    char *end = nullptr;
-    const double mult = std::strtod(env, &end);
-    if (end == env || (end && *end != '\0') || !std::isfinite(mult) ||
-        mult <= 0 || mult > kMaxTrialsMultiplier) {
-        warn("NISQPP_TRIALS='" + std::string(env) +
-             "' is not a positive multiplier <= 1e6; using 1.0");
-        return *this;
-    }
-    return scaled(mult);
 }
 
 void

@@ -20,8 +20,8 @@
 #include "common/stats.hh"
 #include "core/mesh_decoder.hh"
 #include "decoders/decoder.hh"
+#include "noise/noise_model.hh"
 #include "obs/metrics.hh"
-#include "surface/error_model.hh"
 #include "surface/logical.hh"
 #include "surface/stabilizer_circuit.hh"
 #include "surface/syndrome_window.hh"
@@ -29,8 +29,8 @@
 namespace nisqpp {
 
 /**
- * Largest accepted trial-budget multiplier (NISQPP_TRIALS,
- * --trials-scale); larger values are almost certainly typos and would
+ * Largest accepted trial-budget multiplier (--trials-scale,
+ * NISQPP_TRIALS); larger values are almost certainly typos and would
  * schedule practically unbounded runs.
  */
 inline constexpr double kMaxTrialsMultiplier = 1e6;
@@ -48,15 +48,6 @@ struct StopRule
      */
     StopRule scaled(double mult) const;
 
-    /**
-     * Scale trial counts by the NISQPP_TRIALS environment variable
-     * (a multiplier, default 1.0) so benches can be re-run at higher
-     * statistical resolution without recompiling. Malformed values
-     * (non-numeric, non-positive, NaN/inf, above
-     * kMaxTrialsMultiplier) are rejected with a warning and leave
-     * the rule unchanged.
-     */
-    StopRule scaledByEnv() const;
 };
 
 /** Aggregate result of one (lattice, p, decoder) Monte Carlo run. */

@@ -19,7 +19,7 @@
 #include <cstdint>
 
 #include "common/rng.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 

@@ -107,8 +107,7 @@ StabilizerCircuit::measureInto(PauliFrame &frame, ErrorType type,
     // Z-stabilizer block their X components — one masked parity each.
     // The block then measures, leaving the ancilla frame cleared; data
     // frames are never modified (the ancilla's own components are zero
-    // when the copy gates run). measureViaSchedule() is the op-by-op
-    // reference for this reduction.
+    // when the copy gates run).
     NISQPP_DCHECK(out.type() == type &&
                       out.size() == lattice_->numAncilla(type),
                   "measureInto: syndrome shape mismatch");
@@ -123,30 +122,6 @@ StabilizerCircuit::measureInto(PauliFrame &frame, ErrorType type,
     for (int a = 0; a < na; ++a)
         out.set(a, plane.parityAnd(gather_[slot][a]));
     frame.clearMasked(ancillaSites_[slot]);
-}
-
-Syndrome
-StabilizerCircuit::measureViaSchedule(PauliFrame &frame,
-                                      ErrorType type) const
-{
-    Syndrome syn(*lattice_, type);
-    for (const Op &op : schedule(type)) {
-        switch (op.kind) {
-          case OpKind::Reset:
-            frame.reset(op.a);
-            break;
-          case OpKind::H:
-            frame.applyH(op.a);
-            break;
-          case OpKind::Cnot:
-            frame.applyCnot(op.a, op.b);
-            break;
-          case OpKind::Measure:
-            syn.set(op.b, frame.measureZ(op.a));
-            break;
-        }
-    }
-    return syn;
 }
 
 Syndrome

@@ -11,9 +11,8 @@
  * gather*: each outcome is the parity of one frame plane over the
  * ancilla's data-neighbor sites, followed by clearing the family's
  * ancilla sites. measure() uses precomputed per-ancilla gather masks
- * (AND + popcount per outcome); measureViaSchedule() walks the gate
- * schedule op by op and is retained as the reference implementation the
- * equivalence tests pin measure() against.
+ * (AND + popcount per outcome); the equivalence tests pin it against a
+ * walk of the gate schedule op by op.
  */
 
 #ifndef NISQPP_SURFACE_STABILIZER_CIRCUIT_HH
@@ -73,20 +72,14 @@ class StabilizerCircuit
      * @p frame and return the resulting syndrome. Measurement outcomes
      * are reported as flips relative to the noiseless circuit, exactly
      * the detection events of Section II-C1. Uses the precomputed
-     * gather masks; equivalent to measureViaSchedule() for any frame.
+     * gather masks; equivalent to running schedule() op by op for any
+     * frame.
      */
     Syndrome measure(PauliFrame &frame, ErrorType type) const;
 
     /** Allocation-free variant of measure(), filling @p out. */
     void measureInto(PauliFrame &frame, ErrorType type,
                      Syndrome &out) const;
-
-    /**
-     * Reference implementation of measure(): execute the gate schedule
-     * op by op on the Pauli-frame simulator. Retained for the
-     * equivalence property tests and protocol-level debugging.
-     */
-    Syndrome measureViaSchedule(PauliFrame &frame, ErrorType type) const;
 
     /**
      * Convenience: full extraction through the circuits for @p state.

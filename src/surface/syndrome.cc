@@ -41,7 +41,7 @@ extractSyndromeInto(const ErrorState &state, ErrorType type, Syndrome &out)
     // Transposed sparse extraction: each set error bit XORs its
     // detecting-ancilla incidence mask into the outcome words. For a
     // weight-w error this is O(w) word XORs; identical by linearity to
-    // the per-ancilla stabilizer parities (extractSyndromeReference).
+    // the per-ancilla stabilizer parities.
     out.clear();
     state.bits(type).forEachSet([&out, &lat, type](int d) {
         out.xorMask(lat.dataIncidenceMask(type, d));
@@ -78,20 +78,6 @@ syndromeNonzero(const ErrorState &state, ErrorType type)
         if (bits.parityAnd(lat.stabilizerMask(type, a)))
             return true;
     return false;
-}
-
-Syndrome
-extractSyndromeReference(const ErrorState &state, ErrorType type)
-{
-    const SurfaceLattice &lat = state.lattice();
-    Syndrome syn(lat, type);
-    for (int a = 0; a < lat.numAncilla(type); ++a) {
-        char parity = 0;
-        for (int d : lat.ancillaDataNeighbors(type, a))
-            parity ^= static_cast<char>(state.has(type, d));
-        syn.set(a, parity);
-    }
-    return syn;
 }
 
 Syndrome

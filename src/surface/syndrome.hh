@@ -95,14 +95,6 @@ void extractSyndromeInto(const ErrorState &state, ErrorType type,
 bool syndromeNonzero(const ErrorState &state, ErrorType type);
 
 /**
- * Retained reference implementation: per-ancilla neighbor-loop parity
- * over the error bits, exactly the pre-packed-substrate algorithm. The
- * equivalence property tests pin extractSyndrome() to this bit for bit;
- * it is not for hot paths.
- */
-Syndrome extractSyndromeReference(const ErrorState &state, ErrorType type);
-
-/**
  * Apply a correction chain expressed as data-qubit flips and verify the
  * syndrome it would clear. Helper shared by decoder tests.
  */

@@ -10,7 +10,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -334,8 +333,7 @@ TEST(CheckpointFaultDeathTest, KillCompletesTheWriteThenExits)
     const ckpt::CheckpointLedger ledger = makeLedger();
     EXPECT_EXIT(
         {
-            setenv("NISQPP_FAULT_INJECT", "kill-after=1", 1);
-            ckpt::resetFaultState();
+            ckpt::setWriteFault({ckpt::WriteFault::Mode::Kill, 1});
             ckpt::writeCheckpoint(path, ledger);
         },
         ::testing::ExitedWithCode(ckpt::kExitFaultInjected), "");
@@ -356,8 +354,7 @@ TEST(CheckpointFaultDeathTest, TornWriteNeverReachesTheFile)
     bigger.invocations[1].complete = true;
     EXPECT_EXIT(
         {
-            setenv("NISQPP_FAULT_INJECT", "tear-after=1", 1);
-            ckpt::resetFaultState();
+            ckpt::setWriteFault({ckpt::WriteFault::Mode::Tear, 1});
             ckpt::writeCheckpoint(path, bigger);
         },
         ::testing::ExitedWithCode(ckpt::kExitFaultInjected), "");

@@ -1,115 +1,83 @@
-/** @file NISQPP_CKPT_INTERVAL environment validation: malformed
- * cadences must warn and keep the previous setting, exactly like
- * NISQPP_TRIALS and NISQPP_BATCH. */
+/** @file NISQPP_CKPT_INTERVAL, the env twin of --checkpoint-interval:
+ * malformed cadences must warn and keep the previous setting. The
+ * cross-knob contract is in tests/engine/test_knobs.cc. */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "ckpt/checkpoint.hh"
+#include "engine/knobs.hh"
+#include "support/scoped_env.hh"
 
 namespace nisqpp {
 namespace {
 
-/** Scoped NISQPP_CKPT_INTERVAL override restoring the prior value. */
-class IntervalEnv
+std::size_t
+intervalFromEnv(const char *value, std::size_t fallback)
 {
-  public:
-    explicit IntervalEnv(const char *value)
-    {
-        const char *prior = std::getenv("NISQPP_CKPT_INTERVAL");
-        if (prior) {
-            saved_ = prior;
-            hadValue_ = true;
-        }
-        if (value)
-            setenv("NISQPP_CKPT_INTERVAL", value, 1);
-        else
-            unsetenv("NISQPP_CKPT_INTERVAL");
-    }
-    ~IntervalEnv()
-    {
-        if (hadValue_)
-            setenv("NISQPP_CKPT_INTERVAL", saved_.c_str(), 1);
-        else
-            unsetenv("NISQPP_CKPT_INTERVAL");
-    }
-
-  private:
-    std::string saved_;
-    bool hadValue_ = false;
-};
+    return envValue(knobs::checkpointInterval, value, fallback);
+}
 
 TEST(CkptIntervalEnv, UnsetKeepsFallback)
 {
-    IntervalEnv env(nullptr);
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(7), 7u);
+    EXPECT_EQ(intervalFromEnv(nullptr, 32), 32u);
+    EXPECT_EQ(intervalFromEnv(nullptr, 7), 7u);
 }
 
 TEST(CkptIntervalEnv, ValidValueIsUsed)
 {
-    IntervalEnv env("128");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 128u);
+    EXPECT_EQ(intervalFromEnv("128", 32), 128u);
 }
 
 TEST(CkptIntervalEnv, OneIsValid)
 {
-    IntervalEnv env("1");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 1u);
+    EXPECT_EQ(intervalFromEnv("1", 32), 1u);
 }
 
 TEST(CkptIntervalEnv, MaxIsValid)
 {
-    IntervalEnv env(
-        std::to_string(ckpt::kMaxCheckpointInterval).c_str());
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32),
+    EXPECT_EQ(intervalFromEnv(
+                  std::to_string(ckpt::kMaxCheckpointInterval).c_str(),
+                  32),
               ckpt::kMaxCheckpointInterval);
 }
 
 TEST(CkptIntervalEnv, ExponentNotationIsAcceptedWhenIntegral)
 {
-    // Parsed with strtod like every other nisqpp env knob, so
-    // integral exponent notation works uniformly.
-    IntervalEnv env("1e3");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 1000u);
+    // One count parser serves every count knob and its flag, so
+    // integral exponent notation is accepted everywhere.
+    EXPECT_EQ(intervalFromEnv("1e3", 32), 1000u);
 }
 
 TEST(CkptIntervalEnv, ZeroRejectedKeepsPrevious)
 {
-    IntervalEnv env("0");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalFromEnv("0", 32), 32u);
 }
 
 TEST(CkptIntervalEnv, NegativeRejectedKeepsPrevious)
 {
-    IntervalEnv env("-4");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalFromEnv("-4", 32), 32u);
 }
 
 TEST(CkptIntervalEnv, FractionalRejectedKeepsPrevious)
 {
-    IntervalEnv env("2.5");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalFromEnv("2.5", 32), 32u);
 }
 
 TEST(CkptIntervalEnv, NonNumericRejectedKeepsPrevious)
 {
-    IntervalEnv env("often");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalFromEnv("often", 32), 32u);
 }
 
 TEST(CkptIntervalEnv, TrailingJunkRejectedKeepsPrevious)
 {
-    IntervalEnv env("12x");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalFromEnv("12x", 32), 32u);
 }
 
 TEST(CkptIntervalEnv, AboveMaxRejectedKeepsPrevious)
 {
-    IntervalEnv env("1000000001");
-    EXPECT_EQ(ckpt::checkpointIntervalFromEnv(32), 32u);
+    EXPECT_EQ(intervalFromEnv("1000000001", 32), 32u);
 }
 
 } // namespace

@@ -85,8 +85,8 @@ check_cli(escalate_missing_value FALSE ERR
           tiered_decode --escalate-threshold)
 
 # Fault-injection flags fail hard at parse time (the
-# NISQPP_STREAM_FAULTS env path warns and disables instead; covered by
-# tests/common/test_fault_env.cc). All six rate flags share one parse
+# NISQPP_STREAM_FAULTS env path warns and ignores the list instead;
+# covered by tests/common/test_fault_env.cc). All six rate flags share one parse
 # contract, so one flag's rejection cases cover the family.
 check_cli(bad_fault_rate_above_one FALSE ERR
           "--fault-drop: expected a fraction in \\[0, 1\\]"
@@ -123,7 +123,7 @@ check_cli(fault_pin_happy TRUE OUT "pinned"
 
 # Bad --batch values are rejected at the flag level (the NISQPP_BATCH
 # env path warns and keeps the previous setting instead; covered by
-# tests/engine/test_batch_env.cc).
+# tests/engine/test_batch_env.cc and test_knobs.cc).
 check_cli(bad_batch_zero FALSE ERR
           "--batch: expected an integer"
           --scenario fig01_sqv --batch 0)
@@ -133,7 +133,7 @@ check_cli(bad_batch_negative FALSE ERR
 
 # Bad --simd widths are rejected at the flag level (the NISQPP_SIMD
 # env path warns and keeps the CPUID default instead; covered by
-# tests/common/test_simd.cc). Happy path: any named width runs.
+# tests/common/test_simd.cc and tests/engine/test_knobs.cc). Happy path: any named width runs.
 check_cli(bad_simd_width FALSE ERR
           "--simd: expected scalar, v256 or v512"
           --scenario fig01_sqv --simd avx2)
@@ -263,6 +263,83 @@ else()
   message(STATUS "checkpoint_roundtrip: ok")
 endif()
 file(REMOVE ${cli_ckpt})
+
+# Env twins set defaults, and a flag overrides its twin: with both
+# NISQPP_TRIALS and --trials-scale set, the run uses (and its report
+# records) the flag's multiplier alone.
+function(report_config file out_trials out_scale)
+  file(READ ${file} text)
+  string(REGEX MATCH "\"engine.trials\":([0-9]+)" _ "${text}")
+  set(${out_trials} "${CMAKE_MATCH_1}" PARENT_SCOPE)
+  string(REGEX MATCH "\"trials_scale\":([0-9.e+-]+)" _ "${text}")
+  set(${out_scale} "${CMAKE_MATCH_1}" PARENT_SCOPE)
+endfunction()
+set(flag_report ${CMAKE_CURRENT_BINARY_DIR}/cli_flag_only.json)
+set(both_report ${CMAKE_CURRENT_BINARY_DIR}/cli_env_and_flag.json)
+execute_process(COMMAND ${NISQPP_RUN} micro_decoders --format csv
+                        --trials-scale 0.05 --metrics-out ${flag_report}
+                RESULT_VARIABLE flag_rc OUTPUT_QUIET ERROR_QUIET)
+execute_process(COMMAND ${CMAKE_COMMAND} -E env NISQPP_TRIALS=2
+                        ${NISQPP_RUN} micro_decoders --format csv
+                        --trials-scale 0.05 --metrics-out ${both_report}
+                RESULT_VARIABLE both_rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT flag_rc EQUAL 0 OR NOT both_rc EQUAL 0 OR
+   NOT EXISTS ${flag_report} OR NOT EXISTS ${both_report})
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "flag_overrides_env: runs failed (${flag_rc}/${both_rc})")
+else()
+  report_config(${flag_report} flag_trials flag_scale)
+  report_config(${both_report} both_trials both_scale)
+  if(flag_trials STREQUAL "" OR NOT flag_trials STREQUAL both_trials OR
+     NOT flag_scale STREQUAL both_scale)
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "flag_overrides_env: --trials-scale 0.05 ran "
+                    "${flag_trials} trials at scale ${flag_scale}, with "
+                    "NISQPP_TRIALS=2 too ${both_trials} at ${both_scale}")
+  else()
+    message(STATUS "flag_overrides_env: ok")
+  endif()
+endif()
+file(REMOVE ${flag_report} ${both_report})
+
+# A malformed env value is read once, on the CLI path: one warning per
+# run, however many trial budgets the scenario scales.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env NISQPP_TRIALS=lots
+                        ${NISQPP_RUN} noise_zoo --trials-scale 0.02
+                        --format csv
+                RESULT_VARIABLE zoo_rc OUTPUT_QUIET ERROR_VARIABLE zoo_err)
+string(REGEX MATCHALL "NISQPP_TRIALS='lots'" zoo_warnings "${zoo_err}")
+list(LENGTH zoo_warnings zoo_warning_count)
+if(NOT zoo_rc EQUAL 0 OR NOT zoo_warning_count EQUAL 1)
+  math(EXPR failures "${failures} + 1")
+  message(WARNING "env_warns_once: exit ${zoo_rc}, "
+                  "${zoo_warning_count} warnings:\n${zoo_err}")
+else()
+  message(STATUS "env_warns_once: ok")
+endif()
+
+# NISQPP_STREAM_FAULTS=seed=S takes every S that --fault-seed takes:
+# both go through one seed parser.
+foreach(fault_seed 0 0x10 18446744073709551615)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E env
+                          NISQPP_STREAM_FAULTS=seed=${fault_seed}
+                          ${NISQPP_RUN} fault_sweep --trials-scale 0.02
+                          --format csv
+                  RESULT_VARIABLE env_rc OUTPUT_VARIABLE env_out
+                  ERROR_VARIABLE env_err)
+  execute_process(COMMAND ${NISQPP_RUN} fault_sweep --trials-scale 0.02
+                          --format csv --fault-seed ${fault_seed}
+                  RESULT_VARIABLE flag_rc OUTPUT_VARIABLE flag_out
+                  ERROR_VARIABLE flag_err)
+  if(NOT env_rc EQUAL 0 OR NOT flag_rc EQUAL 0 OR
+     env_err MATCHES "warn:" OR NOT env_out STREQUAL flag_out)
+    math(EXPR failures "${failures} + 1")
+    message(WARNING "fault_seed_env_matches_flag (${fault_seed}): exits "
+                    "${env_rc}/${flag_rc}:\n${env_err}${flag_err}")
+  else()
+    message(STATUS "fault_seed_env_matches_flag (${fault_seed}): ok")
+  endif()
+endforeach()
 
 # Happy paths stay intact. --list must print one-line descriptions
 # sourced from the registry (name  -  description), not bare names.

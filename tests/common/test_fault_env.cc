@@ -1,145 +1,99 @@
 /**
- * @file Shared fault-directive env parsing: the strict token parsers,
- * the NISQPP_FAULT_INJECT write-fault plan and the
- * NISQPP_STREAM_FAULTS spec twin all follow the warn-and-ignore
- * contract (malformed value -> warning, configuration untouched).
+ * @file Fault directives from the environment: the strict token
+ * parsers, the NISQPP_FAULT_INJECT write fault and the
+ * NISQPP_STREAM_FAULTS twin of the --fault-* flags all follow the
+ * warn-and-ignore contract (malformed value -> warning, configuration
+ * untouched).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
-#include <vector>
+#include <cstdint>
 
-#include "common/fault_env.hh"
+#include "ckpt/checkpoint.hh"
+#include "engine/knobs.hh"
 #include "faults/fault_plan.hh"
+#include "support/scoped_env.hh"
 
 namespace nisqpp {
 namespace {
 
-/** Scoped env override restoring the prior value (ckpt-test idiom). */
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *prior = std::getenv(name);
-        if (prior) {
-            saved_ = prior;
-            hadValue_ = true;
-        }
-        if (value)
-            setenv(name, value, 1);
-        else
-            unsetenv(name);
-    }
-    ~ScopedEnv()
-    {
-        if (hadValue_)
-            setenv(name_.c_str(), saved_.c_str(), 1);
-        else
-            unsetenv(name_.c_str());
-    }
-
-  private:
-    std::string name_;
-    std::string saved_;
-    bool hadValue_ = false;
-};
+using knobs::Parse;
 
 TEST(FaultEnvSplit, WellFormedListSplits)
 {
-    std::vector<faultenv::Directive> out;
-    ASSERT_TRUE(faultenv::splitDirectives("a=1,bb=0.5,c=x", out));
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_EQ(out[0].key, "a");
-    EXPECT_EQ(out[0].value, "1");
-    EXPECT_EQ(out[1].key, "bb");
-    EXPECT_EQ(out[1].value, "0.5");
-    EXPECT_EQ(out[2].key, "c");
-    EXPECT_EQ(out[2].value, "x");
+    faults::FaultSpec spec;
+    ASSERT_EQ(knobs::faultList("drop=1,dup=0.5,seed=7", spec), Parse::Ok);
+    EXPECT_DOUBLE_EQ(spec.dropRate, 1.0);
+    EXPECT_DOUBLE_EQ(spec.duplicateRate, 0.5);
+    EXPECT_EQ(spec.seed, 7u);
 }
 
 TEST(FaultEnvSplit, MalformedTokensRejected)
 {
-    std::vector<faultenv::Directive> out;
-    EXPECT_FALSE(faultenv::splitDirectives("", out));
-    EXPECT_FALSE(faultenv::splitDirectives("noequals", out));
-    EXPECT_FALSE(faultenv::splitDirectives("=1", out));
-    EXPECT_FALSE(faultenv::splitDirectives("a=", out));
-    EXPECT_FALSE(faultenv::splitDirectives("a=1=2", out));
-    EXPECT_FALSE(faultenv::splitDirectives("a=1,,b=2", out));
-    EXPECT_FALSE(faultenv::splitDirectives("a=1,b=2,", out));
+    for (const char *bad :
+         {"", "noequals", "=1", "drop=", "drop=1=2", "drop=1,,dup=0.2",
+          "drop=1,dup=0.2,"}) {
+        faults::FaultSpec spec;
+        EXPECT_EQ(knobs::faultList(bad, spec), Parse::OutOfRange)
+            << "'" << bad << "'";
+    }
 }
 
 TEST(FaultEnvParse, CountIsStrictDigitsOnly)
 {
-    std::uint64_t v = 0;
-    EXPECT_TRUE(faultenv::parseCount("7", v));
+    std::size_t v = 0;
+    EXPECT_EQ(knobs::count("7", 1u << 30, v), Parse::Ok);
     EXPECT_EQ(v, 7u);
-    EXPECT_TRUE(faultenv::parseCount("1000000", v));
+    EXPECT_EQ(knobs::count("1000000", 1u << 30, v), Parse::Ok);
     EXPECT_EQ(v, 1000000u);
-    EXPECT_FALSE(faultenv::parseCount("", v));
-    EXPECT_FALSE(faultenv::parseCount("0", v));
-    EXPECT_FALSE(faultenv::parseCount("-3", v));
-    EXPECT_FALSE(faultenv::parseCount("3.5", v));
-    EXPECT_FALSE(faultenv::parseCount("12x", v));
-    EXPECT_FALSE(faultenv::parseCount(" 4", v));
+    for (const char *bad : {"", "0", "-3", "3.5", "12x", " 4"})
+        EXPECT_NE(knobs::count(bad, 1u << 30, v), Parse::Ok)
+            << "'" << bad << "'";
+    EXPECT_EQ(v, 1000000u);
 }
 
 TEST(FaultEnvParse, RateIsStrictUnitInterval)
 {
     double v = -1.0;
-    EXPECT_TRUE(faultenv::parseRate("0", v));
+    EXPECT_EQ(knobs::fraction("0", v), Parse::Ok);
     EXPECT_DOUBLE_EQ(v, 0.0);
-    EXPECT_TRUE(faultenv::parseRate("0.25", v));
+    EXPECT_EQ(knobs::fraction("0.25", v), Parse::Ok);
     EXPECT_DOUBLE_EQ(v, 0.25);
-    EXPECT_TRUE(faultenv::parseRate("1", v));
+    EXPECT_EQ(knobs::fraction("1", v), Parse::Ok);
     EXPECT_DOUBLE_EQ(v, 1.0);
-    EXPECT_TRUE(faultenv::parseRate("1e-2", v));
+    EXPECT_EQ(knobs::fraction("1e-2", v), Parse::Ok);
     EXPECT_DOUBLE_EQ(v, 0.01);
-    EXPECT_FALSE(faultenv::parseRate("", v));
-    EXPECT_FALSE(faultenv::parseRate("1.5", v));
-    EXPECT_FALSE(faultenv::parseRate("-0.1", v));
-    EXPECT_FALSE(faultenv::parseRate("nan", v));
-    EXPECT_FALSE(faultenv::parseRate("inf", v));
-    EXPECT_FALSE(faultenv::parseRate("0.5x", v));
+    for (const char *bad : {"", "1.5", "-0.1", "nan", "inf", "0.5x"})
+        EXPECT_NE(knobs::fraction(bad, v), Parse::Ok)
+            << "'" << bad << "'";
+    EXPECT_DOUBLE_EQ(v, 0.01);
 }
 
 TEST(WriteFaultEnv, ParsesKillAndTear)
 {
-    {
-        ScopedEnv env("NISQPP_FAULT_INJECT", "kill-after=3");
-        const faultenv::WriteFaultPlan plan =
-            faultenv::writeFaultPlanFromEnv();
-        EXPECT_EQ(plan.mode, faultenv::WriteFaultMode::Kill);
-        EXPECT_EQ(plan.afterWrites, 3u);
-    }
-    {
-        ScopedEnv env("NISQPP_FAULT_INJECT", "tear-after=12");
-        const faultenv::WriteFaultPlan plan =
-            faultenv::writeFaultPlanFromEnv();
-        EXPECT_EQ(plan.mode, faultenv::WriteFaultMode::Tear);
-        EXPECT_EQ(plan.afterWrites, 12u);
-    }
+    using Mode = ckpt::WriteFault::Mode;
+    const ckpt::WriteFault kill =
+        envValue(knobs::faultInject, "kill-after=3", ckpt::WriteFault{});
+    EXPECT_EQ(kill.mode, Mode::Kill);
+    EXPECT_EQ(kill.afterWrites, 3u);
+    const ckpt::WriteFault tear =
+        envValue(knobs::faultInject, "tear-after=12", ckpt::WriteFault{});
+    EXPECT_EQ(tear.mode, Mode::Tear);
+    EXPECT_EQ(tear.afterWrites, 12u);
 }
 
 TEST(WriteFaultEnv, UnsetOrMalformedDisables)
 {
-    const char *bad[] = {"explode-after=3", "kill-after=",
-                         "kill-after=0",    "kill-after=2.5",
-                         "kill-after=9x",   "tear-after=-1"};
-    {
-        ScopedEnv env("NISQPP_FAULT_INJECT", nullptr);
-        EXPECT_EQ(faultenv::writeFaultPlanFromEnv().mode,
-                  faultenv::WriteFaultMode::None);
-    }
-    for (const char *value : bad) {
-        ScopedEnv env("NISQPP_FAULT_INJECT", value);
-        const faultenv::WriteFaultPlan plan =
-            faultenv::writeFaultPlanFromEnv();
-        EXPECT_EQ(plan.mode, faultenv::WriteFaultMode::None) << value;
-        EXPECT_EQ(plan.afterWrites, 0u) << value;
+    for (const char *value :
+         {static_cast<const char *>(nullptr), "explode-after=3",
+          "kill-after=", "kill-after=0", "kill-after=2.5",
+          "kill-after=9x", "tear-after=-1"}) {
+        const ckpt::WriteFault fault =
+            envValue(knobs::faultInject, value, ckpt::WriteFault{});
+        EXPECT_EQ(fault.mode, ckpt::WriteFault::Mode::None)
+            << (value ? value : "(unset)");
+        EXPECT_EQ(fault.afterWrites, 0u);
     }
 }
 
@@ -147,7 +101,7 @@ TEST(StreamFaultEnv, UnsetLeavesSpecAndReportsAbsent)
 {
     ScopedEnv env("NISQPP_STREAM_FAULTS", nullptr);
     faults::FaultSpec spec;
-    EXPECT_FALSE(faults::streamFaultsFromEnv(spec));
+    EXPECT_FALSE(knobs::fromEnv(knobs::streamFaults, spec));
     EXPECT_FALSE(spec.any());
 }
 
@@ -158,7 +112,7 @@ TEST(StreamFaultEnv, WellFormedListUpdatesEveryKnob)
                   "delay-cycles=5,stall=0.3,stall-factor=2.5,"
                   "fail=0.01,seed=99");
     faults::FaultSpec spec;
-    ASSERT_TRUE(faults::streamFaultsFromEnv(spec));
+    ASSERT_TRUE(knobs::fromEnv(knobs::streamFaults, spec));
     EXPECT_DOUBLE_EQ(spec.dropRate, 0.1);
     EXPECT_DOUBLE_EQ(spec.corruptRate, 0.05);
     EXPECT_DOUBLE_EQ(spec.duplicateRate, 0.02);
@@ -172,16 +126,14 @@ TEST(StreamFaultEnv, WellFormedListUpdatesEveryKnob)
 
 TEST(StreamFaultEnv, MalformedDirectiveLeavesSpecUntouched)
 {
-    // Two-phase apply: the good leading directive must not land when a
+    // All or nothing: the good leading directive must not land when a
     // later one is bad (half-applied env vars are worse than ignored).
-    const char *bad[] = {"drop=0.1,corrupt=2.0", "drop=abc",
-                         "unknown=0.1",          "drop",
-                         "delay-cycles=0",       "stall-factor=0.5",
-                         "seed=0"};
-    for (const char *value : bad) {
+    for (const char *value :
+         {"drop=0.1,corrupt=2.0", "drop=abc", "unknown=0.1", "drop",
+          "delay-cycles=0", "stall-factor=0.5", "seed=-1"}) {
         ScopedEnv env("NISQPP_STREAM_FAULTS", value);
         faults::FaultSpec spec;
-        EXPECT_FALSE(faults::streamFaultsFromEnv(spec)) << value;
+        EXPECT_FALSE(knobs::fromEnv(knobs::streamFaults, spec)) << value;
         EXPECT_FALSE(spec.any()) << value;
         EXPECT_EQ(spec.seed, faults::FaultSpec{}.seed) << value;
     }

@@ -1,55 +1,28 @@
-/** @file Runtime SIMD dispatch: NISQPP_SIMD validation must warn and
- * keep the fallback width (exactly like NISQPP_BATCH), parseWidth is
- * the hard-failing CLI contract, and the shared lane-word element
- * accessors behave identically at every width. */
+/** @file Runtime SIMD dispatch: the width parser shared by --simd and
+ * NISQPP_SIMD (a bad env value warns and keeps the fallback width),
+ * and the shared lane-word element accessors behave identically at
+ * every width. */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
 
 #include "common/simd.hh"
+#include "engine/knobs.hh"
+#include "support/scoped_env.hh"
 
 namespace nisqpp {
 namespace {
 
-/** Scoped NISQPP_SIMD override restoring the prior value on exit. */
-class SimdEnv
-{
-  public:
-    explicit SimdEnv(const char *value)
-    {
-        const char *prior = std::getenv("NISQPP_SIMD");
-        if (prior) {
-            saved_ = prior;
-            hadValue_ = true;
-        }
-        if (value)
-            setenv("NISQPP_SIMD", value, 1);
-        else
-            unsetenv("NISQPP_SIMD");
-    }
-    ~SimdEnv()
-    {
-        if (hadValue_)
-            setenv("NISQPP_SIMD", saved_.c_str(), 1);
-        else
-            unsetenv("NISQPP_SIMD");
-    }
-
-  private:
-    std::string saved_;
-    bool hadValue_ = false;
-};
+using knobs::Parse;
 
 TEST(Simd, ParseWidthAcceptsTheThreeNames)
 {
     simd::Width w = simd::Width::Scalar;
-    EXPECT_TRUE(simd::parseWidth("scalar", w));
+    EXPECT_EQ(knobs::width("scalar", w), Parse::Ok);
     EXPECT_EQ(w, simd::Width::Scalar);
-    EXPECT_TRUE(simd::parseWidth("v256", w));
+    EXPECT_EQ(knobs::width("v256", w), Parse::Ok);
     EXPECT_EQ(w, simd::Width::V256);
-    EXPECT_TRUE(simd::parseWidth("v512", w));
+    EXPECT_EQ(knobs::width("v512", w), Parse::Ok);
     EXPECT_EQ(w, simd::Width::V512);
 }
 
@@ -58,7 +31,8 @@ TEST(Simd, ParseWidthRejectsEverythingElse)
     simd::Width w = simd::Width::V256;
     for (const char *bad : {"", "avx2", "avx512", "256", "V256",
                             "scalar ", " v512", "v1024"}) {
-        EXPECT_FALSE(simd::parseWidth(bad, w)) << "'" << bad << "'";
+        EXPECT_EQ(knobs::width(bad, w), Parse::OutOfRange)
+            << "'" << bad << "'";
         EXPECT_EQ(w, simd::Width::V256) << "'" << bad
                                         << "' clobbered the out-param";
     }
@@ -69,37 +43,33 @@ TEST(Simd, WidthNameRoundTrips)
     for (simd::Width w : {simd::Width::Scalar, simd::Width::V256,
                           simd::Width::V512}) {
         simd::Width parsed = simd::Width::Scalar;
-        EXPECT_TRUE(simd::parseWidth(simd::widthName(w), parsed));
+        EXPECT_EQ(knobs::width(simd::widthName(w), parsed), Parse::Ok);
         EXPECT_EQ(parsed, w);
     }
 }
 
 TEST(Simd, EnvUnsetKeepsFallback)
 {
-    SimdEnv env(nullptr);
-    EXPECT_EQ(simd::widthFromEnv(simd::Width::Scalar),
+    EXPECT_EQ(envValue(knobs::simdWidth, nullptr, simd::Width::Scalar),
               simd::Width::Scalar);
-    EXPECT_EQ(simd::widthFromEnv(simd::Width::V512),
+    EXPECT_EQ(envValue(knobs::simdWidth, nullptr, simd::Width::V512),
               simd::Width::V512);
 }
 
 TEST(Simd, EnvValidValueIsUsed)
 {
-    SimdEnv env("v256");
-    EXPECT_EQ(simd::widthFromEnv(simd::Width::Scalar),
+    EXPECT_EQ(envValue(knobs::simdWidth, "v256", simd::Width::Scalar),
               simd::Width::V256);
 }
 
 TEST(Simd, EnvInvalidValueWarnsAndKeepsFallback)
 {
-    // Warn-and-ignore, exactly like NISQPP_BATCH: a malformed value
-    // must never change behavior, only print a warning.
-    for (const char *bad : {"avx2", "512", "v256 ", "fastest"}) {
-        SimdEnv env(bad);
-        EXPECT_EQ(simd::widthFromEnv(simd::Width::V256),
+    // Warn-and-ignore, like every env twin: a malformed value must
+    // never change behavior, only print a warning.
+    for (const char *bad : {"avx2", "512", "v256 ", "fastest"})
+        EXPECT_EQ(envValue(knobs::simdWidth, bad, simd::Width::V256),
                   simd::Width::V256)
             << "'" << bad << "'";
-    }
 }
 
 TEST(Simd, ActiveWidthLatchesAndRestores)

@@ -7,7 +7,7 @@
 
 #include "common/rng.hh"
 #include "core/mesh_decoder.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -42,7 +42,7 @@ TEST_P(MeshProperty, RandomErrorsNeverStall)
     const int d = GetParam();
     SurfaceLattice lat(d);
     MeshDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.06);
+    const NoiseModel model = NoiseModel::dephasing(0.06);
     Rng rng(0x77aa + d);
     for (int t = 0; t < 300; ++t) {
         ErrorState st(lat);
@@ -61,7 +61,7 @@ TEST_P(MeshProperty, SyndromeAlmostAlwaysCleared)
     const int d = GetParam();
     SurfaceLattice lat(d);
     MeshDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     Rng rng(0x88bb + d);
     const int trials = 500;
     int residual = 0;
@@ -82,7 +82,7 @@ TEST_P(MeshProperty, CyclesBoundedLinearInDistance)
     const int d = GetParam();
     SurfaceLattice lat(d);
     MeshDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     Rng rng(0x99cc + d);
     int max_cycles = 0;
     for (int t = 0; t < 300; ++t) {
@@ -102,7 +102,7 @@ TEST_P(MeshProperty, PairingsMatchSyndromeWeight)
     const int d = GetParam();
     SurfaceLattice lat(d);
     MeshDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.04);
+    const NoiseModel model = NoiseModel::dephasing(0.04);
     Rng rng(0xaadd + d);
     for (int t = 0; t < 200; ++t) {
         ErrorState st(lat);
@@ -125,7 +125,7 @@ TEST(MeshProperty, DepolarizingBothFamilies)
     SurfaceLattice lat(5);
     MeshDecoder dec_z(lat, ErrorType::Z);
     MeshDecoder dec_x(lat, ErrorType::X);
-    DepolarizingModel model(0.05);
+    const NoiseModel model = NoiseModel::depolarizing(0.05);
     Rng rng(0xbbee);
     int fails = 0;
     for (int t = 0; t < 300; ++t) {

@@ -8,7 +8,7 @@
 #include "common/rng.hh"
 #include "core/mesh_decoder.hh"
 #include "sim/monte_carlo.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -21,7 +21,7 @@ variantFailures(const MeshConfig &config, int d, double p, int trials,
 {
     SurfaceLattice lat(d);
     MeshDecoder dec(lat, ErrorType::Z, config);
-    DephasingModel model(p);
+    const NoiseModel model = NoiseModel::dephasing(p);
     Rng rng(seed);
     int fails = 0;
     for (int t = 0; t < trials; ++t) {
@@ -87,7 +87,7 @@ TEST(MeshVariants, LadderImprovesAccuracy)
     auto lifetime_fails = [&](const MeshConfig &config) {
         SurfaceLattice lat(d);
         MeshDecoder dec(lat, ErrorType::Z, config);
-        DephasingModel model(p);
+        const NoiseModel model = NoiseModel::dephasing(p);
         LifetimeSimulator sim(lat, model, dec, nullptr, 42);
         sim.setLifetimeMode(true);
         const StopRule rule{trials, trials, 1u << 30};
@@ -114,7 +114,7 @@ TEST(MeshVariants, BaselineLeavesStaleSignalFailures)
     SurfaceLattice lat(d);
     MeshDecoder base(lat, ErrorType::Z, MeshConfig::baseline());
     MeshDecoder final_dec(lat, ErrorType::Z);
-    DephasingModel model(0.06);
+    const NoiseModel model = NoiseModel::dephasing(0.06);
     Rng rng(0xdead);
     int base_resid = 0, final_resid = 0;
     for (int t = 0; t < 400; ++t) {

@@ -28,7 +28,7 @@
 #include "noise/channels.hh"
 #include "sim/experiment.hh"
 #include "sim/monte_carlo.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 #include "surface/syndrome_window.hh"
@@ -295,7 +295,7 @@ class Lifetimes final : public LifetimeSource
     }
 
   private:
-    const DephasingModel model_{0.05};
+    const NoiseModel model_ = NoiseModel::dephasing(0.05);
     std::size_t count_;
     std::size_t rounds_;
     std::size_t next_ = 0;

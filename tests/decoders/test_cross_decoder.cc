@@ -9,10 +9,10 @@
 
 #include "common/rng.hh"
 #include "decoders/greedy_decoder.hh"
-#include "decoders/lut_decoder.hh"
+#include "support/lut_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -23,7 +23,7 @@ int
 failures(Decoder &dec, const SurfaceLattice &lat, double p, int trials,
          std::uint64_t seed)
 {
-    DephasingModel model(p);
+    const NoiseModel model = NoiseModel::dephasing(p);
     Rng rng(seed);
     int fails = 0;
     for (int t = 0; t < trials; ++t) {

@@ -5,7 +5,7 @@
 #include "common/rng.hh"
 #include "decoders/greedy_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -35,7 +35,7 @@ TEST_P(GreedyParam, AlwaysClearsSyndrome)
     const int d = GetParam();
     SurfaceLattice lat(d);
     GreedyDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.1);
+    const NoiseModel model = NoiseModel::dephasing(0.1);
     Rng rng(0x6eed + d);
     for (int t = 0; t < 200; ++t) {
         ErrorState st(lat);
@@ -54,7 +54,7 @@ TEST_P(GreedyParam, TwoApproximationOfMwpm)
     SurfaceLattice lat(d);
     GreedyDecoder greedy(lat, ErrorType::Z);
     MwpmDecoder mwpm(lat, ErrorType::Z);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     Rng rng(0x70 + d);
     for (int t = 0; t < 100; ++t) {
         ErrorState st(lat);

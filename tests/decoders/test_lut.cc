@@ -3,9 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "decoders/lut_decoder.hh"
+#include "support/lut_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -41,7 +41,7 @@ TEST(Lut, CorrectionIsMinimumWeight)
     SurfaceLattice lat(3);
     LutDecoder lut(lat, ErrorType::Z);
     MwpmDecoder mwpm(lat, ErrorType::Z);
-    DephasingModel model(0.2);
+    const NoiseModel model = NoiseModel::dephasing(0.2);
     Rng rng(0x107);
     for (int t = 0; t < 300; ++t) {
         ErrorState st(lat);
@@ -57,7 +57,7 @@ TEST(Lut, AlwaysClearsSyndrome)
 {
     SurfaceLattice lat(3);
     LutDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.25);
+    const NoiseModel model = NoiseModel::dephasing(0.25);
     Rng rng(0xabc);
     for (int t = 0; t < 300; ++t) {
         ErrorState st(lat);

@@ -4,7 +4,7 @@
 
 #include "common/rng.hh"
 #include "decoders/mwpm_decoder.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -37,7 +37,7 @@ TEST_P(MwpmParam, AlwaysClearsSyndromeOnRandomErrors)
     const int d = GetParam();
     SurfaceLattice lat(d);
     MwpmDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     Rng rng(0x3133 + d);
     for (int t = 0; t < 200; ++t) {
         ErrorState st(lat);

@@ -21,7 +21,7 @@
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
 #include "obs/metrics.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -42,7 +42,7 @@ std::vector<Syndrome>
 sampleSyndromes(const SurfaceLattice &lat, double p, int count,
                 std::uint64_t seed)
 {
-    DephasingModel model(p);
+    const NoiseModel model = NoiseModel::dephasing(p);
     Rng rng(seed);
     std::vector<Syndrome> syndromes;
     syndromes.reserve(count);

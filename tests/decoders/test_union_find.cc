@@ -4,7 +4,7 @@
 
 #include "common/rng.hh"
 #include "decoders/union_find_decoder.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
 namespace nisqpp {
@@ -37,7 +37,7 @@ TEST_P(UnionFindParam, AlwaysClearsSyndrome)
     const int d = GetParam();
     SurfaceLattice lat(d);
     UnionFindDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.1);
+    const NoiseModel model = NoiseModel::dephasing(0.1);
     Rng rng(0x0f1d + d);
     for (int t = 0; t < 300; ++t) {
         ErrorState st(lat);
@@ -77,7 +77,7 @@ TEST(UnionFind, GrowthConverges)
 {
     SurfaceLattice lat(9);
     UnionFindDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.15);
+    const NoiseModel model = NoiseModel::dephasing(0.15);
     Rng rng(0xff);
     for (int t = 0; t < 50; ++t) {
         ErrorState st(lat);
@@ -93,7 +93,7 @@ TEST(UnionFind, BetterThanNothingAtModerateNoise)
     // baseline by a wide margin (sanity of the full pipeline).
     SurfaceLattice lat(5);
     UnionFindDecoder dec(lat, ErrorType::Z);
-    DephasingModel model(0.03);
+    const NoiseModel model = NoiseModel::dephasing(0.03);
     Rng rng(0x11);
     int fails = 0;
     const int trials = 1000;

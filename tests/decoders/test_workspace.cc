@@ -21,7 +21,7 @@
 #include "common/rng.hh"
 #include "core/mesh_decoder.hh"
 #include "decoders/greedy_decoder.hh"
-#include "decoders/lut_decoder.hh"
+#include "support/lut_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"

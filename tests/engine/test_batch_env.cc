@@ -1,120 +1,86 @@
-/** @file NISQPP_BATCH environment validation: malformed lane counts
- * must warn and keep the previous setting, exactly like the
- * NISQPP_TRIALS multiplier. */
+/** @file NISQPP_BATCH, the env twin of --batch: malformed lane counts
+ * must warn and keep the previous setting. The cross-knob contract is
+ * in test_knobs.cc. */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
+#include "engine/knobs.hh"
 #include "engine/sweep.hh"
+#include "support/scoped_env.hh"
 
 namespace nisqpp {
 namespace {
 
-/** Scoped NISQPP_BATCH override restoring the prior value on exit. */
-class BatchEnv
+std::size_t
+batchFromEnv(const char *value, std::size_t fallback)
 {
-  public:
-    explicit BatchEnv(const char *value)
-    {
-        const char *prior = std::getenv("NISQPP_BATCH");
-        if (prior) {
-            saved_ = prior;
-            hadValue_ = true;
-        }
-        if (value)
-            setenv("NISQPP_BATCH", value, 1);
-        else
-            unsetenv("NISQPP_BATCH");
-    }
-    ~BatchEnv()
-    {
-        if (hadValue_)
-            setenv("NISQPP_BATCH", saved_.c_str(), 1);
-        else
-            unsetenv("NISQPP_BATCH");
-    }
-
-  private:
-    std::string saved_;
-    bool hadValue_ = false;
-};
+    return envValue(knobs::batch, value, fallback);
+}
 
 TEST(BatchEnv, UnsetKeepsFallback)
 {
-    BatchEnv env(nullptr);
-    EXPECT_EQ(batchLanesFromEnv(1), 1u);
-    EXPECT_EQ(batchLanesFromEnv(64), 64u);
+    EXPECT_EQ(batchFromEnv(nullptr, 1), 1u);
+    EXPECT_EQ(batchFromEnv(nullptr, 64), 64u);
 }
 
 TEST(BatchEnv, ValidValueIsUsed)
 {
-    BatchEnv env("256");
-    EXPECT_EQ(batchLanesFromEnv(1), 256u);
+    EXPECT_EQ(batchFromEnv("256", 1), 256u);
 }
 
 TEST(BatchEnv, OneIsValid)
 {
-    BatchEnv env("1");
-    EXPECT_EQ(batchLanesFromEnv(64), 1u);
+    EXPECT_EQ(batchFromEnv("1", 64), 1u);
 }
 
 TEST(BatchEnv, MaxIsValid)
 {
-    BatchEnv env(std::to_string(kMaxBatchLanes).c_str());
-    EXPECT_EQ(batchLanesFromEnv(1), kMaxBatchLanes);
+    EXPECT_EQ(batchFromEnv(std::to_string(kMaxBatchLanes).c_str(), 1),
+              kMaxBatchLanes);
 }
 
 TEST(BatchEnv, ExponentNotationIsAcceptedWhenIntegral)
 {
-    // Parsed with strtod like NISQPP_TRIALS and the --batch flag, so
-    // integral exponent notation is uniformly accepted across all
-    // three entry points.
-    BatchEnv env("1e2");
-    EXPECT_EQ(batchLanesFromEnv(1), 100u);
+    // One count parser serves every count knob and its flag, so
+    // integral exponent notation is accepted everywhere.
+    EXPECT_EQ(batchFromEnv("1e2", 1), 100u);
 }
 
 TEST(BatchEnv, ZeroRejectedKeepsPrevious)
 {
-    BatchEnv env("0");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("0", 32), 32u);
 }
 
 TEST(BatchEnv, NegativeRejectedKeepsPrevious)
 {
-    BatchEnv env("-3");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("-3", 32), 32u);
 }
 
 TEST(BatchEnv, NonNumericRejectedKeepsPrevious)
 {
-    BatchEnv env("lots");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("lots", 32), 32u);
 }
 
 TEST(BatchEnv, TrailingGarbageRejectedKeepsPrevious)
 {
-    BatchEnv env("64x");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("64x", 32), 32u);
 }
 
 TEST(BatchEnv, FractionalRejectedKeepsPrevious)
 {
-    BatchEnv env("3.5");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("3.5", 32), 32u);
 }
 
 TEST(BatchEnv, AbsurdRejectedKeepsPrevious)
 {
-    BatchEnv env("99999999");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("99999999", 32), 32u);
 }
 
 TEST(BatchEnv, InfinityRejectedKeepsPrevious)
 {
-    BatchEnv env("inf");
-    EXPECT_EQ(batchLanesFromEnv(32), 32u);
+    EXPECT_EQ(batchFromEnv("inf", 32), 32u);
 }
 
 } // namespace

@@ -64,14 +64,14 @@ ckptPath(const std::string &name)
     return testing::TempDir() + "resume_" + name;
 }
 
-/** RAII: clear interrupt flag, observer and fault cache on exit. */
+/** RAII: clear interrupt flag, observer and write fault on exit. */
 struct CkptStateGuard
 {
     ~CkptStateGuard()
     {
         ckpt::setWriteObserver(nullptr);
         ckpt::clearInterrupt();
-        ckpt::resetFaultState();
+        ckpt::setWriteFault({});
     }
 };
 

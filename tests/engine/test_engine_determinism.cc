@@ -6,9 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
-
 #include "sim/experiment.hh"
 
 namespace nisqpp {
@@ -274,25 +271,6 @@ TEST(EngineDeterminism, RunCellFinalizesDerivedFields)
                      static_cast<double>(res.failures) / res.trials);
     EXPECT_LE(res.ci.lo, res.logicalErrorRate);
     EXPECT_GE(res.ci.hi, res.logicalErrorRate);
-}
-
-TEST(EngineDeterminism, LegacyWrapperMatchesEngine)
-{
-    // The wrapper applies NISQPP_TRIALS; neutralize the environment so
-    // both sides see the same budgets, then restore it.
-    const char *saved = std::getenv("NISQPP_TRIALS");
-    const std::string savedValue = saved ? saved : "";
-    unsetenv("NISQPP_TRIALS");
-
-    const SweepConfig config = smallSweep();
-    const auto factory = meshDecoderFactory(MeshConfig::finalDesign());
-    EngineOptions options; // one thread, default shard size
-    Engine engine(options);
-    expectIdentical(sweepLogicalError(config, factory),
-                    engine.runSweep(config, factory));
-
-    if (saved)
-        setenv("NISQPP_TRIALS", savedValue.c_str(), 1);
 }
 
 } // namespace

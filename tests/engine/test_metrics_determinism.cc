@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -22,43 +21,6 @@
 
 namespace nisqpp {
 namespace {
-
-/** Neutralize NISQPP_TRIALS/NISQPP_BATCH so budgets are as pinned. */
-class MetricsEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        save("NISQPP_TRIALS", trials_);
-        save("NISQPP_BATCH", batch_);
-    }
-
-    void TearDown() override
-    {
-        restore("NISQPP_TRIALS", trials_);
-        restore("NISQPP_BATCH", batch_);
-    }
-
-  private:
-    using Saved = std::pair<std::string, bool>;
-
-    static void save(const char *name, Saved &slot)
-    {
-        const char *env = std::getenv(name);
-        slot = env ? Saved{env, true} : Saved{{}, false};
-        if (env)
-            unsetenv(name);
-    }
-
-    static void restore(const char *name, const Saved &slot)
-    {
-        if (slot.second)
-            setenv(name, slot.first.c_str(), 1);
-    }
-
-    Saved trials_;
-    Saved batch_;
-};
 
 /** Run @p scenario with --metrics-out and return the report text. */
 std::string
@@ -102,7 +64,7 @@ deterministicSection(const std::string &report)
     return report.substr(begin, end - begin);
 }
 
-TEST_F(MetricsEnv, EngineCountersAreThreadCountInvariant)
+TEST(MetricsEnv, EngineCountersAreThreadCountInvariant)
 {
     // fig10_final drives full sharded Monte Carlo sweeps (mesh decoder
     // work counters, engine trial counters) through the report path.
@@ -117,7 +79,7 @@ TEST_F(MetricsEnv, EngineCountersAreThreadCountInvariant)
     EXPECT_NE(t1.find("decoder.mesh.decodes"), std::string::npos);
 }
 
-TEST_F(MetricsEnv, StreamCountersAreThreadCountInvariant)
+TEST(MetricsEnv, StreamCountersAreThreadCountInvariant)
 {
     // fig06_runtime folds per-cell streaming metrics (stream.* plus
     // the per-cell decoders' exports) through runJobs.
@@ -130,7 +92,7 @@ TEST_F(MetricsEnv, StreamCountersAreThreadCountInvariant)
     EXPECT_NE(t1.find("decoder.uf.decodes"), std::string::npos);
 }
 
-TEST_F(MetricsEnv, SingleThreadReportsZeroSteals)
+TEST(MetricsEnv, SingleThreadReportsZeroSteals)
 {
     // The masked section still has a pinned invariant at one thread:
     // no victim exists, so the pool must report zero steals.

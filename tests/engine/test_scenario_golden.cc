@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "engine/scenario.hh"
+#include "support/scoped_env.hh"
 
 #ifndef NISQPP_GOLDEN_DIR
 #error "build must define NISQPP_GOLDEN_DIR (see tests/CMakeLists.txt)"
@@ -183,37 +184,12 @@ goldenOptions()
     return options;
 }
 
-class GoldenEnv
-{
-  public:
-    /** Neutralize NISQPP_TRIALS so budgets are exactly as pinned. */
-    GoldenEnv()
-    {
-        const char *env = std::getenv("NISQPP_TRIALS");
-        if (env) {
-            saved_ = env;
-            hadValue_ = true;
-            unsetenv("NISQPP_TRIALS");
-        }
-    }
-    ~GoldenEnv()
-    {
-        if (hadValue_)
-            setenv("NISQPP_TRIALS", saved_.c_str(), 1);
-    }
-
-  private:
-    std::string saved_;
-    bool hadValue_ = false;
-};
-
 class ScenarioGolden : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(ScenarioGolden, OutputMatchesGolden)
 {
     const std::string name = GetParam();
-    GoldenEnv env;
 
     std::ostringstream os;
     ASSERT_EQ(runScenario(name, goldenOptions(), os), 0);
@@ -331,7 +307,6 @@ TEST(ScenarioGoldenMasking, SanitizedOutputIsRunToRunStable)
     // scheduling value printed outside the masked columns differs
     // between the runs and fails here deterministically (instead of
     // intermittently against the golden).
-    GoldenEnv env;
     for (const Scenario &s : scenarioRegistry()) {
         std::ostringstream first, second;
         ASSERT_EQ(runScenario(s.name, goldenOptions(), first), 0);
@@ -339,6 +314,27 @@ TEST(ScenarioGoldenMasking, SanitizedOutputIsRunToRunStable)
         EXPECT_EQ(sanitize(first.str()), sanitize(second.str()))
             << "scenario '" << s.name
             << "' leaks host-dependent values past the column masks";
+    }
+}
+
+TEST(ScenarioGoldenEnv, InProcessRunsIgnoreTheEnvironment)
+{
+    // Every env knob set to a valid non-default value: only the CLI's
+    // parseArgs reads them, so runScenario's output is still the
+    // golden, byte for byte.
+    const ScopedEnv trials("NISQPP_TRIALS", "3");
+    const ScopedEnv batch("NISQPP_BATCH", "64");
+    const ScopedEnv simd("NISQPP_SIMD", "scalar");
+    const ScopedEnv interval("NISQPP_CKPT_INTERVAL", "2");
+    const ScopedEnv faults("NISQPP_STREAM_FAULTS", "drop=0.5,seed=9");
+    const ScopedEnv inject("NISQPP_FAULT_INJECT", "kill-after=1");
+    for (const char *name : {"table5_fit", "noise_zoo", "fault_sweep"}) {
+        std::ostringstream os;
+        ASSERT_EQ(runScenario(name, goldenOptions(), os), 0) << name;
+        std::ifstream in(goldenPath(name));
+        std::stringstream golden;
+        golden << in.rdbuf();
+        EXPECT_EQ(sanitize(os.str()), golden.str()) << name;
     }
 }
 

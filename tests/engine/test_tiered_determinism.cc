@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -29,43 +28,6 @@
 
 namespace nisqpp {
 namespace {
-
-/** Neutralize NISQPP_TRIALS/NISQPP_BATCH so budgets are as pinned. */
-class TieredEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override
-    {
-        save("NISQPP_TRIALS", trials_);
-        save("NISQPP_BATCH", batch_);
-    }
-
-    void TearDown() override
-    {
-        restore("NISQPP_TRIALS", trials_);
-        restore("NISQPP_BATCH", batch_);
-    }
-
-  private:
-    using Saved = std::pair<std::string, bool>;
-
-    static void save(const char *name, Saved &slot)
-    {
-        const char *env = std::getenv(name);
-        slot = env ? Saved{env, true} : Saved{{}, false};
-        if (env)
-            unsetenv(name);
-    }
-
-    static void restore(const char *name, const Saved &slot)
-    {
-        if (slot.second)
-            setenv(name, slot.first.c_str(), 1);
-    }
-
-    Saved trials_;
-    Saved batch_;
-};
 
 /** Run tiered_decode at @p threads; returns {stdout, report text}. */
 std::pair<std::string, std::string>
@@ -103,7 +65,7 @@ deterministicSection(const std::string &report)
     return report.substr(begin, end - begin);
 }
 
-TEST_F(TieredEnv, ScenarioIsThreadCountInvariant)
+TEST(TieredEnv, ScenarioIsThreadCountInvariant)
 {
     const auto [out1, report1] = runTiered(1);
     const auto [out4, report4] = runTiered(4);
@@ -166,7 +128,7 @@ runCellAt(int threads, std::size_t batchLanes)
     return {result, scalarMap(engine.metrics())};
 }
 
-TEST_F(TieredEnv, EngineCellInvariantAcrossThreadsAndBatchLanes)
+TEST(TieredEnv, EngineCellInvariantAcrossThreadsAndBatchLanes)
 {
     const auto [scalar1, counters1] = runCellAt(1, 1);
     const auto [batch4, counters4] = runCellAt(4, 4);

@@ -10,7 +10,6 @@
 #include <memory>
 
 #include "noise/noise_model.hh"
-#include "surface/error_model.hh"
 #include "surface/syndrome.hh"
 
 namespace nisqpp {
@@ -177,52 +176,6 @@ TEST(ChannelStats, PerfectMeasurementDrawsNothing)
     model.flipMeasurements(a, syn);
     EXPECT_EQ(syn.weight(), 0);
     EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(ChannelStats, LegacyShimsMatchNewChannels)
-{
-    // The q = 0 compatibility shims must produce the exact draw
-    // sequence of the composed channels (bit-identical states from
-    // the same seed).
-    SurfaceLattice lat(5);
-    const DephasingModel legacyDeph(0.08);
-    const NoiseModel newDeph = NoiseModel::dephasing(0.08);
-    Rng r1(7), r2(7);
-    ErrorState s1(lat), s2(lat);
-    for (int round = 0; round < 200; ++round) {
-        legacyDeph.sample(r1, s1);
-        newDeph.sample(r2, s2);
-    }
-    EXPECT_EQ(s1.bits(ErrorType::Z), s2.bits(ErrorType::Z));
-    EXPECT_EQ(s1.bits(ErrorType::X), s2.bits(ErrorType::X));
-
-    const DepolarizingModel legacyDepol(0.08);
-    const NoiseModel newDepol = NoiseModel::depolarizing(0.08);
-    Rng r3(9), r4(9);
-    ErrorState s3(lat), s4(lat);
-    for (int round = 0; round < 200; ++round) {
-        legacyDepol.sample(r3, s3);
-        newDepol.sample(r4, s4);
-    }
-    EXPECT_EQ(s3.bits(ErrorType::Z), s4.bits(ErrorType::Z));
-    EXPECT_EQ(s3.bits(ErrorType::X), s4.bits(ErrorType::X));
-}
-
-TEST(ChannelStats, LegacyShimStatisticalContract)
-{
-    // The old names keep their statistical contract too (the
-    // pre-subsystem tests sampled these classes directly).
-    SurfaceLattice lat(5);
-    const DephasingModel deph(0.1);
-    PauliCounts c = sampleMarginals(deph, lat, kMinSamples, 0xd8);
-    expectWithinFiveSigma(c.z, c.samples, 0.1, "legacy dephasing Z");
-    EXPECT_EQ(c.x + c.y, 0);
-
-    const DepolarizingModel depol(0.12);
-    c = sampleMarginals(depol, lat, kMinSamples, 0xd9);
-    expectWithinFiveSigma(c.x, c.samples, 0.04, "legacy depol X");
-    expectWithinFiveSigma(c.y, c.samples, 0.04, "legacy depol Y");
-    expectWithinFiveSigma(c.z, c.samples, 0.04, "legacy depol Z");
 }
 
 } // namespace

@@ -25,9 +25,8 @@ TEST(Experiment, SweepProducesCurves)
     config.distances = {3, 5};
     config.physicalRates = {0.02, 0.06};
     config.stopRule = {300, 300, 1u << 30};
-    const SweepResult result =
-        sweepLogicalError(config, meshDecoderFactory(
-                                      MeshConfig::finalDesign()));
+    const SweepResult result = Engine{EngineOptions{}}.runSweep(
+        config, meshDecoderFactory(MeshConfig::finalDesign()));
     ASSERT_EQ(result.curves.size(), 2u);
     EXPECT_EQ(result.curves[0].distance, 3);
     EXPECT_EQ(result.curves[1].distance, 5);
@@ -44,8 +43,9 @@ TEST(Experiment, SweepIsSeedDeterministic)
     config.physicalRates = {0.05};
     config.stopRule = {200, 200, 1u << 30};
     const auto factory = mwpmDecoderFactory();
-    const auto r1 = sweepLogicalError(config, factory);
-    const auto r2 = sweepLogicalError(config, factory);
+    Engine engine{EngineOptions{}};
+    const auto r1 = engine.runSweep(config, factory);
+    const auto r2 = engine.runSweep(config, factory);
     EXPECT_EQ(r1.curves[0].pl, r2.curves[0].pl);
 }
 

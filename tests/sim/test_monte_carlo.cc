@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "core/mesh_decoder.hh"
 #include "decoders/mwpm_decoder.hh"
@@ -18,7 +17,7 @@ namespace {
 TEST(MonteCarlo, DeterministicForSeed)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     MeshDecoder dec1(lat, ErrorType::Z), dec2(lat, ErrorType::Z);
     LifetimeSimulator sim1(lat, model, dec1, nullptr, 99);
     LifetimeSimulator sim2(lat, model, dec2, nullptr, 99);
@@ -32,7 +31,7 @@ TEST(MonteCarlo, DeterministicForSeed)
 TEST(MonteCarlo, ZeroNoiseZeroFailures)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.0);
+    const NoiseModel model = NoiseModel::dephasing(0.0);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 1);
     StopRule rule{200, 200, 1u << 30};
@@ -44,7 +43,7 @@ TEST(MonteCarlo, ZeroNoiseZeroFailures)
 TEST(MonteCarlo, EarlyStopOnTargetFailures)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.2);
+    const NoiseModel model = NoiseModel::dephasing(0.2);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 5);
     StopRule rule{100, 100000, 50};
@@ -56,7 +55,7 @@ TEST(MonteCarlo, EarlyStopOnTargetFailures)
 TEST(MonteCarlo, CollectsMeshCycleStats)
 {
     SurfaceLattice lat(5);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
     StopRule rule{300, 300, 1u << 30};
@@ -69,7 +68,7 @@ TEST(MonteCarlo, CollectsMeshCycleStats)
 TEST(MonteCarlo, SoftwareDecoderHasNoCycleStats)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.05);
+    const NoiseModel model = NoiseModel::dephasing(0.05);
     MwpmDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
     StopRule rule{100, 100, 1u << 30};
@@ -80,7 +79,7 @@ TEST(MonteCarlo, SoftwareDecoderHasNoCycleStats)
 TEST(MonteCarlo, DepolarizingNeedsXDecoder)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.1);
+    const NoiseModel model = NoiseModel::depolarizing(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 7);
     EXPECT_DEATH(sim.run(StopRule{50, 50, 1u << 30}), "no X decoder");
@@ -89,7 +88,7 @@ TEST(MonteCarlo, DepolarizingNeedsXDecoder)
 TEST(MonteCarlo, DepolarizingWithBothDecoders)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.05);
+    const NoiseModel model = NoiseModel::depolarizing(0.05);
     MeshDecoder dz(lat, ErrorType::Z);
     MeshDecoder dx(lat, ErrorType::X);
     LifetimeSimulator sim(lat, model, dz, &dx, 7);
@@ -103,7 +102,7 @@ TEST(MonteCarlo, CircuitExtractionMatchesDirect)
     // Same seeds, same decoder: syndrome extraction through the
     // stabilizer circuits must give identical Monte Carlo results.
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     MeshDecoder d1(lat, ErrorType::Z), d2(lat, ErrorType::Z);
     LifetimeSimulator direct(lat, model, d1, nullptr, 31, false);
     LifetimeSimulator circuit(lat, model, d2, nullptr, 31, true);
@@ -117,7 +116,7 @@ TEST(MonteCarlo, MergeMatchesOneLongRun)
     // aggregate exactly like running the same two shards into one
     // accumulator sequentially.
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     StopRule half{250, 250, 1u << 30};
 
     MeshDecoder d1(lat, ErrorType::Z), d2(lat, ErrorType::Z);
@@ -140,7 +139,7 @@ TEST(MonteCarlo, MergeMatchesOneLongRun)
 TEST(MonteCarlo, MergeIntoDefaultAccumulator)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 43);
     const MonteCarloResult shard = sim.run({100, 100, 1u << 30});
@@ -181,32 +180,10 @@ TEST(MonteCarlo, StopRuleScaledMultipliesTrialBudgets)
     EXPECT_EQ(tiny.maxTrials, 1u);
 }
 
-TEST(MonteCarlo, ScaledByEnvRejectsMalformedValues)
-{
-    const StopRule rule{1000, 20000, 100};
-    const char *bad[] = {"-2", "0",    "abc", "nan",
-                         "inf", "1.5x", "",    "1e30"};
-    for (const char *value : bad) {
-        setenv("NISQPP_TRIALS", value, 1);
-        const StopRule out = rule.scaledByEnv();
-        EXPECT_EQ(out.minTrials, rule.minTrials) << value;
-        EXPECT_EQ(out.maxTrials, rule.maxTrials) << value;
-    }
-
-    setenv("NISQPP_TRIALS", "2.5", 1);
-    const StopRule scaled = rule.scaledByEnv();
-    EXPECT_EQ(scaled.minTrials, 2500u);
-    EXPECT_EQ(scaled.maxTrials, 50000u);
-
-    unsetenv("NISQPP_TRIALS");
-    const StopRule unscaled = rule.scaledByEnv();
-    EXPECT_EQ(unscaled.minTrials, rule.minTrials);
-}
-
 TEST(MonteCarlo, WilsonIntervalBracketsRate)
 {
     SurfaceLattice lat(3);
-    DephasingModel model(0.1);
+    const NoiseModel model = NoiseModel::dephasing(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
     LifetimeSimulator sim(lat, model, dec, nullptr, 3);
     StopRule rule{1000, 1000, 1u << 30};
@@ -222,7 +199,7 @@ TEST(MonteCarlo, BatchLanesPreserveAggregates)
     // loop, so every aggregate is byte-identical for any group size —
     // including odd ones that straddle run boundaries.
     SurfaceLattice lat(5);
-    DephasingModel model(0.08);
+    const NoiseModel model = NoiseModel::dephasing(0.08);
     const StopRule rule{301, 301, ~std::size_t{0}};
 
     MeshDecoder scalar_dec(lat, ErrorType::Z);
@@ -240,7 +217,7 @@ TEST(MonteCarlo, BatchLanesPreserveAggregates)
 TEST(MonteCarlo, BatchedDepolarizingRunsBothFamilies)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.06);
+    const NoiseModel model = NoiseModel::depolarizing(0.06);
     const StopRule rule{250, 250, ~std::size_t{0}};
 
     MeshDecoder z1(lat, ErrorType::Z), x1(lat, ErrorType::X);
@@ -258,7 +235,7 @@ TEST(MonteCarlo, BatchedEarlyStopMatchesScalar)
     // The stop rule can trip mid-group; the surplus lanes must be
     // discarded so counters match the scalar loop exactly.
     SurfaceLattice lat(3);
-    DephasingModel model(0.15);
+    const NoiseModel model = NoiseModel::dephasing(0.15);
     const StopRule rule{10, 4000, 25};
 
     MeshDecoder d1(lat, ErrorType::Z);
@@ -280,7 +257,7 @@ TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
     // for it rather than a protocol change; lifetimes share decodes
     // only as lanes of several lifetimes, sized by the decoder.
     SurfaceLattice lat(3);
-    DephasingModel model(0.1);
+    const NoiseModel model = NoiseModel::dephasing(0.1);
     const StopRule rule{200, 200, ~std::size_t{0}};
 
     MeshDecoder d1(lat, ErrorType::Z);

@@ -91,7 +91,7 @@ TEST(StreamEquivalence, FailuresMatchLifetimeSimulator)
         const StreamingResult streamed =
             runStream(config, *streaming);
 
-        DephasingModel model(0.05);
+        const NoiseModel model = NoiseModel::dephasing(0.05);
         auto batch = family.factory(lattice, ErrorType::Z);
         LifetimeSimulator sim(lattice, model, *batch, nullptr, kSeed);
         sim.setLifetimeMode(true);

@@ -1,4 +1,4 @@
-#include "decoders/lut_decoder.hh"
+#include "support/lut_decoder.hh"
 
 #include <bit>
 

@@ -4,12 +4,12 @@
  * syndrome it precomputes a minimum-weight correction by brute force over
  * all error patterns, which upper-bounds the accuracy of any trained
  * inference decoder on the same inputs. It stands in for the neural
- * network decoder baseline [6] whose artifacts are not public (see
- * DESIGN.md, substitutions).
+ * network decoder baseline [6] whose artifacts are not public. A test
+ * oracle: the cross-decoder and workspace tests compare against it.
  */
 
-#ifndef NISQPP_DECODERS_LUT_DECODER_HH
-#define NISQPP_DECODERS_LUT_DECODER_HH
+#ifndef NISQPP_TESTS_SUPPORT_LUT_DECODER_HH
+#define NISQPP_TESTS_SUPPORT_LUT_DECODER_HH
 
 #include <cstdint>
 
@@ -46,4 +46,4 @@ class LutDecoder : public Decoder
 
 } // namespace nisqpp
 
-#endif // NISQPP_DECODERS_LUT_DECODER_HH
+#endif // NISQPP_TESTS_SUPPORT_LUT_DECODER_HH

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 
 namespace nisqpp {
 namespace {
@@ -11,7 +11,7 @@ namespace {
 TEST(Dephasing, OnlyZErrors)
 {
     SurfaceLattice lat(5);
-    DephasingModel model(0.5);
+    const NoiseModel model = NoiseModel::dephasing(0.5);
     Rng rng(3);
     ErrorState st(lat);
     for (int i = 0; i < 20; ++i)
@@ -23,7 +23,7 @@ TEST(Dephasing, RateMatches)
 {
     SurfaceLattice lat(5);
     const double p = 0.1;
-    DephasingModel model(p);
+    const NoiseModel model = NoiseModel::dephasing(p);
     Rng rng(5);
     int flips = 0;
     const int rounds = 2000;
@@ -40,7 +40,7 @@ TEST(Dephasing, RateMatches)
 TEST(Depolarizing, AllPaulisAppear)
 {
     SurfaceLattice lat(5);
-    DepolarizingModel model(0.5);
+    const NoiseModel model = NoiseModel::depolarizing(0.5);
     Rng rng(7);
     int nx = 0, ny = 0, nz = 0;
     for (int i = 0; i < 200; ++i) {
@@ -68,7 +68,7 @@ TEST(Depolarizing, AllPaulisAppear)
 TEST(Depolarizing, ZeroRateIsClean)
 {
     SurfaceLattice lat(3);
-    DepolarizingModel model(0.0);
+    const NoiseModel model = NoiseModel::depolarizing(0.0);
     Rng rng(1);
     ErrorState st(lat);
     model.sample(rng, st);
@@ -77,8 +77,8 @@ TEST(Depolarizing, ZeroRateIsClean)
 
 TEST(ErrorModel, RejectsBadRates)
 {
-    EXPECT_DEATH(DephasingModel(-0.1), "p out of");
-    EXPECT_DEATH(DepolarizingModel(1.5), "p out of");
+    EXPECT_DEATH(NoiseModel::dephasing(-0.1), "p out of");
+    EXPECT_DEATH(NoiseModel::depolarizing(1.5), "p out of");
 }
 
 } // namespace

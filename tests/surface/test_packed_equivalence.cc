@@ -13,6 +13,7 @@
 
 #include "common/rng.hh"
 #include "pauli/pauli_frame.hh"
+#include "support/oracles.hh"
 #include "surface/error_state.hh"
 #include "surface/lattice.hh"
 #include "surface/logical.hh"
@@ -162,7 +163,7 @@ TEST(PackedEquivalence, MeasureGatherMatchesScheduleWalk)
             for (const ErrorType type : {ErrorType::Z, ErrorType::X}) {
                 const Syndrome fast = circuit.measure(gather, type);
                 const Syndrome reference =
-                    circuit.measureViaSchedule(walked, type);
+                    measureViaSchedule(circuit, walked, type);
                 EXPECT_EQ(fast, reference);
             }
             // Both frames must agree afterwards too (ancilla collapse).

@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "surface/error_model.hh"
+#include "noise/noise_model.hh"
 #include "surface/stabilizer_circuit.hh"
 
 namespace nisqpp {
@@ -24,7 +24,7 @@ TEST_P(CircuitParam, MatchesDirectExtractionOnRandomErrors)
     const int d = GetParam();
     SurfaceLattice lat(d);
     StabilizerCircuit circuit(lat);
-    DepolarizingModel model(0.15);
+    const NoiseModel model = NoiseModel::depolarizing(0.15);
     Rng rng(0xfeedULL + d);
     for (int trial = 0; trial < 100; ++trial) {
         ErrorState st(lat);

@@ -60,7 +60,7 @@ main(int argc, char **argv)
         const MonteCarloResult res = engine.runCell(cell);
 
         const bool mesh = res.cycles.count() > 0;
-        const double period = MeshConfig{}.cyclePeriodPs * 1e-3;
+        const double period = kMeshCyclePeriodPs * 1e-3;
         table.addRow(
             {family.label, std::to_string(res.failures),
              TablePrinter::num(res.logicalErrorRate, 3),

@@ -54,7 +54,7 @@ main(int argc, char **argv)
               << TablePrinter::num(res.ci.lo, 3) << ", "
               << TablePrinter::num(res.ci.hi, 3) << "])\n";
 
-    const double period = MeshConfig{}.cyclePeriodPs;
+    const double period = kMeshCyclePeriodPs;
     std::cout << "decoder timing: avg "
               << TablePrinter::num(res.cycles.mean() * period * 1e-3, 3)
               << " ns, max "

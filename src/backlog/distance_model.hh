@@ -30,7 +30,7 @@ struct DecoderProfile
     /** Decode time for one round at distance d, in ns. */
     std::function<double(int)> decodeNs;
 
-    /** The five Fig. 11 profiles (parameters listed in EXPERIMENTS.md). */
+    /** The five Fig. 11 profiles (each one's source is in its body). */
     static DecoderProfile sfqDecoder();
     static DecoderProfile mwpm();
     static DecoderProfile neuralNet();

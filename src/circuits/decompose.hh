@@ -5,7 +5,7 @@
  * textbook 7-T circuit (2 H, 6 CNOT, 7 T/Tdg — 15 gates). The paper's
  * "total gates" column is consistent with a 17-gate Toffoli expansion
  * (two extra phase-fix gates); the bench reports both budgets and the
- * T counts match exactly (see EXPERIMENTS.md).
+ * T counts match exactly.
  */
 
 #ifndef NISQPP_CIRCUITS_DECOMPOSE_HH

@@ -139,11 +139,6 @@ struct CheckpointPolicy
     /** Write after this many shard completions (>= 1). */
     std::size_t intervalShards = kDefaultCheckpointInterval;
     /**
-     * Also write when this much wall time passed since the last write
-     * (checked at shard completion); 0 disables the time trigger.
-     */
-    double intervalSeconds = 0.0;
-    /**
      * Caller tag folded into the file (the scenario name at the CLI);
      * resume refuses a file written under a different scope.
      */

@@ -46,7 +46,6 @@ class PackedBits
     }
 
     std::size_t size() const { return size_; }
-    std::size_t numWords() const { return words_.size(); }
 
     /** Zero every bit, keeping the size. */
     void

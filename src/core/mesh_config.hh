@@ -13,7 +13,19 @@
 
 namespace nisqpp {
 
-/** Feature flags and timing parameters of one mesh decoder instance. */
+/**
+ * Cycles the global reset blocks grow/request/grant inputs; the
+ * paper's synthesized circuit depth is 5 (Section VI-B).
+ */
+inline constexpr int kMeshResetCycles = 5;
+
+/**
+ * Mesh clock period in picoseconds: the paper's synthesized full
+ * circuit latency (Table III). Every mesh in the design runs at it.
+ */
+inline constexpr double kMeshCyclePeriodPs = 162.72;
+
+/** Feature flags of one mesh decoder instance. */
 struct MeshConfig
 {
     /** Global reset after each completed pairing (Fig. 8(a) fix). */
@@ -24,18 +36,6 @@ struct MeshConfig
 
     /** Request-grant arbitration for equidistant sets (Fig. 8(c) fix). */
     bool equidistantMechanism = true;
-
-    /**
-     * Cycles the global reset blocks grow/request/grant inputs; the
-     * paper's synthesized circuit depth is 5 (Section VI-B).
-     */
-    int resetCycles = 5;
-
-    /**
-     * Mesh clock period in picoseconds; the paper's synthesized full
-     * circuit latency (Table III).
-     */
-    double cyclePeriodPs = 162.72;
 
     /** The paper's incremental designs. @{ */
     static MeshConfig baseline();

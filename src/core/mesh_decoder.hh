@@ -163,8 +163,6 @@ class MeshDecoder : public Decoder
         return "sfq-mesh[" + config_.label() + "]";
     }
 
-    const MeshConfig &config() const { return config_; }
-
     /** Telemetry of the most recent decode (lane 0 of a batch). */
     const MeshDecodeStats &lastStats() const { return batchStats_[0]; }
 

@@ -203,7 +203,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         // met trains, both this cycle (met_now) and afterwards.
         // Without this, the overlap region of two persistent trains
         // keeps expanding and excess pair pulses leak through the
-        // cleared endpoints (see DESIGN.md).
+        // cleared endpoints.
         const W formed = e.formed[r];
         const W form_allow = e.interior[r] & ~hot & ~formed;
         DirRow<W> pr_raw{W{}, W{}, W{}, W{}};
@@ -316,7 +316,7 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
             e.lastFire[l] = e.cycle;
             if (config_.resetMechanism) {
                 ++laneStats[l]->resets;
-                e.resetCountdown[l] = config_.resetCycles;
+                e.resetCountdown[l] = kMeshResetCycles;
                 mark(resetNow, l);
             }
         }

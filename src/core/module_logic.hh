@@ -57,7 +57,9 @@ using DirRow = std::array<Word, kNumDirs>;
  * diagonal arrangement: effective pairs, in priority order, are
  * {E,W}, {N,S}, {S,E}, {S,W}; pairs {N,W} and {N,E} are ineffective
  * (the paper's "up and left effective / down and right ineffective"
- * hardwiring, extended to all arrangements — see DESIGN.md).
+ * hardwiring, extended to all arrangements so that exactly one corner
+ * of every diagonal arrangement acts and the pair forms along one
+ * path).
  *
  * @param in    Incoming signal planes by travel direction.
  * @param allow Mask of modules permitted to act as intermediates

@@ -108,7 +108,8 @@ fig11Distance(ScenarioContext &ctx)
                      static_cast<double>(*d_mwpm) / *d_sfq, 3) +
                  "x) - the paper reports ~10x smaller distances for "
                  "the online decoder");
-    ctx.note("profile parameters are documented in EXPERIMENTS.md");
+    ctx.note("profile parameters (threshold, c2, decode time) and "
+             "their sources are in src/backlog/distance_model.cc");
 }
 
 void

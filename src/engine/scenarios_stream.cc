@@ -134,8 +134,7 @@ streamingBacklog(ScenarioContext &ctx)
 
     TablePrinter env({"key", "value"});
     env.addRow({"rounds per cell", std::to_string(rounds)});
-    env.addRow({"queue capacity",
-                std::to_string(StreamConfig{}.queueCapacity)});
+    env.addRow({"queue capacity", std::to_string(kStreamQueueCapacity)});
     env.addRow({"physical error rate", "0.05"});
     ctx.table("streaming_env", env);
 

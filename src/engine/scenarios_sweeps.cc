@@ -117,8 +117,9 @@ fig10Variants(ScenarioContext &ctx)
 
     ctx.note("\npaper: baseline shows no threshold behavior; resets "
              "and boundaries progressively restore error suppression "
-             "(our unarbitrated boundary variant trades differently - "
-             "see EXPERIMENTS.md).");
+             "(our reset+boundary variant trades differently: it has no "
+             "equidistant arbitration, which the paper leaves "
+             "unspecified for it).");
 }
 
 void
@@ -181,7 +182,7 @@ table4Latency(ScenarioContext &ctx)
     const SweepResult result = ctx.engine().runSweep(
         config, meshDecoderFactory(MeshConfig::finalDesign()));
 
-    const double period_ps = MeshConfig{}.cyclePeriodPs;
+    const double period_ps = kMeshCyclePeriodPs;
     TablePrinter table({"code distance", "max (ns)", "average (ns)",
                         "std dev (ns)", "max (cycles)"});
     std::vector<double> ds, max_cycles;

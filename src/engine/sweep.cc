@@ -72,7 +72,6 @@ sharesSimulator(const CellSpec &a, const CellSpec &b)
     return a.lattice == b.lattice && a.factory == b.factory &&
            a.noise.kind == b.noise.kind && a.noise.eta == b.noise.eta &&
            a.noise.q == b.noise.q && a.windowRounds == b.windowRounds &&
-           a.throughCircuits == b.throughCircuits &&
            a.lifetimeMode == b.lifetimeMode &&
            a.batchLanes == b.batchLanes;
 }
@@ -303,7 +302,7 @@ Engine::pumpGroup(CellGroup &group)
         if (source.models.front()->producesX())
             x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
         LifetimeSimulator sim(*spec.lattice, *z_dec, x_dec.get(),
-                              spec.throughCircuits, &workspace);
+                              &workspace);
         sim.setLifetimeMode(spec.lifetimeMode);
         sim.setBatchLanes(spec.batchLanes);
         sim.setMeasurementWindow(spec.windowRounds);
@@ -459,7 +458,9 @@ describeCell(const CellSpec &spec, std::size_t shardCount)
        << " eta=" << ckpt::hexBits(spec.noise.eta)
        << " q=" << ckpt::hexBits(spec.noise.q)
        << " window=" << spec.windowRounds
-       << " circuits=" << (spec.throughCircuits ? 1 : 0)
+       // Always 0: syndromes are extracted by parity. The field stays
+       // so ledgers written while it was settable still resume.
+       << " circuits=0"
        << " lifetime=" << (spec.lifetimeMode ? 1 : 0)
        << " rule=" << spec.rule.minTrials << '/' << spec.rule.maxTrials
        << '/' << spec.rule.targetFailures << " seed=" << spec.seed
@@ -534,15 +535,7 @@ Engine::maybeWriteCheckpoint()
         return;
     const std::size_t n =
         ckptSinceWrite_.fetch_add(1, std::memory_order_relaxed) + 1;
-    bool due = n >= ckpt_.intervalShards;
-    if (!due && ckpt_.intervalSeconds > 0.0) {
-        const std::int64_t last =
-            lastWriteNs_.load(std::memory_order_relaxed);
-        due = last != 0 &&
-              static_cast<double>(steadyNowNs() - last) * 1e-9 >=
-                  ckpt_.intervalSeconds;
-    }
-    if (!due)
+    if (n < ckpt_.intervalShards)
         return;
     // One writer at a time; a contended worker just keeps computing —
     // the writer's snapshot already covers its shard.
@@ -705,7 +698,6 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
             spec.physicalRate = p;
             spec.noise = config.noise;
             spec.windowRounds = config.windowRounds;
-            spec.throughCircuits = config.throughCircuits;
             spec.lifetimeMode = config.lifetimeMode;
             spec.rule = config.stopRule;
             Rng child = master.split();

@@ -68,7 +68,6 @@ struct SweepConfig
      * noise.q > 0.
      */
     int windowRounds = 0;
-    bool throughCircuits = false;
     bool lifetimeMode = false; ///< the paper's persistent-state protocol
     StopRule stopRule{};
     std::uint64_t seed = 0x5150f00dULL;
@@ -124,7 +123,6 @@ struct CellSpec
     double physicalRate = 0.0;
     NoiseSpec noise{};    ///< channel kind + eta + measurement q
     int windowRounds = 0; ///< noisy rounds per decode window; 0 = off
-    bool throughCircuits = false;
     bool lifetimeMode = false;
     StopRule rule{};          ///< already scaled by the caller
     std::uint64_t seed = 0;   ///< cell master seed
@@ -194,9 +192,8 @@ class Engine
     /**
      * Enable periodic checkpointing: every runSweep/runCell call
      * becomes one ledger invocation, snapshotted to policy.path after
-     * every policy.intervalShards shard completions (or
-     * policy.intervalSeconds of wall time) and at each invocation
-     * boundary. Set before the first runSweep/runCell.
+     * every policy.intervalShards shard completions and at each
+     * invocation boundary. Set before the first runSweep/runCell.
      *
      * With a policy installed, SIGINT/SIGTERM (or requestInterrupt())
      * drains in-flight shards, writes a final checkpoint and throws

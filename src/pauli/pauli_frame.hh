@@ -50,12 +50,6 @@ class PauliFrame
     /** Current frame on qubit @p q. */
     Pauli frame(std::size_t q) const;
 
-    /** Whether the frame on @p q has an X component. */
-    bool xBit(std::size_t q) const { return x_.get(q); }
-
-    /** Whether the frame on @p q has a Z component. */
-    bool zBit(std::size_t q) const { return z_.get(q); }
-
     /** Word-packed planes, for mask-based gathers. @{ */
     const PackedBits &xPlane() const { return x_; }
     const PackedBits &zPlane() const { return z_; }

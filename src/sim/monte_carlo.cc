@@ -66,10 +66,8 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      const ErrorModel &model,
                                      Decoder &zDecoder, Decoder *xDecoder,
                                      std::uint64_t seed,
-                                     bool throughCircuits,
                                      TrialWorkspace *workspace)
-    : LifetimeSimulator(lattice, zDecoder, xDecoder, throughCircuits,
-                        workspace)
+    : LifetimeSimulator(lattice, zDecoder, xDecoder, workspace)
 {
     model_ = &model;
     seed_ = seed;
@@ -77,17 +75,13 @@ LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
 
 LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      Decoder &zDecoder, Decoder *xDecoder,
-                                     bool throughCircuits,
                                      TrialWorkspace *workspace)
     : lattice_(lattice),
       maxCycles_(static_cast<std::size_t>(128 * (lattice.gridSize() + 2))),
-      throughCircuits_(throughCircuits),
       families_{{{ErrorType::Z, &zDecoder, {}, {}},
                  {ErrorType::X, xDecoder, {}, {}}}},
       ws_(workspace)
 {
-    if (throughCircuits_)
-        circuit_ = std::make_unique<StabilizerCircuit>(lattice);
     require(zDecoder.type() == ErrorType::Z,
             "LifetimeSimulator: zDecoder must decode Z errors");
     if (xDecoder)
@@ -129,16 +123,6 @@ LifetimeSimulator::recordMeshStats(const MeshDecodeStats &stats,
     if (cycles >= lane.cycleCounts.size())
         lane.cycleCounts.resize(cycles + 1, 0);
     ++lane.cycleCounts[cycles];
-}
-
-void
-LifetimeSimulator::extractInto(const ErrorState &state, ErrorType type,
-                               Syndrome &out)
-{
-    if (throughCircuits_)
-        circuit_->extractInto(state, type, out);
-    else
-        extractSyndromeInto(state, type, out);
 }
 
 void
@@ -231,7 +215,7 @@ LifetimeSimulator::fillWindow(std::size_t slot)
             if (!f.decoder)
                 continue;
             Syndrome &syn = f.syndromes[slot];
-            extractInto(state, f.type, syn);
+            extractSyndromeInto(state, f.type, syn);
             if (!commit)
                 lane.model->flipMeasurements(lane.rng, syn);
             f.windows[slot].recordRound(t, syn);
@@ -277,7 +261,8 @@ LifetimeSimulator::runGroup(std::size_t count)
             {
                 obs::TraceSpan span(obs::Stage::Extract);
                 for (std::size_t s = 0; s < count; ++s) {
-                    extractInto(states_[s], f.type, f.syndromes[s]);
+                    extractSyndromeInto(states_[s], f.type,
+                                        f.syndromes[s]);
                     synPtrs_[s] = &f.syndromes[s];
                 }
             }
@@ -410,7 +395,8 @@ LifetimeSimulator::beginRound(std::size_t slot)
 {
     Lane &lane = lanes_[slot];
     lane.model->sample(lane.rng, states_[slot]);
-    extractInto(states_[slot], ErrorType::Z, families_[0].syndromes[slot]);
+    extractSyndromeInto(states_[slot], ErrorType::Z,
+                        families_[0].syndromes[slot]);
     pending_[(pendingHead_ + pendingSize_) % pending_.size()] = slot;
     ++pendingSize_;
 }
@@ -443,7 +429,7 @@ LifetimeSimulator::finished(std::size_t lifetime,
     std::array<const MeshDecodeStats *, 2> laneStats{&stats, nullptr};
     Family &x = families_[1];
     if (x.decoder) {
-        extractInto(state, x.type, x.syndromes[slot]);
+        extractSyndromeInto(state, x.type, x.syndromes[slot]);
         const Syndrome *syn = &x.syndromes[slot];
         x.decoder->decodeBatch(&syn, 1, *ws_);
         ws_->laneCorrections[0].applyTo(state, x.type);

@@ -2,10 +2,11 @@
  * @file
  * Monte Carlo lifetime simulation (paper Section VII, "Simulation
  * Techniques"): each cycle injects stochastic errors on the data qubits,
- * extracts the error syndrome (directly or through the Fig. 3 stabilizer
- * circuits), hands it to the decoder under test, applies the returned
- * correction, and classifies the residual. The ratio of logical errors
- * to cycles is the logical error rate PL.
+ * extracts the error syndrome by parity (the Fig. 3 stabilizer circuits
+ * give the same syndromes, which a property test pins), hands it to the
+ * decoder under test, applies the returned correction, and classifies
+ * the residual. The ratio of logical errors to cycles is the logical
+ * error rate PL.
  */
 
 #ifndef NISQPP_SIM_MONTE_CARLO_HH
@@ -23,7 +24,6 @@
 #include "noise/noise_model.hh"
 #include "obs/metrics.hh"
 #include "surface/logical.hh"
-#include "surface/stabilizer_circuit.hh"
 #include "surface/syndrome_window.hh"
 
 namespace nisqpp {
@@ -141,20 +141,17 @@ class LifetimeSimulator : private LifetimeFeed
      *                 channel produces no X component (pure dephasing).
      * @param seed     Master RNG seed of run() (deterministic
      *                 reproduction).
-     * @param throughCircuits Extract syndromes by running the Fig. 3
-     *                 stabilizer circuits instead of direct parity.
      * @param workspace Scratch shared with other simulators on the
      *                 same thread; null = allocate a private one.
      */
     LifetimeSimulator(const SurfaceLattice &lattice,
                       const ErrorModel &model, Decoder &zDecoder,
                       Decoder *xDecoder, std::uint64_t seed,
-                      bool throughCircuits = false,
                       TrialWorkspace *workspace = nullptr);
 
     /** A simulator for runLifetimes only (no run()). */
     LifetimeSimulator(const SurfaceLattice &lattice, Decoder &zDecoder,
-                      Decoder *xDecoder, bool throughCircuits = false,
+                      Decoder *xDecoder,
                       TrialWorkspace *workspace = nullptr);
 
     ~LifetimeSimulator();
@@ -169,7 +166,6 @@ class LifetimeSimulator : private LifetimeFeed
      * post-correction state flips.
      */
     void setLifetimeMode(bool lifetime) { lifetimeMode_ = lifetime; }
-    bool lifetimeMode() const { return lifetimeMode_; }
 
     /**
      * Size the lane groups (--batch): a Z decoder with a lane engine
@@ -195,7 +191,6 @@ class LifetimeSimulator : private LifetimeFeed
      * telemetry is not collected in windowed mode.
      */
     void setMeasurementWindow(int rounds);
-    int measurementWindow() const { return windowRounds_; }
 
     /**
      * Run @p rule-governed trials from the constructor's model and
@@ -309,18 +304,13 @@ class LifetimeSimulator : private LifetimeFeed
     void ensureSlots(std::size_t slots);
     void fillWindow(std::size_t slot);
     void recordMeshStats(const MeshDecodeStats &stats, Lane &lane) const;
-    void extractInto(const ErrorState &state, ErrorType type,
-                     Syndrome &out);
 
     const SurfaceLattice &lattice_;
     /** Largest cycle count the histograms track exactly. */
     const std::size_t maxCycles_;
     const ErrorModel *model_ = nullptr; ///< run()'s lifetime
     std::uint64_t seed_ = 0;
-    bool throughCircuits_;
     bool lifetimeMode_ = false;
-    /** Built only for circuit-based extraction (it is not cheap). */
-    std::unique_ptr<StabilizerCircuit> circuit_;
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off
     /** Z first, then X: the per-round RNG and decode order. */

@@ -2,38 +2,35 @@
 
 #include "backlog/distance_model.hh"
 #include "common/logging.hh"
+#include "core/mesh_config.hh"
 #include "core/mesh_stats.hh"
 
 namespace nisqpp {
 
 double
-StreamLatencyModel::decodeNs(const MeshDecodeStats *stats,
-                             int hotWeight) const
+StreamLatencyModel::decodeNs(const MeshDecodeStats *stats) const
 {
     if (meshCycles) {
         require(stats != nullptr,
                 "StreamLatencyModel: meshCycles set but the decoder "
                 "reports no mesh telemetry");
-        return stats->cycles * meshPeriodPs * 1e-3;
+        return stats->cycles * kMeshCyclePeriodPs * 1e-3;
     }
-    return baseNs + perHotNs * hotWeight;
+    return baseNs;
 }
 
 StreamLatencyModel
-StreamLatencyModel::mesh(double periodPs)
+StreamLatencyModel::mesh()
 {
     StreamLatencyModel m;
-    m.name = "mesh-cycles";
     m.meshCycles = true;
-    m.meshPeriodPs = periodPs;
     return m;
 }
 
 StreamLatencyModel
-StreamLatencyModel::constant(const std::string &name, double ns)
+StreamLatencyModel::constant(double ns)
 {
     StreamLatencyModel m;
-    m.name = name;
     m.baseNs = ns;
     return m;
 }
@@ -44,13 +41,11 @@ StreamLatencyModel::forFamily(const std::string &family, int distance)
     if (family == "sfq_mesh")
         return mesh();
     if (family == "mwpm")
-        return constant(family,
-                        DecoderProfile::mwpm().decodeNs(distance));
+        return constant(DecoderProfile::mwpm().decodeNs(distance));
     if (family == "union_find")
-        return constant(family,
-                        DecoderProfile::unionFind().decodeNs(distance));
+        return constant(DecoderProfile::unionFind().decodeNs(distance));
     if (family == "greedy")
-        return constant(family, 600.0);
+        return constant(600.0);
     fatal("StreamLatencyModel: unknown decoder family '" + family +
           "' (expected sfq_mesh, mwpm, union_find or greedy)");
 }
@@ -59,7 +54,6 @@ StreamLatencyModel
 StreamLatencyModel::tiered(const std::string &exactFamily, int distance)
 {
     StreamLatencyModel m = mesh();
-    m.name = "tiered-" + exactFamily;
     m.escalateNs = forFamily(exactFamily, distance).baseNs;
     return m;
 }

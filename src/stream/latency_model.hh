@@ -4,9 +4,9 @@
  * pipeline. The SFQ mesh decoder reports its own simulated cycle count
  * per decode (Table IV), so its latency is a measurement; the software
  * baselines get the paper's Section III / Fig. 11 reference latencies
- * (MWPM ~1 us, union-find ~850 ns, neural-net ~800 ns) with an optional
- * per-hot-syndrome term. Latencies are functions of the decoder and the
- * syndrome only — never of host wall time — so streaming telemetry is
+ * (MWPM ~1 us, union-find ~850 ns, neural-net ~800 ns) as a fixed cost
+ * per decode. Latencies are functions of the decoder and the syndrome
+ * only — never of host wall time — so streaming telemetry is
  * byte-reproducible at any thread count.
  */
 
@@ -22,23 +22,16 @@ struct MeshDecodeStats;
 /** Modeled decode time of one syndrome round, in nanoseconds. */
 struct StreamLatencyModel
 {
-    std::string name = "constant";
-
     /** Fixed cost per round (software pipeline overhead). */
     double baseNs = 0.0;
 
-    /** Additional cost per hot ancilla in the round's syndrome. */
-    double perHotNs = 0.0;
-
     /**
      * Take the latency from the mesh decoder's simulated cycle count
-     * instead of the base/perHot terms (requires a decoder exposing
-     * mesh telemetry through Decoder::meshStats()).
+     * at the mesh clock (kMeshCyclePeriodPs) instead of baseNs
+     * (requires a decoder exposing mesh telemetry through
+     * Decoder::meshStats()).
      */
     bool meshCycles = false;
-
-    /** Mesh clock period when meshCycles is set (Table III). */
-    double meshPeriodPs = 162.72;
 
     /**
      * Extra cost charged when the round's decode escalated to the
@@ -51,17 +44,15 @@ struct StreamLatencyModel
 
     /**
      * Latency of the round just decoded. @p stats is the decoder's
-     * Decoder::meshStats() telemetry (null for software decoders);
-     * @p hotWeight is the decoded syndrome's hot-ancilla count.
+     * Decoder::meshStats() telemetry (null for software decoders).
      */
-    double decodeNs(const MeshDecodeStats *stats, int hotWeight) const;
+    double decodeNs(const MeshDecodeStats *stats) const;
 
     /** The SFQ mesh: measured cycles x clock period. */
-    static StreamLatencyModel mesh(double periodPs = 162.72);
+    static StreamLatencyModel mesh();
 
     /** Fixed latency (the closed-form backlog model's assumption). */
-    static StreamLatencyModel constant(const std::string &name,
-                                       double ns);
+    static StreamLatencyModel constant(double ns);
 
     /**
      * Preset for a decoder family name as used by the experiment

@@ -20,6 +20,9 @@ namespace {
 /** Service times are binned at 1 ns for exact percentile telemetry. */
 constexpr std::size_t kLatencyBinMaxNs = 8191;
 
+/** Backlog trajectory samples over the production horizon. */
+constexpr std::size_t kTrajectorySamples = 32;
+
 } // namespace
 
 void
@@ -81,9 +84,8 @@ runStream(const StreamConfig &config, Decoder &decoder,
 
     const NoiseModel model = NoiseModel::dephasing(
         config.physicalRate, config.measurementFlipRate);
-    SyndromeStream stream(*config.lattice, model, ErrorType::Z,
-                          config.seed, config.syndromeCycleNs);
-    StreamQueue queue(config.queueCapacity);
+    SyndromeStream stream(*config.lattice, model, ErrorType::Z, config.seed);
+    StreamQueue queue(kStreamQueueCapacity);
     Histogram serviceHist(kLatencyBinMaxNs);
 
     StreamingResult result;
@@ -91,11 +93,8 @@ runStream(const StreamConfig &config, Decoder &decoder,
     const double cycle = config.syndromeCycleNs;
     const double endOfProduction =
         static_cast<double>(config.rounds) * cycle;
-    const std::size_t stride = std::max<std::size_t>(
-        1, config.rounds / std::max<std::size_t>(
-               1, config.trajectorySamples > 1
-                      ? config.trajectorySamples - 1
-                      : 1));
+    const std::size_t stride =
+        std::max<std::size_t>(1, config.rounds / (kTrajectorySamples - 1));
 
     double consumerFreeNs = 0.0;
     std::size_t completed = 0;
@@ -325,9 +324,8 @@ runStream(const StreamConfig &config, Decoder &decoder,
                 else
                     decoder.decode(*toDecode, *workspace);
             }
-            serviceNs = withEscalation(config.latency.decodeNs(
-                decoder.meshStats(),
-                window ? window->eventWeight() : toDecode->weight()));
+            serviceNs = withEscalation(
+                config.latency.decodeNs(decoder.meshStats()));
             if (pendingMergeNs > 0.0) {
                 serviceNs += pendingMergeNs;
                 pendingMergeNs = 0.0;

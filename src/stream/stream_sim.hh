@@ -1,15 +1,16 @@
 /**
  * @file
  * Streaming decode pipeline (paper Section III, Figs. 5-6 measured):
- * a SyndromeStream producer emits per-round syndromes on a simulated
- * wall clock, a bounded StreamQueue buffers them, and a decoder
- * consumer drains them in FIFO order at the rate its latency model
- * allows. Decode *results* are computed round-synchronously (so
- * streaming corrections are bit-identical to batch Decoder::decode on
- * the same syndromes and the lifetime-protocol physics stays closed);
- * decode *timing* is replayed against the virtual clock, producing
- * queue-depth, latency-percentile and backlog-trajectory telemetry.
- * Everything is a deterministic function of the configuration and seed.
+ * a SyndromeStream producer emits per-round syndromes, one per
+ * syndrome cycle of runStream's virtual clock, a bounded StreamQueue
+ * buffers them, and a decoder consumer drains them in FIFO order at
+ * the rate its latency model allows. Decode *results* are computed
+ * round-synchronously (so streaming corrections are bit-identical to
+ * batch Decoder::decode on the same syndromes and the lifetime-protocol
+ * physics stays closed); decode *timing* is replayed against the
+ * virtual clock, producing queue-depth, latency-percentile and
+ * backlog-trajectory telemetry. Everything is a deterministic function
+ * of the configuration and seed.
  */
 
 #ifndef NISQPP_STREAM_STREAM_SIM_HH
@@ -31,6 +32,9 @@ namespace nisqpp {
 
 class TrialWorkspace;
 
+/** Fast-ring slots of runStream's queue before rounds spill. */
+inline constexpr std::size_t kStreamQueueCapacity = 64;
+
 /** Configuration of one streaming decode run. */
 struct StreamConfig
 {
@@ -51,11 +55,8 @@ struct StreamConfig
     std::size_t windowRounds = 0;
     double syndromeCycleNs = 400.0; ///< generation cycle (paper [27])
     std::size_t rounds = 4000;    ///< production horizon
-    std::size_t queueCapacity = 64; ///< fast-ring slots before spill
     std::uint64_t seed = 0x57e40ULL;
     StreamLatencyModel latency;
-    /** Backlog trajectory sample count over the horizon (>= 2). */
-    std::size_t trajectorySamples = 32;
 
     /**
      * Seeded fault injection striking transport and consumer (all-zero

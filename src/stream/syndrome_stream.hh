@@ -1,13 +1,14 @@
 /**
  * @file
  * Syndrome producer of the streaming pipeline: emits one error-syndrome
- * round per syndrome cycle on a simulated wall clock, running the
- * paper's lifetime protocol physics (persistent error state, stochastic
- * injection each round). Extraction is perfect for models with
- * measurement flip rate q = 0 and noisy otherwise: each emitted round
- * is corrupted through ErrorModel::flipMeasurements, which is what
- * forces the windowed multi-round decoding regime the paper's
- * continuous-stream argument is about. The producer never waits for
+ * round per emit() call (runStream keeps the virtual clock that spaces
+ * them one syndrome cycle apart), running the paper's lifetime protocol
+ * physics (persistent error state, stochastic injection each round).
+ * Extraction is perfect for models with measurement flip rate q = 0
+ * and noisy otherwise: each emitted round is corrupted through
+ * ErrorModel::flipMeasurements, which is what forces the windowed
+ * multi-round decoding regime the paper's continuous-stream argument
+ * is about. The producer never waits for
  * the decoder — syndrome generation is a property of the quantum
  * hardware — which is exactly what creates backlog when the consumer
  * is too slow (paper Section III).
@@ -26,11 +27,10 @@
 namespace nisqpp {
 
 /**
- * Deterministic per-round syndrome source for one error family.
- * Successive emit() calls advance the simulated clock by one syndrome
- * cycle; the emitted syndrome reflects every error injected so far
- * composed with every correction applied to state() so far (the
- * lifetime protocol's closed loop).
+ * Deterministic per-round syndrome source for one error family. Each
+ * emit() produces the next round; the emitted syndrome reflects every
+ * error injected so far composed with every correction applied to
+ * state() so far (the lifetime protocol's closed loop).
  */
 class SyndromeStream
 {
@@ -40,10 +40,9 @@ class SyndromeStream
      * @param model   Error channel sampled once per round.
      * @param type    Error family whose syndromes are streamed.
      * @param seed    Master seed; streams are exactly reproducible.
-     * @param cycleNs Simulated syndrome generation cycle time.
      */
     SyndromeStream(const SurfaceLattice &lattice, const ErrorModel &model,
-                   ErrorType type, std::uint64_t seed, double cycleNs);
+                   ErrorType type, std::uint64_t seed);
 
     /**
      * Inject one round of errors and extract its *measured* syndrome
@@ -60,20 +59,6 @@ class SyndromeStream
      */
     void extractPerfectInto(Syndrome &out) const;
 
-    /** Rounds emitted so far. */
-    std::size_t roundsEmitted() const { return rounds_; }
-
-    /** Simulated clock of the most recent emission. */
-    double
-    lastEmitNs() const
-    {
-        return rounds_ == 0 ? 0.0
-                            : static_cast<double>(rounds_ - 1) * cycleNs_;
-    }
-
-    double cycleNs() const { return cycleNs_; }
-    ErrorType type() const { return type_; }
-
     /**
      * The persistent error state; the consumer applies corrections
      * here so residuals are re-decoded next round.
@@ -81,17 +66,12 @@ class SyndromeStream
     ErrorState &state() { return state_; }
     const ErrorState &state() const { return state_; }
 
-    const SurfaceLattice &lattice() const { return lattice_; }
-
   private:
-    const SurfaceLattice &lattice_;
     const ErrorModel &model_;
     ErrorType type_;
     Rng rng_;
-    double cycleNs_;
     ErrorState state_;
     Syndrome syndrome_;
-    std::size_t rounds_ = 0;
 };
 
 } // namespace nisqpp

@@ -83,7 +83,6 @@ class SurfaceLattice
 
     /** Dense site id (row-major). */
     int siteIndex(Coord rc) const { return rc.row * n_ + rc.col; }
-    Coord siteCoord(int site) const { return {site / n_, site % n_}; }
 
     /** Compact data index of a data site; panics on non-data sites. */
     int dataIndex(Coord rc) const;

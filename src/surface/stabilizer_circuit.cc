@@ -67,12 +67,6 @@ StabilizerCircuit::schedule(ErrorType type) const
     return type == ErrorType::Z ? scheduleX_ : scheduleZ_;
 }
 
-std::size_t
-StabilizerCircuit::opCount() const
-{
-    return scheduleX_.size() + scheduleZ_.size();
-}
-
 void
 StabilizerCircuit::loadErrors(PauliFrame &frame, const ErrorState &state)
     const

@@ -58,9 +58,6 @@ class StabilizerCircuit
     /** The schedule for the ancilla family detecting @p type errors. */
     const std::vector<Op> &schedule(ErrorType type) const;
 
-    /** Total elementary operations in one full cycle (both families). */
-    std::size_t opCount() const;
-
     /**
      * Inject @p state's data errors into @p frame (frame must span
      * lattice().numSites() qubits).

@@ -57,28 +57,11 @@ SyndromeWindow::recordRound(int t, const Syndrome &measured)
 }
 
 const PackedBits &
-SyndromeWindow::measuredBits(int t) const
-{
-    require(t >= 0 && t < recorded_,
-            "SyndromeWindow: round not recorded");
-    return measured_[t];
-}
-
-const PackedBits &
 SyndromeWindow::eventBits(int t) const
 {
     require(t >= 0 && t < recorded_,
             "SyndromeWindow: round not recorded");
     return events_[t];
-}
-
-int
-SyndromeWindow::eventWeight() const
-{
-    int weight = 0;
-    for (int t = 0; t < recorded_; ++t)
-        weight += events_[t].popcount();
-    return weight;
 }
 
 void

@@ -66,16 +66,10 @@ class SyndromeWindow
     /** Rounds recorded so far (recordRound must fill 0..rounds-1). */
     int recorded() const { return recorded_; }
 
-    /** Measured outcome bits of round @p t. */
-    const PackedBits &measuredBits(int t) const;
-
     /** Detection event bits of round @p t. */
     const PackedBits &eventBits(int t) const;
 
     bool event(int t, int a) const { return eventBits(t).get(a); }
-
-    /** Total number of detection events in the window. */
-    int eventWeight() const;
 
     /**
      * Invoke @p f(int t, int a) for every detection event, ascending

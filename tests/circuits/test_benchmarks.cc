@@ -1,7 +1,7 @@
 /**
  * @file Tests reproducing paper Table I: benchmark qubit counts and
  * T counts match the paper exactly; total gates match under the
- * paper's 17-gate Toffoli budget (see EXPERIMENTS.md).
+ * paper's 17-gate Toffoli budget (see circuits/decompose.hh).
  */
 
 #include <gtest/gtest.h>

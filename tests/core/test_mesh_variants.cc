@@ -79,8 +79,8 @@ TEST(MeshVariants, LadderImprovesAccuracy)
     // Robust ladder facts under the paper's lifetime protocol: the
     // final design beats every degraded variant by a wide margin, and
     // adding the reset mechanism never hurts the baseline. (Our
-    // unarbitrated boundary variant trades differently than the
-    // paper's unspecified intermediate; see EXPERIMENTS.md.)
+    // reset+boundary variant has no equidistant arbitration, which
+    // the paper leaves unspecified, so it trades differently.)
     const int d = 5;
     const double p = 0.02;
     const int trials = 2000;

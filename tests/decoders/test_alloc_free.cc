@@ -311,7 +311,7 @@ TEST(AllocFreeLifetimes, LaneRoundsAllocateNothing)
     const SurfaceLattice lat(kDistance);
     const auto dec = makeDecoder("sfq_mesh", lat);
     TrialWorkspace ws;
-    LifetimeSimulator sim(lat, *dec, nullptr, false, &ws);
+    LifetimeSimulator sim(lat, *dec, nullptr, &ws);
     sim.setLifetimeMode(true);
     const std::size_t lanes = sim.lifetimeLanes();
     ASSERT_GT(lanes, 1u);

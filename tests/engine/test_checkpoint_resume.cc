@@ -264,6 +264,47 @@ TEST(CheckpointResume, ConfigMismatchIsAHardError)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointResume, EngineWritesCanonicalConfigText)
+{
+    // The engine's cell text is a persisted fingerprint: ledgers on
+    // disk are matched against it on resume, so any change to its
+    // wording or fields orphans every existing checkpoint.
+    CkptStateGuard guard;
+    const auto factory = meshDecoderFactory(MeshConfig::finalDesign());
+    const SurfaceLattice lattice(3);
+
+    EngineOptions options;
+    options.threads = 1;
+    options.shardTrials = 4;
+
+    const std::string path = ckptPath("canonical.ckpt");
+    std::remove(path.c_str());
+    ckpt::CheckpointPolicy policy;
+    policy.path = path;
+
+    CellSpec spec;
+    spec.lattice = &lattice;
+    spec.physicalRate = 0.05;
+    spec.lifetimeMode = true;
+    spec.rule = {8, 8, 1u << 30};
+    spec.seed = 0x5eedULL;
+    spec.factory = &factory;
+
+    Engine engine(options);
+    engine.setCheckpointPolicy(policy);
+    engine.runCell(spec);
+
+    const ckpt::CheckpointLedger ledger = ckpt::loadCheckpoint(path);
+    ASSERT_EQ(ledger.invocations.size(), 1u);
+    EXPECT_TRUE(ledger.invocations[0].complete);
+    EXPECT_EQ(ledger.invocations[0].configText,
+              "shardTrials=4 cells=1 | d=3 p=3fa999999999999a "
+              "noise=dephasing eta=4024000000000000 "
+              "q=0000000000000000 window=0 circuits=0 lifetime=1 "
+              "rule=8/8/1073741824 seed=24301 shards=2");
+    std::remove(path.c_str());
+}
+
 TEST(CheckpointResume, IncompleteInvocationMustBeLast)
 {
     CkptStateGuard guard;

@@ -140,8 +140,8 @@ TEST(DecoderCircuits, PairSubcircuitFormsOnce)
     // treats the formed latch as instantaneous; in the gate-level
     // pipeline the latch takes up to `depth` clocks to gate the
     // emission, so the formation signal is a bounded burst rather than
-    // a single pulse (a microarchitectural refinement noted in
-    // EXPERIMENTS.md). It must assert, and it must stop.
+    // a single pulse (a microarchitectural refinement of the
+    // behavioral model). It must assert, and it must stop.
     sim.setInput("gr_e", true);
     sim.setInput("gr_w", true);
     int formation_cycles = 0;

@@ -42,8 +42,8 @@ TEST(Synthesis, SubcircuitDepthsNearPaper)
 {
     // The paper's subcircuits synthesize to depth 5; ours land a few
     // levels deeper because the corrected protocol needs the formed /
-    // fired state (see EXPERIMENTS.md). Require the same small-depth
-    // regime and comparable areas.
+    // fired state (src/core/mesh_lanes.hh says why). Require the same
+    // small-depth regime and comparable areas.
     for (const Netlist &net :
          {growPairReqSubcircuit(), pairGrantSubcircuit(),
           pairSubcircuit()}) {
@@ -67,8 +67,8 @@ TEST(Synthesis, FullModuleWithinPaperRegime)
     // Table III full circuit: area 1.28 mm^2, power ~13 uW, depth 6.
     // Our module is deeper (the train-consumption and endpoint
     // absorption logic the corrected protocol needs sits on the
-    // critical path; see EXPERIMENTS.md) but must stay within a small
-    // constant factor on every figure.
+    // critical path) but must stay within a small constant factor on
+    // every figure.
     const SynthesisReport rep = synthesize(fullDecoderModule());
     EXPECT_GE(rep.logicalDepth, 5);
     EXPECT_LE(rep.logicalDepth, 20);

@@ -97,19 +97,6 @@ TEST(MonteCarlo, DepolarizingWithBothDecoders)
     EXPECT_EQ(res.trials, 300u);
 }
 
-TEST(MonteCarlo, CircuitExtractionMatchesDirect)
-{
-    // Same seeds, same decoder: syndrome extraction through the
-    // stabilizer circuits must give identical Monte Carlo results.
-    SurfaceLattice lat(3);
-    const NoiseModel model = NoiseModel::dephasing(0.08);
-    MeshDecoder d1(lat, ErrorType::Z), d2(lat, ErrorType::Z);
-    LifetimeSimulator direct(lat, model, d1, nullptr, 31, false);
-    LifetimeSimulator circuit(lat, model, d2, nullptr, 31, true);
-    StopRule rule{400, 400, 1u << 30};
-    EXPECT_EQ(direct.run(rule).failures, circuit.run(rule).failures);
-}
-
 TEST(MonteCarlo, MergeMatchesOneLongRun)
 {
     // Two half-length runs on distinct child streams, merged, must

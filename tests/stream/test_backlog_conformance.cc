@@ -24,7 +24,6 @@ baseConfig(const SurfaceLattice &lattice, std::size_t rounds)
     config.physicalRate = 0.05;
     config.syndromeCycleNs = 400.0;
     config.rounds = rounds;
-    config.queueCapacity = 32;
     config.seed = 0xc0f0ULL;
     return config;
 }
@@ -54,7 +53,7 @@ TEST(BacklogConformance, TooSlowDecoderGrowsAtClosedFormRate)
 
     // The fast ring saturates and spills; backlog never drains during
     // production.
-    EXPECT_EQ(result.maxQueueDepth, config.queueCapacity);
+    EXPECT_EQ(result.maxQueueDepth, kStreamQueueCapacity);
     EXPECT_GT(result.overflowRounds, 0u);
     EXPECT_GT(result.finalBacklogRounds,
               static_cast<std::size_t>(0.9 * predicted * 3000));
@@ -94,8 +93,7 @@ TEST(BacklogConformance, MarginalRatioNeitherGrowsNorStarves)
     // form predicts zero asymptotic growth.
     SurfaceLattice lattice(3);
     StreamConfig config = baseConfig(lattice, 2000);
-    config.latency =
-        StreamLatencyModel::constant("marginal", 400.0);
+    config.latency = StreamLatencyModel::constant(400.0);
 
     const auto factory = greedyDecoderFactory();
     auto decoder = factory(lattice, ErrorType::Z);

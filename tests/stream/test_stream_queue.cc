@@ -136,22 +136,18 @@ TEST(StreamTelemetry, EmptyHistogramGivesZero)
 
 TEST(StreamLatency, ConstantAndPerHotTerms)
 {
-    StreamLatencyModel m = StreamLatencyModel::constant("test", 500.0);
-    EXPECT_DOUBLE_EQ(m.decodeNs(nullptr, 0), 500.0);
-    EXPECT_DOUBLE_EQ(m.decodeNs(nullptr, 12), 500.0);
-    m.perHotNs = 25.0;
-    EXPECT_DOUBLE_EQ(m.decodeNs(nullptr, 4), 600.0);
+    const StreamLatencyModel m = StreamLatencyModel::constant(500.0);
+    EXPECT_DOUBLE_EQ(m.decodeNs(nullptr), 500.0);
 }
 
 TEST(StreamLatency, FamilyPresetsMatchDecoderProfiles)
 {
     for (int d : {3, 5, 7, 9}) {
         EXPECT_DOUBLE_EQ(
-            StreamLatencyModel::forFamily("mwpm", d).decodeNs(nullptr,
-                                                              0),
+            StreamLatencyModel::forFamily("mwpm", d).decodeNs(nullptr),
             DecoderProfile::mwpm().decodeNs(d));
         EXPECT_DOUBLE_EQ(StreamLatencyModel::forFamily("union_find", d)
-                             .decodeNs(nullptr, 0),
+                             .decodeNs(nullptr),
                          DecoderProfile::unionFind().decodeNs(d));
     }
     EXPECT_TRUE(

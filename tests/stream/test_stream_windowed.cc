@@ -29,7 +29,7 @@ windowedConfig(const SurfaceLattice &lat, std::size_t w,
     config.windowRounds = w;
     config.rounds = rounds;
     config.seed = 0x71d0ULL;
-    config.latency = StreamLatencyModel::constant("uf", 850.0);
+    config.latency = StreamLatencyModel::constant(850.0);
     return config;
 }
 
@@ -59,8 +59,7 @@ expectStreamMatchesBatchWindows()
     // seed and hand them to decodeWindow directly.
     const NoiseModel model = NoiseModel::dephasing(
         config.physicalRate, config.measurementFlipRate);
-    SyndromeStream stream(lat, model, ErrorType::Z, config.seed,
-                          config.syndromeCycleNs);
+    SyndromeStream stream(lat, model, ErrorType::Z, config.seed);
     DecoderT batchDec(lat, ErrorType::Z);
     TrialWorkspace ws;
     SyndromeWindow window(lat, ErrorType::Z, static_cast<int>(w) + 1);

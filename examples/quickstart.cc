@@ -45,7 +45,7 @@ main()
     std::cout << decoder.name() << " corrected "
               << correction.dataFlips.size() << " qubits in "
               << decoder.lastStats().cycles << " mesh cycles ("
-              << decoder.lastStats().nanoseconds(kMeshCyclePeriodPs)
+              << decoder.lastStats().nanoseconds()
               << " ns at the synthesized clock)\n";
 
     // 5. Verify: residual must be stabilizer-trivial.

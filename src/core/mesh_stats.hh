@@ -12,6 +12,8 @@
 
 #include <cstdint>
 
+#include "core/mesh_config.hh"
+
 namespace nisqpp {
 
 namespace obs {
@@ -28,11 +30,11 @@ struct MeshDecodeStats
     bool quiesced = false;     ///< exited via no-progress window
     bool timedOut = false;     ///< exited via hard cycle cap
 
-    /** Wall-clock nanoseconds at @p period_ps per cycle. */
+    /** Wall-clock nanoseconds at the mesh clock, kMeshCyclePeriodPs. */
     double
-    nanoseconds(double period_ps) const
+    nanoseconds() const
     {
-        return cycles * period_ps * 1e-3;
+        return cycles * kMeshCyclePeriodPs * 1e-3;
     }
 
     bool operator==(const MeshDecodeStats &o) const = default;

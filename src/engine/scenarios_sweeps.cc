@@ -251,8 +251,7 @@ microHotpath(ScenarioContext &ctx)
              "error streams per distance via shared cell seeds; "
              "sfq_mesh_batch = the same mesh decoder through the "
              "lane-packed decodeBatch path, PL identical by "
-             "construction; union_find_batch = union-find at the same "
-             "batch setting, which it decodes one trial at a time)\n");
+             "construction)\n");
 
     const std::vector<DecoderFamily> &families = decoderFamilies();
     const std::vector<int> distances{3, 5, 7, 9};
@@ -347,13 +346,6 @@ microHotpath(ScenarioContext &ctx)
     // sfq_mesh rows is a lane-equivalence bug (bench_compare checks).
     addRows("sfq_mesh_batch",
             families[decoderFamilyIndex("sfq_mesh")].factory,
-            kBatchRows);
-    // Union-find at the same batch setting: it has no lane engine, so
-    // it runs groups of one and these rows only guard PL identity with
-    // the union_find rows (same cells, same seeds; bench_compare
-    // checks).
-    addRows("union_find_batch",
-            families[decoderFamilyIndex("union_find")].factory,
             kBatchRows);
     ctx.table("hotpath", table);
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <deque>
 #include <mutex>
 #include <sstream>
 
@@ -197,9 +198,12 @@ struct Engine::ShardSource final : LifetimeSource
     const Decoder *xDecoder = nullptr;
     bool shared = false;
     /** @} */
-    /** Claimed shards and their noise models, by tag. @{ */
+    /**
+     * Claimed shards and their noise models, by tag; a deque, so the
+     * models lanes point at stay put as claims grow. @{
+     */
     std::vector<std::pair<CellRun *, std::size_t>> claims;
-    std::vector<std::unique_ptr<NoiseModel>> models;
+    std::deque<NoiseModel> models;
     /** @} */
     std::size_t handed = 0; ///< claims handed to the simulator
 
@@ -221,7 +225,8 @@ struct Engine::ShardSource final : LifetimeSource
             return false;
         const CellSpec &spec = next.first->spec;
         claims.push_back(next);
-        models.push_back(makeNoiseModel(spec.noise, spec.physicalRate));
+        models.push_back(
+            NoiseModel::fromSpec(spec.noise, spec.physicalRate));
         return true;
     }
 
@@ -232,7 +237,7 @@ struct Engine::ShardSource final : LifetimeSource
             return false;
         const auto [run, index] = claims[handed];
         const Shard &shard = run->shards[index];
-        lane.model = models[handed].get();
+        lane.model = &models[handed];
         lane.seed = shard.seed;
         lane.rule.minTrials = lane.rule.maxTrials = shard.trials;
         lane.rule.targetFailures = ~std::size_t{0};
@@ -299,7 +304,7 @@ Engine::pumpGroup(CellGroup &group)
         const CellSpec &spec = group.cells.front()->spec;
         const auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
         std::unique_ptr<Decoder> x_dec;
-        if (source.models.front()->producesX())
+        if (source.models.front().producesX())
             x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
         LifetimeSimulator sim(*spec.lattice, *z_dec, x_dec.get(),
                               &workspace);

@@ -1,5 +1,7 @@
 #include "noise/noise_model.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "surface/syndrome.hh"
@@ -51,109 +53,186 @@ noiseKindRegistry()
     return kinds;
 }
 
-NoiseModel &
-NoiseModel::add(std::unique_ptr<NoiseChannel> channel)
+namespace {
+
+/**
+ * Draw one coin(@p thresh) per bit 0..n-1, in order, packing each run
+ * of 64 into a word handed to @p apply(w, bits) once. The draws are
+ * exactly those of a per-bit `if (rng.coin(thresh))` loop; only the
+ * per-bit write becomes one XOR per word. Bits at or above n stay zero.
+ */
+template <typename Apply>
+void
+forEachCoinWord(Rng &rng, std::uint64_t thresh, int n, const Apply &apply)
 {
-    require(channel != nullptr, "NoiseModel: null channel");
-    channels_.push_back(std::move(channel));
-    return *this;
+    for (int base = 0; base < n; base += 64) {
+        const int bitsHere = std::min(64, n - base);
+        PackedBits::Word word = 0;
+        for (int b = 0; b < bitsHere; ++b)
+            word |= PackedBits::Word{rng.coin(thresh)} << b;
+        apply(static_cast<std::size_t>(base / 64), word);
+    }
 }
 
-NoiseModel &
-NoiseModel::withMeasurementFlips(double q)
+void
+sampleDepolarizing(Rng &rng, double p, std::uint64_t thresh,
+                   ErrorState &state)
 {
-    q_ = MeasurementFlipChannel(q);
-    return *this;
+    const int n = state.lattice().numData();
+    if (p <= 0.0)
+        return; // bernoulli(p <= 0) consumes no draw; neither may we
+    for (int q = 0; q < n; ++q) {
+        if (p < 1.0 && !rng.coin(thresh))
+            continue;
+        switch (rng.uniformInt(3)) {
+          case 0: state.inject(q, Pauli::X); break;
+          case 1: state.inject(q, Pauli::Y); break;
+          default: state.inject(q, Pauli::Z); break;
+        }
+    }
+}
+
+void
+sampleDephasing(Rng &rng, double p, std::uint64_t thresh,
+                ErrorState &state)
+{
+    const int n = state.lattice().numData();
+    if (p <= 0.0)
+        return; // bernoulli(p <= 0) consumes no draw; neither may we
+    if (p >= 1.0) {
+        for (int q = 0; q < n; ++q)
+            state.inject(q, Pauli::Z);
+        return;
+    }
+    forEachCoinWord(rng, thresh, n,
+                    [&state](std::size_t w, PackedBits::Word bits) {
+                        state.xorWord(ErrorType::Z, w, bits);
+                    });
+}
+
+void
+sampleBiased(Rng &rng, double p, double eta, std::uint64_t thresh,
+             ErrorState &state)
+{
+    const int n = state.lattice().numData();
+    const double z_share = eta / (1.0 + eta);
+    if (p <= 0.0)
+        return; // bernoulli(p <= 0) consumes no draw; neither may we
+    for (int q = 0; q < n; ++q) {
+        if (p < 1.0 && !rng.coin(thresh))
+            continue;
+        if (rng.bernoulli(z_share))
+            state.inject(q, Pauli::Z);
+        else
+            state.inject(q, rng.uniformInt(2) == 0 ? Pauli::X
+                                                   : Pauli::Y);
+    }
+}
+
+void
+sampleErasure(Rng &rng, double p, std::uint64_t thresh,
+              ErrorState &state, PackedBits &marks)
+{
+    const int n = state.lattice().numData();
+    if (marks.size() != static_cast<std::size_t>(n))
+        marks.resize(n);
+    if (p <= 0.0)
+        return; // bernoulli(p <= 0) consumes no draw; neither may we
+    for (int q = 0; q < n; ++q) {
+        if (p < 1.0 && !rng.coin(thresh))
+            continue;
+        marks.set(q, true);
+        switch (rng.uniformInt(4)) {
+          case 0: break; // erased into I: marked, no Pauli kick
+          case 1: state.inject(q, Pauli::X); break;
+          case 2: state.inject(q, Pauli::Y); break;
+          default: state.inject(q, Pauli::Z); break;
+        }
+    }
+}
+
+} // namespace
+
+NoiseModel::NoiseModel(NoiseKind kind, double p, double eta, double q)
+    : kind_(kind), p_(p), eta_(eta), q_(q)
+{
+    require(p >= 0.0 && p <= 1.0, "NoiseModel: p out of [0,1]");
+    require(kind != NoiseKind::Biased || eta > 0.0,
+            "NoiseModel: eta must be positive");
+    require(q >= 0.0 && q <= 1.0, "NoiseModel: q out of [0,1]");
+    pThresh_ = Rng::threshold(p);
+    qThresh_ = Rng::threshold(q);
 }
 
 void
 NoiseModel::sample(Rng &rng, ErrorState &state) const
 {
-    for (const auto &channel : channels_)
-        channel->sampleInto(rng, state);
-}
-
-double
-NoiseModel::physicalRate() const
-{
-    double total = 0.0;
-    for (const auto &channel : channels_)
-        total += channel->rate();
-    return total;
-}
-
-std::string
-NoiseModel::name() const
-{
-    std::string out;
-    for (const auto &channel : channels_) {
-        if (!out.empty())
-            out += "+";
-        out += channel->name();
+    switch (kind_) {
+      case NoiseKind::Dephasing:
+        sampleDephasing(rng, p_, pThresh_, state);
+        return;
+      case NoiseKind::Depolarizing:
+        sampleDepolarizing(rng, p_, pThresh_, state);
+        return;
+      case NoiseKind::Biased:
+        sampleBiased(rng, p_, eta_, pThresh_, state);
+        return;
+      case NoiseKind::Erasure:
+        sampleErasure(rng, p_, pThresh_, state, marks_);
+        return;
     }
-    if (out.empty())
-        out = "empty";
-    if (q_.rate() > 0.0)
-        out += "+meas(q=" + TablePrinter::num(q_.rate(), 4) + ")";
-    return out;
 }
 
 void
 NoiseModel::flipMeasurements(Rng &rng, Syndrome &syndrome) const
 {
-    q_.corrupt(rng, syndrome);
+    if (q_ <= 0.0)
+        return;
+    const int n = syndrome.size();
+    if (q_ >= 1.0) { // bernoulli(q >= 1) consumes no draw
+        for (int a = 0; a < n; ++a)
+            syndrome.flip(a);
+        return;
+    }
+    forEachCoinWord(rng, qThresh_, n,
+                    [&syndrome](std::size_t w, PackedBits::Word bits) {
+                        syndrome.xorWord(w, bits);
+                    });
 }
 
-bool
-NoiseModel::producesX() const
+std::string
+NoiseModel::name() const
 {
-    for (const auto &channel : channels_)
-        if (channel->producesX())
-            return true;
-    return false;
-}
-
-const NoiseChannel &
-NoiseModel::channel(std::size_t i) const
-{
-    require(i < channels_.size(), "NoiseModel: channel out of range");
-    return *channels_[i];
+    std::string out = noiseKindName(kind_);
+    if (kind_ == NoiseKind::Biased)
+        out += "(eta=" + TablePrinter::num(eta_, 3) + ")";
+    if (q_ > 0.0)
+        out += "+meas(q=" + TablePrinter::num(q_, 4) + ")";
+    return out;
 }
 
 NoiseModel
 NoiseModel::depolarizing(double p, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<DepolarizingChannel>(p))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseKind::Depolarizing, p, 0.0, q};
 }
 
 NoiseModel
 NoiseModel::dephasing(double p, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<DephasingChannel>(p))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseKind::Dephasing, p, 0.0, q};
 }
 
 NoiseModel
 NoiseModel::biased(double p, double eta, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<BiasedEtaChannel>(p, eta))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseKind::Biased, p, eta, q};
 }
 
 NoiseModel
 NoiseModel::erasure(double p, double q)
 {
-    NoiseModel model;
-    model.add(std::make_unique<ErasureChannel>(p))
-        .withMeasurementFlips(q);
-    return model;
+    return {NoiseKind::Erasure, p, 0.0, q};
 }
 
 NoiseModel
@@ -166,12 +245,6 @@ NoiseModel::fromSpec(const NoiseSpec &spec, double p)
       case NoiseKind::Erasure: return erasure(p, spec.q);
     }
     panic("NoiseModel::fromSpec: unknown kind");
-}
-
-std::unique_ptr<NoiseModel>
-makeNoiseModel(const NoiseSpec &spec, double p)
-{
-    return std::make_unique<NoiseModel>(NoiseModel::fromSpec(spec, p));
 }
 
 } // namespace nisqpp

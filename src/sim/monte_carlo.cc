@@ -63,7 +63,7 @@ MonteCarloResult::finalize()
 }
 
 LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
-                                     const ErrorModel &model,
+                                     const NoiseModel &model,
                                      Decoder &zDecoder, Decoder *xDecoder,
                                      std::uint64_t seed,
                                      TrialWorkspace *workspace)

@@ -91,7 +91,7 @@ class TrialWorkspace;
 /** One independent lifetime (or per-round trial stream) to run. */
 struct LifetimeLane
 {
-    const ErrorModel *model = nullptr; ///< channel sampled each round
+    const NoiseModel *model = nullptr; ///< channel sampled each round
     std::uint64_t seed = 0;            ///< the lane's own RNG stream
     StopRule rule{};
     std::size_t tag = 0; ///< the source's handle, passed back on finish
@@ -145,7 +145,7 @@ class LifetimeSimulator : private LifetimeFeed
      *                 same thread; null = allocate a private one.
      */
     LifetimeSimulator(const SurfaceLattice &lattice,
-                      const ErrorModel &model, Decoder &zDecoder,
+                      const NoiseModel &model, Decoder &zDecoder,
                       Decoder *xDecoder, std::uint64_t seed,
                       TrialWorkspace *workspace = nullptr);
 
@@ -231,7 +231,7 @@ class LifetimeSimulator : private LifetimeFeed
     /** A running lifetime (or per-round trial stream). */
     struct Lane
     {
-        const ErrorModel *model = nullptr;
+        const NoiseModel *model = nullptr;
         Rng rng{0};
         StopRule rule{};
         std::size_t tag = 0;
@@ -308,7 +308,7 @@ class LifetimeSimulator : private LifetimeFeed
     const SurfaceLattice &lattice_;
     /** Largest cycle count the histograms track exactly. */
     const std::size_t maxCycles_;
-    const ErrorModel *model_ = nullptr; ///< run()'s lifetime
+    const NoiseModel *model_ = nullptr; ///< run()'s lifetime
     std::uint64_t seed_ = 0;
     bool lifetimeMode_ = false;
     std::size_t batchLanes_ = 1;

@@ -3,7 +3,7 @@
 namespace nisqpp {
 
 SyndromeStream::SyndromeStream(const SurfaceLattice &lattice,
-                               const ErrorModel &model, ErrorType type,
+                               const NoiseModel &model, ErrorType type,
                                std::uint64_t seed)
     : model_(model), type_(type), rng_(seed), state_(lattice),
       syndrome_(lattice, type)

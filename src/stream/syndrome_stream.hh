@@ -6,7 +6,7 @@
  * physics (persistent error state, stochastic injection each round).
  * Extraction is perfect for models with measurement flip rate q = 0
  * and noisy otherwise: each emitted round is corrupted through
- * ErrorModel::flipMeasurements, which is what forces the windowed
+ * NoiseModel::flipMeasurements, which is what forces the windowed
  * multi-round decoding regime the paper's continuous-stream argument
  * is about. The producer never waits for
  * the decoder — syndrome generation is a property of the quantum
@@ -41,7 +41,7 @@ class SyndromeStream
      * @param type    Error family whose syndromes are streamed.
      * @param seed    Master seed; streams are exactly reproducible.
      */
-    SyndromeStream(const SurfaceLattice &lattice, const ErrorModel &model,
+    SyndromeStream(const SurfaceLattice &lattice, const NoiseModel &model,
                    ErrorType type, std::uint64_t seed);
 
     /**
@@ -67,7 +67,7 @@ class SyndromeStream
     const ErrorState &state() const { return state_; }
 
   private:
-    const ErrorModel &model_;
+    const NoiseModel &model_;
     ErrorType type_;
     Rng rng_;
     ErrorState state_;

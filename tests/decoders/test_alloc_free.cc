@@ -25,10 +25,9 @@
 #include "common/rng.hh"
 #include "core/mesh_config.hh"
 #include "decoders/workspace.hh"
-#include "noise/channels.hh"
+#include "noise/noise_model.hh"
 #include "sim/experiment.hh"
 #include "sim/monte_carlo.hh"
-#include "noise/noise_model.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 #include "surface/syndrome_window.hh"
@@ -145,13 +144,13 @@ allocationsDuring(F &&f)
 std::vector<Syndrome>
 sampleSyndromes(const SurfaceLattice &lat, std::size_t count)
 {
-    const DepolarizingChannel channel(0.05);
+    const NoiseModel model = NoiseModel::depolarizing(0.05);
     Rng rng(0xa110cULL);
     ErrorState state(lat);
     std::vector<Syndrome> out;
     for (std::size_t i = 0; i < count; ++i) {
         state.clear();
-        channel.sampleInto(rng, state);
+        model.sample(rng, state);
         out.push_back(extractSyndrome(state, ErrorType::Z));
     }
     return out;
@@ -164,7 +163,7 @@ sampleSyndromes(const SurfaceLattice &lat, std::size_t count)
 std::vector<SyndromeWindow>
 sampleWindows(const SurfaceLattice &lat)
 {
-    const DephasingChannel channel(0.02);
+    const NoiseModel model = NoiseModel::dephasing(0.02);
     Rng rng(0x3e11ULL);
     ErrorState state(lat);
     Syndrome syn(lat, ErrorType::Z);
@@ -173,7 +172,7 @@ sampleWindows(const SurfaceLattice &lat)
         SyndromeWindow win(lat, ErrorType::Z, kNoisyRounds + 1);
         state.clear();
         for (int t = 0; t < kNoisyRounds; ++t) {
-            channel.sampleInto(rng, state);
+            model.sample(rng, state);
             extractSyndromeInto(state, ErrorType::Z, syn);
             for (int a = 0; a < syn.size(); ++a)
                 if (rng.bernoulli(0.02))

@@ -21,7 +21,7 @@
 #include "common/simd.hh"
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
-#include "noise/channels.hh"
+#include "noise/noise_model.hh"
 #include "obs/metrics.hh"
 #include "surface/error_state.hh"
 #include "surface/logical.hh"
@@ -48,25 +48,21 @@ class WidthGuard
     simd::Width before_;
 };
 
-/** One composable channel per family the noise subsystem offers. */
-std::vector<std::unique_ptr<NoiseChannel>>
-allChannels(double p)
+/** One model per kind the noise layer offers. */
+std::vector<NoiseModel>
+allModels(double p)
 {
-    std::vector<std::unique_ptr<NoiseChannel>> out;
-    out.push_back(std::make_unique<DepolarizingChannel>(p));
-    out.push_back(std::make_unique<DephasingChannel>(p));
-    out.push_back(std::make_unique<BiasedEtaChannel>(p, 3.0));
-    out.push_back(std::make_unique<ErasureChannel>(p));
-    return out;
+    return {NoiseModel::depolarizing(p), NoiseModel::dephasing(p),
+            NoiseModel::biased(p, 3.0), NoiseModel::erasure(p)};
 }
 
 /**
- * Sample @p count syndromes of channel-generated error states. The
+ * Sample @p count syndromes of @p model-generated error states. The
  * first and one middle lane are forced to weight 0 so every batch
  * carries trivially finished lanes next to active ones.
  */
 std::vector<Syndrome>
-sampleSyndromes(const SurfaceLattice &lat, const NoiseChannel &channel,
+sampleSyndromes(const SurfaceLattice &lat, const NoiseModel &model,
                 ErrorType type, int count, Rng &rng)
 {
     std::vector<Syndrome> out;
@@ -75,7 +71,7 @@ sampleSyndromes(const SurfaceLattice &lat, const NoiseChannel &channel,
         Syndrome syn(lat, type);
         if (i != 0 && i != count / 2) {
             state.clear();
-            channel.sampleInto(rng, state);
+            model.sample(rng, state);
             extractSyndromeInto(state, type, syn);
         }
         out.push_back(std::move(syn));
@@ -142,17 +138,17 @@ TEST(UnionFindBatch, MatchesScalarAcrossDistancesAndChannels)
         WidthGuard guard(w);
         for (int d : {3, 5, 7, 9}) {
             SurfaceLattice lat(d);
-            for (const auto &channel : allChannels(0.08)) {
+            for (const NoiseModel &model : allModels(0.08)) {
                 for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
-                    if (type == ErrorType::X && !channel->producesX())
+                    if (type == ErrorType::X && !model.producesX())
                         continue;
                     UnionFindDecoder scalar(lat, type);
                     UnionFindDecoder batched(lat, type);
                     const auto syns = sampleSyndromes(
-                        lat, *channel, type, 160, rng);
+                        lat, model, type, 160, rng);
                     const std::string label =
                         "d=" + std::to_string(d) + " " +
-                        channel->name() + " " + simd::widthName(w) +
+                        model.name() + " " + simd::widthName(w) +
                         (type == ErrorType::Z ? " Z" : " X");
                     // Batches of one and two first, skipping the
                     // forced-empty input 0.
@@ -189,8 +185,8 @@ TEST(UnionFindBatch, HeavySyndromesAndRepeatedBatches)
                 // Heavy (p up to 30%) rounds grow clusters that
                 // merge, touch the boundary and peel long chains.
                 state.clear();
-                DephasingChannel(0.02 + 0.28 * rng.uniform())
-                    .sampleInto(rng, state);
+                NoiseModel::dephasing(0.02 + 0.28 * rng.uniform())
+                    .sample(rng, state);
                 extractSyndromeInto(state, ErrorType::Z, syn);
                 syns.push_back(std::move(syn));
             }
@@ -212,39 +208,37 @@ TEST(UnionFindBatch, ErasureMarkedLatticeStillMatches)
         WidthGuard guard(w);
         for (int d : {5, 9}) {
             SurfaceLattice lat(d);
-            ErasureChannel channel(0.12);
+            const NoiseModel model = NoiseModel::erasure(0.12);
             for (ErrorType type : {ErrorType::Z, ErrorType::X}) {
                 UnionFindDecoder scalar(lat, type);
                 UnionFindDecoder batched(lat, type);
                 const auto syns =
-                    sampleSyndromes(lat, channel, type, 40, rng);
-                EXPECT_GT(channel.marks().popcount(), 0);
+                    sampleSyndromes(lat, model, type, 40, rng);
+                EXPECT_GT(model.erasureMarks().popcount(), 0);
                 expectBatchMatchesScalar(
                     scalar, batched, syns,
                     "erasure d=" + std::to_string(d));
             }
-            channel.clearMarks();
+            model.clearErasureMarks();
         }
     }
 }
 
 /**
- * Record a @p w noisy-round window of channel noise plus measurement
- * flips into @p win (round w is the perfect commit round).
+ * Record a @p w noisy-round window of @p model's data noise and
+ * measurement flips into @p win (round w is the perfect commit round).
  */
 void
 buildNoisyWindow(const SurfaceLattice &lat, int w,
-                 const NoiseChannel &channel,
-                 const MeasurementFlipChannel &meas, Rng &rng,
-                 SyndromeWindow &win)
+                 const NoiseModel &model, Rng &rng, SyndromeWindow &win)
 {
     win.reset();
     ErrorState state(lat);
     Syndrome syn(lat, ErrorType::Z);
     for (int t = 0; t < w; ++t) {
-        channel.sampleInto(rng, state);
+        model.sample(rng, state);
         extractSyndromeInto(state, ErrorType::Z, syn);
-        meas.corrupt(rng, syn);
+        model.flipMeasurements(rng, syn);
         win.recordRound(t, syn);
     }
     extractSyndromeInto(state, ErrorType::Z, syn);
@@ -282,12 +276,11 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
     // must match decodeWindow lane for lane, including windows whose
     // detection-event sets are empty.
     Rng rng(0x77a11ULL);
-    const MeasurementFlipChannel meas(0.03);
     for (simd::Width w : kWidths) {
         WidthGuard guard(w);
         for (int d : {3, 5, 7}) {
             SurfaceLattice lat(d);
-            const DephasingChannel channel(0.04);
+            const NoiseModel model = NoiseModel::dephasing(0.04, 0.03);
             UnionFindDecoder scalar(lat, ErrorType::Z);
             UnionFindDecoder batched(lat, ErrorType::Z);
 
@@ -299,7 +292,7 @@ TEST(UnionFindBatch, WindowedSpacetimeMatchesScalar)
                 if (i == 0 || i == d)
                     win->reset(); // empty window: zero events
                 else
-                    buildNoisyWindow(lat, d, channel, meas, rng, *win);
+                    buildNoisyWindow(lat, d, model, rng, *win);
                 windows.push_back(win.get());
                 owned.push_back(std::move(win));
             }
@@ -348,8 +341,8 @@ TEST(UnionFindBatch, CorrectionClearsSyndromeHolds)
     Syndrome syn(lat, ErrorType::Z);
     for (int trial = 0; trial < 200; ++trial) {
         state.clear();
-        DephasingChannel(0.01 + 0.2 * rng.uniform())
-            .sampleInto(rng, state);
+        NoiseModel::dephasing(0.01 + 0.2 * rng.uniform())
+            .sample(rng, state);
         extractSyndromeInto(state, ErrorType::Z, syn);
         dec.decode(syn, ws);
         ws.correction.applyTo(state, ErrorType::Z);

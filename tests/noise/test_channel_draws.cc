@@ -1,4 +1,4 @@
-/** @file Draw-sequence pins of the word-packed channels: dephasing
+/** @file Draw-sequence pins of the word-packed loops: dephasing
  * sampling and measurement flips pack 64 coin results per word and XOR
  * each word in once. They must consume exactly the draws of a per-bit
  * `coin` loop, in the same order, flip exactly the same bits (leaving
@@ -10,7 +10,7 @@
 #include <string>
 
 #include "common/rng.hh"
-#include "noise/channels.hh"
+#include "noise/noise_model.hh"
 #include "surface/error_state.hh"
 #include "surface/syndrome.hh"
 
@@ -41,7 +41,7 @@ TEST(ChannelDraws, DephasingWordsMatchPerQubitCoins)
         for (const double p : kRates) {
             const std::string where =
                 "d=" + std::to_string(d) + " p=" + std::to_string(p);
-            const DephasingChannel channel(p);
+            const NoiseModel model = NoiseModel::dephasing(p);
             Rng seeder(0xde9 + d);
             Rng packed(0x51ab + d), perQubit(0x51ab + d);
             ErrorState got(lat), want(lat);
@@ -52,7 +52,7 @@ TEST(ChannelDraws, DephasingWordsMatchPerQubitCoins)
                         got.flip(ErrorType::Z, q);
                         want.flip(ErrorType::Z, q);
                     }
-                channel.sampleInto(packed, got);
+                model.sample(packed, got);
                 referenceCoins(perQubit, p, lat.numData(), [&](int q) {
                     want.flip(ErrorType::Z, q);
                 });
@@ -73,7 +73,7 @@ TEST(ChannelDraws, MeasurementFlipWordsMatchPerAncillaCoins)
             for (const double q : kRates) {
                 const std::string where = "d=" + std::to_string(d) +
                                           " q=" + std::to_string(q);
-                const MeasurementFlipChannel channel(q);
+                const NoiseModel model = NoiseModel::dephasing(0.0, q);
                 Rng seeder(0x3ea + d);
                 Rng packed(0xf11b + d), perAncilla(0xf11b + d);
                 Syndrome got(lat, type), want(lat, type);
@@ -83,7 +83,7 @@ TEST(ChannelDraws, MeasurementFlipWordsMatchPerAncillaCoins)
                             got.flip(a);
                             want.flip(a);
                         }
-                    channel.corrupt(packed, got);
+                    model.flipMeasurements(packed, got);
                     referenceCoins(perAncilla, q, want.size(),
                                    [&](int a) { want.flip(a); });
                     EXPECT_EQ(got, want) << where;

@@ -23,7 +23,7 @@ struct PauliCounts
 
 /** Per-round i.i.d. marginals: fresh state each round. */
 PauliCounts
-sampleMarginals(const ErrorModel &model, const SurfaceLattice &lat,
+sampleMarginals(const NoiseModel &model, const SurfaceLattice &lat,
                 long long minSamples, std::uint64_t seed)
 {
     Rng rng(seed);
@@ -121,9 +121,6 @@ TEST(ChannelStats, ErasureChannel)
     SurfaceLattice lat(5);
     const double p = 0.06;
     const NoiseModel model = NoiseModel::erasure(p);
-    const auto *channel =
-        dynamic_cast<const ErasureChannel *>(&model.channel(0));
-    ASSERT_NE(channel, nullptr);
 
     // Marginals: an erased qubit lands on each Pauli (including I)
     // with probability p/4.
@@ -139,9 +136,9 @@ TEST(ChannelStats, ErasureChannel)
     long long marks = 0, samples = 0;
     while (samples < kMinSamples) {
         state.clear();
-        channel->clearMarks();
+        model.clearErasureMarks();
         model.sample(rng, state);
-        marks += channel->marks().popcount();
+        marks += model.erasureMarks().popcount();
         samples += lat.numData();
     }
     expectWithinFiveSigma(marks, samples, p, "erasure marks");

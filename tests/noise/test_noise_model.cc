@@ -1,11 +1,13 @@
-/** @file NoiseModel composition, NoiseSpec dispatch, and the
- * subsystem's interface semantics. */
+/** @file NoiseModel factories, NoiseSpec dispatch, the noise layer's
+ * interface semantics, and a fingerprint of every kind's draws. */
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 
+#include "ckpt/checkpoint.hh"
 #include "noise/noise_model.hh"
+#include "surface/syndrome.hh"
 
 namespace nisqpp {
 namespace {
@@ -37,28 +39,6 @@ TEST(NoiseModel, ProducesXFollowsChannels)
     EXPECT_TRUE(NoiseModel::depolarizing(0.05).producesX());
     EXPECT_TRUE(NoiseModel::biased(0.05, 10.0).producesX());
     EXPECT_TRUE(NoiseModel::erasure(0.05).producesX());
-}
-
-TEST(NoiseModel, ComposedChannelsSampleInOrder)
-{
-    // Composition: dephasing + depolarizing draws the dephasing loop
-    // first, then the depolarizing loop — the same bits as running
-    // two single-channel models back to back on one RNG.
-    SurfaceLattice lat(5);
-    NoiseModel composite;
-    composite.add(std::make_unique<DephasingChannel>(0.1))
-        .add(std::make_unique<DepolarizingChannel>(0.05));
-    EXPECT_DOUBLE_EQ(composite.physicalRate(), 0.15);
-    EXPECT_EQ(composite.name(), "dephasing+depolarizing");
-    EXPECT_EQ(composite.numChannels(), 2u);
-
-    Rng r1(11), r2(11);
-    ErrorState s1(lat), s2(lat);
-    composite.sample(r1, s1);
-    NoiseModel::dephasing(0.1).sample(r2, s2);
-    NoiseModel::depolarizing(0.05).sample(r2, s2);
-    EXPECT_EQ(s1.bits(ErrorType::Z), s2.bits(ErrorType::Z));
-    EXPECT_EQ(s1.bits(ErrorType::X), s2.bits(ErrorType::X));
 }
 
 TEST(NoiseSpec, FromSpecDispatchesEveryKind)
@@ -93,9 +73,70 @@ TEST(NoiseSpec, CarriesMeasurementRateIntoModels)
     const NoiseSpec spec = NoiseSpec::biased(8.0).withQ(0.015);
     const NoiseModel model = NoiseModel::fromSpec(spec, 0.02);
     EXPECT_DOUBLE_EQ(model.measurementFlipRate(), 0.015);
-    const auto heap = makeNoiseModel(spec, 0.02);
-    EXPECT_DOUBLE_EQ(heap->measurementFlipRate(), 0.015);
-    EXPECT_DOUBLE_EQ(heap->physicalRate(), 0.02);
+}
+
+/** Fold every word of @p bits into the FNV hash @p h. */
+std::uint64_t
+foldBits(std::uint64_t h, const PackedBits &bits)
+{
+    const std::size_t words =
+        (bits.size() + PackedBits::kWordBits - 1) / PackedBits::kWordBits;
+    return ckpt::fnv64(bits.words(), words * sizeof(PackedBits::Word), h);
+}
+
+/**
+ * FNV of 256 lifetime rounds of @p model at d = 5 from a fixed seed:
+ * after each round's sample and measurement flips, both error planes,
+ * the flipped Z syndrome and the erasure marks (cleared each round);
+ * then the generator's next draw, so no trailing draw goes unseen.
+ */
+std::uint64_t
+drawFingerprint(const NoiseModel &model)
+{
+    SurfaceLattice lat(5);
+    Rng rng(0xf1a9e7ULL);
+    ErrorState state(lat);
+    Syndrome syn(lat, ErrorType::Z);
+    std::uint64_t h = ckpt::kFnvBasis;
+    for (int round = 0; round < 256; ++round) {
+        model.sample(rng, state);
+        extractSyndromeInto(state, ErrorType::Z, syn);
+        model.flipMeasurements(rng, syn);
+        h = foldBits(h, state.bits(ErrorType::Z));
+        h = foldBits(h, state.bits(ErrorType::X));
+        h = foldBits(h, syn.bits());
+        h = foldBits(h, model.erasureMarks());
+        model.clearErasureMarks();
+    }
+    const std::uint64_t last = rng.next();
+    return ckpt::fnv64(&last, sizeof last, h);
+}
+
+TEST(NoiseModel, DrawSequenceFingerprint)
+{
+    // Every kind's exact draws, pinned: the goldens allow 0.2% on
+    // fractional cells, so a changed draw order could slip past them.
+    // Rows follow noiseKindRegistry(); columns are q = 0 and q = 0.02.
+    const std::uint64_t expected[4][2] = {
+        {0x6e2c71703710967cULL, 0xc0332440366d77dcULL},
+        {0x11d28a1b1f04f7c2ULL, 0xcc2c5d61a70db11fULL},
+        {0x6ecf70f96573dafeULL, 0x8d8704591578f576ULL},
+        {0xf431e6bae26aee30ULL, 0xe48a196941d53f73ULL},
+    };
+    const double qs[] = {0.0, 0.02};
+    const auto &kinds = noiseKindRegistry();
+    ASSERT_EQ(kinds.size(), 4u);
+    for (std::size_t k = 0; k < kinds.size(); ++k)
+        for (std::size_t j = 0; j < 2; ++j) {
+            NoiseSpec spec;
+            spec.kind = kinds[k];
+            const NoiseModel model =
+                NoiseModel::fromSpec(spec.withQ(qs[j]), 0.05);
+            const std::uint64_t got = drawFingerprint(model);
+            EXPECT_EQ(got, expected[k][j])
+                << noiseKindName(kinds[k]) << " q=" << qs[j] << " got 0x"
+                << std::hex << got;
+        }
 }
 
 TEST(NoiseModelDeath, RejectsBadRates)

@@ -11,7 +11,7 @@
 
 #include "core/module_logic.hh"
 #include "sfq/decoder_circuits.hh"
-#include "sfq/netlist_sim.hh"
+#include "support/netlist_sim.hh"
 #include "sfq/path_balance.hh"
 
 namespace nisqpp {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sfq/netlist_sim.hh"
+#include "support/netlist_sim.hh"
 #include "sfq/path_balance.hh"
 
 namespace nisqpp {

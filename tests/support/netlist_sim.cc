@@ -1,4 +1,4 @@
-#include "sfq/netlist_sim.hh"
+#include "support/netlist_sim.hh"
 
 #include <algorithm>
 

@@ -7,10 +7,11 @@
  * SFQ logic; a fully path-balanced pipeline of depth D therefore
  * reproduces its combinational function with D cycles of latency, which
  * the equivalence tests against the behavioral module logic exploit.
+ * A test oracle: only those tests simulate netlists.
  */
 
-#ifndef NISQPP_SFQ_NETLIST_SIM_HH
-#define NISQPP_SFQ_NETLIST_SIM_HH
+#ifndef NISQPP_TESTS_SUPPORT_NETLIST_SIM_HH
+#define NISQPP_TESTS_SUPPORT_NETLIST_SIM_HH
 
 #include <map>
 #include <string>
@@ -56,4 +57,4 @@ class NetlistSim
 
 } // namespace nisqpp
 
-#endif // NISQPP_SFQ_NETLIST_SIM_HH
+#endif // NISQPP_TESTS_SUPPORT_NETLIST_SIM_HH

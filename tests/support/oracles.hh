@@ -8,9 +8,9 @@
 #ifndef NISQPP_TESTS_SUPPORT_ORACLES_HH
 #define NISQPP_TESTS_SUPPORT_ORACLES_HH
 
-#include "pauli/pauli_frame.hh"
+#include "support/pauli_frame.hh"
 #include "surface/error_state.hh"
-#include "surface/stabilizer_circuit.hh"
+#include "support/stabilizer_circuit.hh"
 #include "surface/syndrome.hh"
 
 namespace nisqpp {

@@ -1,4 +1,4 @@
-#include "pauli/pauli_frame.hh"
+#include "support/pauli_frame.hh"
 
 #include "common/logging.hh"
 

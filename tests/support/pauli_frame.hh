@@ -8,11 +8,12 @@
  * reproduces the measurement-outcome *flips* relative to the noiseless
  * run, which is all the error-correction substrate needs, in O(1) per
  * gate — and lets mask-based consumers (the stabilizer circuit's
- * measurement gather) reduce whole planes with AND/popcount.
+ * measurement gather) reduce whole planes with AND/popcount. A test
+ * oracle, used by the stabilizer circuit model.
  */
 
-#ifndef NISQPP_PAULI_PAULI_FRAME_HH
-#define NISQPP_PAULI_PAULI_FRAME_HH
+#ifndef NISQPP_TESTS_SUPPORT_PAULI_FRAME_HH
+#define NISQPP_TESTS_SUPPORT_PAULI_FRAME_HH
 
 #include <cstddef>
 
@@ -94,4 +95,4 @@ class PauliFrame
 
 } // namespace nisqpp
 
-#endif // NISQPP_PAULI_PAULI_FRAME_HH
+#endif // NISQPP_TESTS_SUPPORT_PAULI_FRAME_HH

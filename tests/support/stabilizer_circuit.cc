@@ -1,4 +1,4 @@
-#include "surface/stabilizer_circuit.hh"
+#include "support/stabilizer_circuit.hh"
 
 #include "common/logging.hh"
 

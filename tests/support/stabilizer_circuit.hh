@@ -12,17 +12,18 @@
  * ancilla's data-neighbor sites, followed by clearing the family's
  * ancilla sites. measure() uses precomputed per-ancilla gather masks
  * (AND + popcount per outcome); the equivalence tests pin it against a
- * walk of the gate schedule op by op.
+ * walk of the gate schedule op by op. A test oracle: the simulator
+ * extracts by parity, and the equivalence tests pin circuit == parity.
  */
 
-#ifndef NISQPP_SURFACE_STABILIZER_CIRCUIT_HH
-#define NISQPP_SURFACE_STABILIZER_CIRCUIT_HH
+#ifndef NISQPP_TESTS_SUPPORT_STABILIZER_CIRCUIT_HH
+#define NISQPP_TESTS_SUPPORT_STABILIZER_CIRCUIT_HH
 
 #include <cstddef>
 #include <vector>
 
 #include "common/packed_bits.hh"
-#include "pauli/pauli_frame.hh"
+#include "support/pauli_frame.hh"
 #include "surface/lattice.hh"
 #include "surface/syndrome.hh"
 
@@ -116,4 +117,4 @@ class StabilizerCircuit
 
 } // namespace nisqpp
 
-#endif // NISQPP_SURFACE_STABILIZER_CIRCUIT_HH
+#endif // NISQPP_TESTS_SUPPORT_STABILIZER_CIRCUIT_HH

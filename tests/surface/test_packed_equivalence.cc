@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "pauli/pauli_frame.hh"
+#include "support/pauli_frame.hh"
 #include "support/oracles.hh"
 #include "surface/error_state.hh"
 #include "surface/lattice.hh"
 #include "surface/logical.hh"
-#include "surface/stabilizer_circuit.hh"
+#include "support/stabilizer_circuit.hh"
 #include "surface/syndrome.hh"
 
 namespace nisqpp {

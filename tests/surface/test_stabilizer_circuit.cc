@@ -7,7 +7,7 @@
 
 #include "common/rng.hh"
 #include "noise/noise_model.hh"
-#include "surface/stabilizer_circuit.hh"
+#include "support/stabilizer_circuit.hh"
 
 namespace nisqpp {
 namespace {

@@ -11,11 +11,10 @@
  * difference on a (decoder, d) row present in both artifacts is a
  * hard failure — throughput work must never change trajectories.
  * Rows that exist only in the current artifact are reported as new;
- * rows that disappeared fail. As an internal consistency check, each
- * forced-batch row family of an artifact (sfq_mesh_batch,
- * union_find_batch) must carry byte-identical PL to that artifact's
- * scalar rows of the same decoder (the lane-packed paths re-decode
- * the same cells). Throughput columns are reported as speedup ratios,
+ * rows that disappeared fail. As an internal consistency check, the
+ * forced-batch rows of an artifact (sfq_mesh_batch) must carry
+ * byte-identical PL to that artifact's scalar rows of the same decoder
+ * (the lane-packed path re-decodes the same cells). Throughput columns are reported as speedup ratios,
  * never compared: they are host-dependent by nature.
  *
  * When both inputs are nisqpp.run-report documents (--metrics-out
@@ -339,7 +338,6 @@ checkInternalBatchParity(const std::map<RowKey, HotpathRow> &rows,
 {
     static const std::pair<const char *, const char *> kPairs[] = {
         {"sfq_mesh_batch", "sfq_mesh"},
-        {"union_find_batch", "union_find"},
     };
     int drift = 0;
     for (const auto &[batchName, scalarName] : kPairs) {

@@ -412,20 +412,4 @@ BlossomMatcher::solve(std::vector<int> &mate)
     return total;
 }
 
-std::vector<int>
-minWeightPerfectMatching(const std::vector<std::vector<long>> &weights)
-{
-    const int n = static_cast<int>(weights.size());
-    BlossomMatcher matcher(n);
-    for (int u = 0; u < n; ++u) {
-        require(static_cast<int>(weights[u].size()) == n,
-                "minWeightPerfectMatching: non-square matrix");
-        for (int v = u + 1; v < n; ++v)
-            matcher.setWeight(u, v, weights[u][v]);
-    }
-    std::vector<int> mate;
-    matcher.solve(mate);
-    return mate;
-}
-
 } // namespace nisqpp

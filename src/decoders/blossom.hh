@@ -104,15 +104,6 @@ class BlossomMatcher
     std::vector<std::vector<long>> userWeight_;
 };
 
-/**
- * Convenience wrapper: minimum-weight perfect matching of a complete
- * graph given by a dense weight matrix (weights[i][j], kAbsent allowed).
- *
- * @return mate array; mate[i] = partner of i.
- */
-std::vector<int> minWeightPerfectMatching(
-    const std::vector<std::vector<long>> &weights);
-
 } // namespace nisqpp
 
 #endif // NISQPP_DECODERS_BLOSSOM_HH

@@ -93,8 +93,8 @@ class ScenarioContext
     ScenarioContext(const RunOptions &options, std::ostream &os);
 
     /**
-     * The sharded engine, constructed (with its thread pool) on first
-     * use so analytic scenarios never spawn workers.
+     * The sharded engine, constructed on first use. It starts worker
+     * threads only inside its runSweep/runCell/runJobs calls.
      */
     Engine &engine();
     OutputFormat format() const { return options_.format; }
@@ -139,8 +139,8 @@ class ScenarioContext
 
     /**
      * Full run-report metric set: the scenario-local sink merged with
-     * the engine's deterministic totals, plus the masked sched.* pool
-     * counters, ckpt.* checkpoint bookkeeping, and timing.* span
+     * the engine's deterministic totals, plus the masked sched.*
+     * scheduling counters, ckpt.* checkpoint bookkeeping, and timing.* span
      * summaries (when collected). The non-masked section is a
      * function of (scenario, options, seed) only — never of the
      * thread count.

@@ -50,7 +50,7 @@ struct StreamJob
 };
 
 /**
- * Run every job through the engine's job pool, each on a fresh decoder
+ * Run every job through Engine::runJobs, each on a fresh decoder
  * from its factory (scenarios_stream.cc). Results land in job order at
  * any thread count, and each run's deterministic stream.* / decoder.*
  * counters fold into the scenario sink in that order, so the fold is

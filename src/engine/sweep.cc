@@ -5,13 +5,14 @@
 #include <chrono>
 #include <cmath>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "decoders/workspace.hh"
-#include "engine/thread_pool.hh"
 #include "obs/trace.hh"
 #include "surface/lattice.hh"
 
@@ -77,6 +78,35 @@ sharesSimulator(const CellSpec &a, const CellSpec &b)
            a.batchLanes == b.batchLanes;
 }
 
+/**
+ * Run @p worker(0) on the calling thread and worker(1..n-1) on helper
+ * threads, and return once all of them have; an exception a helper
+ * threw is rethrown here.
+ */
+template <class Worker>
+void
+runWorkers(std::size_t n, const Worker &worker)
+{
+    std::vector<std::exception_ptr> errors(n);
+    {
+        std::vector<std::jthread> helpers;
+        helpers.reserve(n);
+        for (std::size_t i = 1; i < n; ++i)
+            helpers.emplace_back([&worker, &errors, i] {
+                try {
+                    worker(i);
+                } catch (...) {
+                    errors[i] = std::current_exception();
+                }
+            });
+        if (n > 0)
+            worker(0);
+    }
+    for (const std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+}
+
 } // namespace
 
 /**
@@ -87,9 +117,9 @@ sharesSimulator(const CellSpec &a, const CellSpec &b)
  * published so not-yet-claimed shards past k are never run — they can
  * never affect the result, which is always the ordered prefix [0, k].
  *
- * Shards are claimed in index order through nextShard by the pumps of
- * the cell's group (see CellGroup), so an early-stopped cell never
- * pays submit/queue churn for the rest of its trial budget.
+ * Shards are claimed in index order through nextShard by the workers
+ * running the cell's group (see CellGroup), so an early-stopped cell
+ * never builds decoders for the rest of its trial budget.
  */
 struct Engine::CellRun
 {
@@ -132,7 +162,7 @@ struct Engine::CellRun
 
 /**
  * Cells whose shards may run as lifetimes of one simulator
- * (sharesSimulator). Pumps claim unstarted shards across them — cells
+ * (sharesSimulator). Workers claim unstarted shards across them — cells
  * in descending physical rate, the slowest lifetimes first, so a
  * drained group's stragglers are short; each cell's shards in index
  * order.
@@ -155,7 +185,7 @@ struct Engine::CellGroup
         return true;
     }
 
-    /** Shards still to claim (the wave size); call before pumping. */
+    /** Shards still to claim; call before the workers start. */
     std::size_t
     unclaimed() const
     {
@@ -182,18 +212,18 @@ struct Engine::CellGroup
 };
 
 /**
- * One pump's view of its group: claims shards, hands them to the
+ * One simulator's view of its group: claims shards, hands them to the
  * simulator as fixed-length lifetimes and routes each finished shard
  * into its cell's ordered merge with its deterministic work counters.
- * A pump whose simulator runs lifetimes as lanes keeps claiming until
- * the group is drained; any other pump runs the one shard it claimed
- * first on fresh decoders.
+ * A simulator that runs lifetimes as lanes keeps claiming until the
+ * group is drained; any other runs the one shard claimed first on
+ * fresh decoders.
  */
 struct Engine::ShardSource final : LifetimeSource
 {
     Engine &engine;
     CellGroup &group;
-    /** The pump's decoders and whether its lifetimes share them. @{ */
+    /** The simulator's decoders and whether its lifetimes share them. @{ */
     const Decoder *zDecoder = nullptr;
     const Decoder *xDecoder = nullptr;
     bool shared = false;
@@ -211,9 +241,9 @@ struct Engine::ShardSource final : LifetimeSource
 
     /**
      * Claim the group's next shard and build its noise model; false
-     * once drained. Once a checkpointed run sees an interrupt, pumps
-     * stop claiming and the pool drains (gated on the policy so stray
-     * flags never affect plain runs).
+     * once drained. Once a checkpointed run sees an interrupt, workers
+     * stop claiming and return (gated on the policy so stray flags
+     * never affect plain runs).
      */
     bool
     claimShard()
@@ -269,12 +299,16 @@ struct Engine::ShardSource final : LifetimeSource
     }
 };
 
-Engine::Engine(EngineOptions options)
-    : options_(options),
-      pool_(std::make_unique<ThreadPool>(options.threads))
+Engine::Engine(EngineOptions options) : options_(options)
 {
+    if (options_.threads < 0)
+        fatal("Engine: negative thread count");
+    if (options_.threads == 0)
+        options_.threads = static_cast<int>(
+            std::max(1u, std::thread::hardware_concurrency()));
     require(options_.shardTrials > 0,
             "Engine: shardTrials must be positive");
+    workspaces_.resize(static_cast<std::size_t>(options_.threads));
 }
 
 Engine::~Engine() = default;
@@ -282,53 +316,43 @@ Engine::~Engine() = default;
 int
 Engine::threads() const
 {
-    return pool_->threadCount();
+    return options_.threads;
 }
 
 void
-Engine::pumpGroup(CellGroup &group)
+Engine::runShards(TrialWorkspace &workspace)
 {
-    pool_->submit([this, &group] {
-        // Claim first: a pump that finds its group drained builds
-        // nothing, and the first shard's model says whether the group's
-        // noise needs an X decoder.
-        ShardSource source(*this, group);
-        if (!source.claimShard())
-            return;
-        // One trial workspace per worker thread, warm across every
-        // shard (and cell) that thread ever runs: decoders borrow all
-        // scratch from it, so steady-state decoding performs no heap
-        // allocation.
-        static thread_local TrialWorkspace workspace;
-        obs::TraceSpan span(obs::Stage::Shard);
-        const CellSpec &spec = group.cells.front()->spec;
-        const auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
-        std::unique_ptr<Decoder> x_dec;
-        if (source.models.front().producesX())
-            x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
-        LifetimeSimulator sim(*spec.lattice, *z_dec, x_dec.get(),
-                              &workspace);
-        sim.setLifetimeMode(spec.lifetimeMode);
-        sim.setBatchLanes(spec.batchLanes);
-        sim.setMeasurementWindow(spec.windowRounds);
-        source.zDecoder = z_dec.get();
-        source.xDecoder = x_dec.get();
-        source.shared = sim.lifetimeLanes() > 1;
-        sim.runLifetimes(source);
-        if (spec.lifetimeMode) {
-            lifetimeGroups_.fetch_add(1, std::memory_order_relaxed);
-            lifetimeLanes_.fetch_add(source.claims.size(),
-                                     std::memory_order_relaxed);
+    for (const auto &group : groups_) {
+        while (true) {
+            // Claim first: a worker that finds the group drained
+            // builds nothing and moves on, and the first shard's model
+            // says whether the group's noise needs an X decoder.
+            ShardSource source(*this, *group);
+            if (!source.claimShard())
+                break;
+            obs::TraceSpan span(obs::Stage::Shard);
+            const CellSpec &spec = group->cells.front()->spec;
+            const auto z_dec = (*spec.factory)(*spec.lattice, ErrorType::Z);
+            std::unique_ptr<Decoder> x_dec;
+            if (source.models.front().producesX())
+                x_dec = (*spec.factory)(*spec.lattice, ErrorType::X);
+            LifetimeSimulator sim(*spec.lattice, *z_dec, x_dec.get(),
+                                  &workspace);
+            sim.setLifetimeMode(spec.lifetimeMode);
+            sim.setBatchLanes(spec.batchLanes);
+            sim.setMeasurementWindow(spec.windowRounds);
+            source.zDecoder = z_dec.get();
+            source.xDecoder = x_dec.get();
+            source.shared = sim.lifetimeLanes() > 1;
+            sim.runLifetimes(source);
+            tasks_.fetch_add(1, std::memory_order_relaxed);
+            if (spec.lifetimeMode) {
+                lifetimeGroups_.fetch_add(1, std::memory_order_relaxed);
+                lifetimeLanes_.fetch_add(source.claims.size(),
+                                         std::memory_order_relaxed);
+            }
         }
-        // A one-shard pump resubmits before this task returns, which
-        // keeps the pool's in-flight count nonzero so wait() cannot
-        // wake early; the chain dies at the first claim that finds
-        // every shard below the (published) stop indices claimed. A
-        // lane pump has drained its group (or seen an interrupt) by
-        // the time it returns.
-        if (!source.shared)
-            pumpGroup(group);
-    });
+    }
 }
 
 void
@@ -349,7 +373,7 @@ Engine::prepareCell(const CellSpec &spec, CellRun &run)
 }
 
 void
-Engine::scheduleGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
+Engine::runGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
 {
     groups_.clear();
     for (const auto &run : runs) {
@@ -366,25 +390,21 @@ Engine::scheduleGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
                          return a->cells.front()->spec.lattice->distance() >
                                 b->cells.front()->spec.lattice->distance();
                      });
+    // No more workers than shards to claim (a restored cell starts at
+    // its frontier; a restored-stopped cell needs nothing).
+    std::size_t unclaimed = 0;
     for (const auto &group : groups_) {
         std::stable_sort(group->cells.begin(), group->cells.end(),
                          [](const CellRun *a, const CellRun *b) {
                              return a->spec.physicalRate >
                                     b->spec.physicalRate;
                          });
-        // Schedule the group as a wave of claim chains instead of its
-        // whole shard budget: enough chains to keep every worker busy
-        // (2x the pool, so a finishing claim always finds a queued
-        // successor), but never more than the group has shards (a
-        // restored cell starts at its frontier; a restored-stopped
-        // cell needs nothing). A lane pump drains the group, so the
-        // chains queued behind it claim nothing and die at once.
-        const std::size_t wave =
-            std::min(group->unclaimed(),
-                     2 * static_cast<std::size_t>(pool_->threadCount()));
-        for (std::size_t i = 0; i < wave; ++i)
-            pumpGroup(*group);
+        unclaimed += group->unclaimed();
     }
+    runWorkers(std::min(unclaimed, workspaces_.size()),
+               [this](std::size_t worker) {
+                   runShards(workspaces_[worker]);
+               });
 }
 
 MonteCarloResult
@@ -404,9 +424,8 @@ void
 Engine::runtimeMetricsInto(obs::MetricSet &out) const
 {
     out.maxGauge("sched.pool.threads",
-                 static_cast<std::uint64_t>(pool_->threadCount()));
-    out.add("sched.pool.tasks", pool_->taskCount());
-    out.add("sched.pool.steals", pool_->stealCount());
+                 static_cast<std::uint64_t>(options_.threads));
+    out.add("sched.pool.tasks", tasks_.load(std::memory_order_relaxed));
     out.add("sched.lifetime.groups",
             lifetimeGroups_.load(std::memory_order_relaxed));
     out.add("sched.lifetime.lanes",
@@ -566,8 +585,7 @@ Engine::executeInvocation(std::vector<std::unique_ptr<CellRun>> &runs)
     const std::size_t inv = invocationIndex_++;
     const bool tracked = checkpointEnabled_ || hasRestored_;
     if (!tracked) {
-        scheduleGroups(runs);
-        pool_->wait();
+        runGroups(runs);
         return;
     }
 
@@ -602,8 +620,7 @@ Engine::executeInvocation(std::vector<std::unique_ptr<CellRun>> &runs)
     activeRuns_.reserve(runs.size());
     for (auto &run : runs)
         activeRuns_.push_back(run.get());
-    scheduleGroups(runs);
-    pool_->wait();
+    runGroups(runs);
 
     const bool interrupted =
         checkpointEnabled_ && ckpt::interruptRequested();
@@ -671,11 +688,17 @@ Engine::runCell(const CellSpec &spec)
 void
 Engine::runJobs(std::vector<std::function<void()>> jobs)
 {
-    for (auto &job : jobs) {
+    for (const auto &job : jobs)
         require(static_cast<bool>(job), "runJobs: empty job");
-        pool_->submit(std::move(job));
-    }
-    pool_->wait();
+    std::atomic<std::size_t> next{0};
+    runWorkers(std::min(jobs.size(), workspaces_.size()),
+               [&](std::size_t) {
+                   for (std::size_t i = next.fetch_add(1); i < jobs.size();
+                        i = next.fetch_add(1)) {
+                       jobs[i]();
+                       tasks_.fetch_add(1, std::memory_order_relaxed);
+                   }
+               });
 }
 
 SweepResult

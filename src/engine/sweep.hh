@@ -2,20 +2,22 @@
  * @file
  * Parallel experiment engine: shards each (code distance, physical
  * rate) Monte Carlo grid cell into fixed-size trial shards, runs the
- * shards on a work-stealing thread pool, and merges shard results in
- * shard-index order. Because shard seeds derive only from the master
+ * shards on the engine's own worker threads, and merges shard results
+ * in shard-index order. Because shard seeds derive only from the master
  * seed (via Rng::split child streams) and the merge order is fixed, an
  * N-thread run produces byte-identical aggregates to a 1-thread run.
  *
- * Shards are claimed by pumps, a wave of them (up to 2x the worker
- * count) per group of cells that can share decoders — in runSweep,
- * the cells of one distance — rather than enqueueing a cell's whole
- * maxTrials budget up front, so an early-stopped cell never pays
- * submit/queue churn for shards that would only be skipped. A pump
- * runs one shard on fresh decoders and submits its successor; in
- * lifetime mode on the mesh decoder it runs as many shards side by
- * side as the decoder has lanes, claiming the next shard whenever one
- * ends, until the group is drained.
+ * Each invocation starts min(threads, unclaimed shards) workers and
+ * joins them before it returns; worker 0 is the calling thread, so a
+ * 1-thread engine or a one-shard cell starts no thread at all. Cells
+ * that can share decoders form groups (in runSweep, the cells of one
+ * distance), and every worker walks the groups in the same order,
+ * claiming shards in index order until a group is drained, so an
+ * early-stopped cell never runs a shard past its stop index. A worker
+ * runs one claimed shard on fresh decoders; in lifetime mode on the
+ * mesh decoder it runs as many shards side by side as the decoder has
+ * lanes, claiming the next shard whenever one ends, until the group is
+ * drained.
  *
  * Protocol note: each shard is its own lifetime from a clean lattice
  * state, whether it runs alone or as a lane. In lifetime mode a cell
@@ -45,7 +47,7 @@
 
 namespace nisqpp {
 
-class ThreadPool;
+class TrialWorkspace;
 
 /** Builds a decoder for a lattice/type; lets sweeps construct per-d. */
 using DecoderFactory = std::function<std::unique_ptr<Decoder>(
@@ -87,7 +89,10 @@ struct SweepResult
 /** Tuning knobs of the parallel engine. */
 struct EngineOptions
 {
-    /** Worker threads; 0 selects hardware concurrency. */
+    /**
+     * Most worker threads an invocation runs, the calling thread
+     * included; 0 selects hardware concurrency.
+     */
     int threads = 1;
 
     /**
@@ -132,9 +137,9 @@ struct CellSpec
 };
 
 /**
- * Sharded, deterministic Monte Carlo executor. One engine owns one
- * thread pool; runSweep/runCell may be called repeatedly but not
- * concurrently from multiple threads.
+ * Sharded, deterministic Monte Carlo executor. Each runSweep/runCell/
+ * runJobs call runs its own workers and joins them before returning;
+ * calls may repeat but not run concurrently from multiple threads.
  */
 class Engine
 {
@@ -145,7 +150,7 @@ class Engine
     int threads() const;
     const EngineOptions &options() const { return options_; }
 
-    /** Run one grid cell sharded across the pool; result finalized. */
+    /** Run one grid cell sharded across the workers; result finalized. */
     MonteCarloResult runCell(const CellSpec &spec);
 
     /**
@@ -158,9 +163,10 @@ class Engine
                          const DecoderFactory &factory);
 
     /**
-     * Run independent @p jobs across the pool and wait for all of
-     * them. Used for grids whose cells are inherently sequential
-     * inside (the streaming backlog trajectories): each job must be
+     * Run independent @p jobs on up to threads() workers, claimed in
+     * job order, and return once all of them have finished. Used for
+     * grids whose cells are inherently sequential inside (the
+     * streaming backlog trajectories): each job must be
      * deterministic and write only its own result slot, which makes
      * the aggregate independent of the thread count by construction.
      */
@@ -176,16 +182,16 @@ class Engine
 
     /**
      * Append the engine's host-dependent runtime counters to @p out:
-     * `sched.pool.threads/tasks/steals` from the thread pool, and
+     * `sched.pool.threads` (the worker cap) and `sched.pool.tasks`
+     * (the simulators workers built plus the jobs they ran), and
      * `sched.lifetime.groups/lanes` — the simulators that ran lifetime
      * cells and the shards they ran, so lanes / groups is how many
-     * lifetimes shared a decoder. Steal counts and the grouping are
+     * lifetimes shared a decoder. The task count and the grouping are
      * scheduling races at N > 1 threads, hence the masked `sched.*`
-     * namespace (a 1-thread pool reports zero steals). Also
-     * `sched.simd.width_bits` (64/256/512) and `sched.simd.native`
-     * (1 when lane engines at that width run their native-ISA build,
-     * simd::nativeEngine): host facts, masked so runs pinned to
-     * different widths still compare clean.
+     * namespace. Also `sched.simd.width_bits` (64/256/512) and
+     * `sched.simd.native` (1 when lane engines at that width run their
+     * native-ISA build, simd::nativeEngine): host facts, masked so
+     * runs pinned to different widths still compare clean.
      */
     void runtimeMetricsInto(obs::MetricSet &out) const;
 
@@ -227,11 +233,13 @@ class Engine
   private:
     struct CellRun;   ///< in-flight ordered-merge state of one cell
     struct CellGroup; ///< cells whose shards may share a simulator
-    struct ShardSource; ///< a pump's claims, as simulator lifetimes
+    struct ShardSource; ///< a simulator's claims, as lifetimes
 
     void prepareCell(const CellSpec &spec, CellRun &run);
-    void scheduleGroups(const std::vector<std::unique_ptr<CellRun>> &runs);
-    void pumpGroup(CellGroup &group);
+    /** Group @p runs, then run workers until every group is drained. */
+    void runGroups(const std::vector<std::unique_ptr<CellRun>> &runs);
+    /** One worker: claim and run shards group by group. */
+    void runShards(TrialWorkspace &workspace);
     MonteCarloResult collectCell(CellRun &run);
 
     /**
@@ -249,11 +257,17 @@ class Engine
     void writeLedgerLocked(const ckpt::InvocationLedger &active);
     void maybeWriteCheckpoint();
 
-    EngineOptions options_;
-    std::unique_ptr<ThreadPool> pool_;
+    EngineOptions options_; ///< threads resolved to at least 1
+    /**
+     * One trial workspace per worker index, warm across every shard,
+     * cell and invocation: decoders borrow all scratch from it, so
+     * steady-state decoding performs no heap allocation.
+     */
+    std::vector<TrialWorkspace> workspaces_;
     obs::MetricSet totals_;
-    /** Groups of the running invocation; stable while pool is busy. */
+    /** Groups of the running invocation; stable while workers run. */
     std::vector<std::unique_ptr<CellGroup>> groups_;
+    std::atomic<std::uint64_t> tasks_{0}; ///< sched.pool.tasks
     /** Lifetime simulators run, and the shards they ran as lanes. @{ */
     std::atomic<std::uint64_t> lifetimeGroups_{0};
     std::atomic<std::uint64_t> lifetimeLanes_{0};
@@ -266,7 +280,7 @@ class Engine
     bool hasRestored_ = false;
     std::vector<ckpt::InvocationLedger> doneInvocations_;
     std::size_t invocationIndex_ = 0;
-    std::vector<CellRun *> activeRuns_; ///< stable while pool is busy
+    std::vector<CellRun *> activeRuns_; ///< stable while workers run
     std::string activeConfig_;
     std::mutex ckptWriteMutex_;
     std::atomic<std::size_t> ckptSinceWrite_{0};

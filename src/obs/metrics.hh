@@ -11,7 +11,7 @@
  * ordered prefix merge produce byte-identical aggregates at any
  * thread count. The only non-deterministic metrics are the ones in
  * the masked namespaces (`timing.*` wall-clock spans, `sched.*`
- * thread-pool/scheduler counters, and `ckpt.*` checkpoint bookkeeping,
+ * engine scheduling counters, and `ckpt.*` checkpoint bookkeeping,
  * which depends on when the run was interrupted); maskedName() is the
  * single authority on that split, and run reports emit masked names in
  * a separate section that goldens and determinism checks ignore.
@@ -34,8 +34,9 @@ namespace nisqpp::obs {
 /**
  * True when @p name belongs to a namespace excluded from the
  * deterministic counter contract: `timing.*` (derived from the host
- * wall clock), `sched.*` (thread-pool scheduling events such as
- * steals, which legitimately vary run to run at N > 1 threads), and
+ * wall clock), `sched.*` (engine scheduling facts such as how many
+ * simulators the workers built, which legitimately vary run to run
+ * at N > 1 threads), and
  * `ckpt.*` (checkpoint bookkeeping, which depends on when and how
  * often the run was interrupted).
  */

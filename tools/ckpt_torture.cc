@@ -127,7 +127,7 @@ readFile(const std::string &path)
 /**
  * The deterministic slice of a --metrics-out run report: everything
  * from the "counters" object through the start of the masked "timing"
- * section. The masked tail (wall-clock spans, pool scheduling,
+ * section. The masked tail (wall-clock spans, engine scheduling,
  * checkpoint bookkeeping) legitimately differs between a golden run
  * and a torn-and-resumed one, so it is excluded from the comparison.
  */

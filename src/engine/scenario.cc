@@ -469,7 +469,8 @@ parseArgs(int argc, char **argv, bool scenarioFlagAllowed)
             else if (text == "json")
                 o.format = OutputFormat::Json;
             else
-                fatal("--format: expected table, csv or json");
+                fatal("--format: expected table, csv or json, got '" +
+                      text + "'");
         } else if (scenarioFlagAllowed && !arg.empty() &&
                    arg[0] != '-' && parsed.scenario.empty()) {
             // Bare first operand: scenario name without --scenario.

@@ -281,12 +281,9 @@ microHotpath(ScenarioContext &ctx)
     }
 
     TablePrinter env({"key", "value"});
-    env.addRow({"threads", std::to_string(ctx.engine().threads())});
     env.addRow({"shard_trials",
                 std::to_string(ctx.engine().options().shardTrials)});
     env.addRow({"trials_per_cell", std::to_string(rule.maxTrials)});
-    env.addRow({"batch_lanes",
-                std::to_string(ctx.engine().options().batchLanes)});
     env.addRow({"batch_rows_lanes", std::to_string(kBatchRows)});
 #ifdef NDEBUG
     env.addRow({"assertions", "off"});

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <memory>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "decoders/workspace.hh"
 #include "noise/noise_model.hh"
 #include "obs/trace.hh"
-#include "stream/stream_queue.hh"
-#include "stream/syndrome_stream.hh"
+#include "surface/error_state.hh"
 #include "surface/logical.hh"
 #include "surface/syndrome_window.hh"
 
@@ -84,8 +85,9 @@ runStream(const StreamConfig &config, Decoder &decoder,
 
     const NoiseModel model = NoiseModel::dephasing(
         config.physicalRate, config.measurementFlipRate);
-    SyndromeStream stream(*config.lattice, model, ErrorType::Z, config.seed);
-    StreamQueue queue(kStreamQueueCapacity);
+    Rng rng(config.seed);
+    ErrorState state(*config.lattice);
+    Syndrome syndrome(*config.lattice, ErrorType::Z);
     Histogram serviceHist(kLatencyBinMaxNs);
 
     StreamingResult result;
@@ -96,6 +98,15 @@ runStream(const StreamConfig &config, Decoder &decoder,
     const std::size_t stride =
         std::max<std::size_t>(1, config.rounds / (kTrajectorySamples - 1));
 
+    // The consumer is one FIFO server: a round is settled the moment it
+    // is queued (done = max(consumer free, arrival) + service), and the
+    // queue only remembers when each pending round completes.
+    struct Pending
+    {
+        double doneNs;
+        bool duplicate; ///< second delivery: completes nothing
+    };
+    std::deque<Pending> queue;
     double consumerFreeNs = 0.0;
     std::size_t completed = 0;
     std::size_t completedByEnd = 0;
@@ -115,8 +126,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
     }
     const Correction emptyCorrection; ///< observer arg between commits
 
-    auto observe = [&](std::size_t k, const Syndrome &syndrome,
-                       const Correction &correction) {
+    auto observe = [&](std::size_t k, const Correction &correction) {
         if (observer && *observer)
             (*observer)(k, syndrome, correction);
     };
@@ -135,20 +145,20 @@ runStream(const StreamConfig &config, Decoder &decoder,
         if (ts && ts->escalated)
             ++result.escalations;
         if (!ts || !ts->repaired) {
-            workspace->correction.applyTo(stream.state(), ErrorType::Z);
-            return crossingParity(stream.state(), ErrorType::Z);
+            workspace->correction.applyTo(state, ErrorType::Z);
+            return crossingParity(state, ErrorType::Z);
         }
         for (int d : ts->repairFlips)
-            stream.state().flip(ErrorType::Z, d);
-        workspace->correction.applyTo(stream.state(), ErrorType::Z);
+            state.flip(ErrorType::Z, d);
+        workspace->correction.applyTo(state, ErrorType::Z);
         const bool provisionalParity =
-            crossingParity(stream.state(), ErrorType::Z);
+            crossingParity(state, ErrorType::Z);
         if (provisionalOnly)
             return provisionalParity;
         for (int d : ts->repairFlips)
-            stream.state().flip(ErrorType::Z, d);
+            state.flip(ErrorType::Z, d);
         const bool repairedParity =
-            crossingParity(stream.state(), ErrorType::Z);
+            crossingParity(state, ErrorType::Z);
         ++result.repairs;
         if (repairedParity != provisionalParity)
             ++result.repairFrameFlips;
@@ -162,40 +172,26 @@ runStream(const StreamConfig &config, Decoder &decoder,
                                    : ns;
     };
 
-    auto completeFront = [&]() {
-        const StreamRound &entry = queue.front();
-        const double start = std::max(consumerFreeNs, entry.arriveNs);
-        const double done = start + entry.serviceNs;
+    // Queue one round behind everything pending. A duplicate is the
+    // second delivery of a round already handled: discarded by sequence
+    // number, so it completes nothing and its queue residence is not a
+    // sojourn.
+    auto enqueue = [&](double arriveNs, double serviceNs, bool duplicate) {
+        if (queue.size() >= kStreamQueueCapacity)
+            ++result.overflowRounds;
+        const double done =
+            std::max(consumerFreeNs, arriveNs) + serviceNs;
         if (done < consumerFreeNs)
             result.clockMonotone = false;
         consumerFreeNs = done;
-        if (entry.duplicate) {
-            // Second delivery of a round already handled: discarded by
-            // sequence number, so it completes nothing and its queue
-            // residence is not a sojourn.
+        if (duplicate) {
             ++fc.dedupRounds;
         } else {
-            result.sojournNs.add(done - entry.arriveNs);
+            result.sojournNs.add(done - arriveNs);
             if (done <= endOfProduction)
                 ++completedByEnd;
-            ++completed;
         }
-        queue.pop();
-        return done;
-    };
-
-    // The consumer retires every round it finishes before @p tArrive;
-    // peeking the completion time keeps FIFO exactness.
-    auto retireBefore = [&](double tArrive) {
-        while (!queue.empty()) {
-            const StreamRound &entry = queue.front();
-            const double done =
-                std::max(consumerFreeNs, entry.arriveNs) +
-                entry.serviceNs;
-            if (done > tArrive)
-                break;
-            completeFront();
-        }
+        queue.push_back({done, duplicate});
     };
 
     // One consumer for both pipelines. Every round passes transport
@@ -204,18 +200,26 @@ runStream(const StreamConfig &config, Decoder &decoder,
     // each window otherwise — is decoded, priced, committed and
     // observed by the single tail below.
     auto processRound = [&](std::size_t k) {
+        // The consumer retires every round it finishes by round k.
         const double tArrive = static_cast<double>(k) * cycle;
-        retireBefore(tArrive);
+        while (!queue.empty() && queue.front().doneNs <= tArrive) {
+            if (!queue.front().duplicate)
+                ++completed;
+            queue.pop_front();
+        }
 
-        // Produce and decode round k. The decode result is computed
-        // round-synchronously (closed-loop lifetime physics); only its
-        // cost is replayed against the virtual clock below.
-        const Syndrome *produced;
+        // Produce and decode round k. The producer never waits for the
+        // decoder: it injects one round of errors and extracts the
+        // measured syndrome (readout flips drawn only when q > 0). The
+        // decode result is computed round-synchronously (closed-loop
+        // lifetime physics); only its cost is replayed against the
+        // virtual clock below.
         {
             obs::TraceSpan produceSpan(obs::Stage::StreamProduce);
-            produced = &stream.emit();
+            model.sample(rng, state);
+            extractSyndromeInto(state, ErrorType::Z, syndrome);
+            model.flipMeasurements(rng, syndrome);
         }
-        const Syndrome &syndrome = *produced;
         const faults::RoundFaults rf =
             plan ? plan->eventFor(k) : faults::RoundFaults{};
         double arriveNs = tArrive;
@@ -270,7 +274,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
         // next decode for a small surcharge.
         bool shed = false;
         if (!lost && policy.shedThreshold > 0 &&
-            queue.depth() >= policy.shedThreshold) {
+            queue.size() >= policy.shedThreshold) {
             shed = true;
             if (policy.shedMode == faults::ShedMode::DropOldest) {
                 ++fc.shedRounds;
@@ -288,7 +292,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
         if (lost)
             ++fc.lostRounds;
         if (lost || shed || !closesGroup) {
-            observe(k, syndrome, emptyCorrection);
+            observe(k, emptyCorrection);
         } else {
             const Syndrome *toDecode = &syndrome;
             if (carried) {
@@ -313,7 +317,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
             if (window) {
                 // Close the window with a perfect commit round; it
                 // decodes as one spacetime problem.
-                stream.extractPerfectInto(*commitSyn);
+                extractSyndromeInto(state, ErrorType::Z, *commitSyn);
                 window->recordRound(static_cast<int>(w), *commitSyn);
                 ++result.windows;
             }
@@ -355,7 +359,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
                 // but no correction lands; the residual errors stay for
                 // the next round's decode.
                 ++fc.decodeFailures;
-                observe(k, syndrome, emptyCorrection);
+                observe(k, emptyCorrection);
             } else {
                 bool nowParity;
                 {
@@ -365,7 +369,7 @@ runStream(const StreamConfig &config, Decoder &decoder,
                 if (nowParity != parity)
                     ++result.failures;
                 parity = nowParity;
-                observe(k, syndrome, workspace->correction);
+                observe(k, workspace->correction);
             }
             // Only rounds that run a decode enter the service
             // statistics: non-closing windowed rounds cost no decode
@@ -379,41 +383,35 @@ runStream(const StreamConfig &config, Decoder &decoder,
             if (window) {
                 // Re-arm: the next window's round-0 events are measured
                 // against the post-commit perfect frame.
-                stream.extractPerfectInto(*commitSyn);
+                extractSyndromeInto(state, ErrorType::Z, *commitSyn);
                 window->reset();
                 window->setBaseline(*commitSyn);
             }
         }
 
-        queue.push({k, arriveNs, serviceNs, false});
+        enqueue(arriveNs, serviceNs, false);
         if (duplicated)
-            queue.push({k, arriveNs, 0.0, true});
+            enqueue(arriveNs, 0.0, true);
         ++result.rounds;
 
         const std::size_t backlog = (k + 1) - completed;
+        const std::size_t depth =
+            std::min(queue.size(), kStreamQueueCapacity);
         result.maxBacklogRounds =
             std::max(result.maxBacklogRounds, backlog);
-        result.maxQueueDepth =
-            std::max(result.maxQueueDepth, queue.fastDepth());
+        result.maxQueueDepth = std::max(result.maxQueueDepth, depth);
         if (k % stride == 0 || k + 1 == config.rounds)
-            result.trajectory.push_back(
-                {k, backlog, queue.fastDepth()});
+            result.trajectory.push_back({k, backlog, depth});
     };
 
     for (std::size_t k = 0; k < config.rounds; ++k)
         processRound(k);
 
-    // Production is over; drain whatever is still pending.
-    double lastDone = consumerFreeNs;
-    while (!queue.empty())
-        lastDone = completeFront();
-
-    result.overflowRounds = queue.overflowCount();
     result.finalBacklogRounds = result.rounds - completedByEnd;
     result.backlogGrowthPerRound =
         static_cast<double>(result.finalBacklogRounds) /
         static_cast<double>(result.rounds);
-    result.drainNs = std::max(0.0, lastDone - endOfProduction);
+    result.drainNs = std::max(0.0, consumerFreeNs - endOfProduction);
     // f is normalized per *produced round* (total service over total
     // production time), so windowed runs amortize each window's single
     // decode over its rounds and stay comparable to the w == 0 path.

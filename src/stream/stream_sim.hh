@@ -1,16 +1,16 @@
 /**
  * @file
  * Streaming decode pipeline (paper Section III, Figs. 5-6 measured):
- * a SyndromeStream producer emits per-round syndromes, one per
- * syndrome cycle of runStream's virtual clock, a bounded StreamQueue
- * buffers them, and a decoder consumer drains them in FIFO order at
- * the rate its latency model allows. Decode *results* are computed
- * round-synchronously (so streaming corrections are bit-identical to
- * batch Decoder::decode on the same syndromes and the lifetime-protocol
- * physics stays closed); decode *timing* is replayed against the
- * virtual clock, producing queue-depth, latency-percentile and
- * backlog-trajectory telemetry. Everything is a deterministic function
- * of the configuration and seed.
+ * the producer emits per-round syndromes, one per syndrome cycle of
+ * runStream's virtual clock, and the decoder consumer is a single FIFO
+ * server: round k completes at max(previous completion, arrival) +
+ * service, at the rate its latency model allows. Decode *results* are
+ * computed round-synchronously (so streaming corrections are
+ * bit-identical to batch Decoder::decode on the same syndromes and the
+ * lifetime-protocol physics stays closed); decode *timing* is replayed
+ * against the virtual clock, producing queue-depth, latency-percentile
+ * and backlog-trajectory telemetry. Everything is a deterministic
+ * function of the configuration and seed.
  */
 
 #ifndef NISQPP_STREAM_STREAM_SIM_HH
@@ -32,7 +32,7 @@ namespace nisqpp {
 
 class TrialWorkspace;
 
-/** Fast-ring slots of runStream's queue before rounds spill. */
+/** On-chip buffer slots of the decoder; more pending rounds overflow. */
 inline constexpr std::size_t kStreamQueueCapacity = 64;
 
 /** Configuration of one streaming decode run. */
@@ -130,9 +130,11 @@ struct StreamingResult
     /** Service-time percentiles from exact 1 ns bins. */
     LatencyPercentiles servicePercentiles;
 
-    std::size_t maxQueueDepth = 0;   ///< fast-ring high-water mark
+    /** High-water mark of min(pending rounds, kStreamQueueCapacity). */
+    std::size_t maxQueueDepth = 0;
     std::size_t maxBacklogRounds = 0; ///< produced - completed peak
-    std::size_t overflowRounds = 0;  ///< rounds spilled past the ring
+    /** Rounds queued while kStreamQueueCapacity were already pending. */
+    std::size_t overflowRounds = 0;
 
     /** Rounds still undecoded the instant production stops. */
     std::size_t finalBacklogRounds = 0;

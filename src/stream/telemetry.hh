@@ -37,7 +37,7 @@ struct BacklogSample
 {
     std::size_t round = 0;       ///< producer round index
     std::size_t backlogRounds = 0; ///< produced - completed at sample
-    std::size_t queueDepth = 0;  ///< fast-ring depth at sample
+    std::size_t queueDepth = 0;  ///< min(pending, queue capacity)
 };
 
 } // namespace nisqpp

@@ -51,7 +51,7 @@ check_cli(unknown_scenario_positional FALSE ERR
           "unknown scenario 'fig99_bogus'"
           fig99_bogus)
 check_cli(unknown_format FALSE ERR
-          "--format: expected table, csv or json"
+          "--format: expected table, csv or json, got 'yaml'"
           --scenario fig01_sqv --format yaml)
 check_cli(unknown_flag FALSE ERR
           "unknown argument '--frobnicate'"

@@ -50,25 +50,6 @@ tempPath(const std::string &scenario, const std::string &what)
     return testing::TempDir() + "matrix_" + scenario + "_" + what;
 }
 
-/**
- * Mask the rows that echo the run's own thread count and batch size
- * (micro_hotpath's environment table): like the report's "config"
- * object, they state the mode, not a result of it.
- */
-std::string
-maskModeEcho(const std::string &csv)
-{
-    std::istringstream is(csv);
-    std::string out, line;
-    while (std::getline(is, line)) {
-        for (const char *key : {"threads,", "batch_lanes,"})
-            if (line.rfind(key, 0) == 0)
-                line = std::string(key) + "-";
-        out += line + '\n';
-    }
-    return out;
-}
-
 /** Restores the SIMD width and clears the checkpoint hooks on exit. */
 struct ProcessStateGuard
 {
@@ -96,7 +77,7 @@ run(const std::string &scenario, RunOptions options, simd::Width width,
     std::ostringstream os;
     EXPECT_EQ(runScenario(scenario, options, os), rc) << scenario;
     Outputs out;
-    out.csv = maskModeEcho(sanitize(os.str()));
+    out.csv = sanitize(os.str());
     std::ifstream in(options.metricsOut);
     std::stringstream report;
     report << in.rdbuf();

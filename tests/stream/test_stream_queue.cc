@@ -1,119 +1,74 @@
 /**
  * @file Unit tests of the streaming pipeline's building blocks: the
- * bounded round queue (FIFO across ring + spill), the percentile
- * telemetry and the deterministic latency models.
+ * consumer queue's exact accounting on a closed-form run, the
+ * percentile telemetry and the deterministic latency models.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "stream/latency_model.hh"
-#include "stream/stream_queue.hh"
+#include "stream/stream_sim.hh"
 #include "stream/telemetry.hh"
 
 #include "backlog/distance_model.hh"
+#include "sim/experiment.hh"
 
 namespace nisqpp {
 namespace {
 
-TEST(StreamQueue, FifoWithinCapacity)
+TEST(StreamConsumer, ConstantTooSlowDecoderIsExact)
 {
-    StreamQueue q(4);
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.capacity(), 4u);
-    for (std::size_t k = 0; k < 3; ++k)
-        q.push({k, static_cast<double>(k), 1.0});
-    EXPECT_EQ(q.depth(), 3u);
-    EXPECT_EQ(q.fastDepth(), 3u);
-    EXPECT_EQ(q.overflowCount(), 0u);
-    for (std::size_t k = 0; k < 3; ++k) {
-        EXPECT_EQ(q.front().round, k);
-        q.pop();
-    }
-    EXPECT_TRUE(q.empty());
-}
+    // An 800 ns decode of every 400 ns round: round j arrives at 400j
+    // and completes at 800(j + 1), so round k sees floor(k/2) rounds
+    // completed and ceil(k/2) pending before it joins. The 64-slot
+    // bound is first met by round 127; every later round overflows.
+    SurfaceLattice lattice(3);
+    StreamConfig config;
+    config.lattice = &lattice;
+    config.syndromeCycleNs = 400.0;
+    config.rounds = 310;
+    config.latency = StreamLatencyModel::constant(800.0);
+    auto decoder = unionFindDecoderFactory()(lattice, ErrorType::Z);
+    const StreamingResult r = runStream(config, *decoder);
 
-TEST(StreamQueue, OverflowSpillsAndPreservesGlobalOrder)
-{
-    StreamQueue q(2);
-    for (std::size_t k = 0; k < 7; ++k) {
-        q.push({k, static_cast<double>(k), 1.0});
-        EXPECT_LE(q.fastDepth(), 2u);
-    }
-    EXPECT_EQ(q.depth(), 7u);
-    EXPECT_EQ(q.spillDepth(), 5u);
-    EXPECT_EQ(q.overflowCount(), 5u);
-    for (std::size_t k = 0; k < 7; ++k) {
-        ASSERT_FALSE(q.empty());
-        EXPECT_EQ(q.front().round, k);
-        q.pop();
-    }
-    EXPECT_TRUE(q.empty());
-    // Overflow is a lifetime counter, not a level.
-    EXPECT_EQ(q.overflowCount(), 5u);
-}
+    const std::size_t n = config.rounds;
+    auto backlogAt = [](std::size_t k) { return k + 1 - k / 2; };
+    EXPECT_EQ(r.rounds, n);
+    EXPECT_EQ(r.overflowRounds, n - 127);
+    EXPECT_EQ(r.maxQueueDepth, kStreamQueueCapacity);
+    EXPECT_EQ(r.maxBacklogRounds, backlogAt(n - 1));
+    EXPECT_EQ(r.finalBacklogRounds, n - n / 2);
+    // The last round completes at 800n, 400n after production ends.
+    EXPECT_EQ(r.drainNs, 400.0 * static_cast<double>(n));
+    // Sojourns 800 + 400j form an arithmetic series: exact in doubles.
+    EXPECT_EQ(r.sojournNs.count(), n);
+    EXPECT_EQ(r.sojournNs.mean(),
+              800.0 + 200.0 * static_cast<double>(n - 1));
+    EXPECT_EQ(r.sojournNs.max(),
+              800.0 + 400.0 * static_cast<double>(n - 1));
+    EXPECT_EQ(r.fEmpirical, 2.0);
+    EXPECT_TRUE(r.clockMonotone);
 
-TEST(StreamQueue, InterleavedPushPopPromotesSpill)
-{
-    StreamQueue q(2);
-    std::size_t next = 0, expect = 0;
-    for (int step = 0; step < 50; ++step) {
-        q.push({next++, 0.0, 1.0});
-        q.push({next++, 0.0, 1.0});
-        ASSERT_EQ(q.front().round, expect);
-        q.pop();
-        ++expect;
+    // One sample every n / 31 rounds plus the last round.
+    const std::size_t stride = n / 31;
+    std::vector<BacklogSample> expected;
+    for (std::size_t k = 0; k < n; ++k)
+        if (k % stride == 0 || k + 1 == n)
+            expected.push_back(
+                {k, backlogAt(k),
+                 std::min(backlogAt(k), kStreamQueueCapacity)});
+    ASSERT_EQ(r.trajectory.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(r.trajectory[i].round, expected[i].round);
+        EXPECT_EQ(r.trajectory[i].backlogRounds,
+                  expected[i].backlogRounds)
+            << "round " << expected[i].round;
+        EXPECT_EQ(r.trajectory[i].queueDepth, expected[i].queueDepth)
+            << "round " << expected[i].round;
     }
-    while (!q.empty()) {
-        ASSERT_EQ(q.front().round, expect++);
-        q.pop();
-    }
-    EXPECT_EQ(expect, next);
-}
-
-TEST(StreamQueue, SpillCompactionPreservesFifo)
-{
-    // Drive spillHead_ past the 1024-entry reclaim trigger: with 4000
-    // spilled rounds, the consumed-prefix erase fires mid-drain (once
-    // the consumed prefix dominates the buffer) and must not disturb
-    // global round order or the depth/overflow accounting.
-    StreamQueue q(2);
-    const std::size_t total = 4002;
-    for (std::size_t k = 0; k < total; ++k)
-        q.push({k, static_cast<double>(k), 1.0});
-    EXPECT_EQ(q.spillDepth(), total - 2);
-    EXPECT_EQ(q.overflowCount(), total - 2);
-    for (std::size_t k = 0; k < total; ++k) {
-        ASSERT_FALSE(q.empty());
-        ASSERT_EQ(q.front().round, k);
-        ASSERT_DOUBLE_EQ(q.front().arriveNs, static_cast<double>(k));
-        ASSERT_EQ(q.depth(), total - k);
-        q.pop();
-    }
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.overflowCount(), total - 2);
-}
-
-TEST(StreamQueue, SpillCompactionSurvivesInterleavedTraffic)
-{
-    // Producer outruns the consumer 2:1 so the spill ledger keeps
-    // growing while pops keep consuming its prefix; the reclaim branch
-    // fires repeatedly at different ring offsets and FIFO must hold
-    // through every firing and through the final drain.
-    StreamQueue q(3);
-    std::size_t next = 0, expect = 0;
-    for (int step = 0; step < 3000; ++step) {
-        q.push({next++, 0.0, 1.0});
-        q.push({next++, 0.0, 1.0});
-        ASSERT_EQ(q.front().round, expect);
-        q.pop();
-        ++expect;
-    }
-    while (!q.empty()) {
-        ASSERT_EQ(q.front().round, expect++);
-        q.pop();
-    }
-    EXPECT_EQ(expect, next);
-    EXPECT_EQ(q.depth(), 0u);
 }
 
 TEST(StreamTelemetry, PercentilesFromExactBins)

@@ -6,12 +6,13 @@
 #include <memory>
 #include <vector>
 
+#include "common/rng.hh"
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/union_find_decoder.hh"
 #include "decoders/workspace.hh"
 #include "noise/noise_model.hh"
 #include "stream/stream_sim.hh"
-#include "stream/syndrome_stream.hh"
+#include "surface/error_state.hh"
 #include "surface/logical.hh"
 #include "surface/syndrome_window.hh"
 
@@ -59,7 +60,9 @@ expectStreamMatchesBatchWindows()
     // seed and hand them to decodeWindow directly.
     const NoiseModel model = NoiseModel::dephasing(
         config.physicalRate, config.measurementFlipRate);
-    SyndromeStream stream(lat, model, ErrorType::Z, config.seed);
+    Rng rng(config.seed);
+    ErrorState state(lat);
+    Syndrome syn(lat, ErrorType::Z);
     DecoderT batchDec(lat, ErrorType::Z);
     TrialWorkspace ws;
     SyndromeWindow window(lat, ErrorType::Z, static_cast<int>(w) + 1);
@@ -68,21 +71,23 @@ expectStreamMatchesBatchWindows()
     bool parity = false;
     std::size_t wi = 0;
     for (std::size_t k = 0; k < rounds; ++k) {
-        const Syndrome &syn = stream.emit();
+        model.sample(rng, state);
+        extractSyndromeInto(state, ErrorType::Z, syn);
+        model.flipMeasurements(rng, syn);
         window.recordRound(static_cast<int>(k % w), syn);
         if ((k + 1) % w != 0)
             continue;
-        stream.extractPerfectInto(commitSyn);
+        extractSyndromeInto(state, ErrorType::Z, commitSyn);
         window.recordRound(static_cast<int>(w), commitSyn);
         batchDec.decodeWindow(window, ws);
         EXPECT_EQ(ws.correction.dataFlips, committed[wi])
             << "window " << wi << " diverged from the pipeline";
-        ws.correction.applyTo(stream.state(), ErrorType::Z);
-        const bool now = crossingParity(stream.state(), ErrorType::Z);
+        ws.correction.applyTo(state, ErrorType::Z);
+        const bool now = crossingParity(state, ErrorType::Z);
         if (now != parity)
             ++failures;
         parity = now;
-        stream.extractPerfectInto(commitSyn);
+        extractSyndromeInto(state, ErrorType::Z, commitSyn);
         window.reset();
         window.setBaseline(commitSyn);
         ++wi;

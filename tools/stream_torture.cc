@@ -23,7 +23,10 @@
  *      fault-free plan leaves the whole fault ledger at zero;
  *   3. monotone virtual clock — no completion time ran backwards, and
  *      the drain time is non-negative;
- *   4. determinism — the second run's full result fingerprint
+ *   4. bounded queue — the reported queue depth (the run's peak and
+ *      every trajectory sample) never exceeds kStreamQueueCapacity,
+ *      and a run that overflowed reached that capacity;
+ *   5. determinism — the second run's full result fingerprint
  *      (counters and exact double bit patterns) is byte-identical.
  *
  * A final cross-check runs the fault_sweep scenario at --threads 1 and
@@ -248,6 +251,18 @@ checkInvariants(const Plan &plan, const nisqpp::StreamingResult &r)
         fail("virtual clock ran backwards: " + describe(plan));
     if (!(r.drainNs >= 0.0))
         fail("negative drain time: " + describe(plan));
+    const std::size_t cap = nisqpp::kStreamQueueCapacity;
+    if (r.maxQueueDepth > cap)
+        fail("queue depth " + std::to_string(r.maxQueueDepth) +
+             " above capacity: " + describe(plan));
+    if (r.overflowRounds > 0 && r.maxQueueDepth != cap)
+        fail("overflow without a full queue (depth " +
+             std::to_string(r.maxQueueDepth) + "): " + describe(plan));
+    for (const nisqpp::BacklogSample &s : r.trajectory)
+        if (s.queueDepth > cap)
+            fail("trajectory depth " + std::to_string(s.queueDepth) +
+                 " above capacity at round " + std::to_string(s.round) +
+                 ": " + describe(plan));
     const nisqpp::faults::FaultCounts &fc = r.faults;
     if (!c.faultsActive()) {
         if (ledger(fc) != ledger({}))

@@ -191,6 +191,20 @@ anyW(const W &w)
 }
 
 /**
+ * @p m in every element where @p w and @p m share a bit, zero in the
+ * others: one whole-word compare rather than a loop over elements.
+ */
+template <typename W>
+NISQPP_LANE_INLINE W
+maskWhereAny(const W &w, const W &m)
+{
+    if constexpr (elementsOf<W>() == 1)
+        return (w & m) != 0 ? m : W{};
+    else
+        return (W)((w & m) != W{}) & m;
+}
+
+/**
  * One-element shifts across a run of lane words, for data laid out
  * element-major (item i of the run in element i % E of word i / E).
  * nextElems(w, next) is the word one item further on: elements 1..E-1

@@ -75,24 +75,33 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
         e.laneBase[l] = (l % per_elem) * span_;
         e.laneSub[l] = low << e.laneBase[l];
     }
+    for (int b = 0; b < 64; ++b)
+        e.subOf[b] = static_cast<std::uint8_t>(b / span_);
 
     // Every plane in one allocation: three masks, nine direction-
-    // resolved signal planes and five per-module ones.
+    // resolved signal planes and five per-module ones, then the
+    // sub-lane masks and the reset ring.
     constexpr int kPlaneCount = 3 + 9 * kNumDirs + 5;
-    e.block.assign(static_cast<std::size_t>(kPlaneCount) * e.rows, W{});
+    e.block.assign(static_cast<std::size_t>(kPlaneCount) * e.rows +
+                       per_elem + kMeshResetCycles,
+                   W{});
     W *next = e.block.data();
-    const auto take = [&] {
+    const auto take = [&](int words) {
         W *plane = next;
-        next += e.rows;
+        next += words;
         return plane;
     };
     for (W **plane : {&e.interior, &e.bnd, &e.valid, &e.formed,
                       &e.fired, &e.hot, &e.chain, &e.fire})
-        *plane = take();
+        *plane = take(e.rows);
     for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch,
                          &e.gOut, &e.rqOut, &e.grOut, &e.prOut})
         for (W *&plane : *planes)
-            plane = take();
+            plane = take(e.rows);
+    e.subLane = take(per_elem);
+    e.resetRing = take(kMeshResetCycles);
+    for (int l = 0; l < e.lanes; ++l)
+        orElem(e.subLane[l % per_elem], e.laneElem[l], e.laneSub[l]);
 
     // Single-lane row masks, then placed into every lane.
     std::vector<std::uint64_t> interior(span_, 0), bnd(span_, 0);
@@ -158,7 +167,8 @@ MeshDecoder::buildEngine(LaneEngine<W> &e, int max_lanes) const
 MeshDecoder::MeshDecoder(const SurfaceLattice &lattice, ErrorType type,
                          const MeshConfig &config)
     : Decoder(lattice, type), config_(config),
-      span_(lattice.gridSize() + 2), width_(simd::activeWidth()),
+      span_(lattice.gridSize() + 2),
+      width_(simd::activeWidth()),
       native_(simd::nativeEngine(width_))
 {
     require(span_ <= 62, "MeshDecoder: lattice too wide for 64-bit rows");
@@ -303,9 +313,9 @@ MeshDecoder::harvestRow(int r, std::uint64_t row, Correction &out) const
     while (row) {
         const int bit = std::countr_zero(row);
         row &= row - 1;
-        const Coord rc{r, bit - 1};
-        if (lattice().role(rc) == SiteRole::Data)
-            out.dataFlips.push_back(lattice().dataIndex(rc));
+        const int q = lattice().dataIndexOrNone({r, bit - 1});
+        if (q >= 0)
+            out.dataFlips.push_back(q);
     }
 }
 

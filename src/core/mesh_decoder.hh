@@ -30,12 +30,16 @@
  * d = 9, 32 at d = 7, 40 at d = 5 and 64 at d = 3. The per-cycle
  * shift/AND/OR/XOR plane updates are shared across lanes — lane-guard
  * masks drop each lane's edge column before an east/west shift,
- * exactly the bits the valid mask would kill after an unpacked shift —
- * while reset countdowns, quiescence windows, the cycle cap and
- * completion are tracked per lane, so diverging trials freeze
- * independently. Because every piece of per-lane control state is
- * relative to the lane's own start cycle, a lane that freezes is
- * immediately *refilled* with the next pending trial of the batch:
+ * exactly the bits the valid mask would kill after an unpacked shift.
+ * Lane control runs on whole words and 64-bit lane masks too: reset
+ * windows are a ring of per-cycle reset masks, drained pair rounds one
+ * whole-word compare per sub-lane position, and only lanes that can
+ * change this cycle (no hot module left, idle with work maybe pending,
+ * or past the earliest cycle-cap or quiescence deadline) are visited
+ * between steps, so diverging trials freeze independently at no
+ * per-lane cost per cycle. Because every piece of per-lane control
+ * state is relative to the lane's own start cycle, a lane that freezes
+ * is immediately *refilled* with the next pending trial of the batch:
  * lanes never idle waiting for a slow sibling, and the amortized cost
  * per trial is one L-th of a mesh step per cycle.
  *
@@ -95,8 +99,11 @@ class LifetimeFeed
   public:
     /**
      * The next pending syndrome and its lifetime; false when no round
-     * is pending right now (finished() may make more pending). The
-     * decoder reads the syndrome before calling into the feed again.
+     * is pending right now. A false return must stay false until
+     * finished() is next called: the decoder asks again only after a
+     * decode finishes. The syndrome must stay unchanged until finished() takes back that
+     * lifetime's decode: the decoder may read it after other calls
+     * into the feed.
      */
     virtual bool next(const Syndrome *&syndrome, std::size_t &lifetime) = 0;
 
@@ -307,6 +314,13 @@ class MeshDecoder : public Decoder
         std::array<int, kMaxLanes> laneElem{};
         std::array<std::uint64_t, kMaxLanes> laneSub{};
         std::array<int, kMaxLanes> laneBase{};
+        /** Sub-lane of each bit of an element (bit / span). */
+        std::array<std::uint8_t, 64> subOf{};
+        /**
+         * perElem words: sub-lane j's mask in every element that holds
+         * a lane j (packed engine only).
+         */
+        W *subLane = nullptr;
 
         // Per-decode mesh state, shared by every lane. The signal
         // planes hold *emissions*: `g`/`rq`/`gr`/`pr` keep the previous
@@ -323,10 +337,18 @@ class MeshDecoder : public Decoder
         W *fire = nullptr; ///< per-step scratch (no allocation)
 
         // Per-lane control state: diverging lanes freeze independently.
-        std::array<int, kMaxLanes> resetCountdown{};
+        // Lane sets are 64-bit masks, bit l for lane l.
+        std::uint64_t busy = 0; ///< lanes holding a trial
+        std::uint64_t cold = 0; ///< busy lanes with no hot module left
         std::array<std::int64_t, kMaxLanes> lastFire{};
         std::array<int, kMaxLanes> hotCount{};
-        std::array<bool, kMaxLanes> active{};
+        /**
+         * Ring of kMeshResetCycles lane-word masks: slot c %
+         * kMeshResetCycles holds the lanes whose global reset fired at
+         * cycle c. A lane is inside its reset window while one of the
+         * previous kMeshResetCycles - 1 slots holds it.
+         */
+        W *resetRing = nullptr;
         /** Steps since decodeLanes began (a lifetime pump runs long). */
         std::int64_t cycle = 0;
         /** Pair-plane occupancy after the last step. */

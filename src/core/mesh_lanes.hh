@@ -24,9 +24,9 @@
 #ifndef NISQPP_CORE_MESH_LANES_HH
 #define NISQPP_CORE_MESH_LANES_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 
 #include "core/mesh_decoder.hh"
 
@@ -46,6 +46,7 @@ using simd::andElem;
 using simd::anyW;
 using simd::elementsOf;
 using simd::elemOf;
+using simd::maskWhereAny;
 using simd::nextElems;
 using simd::orElem;
 using simd::prevElems;
@@ -108,30 +109,33 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
                        MeshDecodeStats *const *laneStats)
 {
     using namespace mesh_lanes;
-    // Lane masks: a packed lane is a sub-lane of one element, the lone
-    // stacked lane every bit of the word (LaneEngine::stacked).
-    const auto has = [&](const W &w, int l) {
-        if constexpr (Stacked)
-            return anyW(w);
-        else
-            return (elemOf(w, e.laneElem[l]) & e.laneSub[l]) != 0;
-    };
-    const auto mark = [&](W &w, int l) {
-        if constexpr (Stacked)
-            w = ~W{};
-        else
-            orElem(w, e.laneElem[l], e.laneSub[l]);
+    // Every bit of each lane in which @p w has a bit: one whole-word
+    // compare per sub-lane position of a packed element, and the whole
+    // word for the lone stacked lane (LaneEngine::stacked).
+    const auto lanesOf = [&](const W &w) {
+        if constexpr (Stacked) {
+            return anyW(w) ? ~W{} : W{};
+        } else {
+            W lanes{};
+            for (int j = 0; j < e.perElem; ++j)
+                lanes |= maskWhereAny(w, e.subLane[j]);
+            return lanes;
+        }
     };
 
-    // Lanes inside their reset window at cycle entry: grow emission is
-    // blocked there, and grow/request/grant outputs are cleared again
-    // below unless the lane fires this very cycle.
-    W inReset{};
-    for (int l = 0; l < e.lanes; ++l)
-        if (e.resetCountdown[l] > 0)
-            mark(inReset, l);
+    // Lanes inside their reset window at cycle entry, reset in one of
+    // the previous kMeshResetCycles - 1 cycles, emit no grow, request
+    // or grant signals. This cycle's ring slot still holds cycle -
+    // kMeshResetCycles; the oldest live slot follows it.
+    constexpr int kRing = kMeshResetCycles;
+    W *const ring = e.resetRing;
+    const int now = static_cast<int>(e.cycle % kRing);
+    const W oldest = ring[(now + 1) % kRing];
+    W recent{};
+    for (int k = 2; k < kRing; ++k)
+        recent |= ring[(now + k) % kRing];
+    const W inReset = oldest | recent;
 
-    W fire_any{};
     const W guardE = e.guardE, guardW = e.guardW;
 
     // The planes hold last cycle's *emissions*; each row derives the
@@ -171,28 +175,75 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         return src & e.valid[r];
     };
 
+    // Pair pulses reaching a hot module complete a pairing. The fires
+    // come first, so the row loop below knows which lanes fire and
+    // reset this cycle. Each fire clears a hot latch (pairings), and
+    // only lanes holding a fire bit are visited.
+    W fire_any{};
+    std::uint64_t firedLanes = 0;
+    for (int r = 0; r < rows; ++r) {
+        const W fire = (inN(e.pr[dN], r) | inE(e.pr[dE], r) |
+                        inS(e.pr[dS], r) | inW(e.pr[dW], r)) &
+                       e.hot[r];
+        e.fire[r] = fire;
+        if (!anyW(fire))
+            continue;
+        fire_any |= fire;
+        for (int el = 0; el < elementsOf<W>(); ++el) {
+            for (std::uint64_t f = elemOf(fire, el); f;) {
+                // The stacked lane owns every element.
+                const int l = Stacked ? 0
+                                      : el * e.perElem +
+                                            e.subOf[__builtin_ctzll(f)];
+                const std::uint64_t mine = Stacked ? f : f & e.laneSub[l];
+                f &= ~mine;
+                const int cleared = __builtin_popcountll(mine);
+                laneStats[l]->pairings += cleared;
+                if ((e.hotCount[l] -= cleared) == 0)
+                    e.cold |= std::uint64_t{1} << l;
+                firedLanes |= std::uint64_t{1} << l;
+            }
+        }
+    }
+    // A lane that fires restarts its quiescence window and, given the
+    // mechanism, fires its global reset.
+    for (std::uint64_t f = firedLanes; f; f &= f - 1) {
+        const int l = __builtin_ctzll(f);
+        e.lastFire[l] = e.cycle;
+        if (config_.resetMechanism)
+            ++laneStats[l]->resets;
+    }
+    const W resetNow = config_.resetMechanism && firedLanes
+                           ? lanesOf(fire_any)
+                           : W{};
+    // Grow/request/grant outputs are suppressed in the lanes that reset
+    // this cycle and in those mid-reset-window. The reset also clears
+    // the formed latches and grant choices, and in the variants
+    // without the equidistant mechanism the pair pulses: in the final
+    // design in-flight pair pulses are exempt so the farther chain leg
+    // completes (Section VI-B), and the paper ties that exemption to
+    // the request-grant design.
+    const W keep = ~(resetNow | inReset);
+    const W unset = ~resetNow;
+    const W prKeep = config_.equidistantMechanism ? ~W{} : unset;
+
     for (int r = 0; r < rows; ++r) {
         const W hot = e.hot[r];
+        const W fire = e.fire[r];
         DirRow<W> pr_in{inN(e.pr[dN], r), inE(e.pr[dE], r),
                         inS(e.pr[dS], r), inW(e.pr[dW], r)};
-        const W pr_in_any =
-            pr_in[dN] | pr_in[dE] | pr_in[dS] | pr_in[dW];
-
-        // Pair pulses reaching a hot module complete a pairing.
-        e.fire[r] = pr_in_any & hot;
-        fire_any |= e.fire[r];
 
         // Grow: hot modules emit in all directions (blocked during
-        // reset); interior modules pass. In the variants without the
-        // equidistant mechanism the meets happen on grow trains, so a
-        // formed module consumes them.
+        // reset by `keep`); interior modules pass. In the variants
+        // without the equidistant mechanism the meets happen on grow
+        // trains, so a formed module consumes them.
         DirRow<W> grow_in{inN(e.g[dN], r), inE(e.g[dE], r),
                           inS(e.g[dS], r), inW(e.g[dW], r)};
         const W met_grow =
             config_.equidistantMechanism ? W{} : e.formed[r];
+        DirRow<W> g_out;
         for (int d = 0; d < kNumDirs; ++d)
-            e.gOut[d][r] = (grow_in[d] & e.interior[r] & ~met_grow) |
-                           (hot & ~inReset);
+            g_out[d] = (grow_in[d] & e.interior[r] & ~met_grow) | hot;
 
         // Meets of grow rays: requests in the final design, pair pulses
         // directly in the variants without the equidistant mechanism.
@@ -212,12 +263,12 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
             emitFromMeets(grow_in, e.interior[r] & ~hot, rq_emit);
             DirRow<W> rq_in{inN(e.rq[dN], r), inE(e.rq[dE], r),
                             inS(e.rq[dS], r), inW(e.rq[dW], r)};
-            for (int d = 0; d < kNumDirs; ++d) {
-                e.rqOut[d][r] = (rq_in[d] & e.interior[r] & ~hot) |
-                                rq_emit[d];
-                // Boundary modules answer grow with a request.
-                e.rqOut[d][r] |= grow_in[kRev[d]] & e.bnd[r];
-            }
+            // Boundary modules answer grow with a request.
+            for (int d = 0; d < kNumDirs; ++d)
+                e.rqOut[d][r] = ((rq_in[d] & e.interior[r] & ~hot) |
+                                 rq_emit[d] |
+                                 (grow_in[kRev[d]] & e.bnd[r])) &
+                                keep;
 
             // Hot modules latch exactly one grant.
             DirRow<W> latch{e.grantLatch[dN][r], e.grantLatch[dE][r],
@@ -225,15 +276,9 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
             updateGrantLatch(rq_in, hot, latch);
             DirRow<W> gr_in{inN(e.gr[dN], r), inE(e.gr[dE], r),
                             inS(e.gr[dS], r), inW(e.gr[dW], r)};
-            for (int d = 0; d < kNumDirs; ++d) {
-                e.grantLatch[d][r] = latch[d];
-                // Hot modules do not pass foreign grant trains (they
-                // emit their own); a passed-through train would form
-                // spurious meets beyond the endpoint.
-                e.grOut[d][r] =
-                    (gr_in[d] & e.interior[r] & ~hot & ~formed) |
-                    (latch[d] & hot);
-            }
+            // A fire clears its module's grant choice.
+            for (int d = 0; d < kNumDirs; ++d)
+                e.grantLatch[d][r] = latch[d] & ~fire & unset;
 
             // Pair pulses form where grant trains meet, and at boundary
             // modules that received a grant.
@@ -242,9 +287,16 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
                 pr_raw[d] |= gr_in[kRev[d]] & e.bnd[r] & ~formed;
             const W met_now =
                 pr_raw[dN] | pr_raw[dE] | pr_raw[dS] | pr_raw[dW];
+            // Hot modules do not pass foreign grant trains (they emit
+            // their own); a passed-through train would form spurious
+            // meets beyond the endpoint.
             for (int d = 0; d < kNumDirs; ++d)
-                e.grOut[d][r] &= ~met_now | (e.grantLatch[d][r] & hot);
-            e.formed[r] = formed | met_now;
+                e.grOut[d][r] =
+                    ((gr_in[d] & e.interior[r] & ~hot & ~formed &
+                      ~met_now) |
+                     (latch[d] & hot)) &
+                    keep;
+            e.formed[r] = (formed | met_now) & unset;
         } else {
             emitFromMeets(grow_in, form_allow, pr_raw);
             for (int d = 0; d < kNumDirs; ++d)
@@ -252,9 +304,11 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
             const W met_now =
                 pr_raw[dN] | pr_raw[dE] | pr_raw[dS] | pr_raw[dW];
             for (int d = 0; d < kNumDirs; ++d)
-                e.gOut[d][r] &= ~met_now | hot;
-            e.formed[r] = formed | met_now;
+                g_out[d] &= ~met_now | hot;
+            e.formed[r] = (formed | met_now) & unset;
         }
+        for (int d = 0; d < kNumDirs; ++d)
+            e.gOut[d][r] = g_out[d] & keep;
 
         // Emission is one pulse per formation (formed gating above);
         // non-hot interior modules pass, hot modules absorb. An
@@ -265,9 +319,11 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         // request-grant arbitration) leaks through and paints a bogus
         // crossing chain.
         const W absorb = hot | e.fired[r];
-        for (int d = 0; d < kNumDirs; ++d)
-            e.prOut[d][r] =
-                (pr_in[d] & e.interior[r] & ~absorb) | pr_raw[d];
+        DirRow<W> pr_out;
+        for (int d = 0; d < kNumDirs; ++d) {
+            pr_out[d] = (pr_in[d] & e.interior[r] & ~absorb) | pr_raw[d];
+            e.prOut[d][r] = pr_out[d] & prKeep;
+        }
 
         // Chain membership: everything a pair pulse touches, including
         // the emitting module and the absorbing endpoints. Touches
@@ -275,107 +331,34 @@ MeshDecoder::stepLanes(LaneEngine<W> &e,
         // rounds that cross the same data qubit must cancel, exactly
         // as destructive-read DRO error outputs drained after every
         // pairing would accumulate in the control layer's Pauli frame.
-        e.chain[r] ^= e.prOut[dN][r] | e.prOut[dE][r] |
-                      e.prOut[dS][r] | e.prOut[dW][r] | e.fire[r];
+        e.chain[r] ^= pr_out[dN] | pr_out[dE] | pr_out[dS] |
+                      pr_out[dW] | fire;
+
+        // A fired endpoint is no longer hot, but keeps absorbing.
+        e.hot[r] = hot & ~fire;
+        e.fired[r] |= fire;
     }
 
-    // Complete pairings: clear latches; maybe fire the per-lane global
-    // reset. `resetNow` marks lanes whose reset fires this cycle,
-    // `clearHeld` the lanes mid-reset-window without a fire — the two
-    // lane sets whose grow/request/grant outputs are suppressed.
-    W resetNow{};
-    W fireLanes{};
-    if (anyW(fire_any)) {
-        for (int r = 0; r < rows; ++r) {
-            const W fire = e.fire[r];
-            if (!anyW(fire))
-                continue;
-            for (int el = 0; el < elementsOf<W>(); ++el) {
-                const std::uint64_t f = elemOf(fire, el);
-                if (!f)
-                    continue;
-                // The stacked lane owns every element.
-                const int first = Stacked ? 0 : el * e.perElem;
-                const int last = std::min(first + e.perElem, e.lanes);
-                for (int l = first; l < last; ++l) {
-                    const int cleared =
-                        __builtin_popcountll(f & e.laneSub[l]);
-                    laneStats[l]->pairings += cleared;
-                    e.hotCount[l] -= cleared;
-                }
-            }
-            e.hot[r] &= ~fire;
-            e.fired[r] |= fire;
-            for (int d = 0; d < kNumDirs; ++d)
-                e.grantLatch[d][r] &= ~fire;
-        }
-        for (int l = 0; l < e.lanes; ++l) {
-            if (!has(fire_any, l))
-                continue;
-            mark(fireLanes, l);
-            e.lastFire[l] = e.cycle;
-            if (config_.resetMechanism) {
-                ++laneStats[l]->resets;
-                e.resetCountdown[l] = kMeshResetCycles;
-                mark(resetNow, l);
-            }
-        }
-    }
-    const W clearHeld = inReset & ~fireLanes;
-    const W clear_out = resetNow | clearHeld;
-    if (anyW(clear_out)) {
-        const W keep = ~clear_out;
-        for (int r = 0; r < rows; ++r)
-            for (int d = 0; d < kNumDirs; ++d) {
-                e.gOut[d][r] &= keep;
-                e.rqOut[d][r] &= keep;
-                e.grOut[d][r] &= keep;
-            }
-    }
-    if (anyW(resetNow)) {
-        const W keep = ~resetNow;
-        for (int r = 0; r < rows; ++r) {
-            // In the final design in-flight pair pulses are exempt so
-            // the farther chain leg completes (Section VI-B); the
-            // paper ties that exemption to the request-grant design,
-            // so the intermediate variants clear them too.
-            if (!config_.equidistantMechanism)
-                for (int d = 0; d < kNumDirs; ++d)
-                    e.prOut[d][r] &= keep;
-            e.formed[r] &= keep;
-            for (int d = 0; d < kNumDirs; ++d)
-                e.grantLatch[d][r] &= keep;
-        }
-    }
-
-    // End of a lane's reset window: its cleared endpoints resume
-    // passing (spurious same-round pulses are gone by now in the final
-    // design; the variants without the pair exemption cleared them at
-    // the reset itself).
-    W windowOver{};
-    for (int l = 0; l < e.lanes; ++l) {
-        if (e.resetCountdown[l] > 0 && --e.resetCountdown[l] == 0)
-            mark(windowOver, l);
-    }
-    if (anyW(windowOver))
-        for (int r = 0; r < rows; ++r)
-            e.fired[r] &= ~windowOver;
+    // End of a lane's reset window, kMeshResetCycles - 1 cycles after
+    // its last reset: its cleared endpoints resume passing (spurious
+    // same-round pulses are gone by now in the final design; the
+    // variants without the pair exemption cleared them at the reset
+    // itself).
+    const W windowOver = oldest & ~(recent | resetNow);
+    ring[now] = resetNow;
 
     // The pairing round is over once a lane's pair pulses have all
     // drained: occupancy of next cycle's (shifted) pair inputs,
-    // derived without materializing them.
+    // derived without materializing them. Both ends release the
+    // lane's cleared endpoints.
     W pr_occ{};
     for (int r = 0; r < rows; ++r)
         pr_occ |= inN(e.prOut[dN], r) | inE(e.prOut[dE], r) |
                   inS(e.prOut[dS], r) | inW(e.prOut[dW], r);
     e.prOcc = pr_occ;
-    W drained{};
-    for (int l = 0; l < e.lanes; ++l)
-        if (!has(pr_occ, l))
-            mark(drained, l);
-    if (anyW(drained))
-        for (int r = 0; r < rows; ++r)
-            e.fired[r] &= ~drained;
+    const W keepFired = lanesOf(pr_occ) & ~windowOver;
+    for (int r = 0; r < rows; ++r)
+        e.fired[r] &= keepFired;
 
     // Publish this cycle's emissions as next cycle's inputs-to-derive.
     std::swap(e.g, e.gOut);
@@ -394,6 +377,8 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
 {
     using namespace mesh_lanes;
     stats.remainingHot = e.hotCount[lane];
+    e.busy &= ~(std::uint64_t{1} << lane);
+    e.cold &= ~(std::uint64_t{1} << lane);
 
     // Every completed trial — scalar or batched — retires through
     // here exactly once, so this is the single accumulation point for
@@ -404,10 +389,8 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
     // A trial that completed the cycle it was injected (an empty
     // syndrome) never touched its clean lane: nothing to harvest or
     // zero.
-    if (stats.cycles == 0) {
-        e.active[lane] = false;
+    if (stats.cycles == 0)
         return;
-    }
 
     // Harvest this lane's chain bits into data-qubit flips (ascending
     // row, then column — the same order for every layout).
@@ -427,28 +410,12 @@ MeshDecoder::finishLane(LaneEngine<W> &e, int lane, Correction &out,
             harvestRow(r, row, out);
     }
 
-    // Zero the lane everywhere: once freed it contributes no signals,
-    // no firings and no stats, and the next trial injected into it
-    // starts from clean planes. A packed lane touches only its own
-    // element; the stacked lane owns whole words.
-    const std::uint64_t keep = ~e.laneSub[lane];
-    const auto clear = [&](W &w) {
-        if (e.stacked)
-            w = W{};
-        else
-            andElem(w, el, keep);
-    };
-    for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
-        for (W *plane : *planes)
-            for (int r = 0; r < e.rows; ++r)
-                clear(plane[r]);
-    for (W *plane : {e.formed, e.fired, e.hot, e.chain})
-        for (int r = 0; r < e.rows; ++r)
-            clear(plane[r]);
-    e.resetCountdown[lane] = 0;
-    e.hotCount[lane] = 0;
-    e.active[lane] = false;
-    clear(e.prOcc); // its pair pulses are gone with it
+    // Its pair pulses are gone with it; decodeLanes zeroes the rest
+    // of the lane before the next step.
+    if (e.stacked)
+        e.prOcc = W{};
+    else
+        andElem(e.prOcc, el, ~e.laneSub[lane]);
 }
 
 template <typename Isa, typename W, typename Source>
@@ -456,59 +423,93 @@ void
 MeshDecoder::decodeLanes(LaneEngine<W> &e, Source &source)
 {
     using namespace mesh_lanes;
-    for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
-        for (W *plane : *planes)
+    // AND @p keep into every plane row holding trial state.
+    const auto keepOnly = [&](const W &keep) {
+        for (auto *planes : {&e.g, &e.rq, &e.gr, &e.pr, &e.grantLatch})
+            for (W *plane : *planes)
+                for (int r = 0; r < e.rows; ++r)
+                    plane[r] &= keep;
+        for (W *plane : {e.formed, e.fired, e.hot, e.chain})
             for (int r = 0; r < e.rows; ++r)
-                plane[r] = W{};
-    for (W *plane : {e.formed, e.fired, e.hot, e.chain})
-        for (int r = 0; r < e.rows; ++r)
-            plane[r] = W{};
+                plane[r] &= keep;
+        for (int k = 0; k < kMeshResetCycles; ++k)
+            e.resetRing[k] &= keep;
+    };
+    keepOnly(W{});
     e.cycle = 0;
     e.prOcc = W{};
+    e.busy = e.cold = 0;
 
-    // Per-lane trial bookkeeping. Every comparison against the global
-    // cycle counter is relative to the lane's start cycle, so a trial
-    // injected mid-flight behaves exactly as if it were decoded alone
-    // from cycle 0.
-    MeshDecodeStats dummy;
+    // Per-lane trial bookkeeping, written when a lane takes a trial
+    // and read only while it holds one. Every comparison against the
+    // global cycle counter is relative to the lane's start cycle, so a
+    // trial injected mid-flight behaves exactly as if it were decoded
+    // alone from cycle 0.
     std::array<MeshDecodeStats *, kMaxLanes> laneStats;
-    std::array<Correction *, kMaxLanes> laneOut{};
-    std::array<std::int64_t, kMaxLanes> start{};
-    for (int l = 0; l < e.lanes; ++l) {
-        laneStats[l] = &dummy;
-        e.active[l] = false;
-        e.resetCountdown[l] = 0;
-        e.lastFire[l] = 0;
-        e.hotCount[l] = 0;
-    }
+    std::array<Correction *, kMaxLanes> laneOut;
+    std::array<std::int64_t, kMaxLanes> start;
+    std::array<const Syndrome *, kMaxLanes> laneSyn;
+    const auto &sites = lattice().ancillaSites(type());
+    // Lanes retired after stepping and lanes admitted with hot
+    // modules since the last step: the former are zeroed together and
+    // then the latter's hot modules placed, before the next step.
+    std::uint64_t stale = 0, fresh = 0;
+    const std::uint64_t all =
+        e.lanes == 64 ? ~std::uint64_t{0}
+                      : (std::uint64_t{1} << e.lanes) - 1;
+    // A cycle no busy lane reaches its cycle cap or quiescence window
+    // before. Fires only move a lane's window later, so it stays a
+    // lower bound until a sweep of every busy lane recomputes it.
+    constexpr std::int64_t kNever = INT64_MAX;
+    std::int64_t due = kNever;
+    const auto watch = [&](int l) {
+        const std::int64_t capped = start[l] + cycleCap_;
+        const std::int64_t quiet = e.lastFire[l] + quiescence_ + 1;
+        due = capped < due ? capped : due;
+        due = quiet < due ? quiet : due;
+    };
+    // A pull failed and no lane retired since: only a retirement makes
+    // a source's work pending, so idle lanes need not ask again.
+    bool dry = false;
 
-    int running = 0; ///< lanes holding a trial
     for (;;) {
+        // Visit, in ascending order, the lanes that can change between
+        // steps: busy ones with no hot module left (completion), idle
+        // ones unless the source is dry, and every busy one once the
+        // earliest deadline is reached.
+        const bool every = e.cycle >= due;
+        if (every)
+            due = kNever;
         bool retired = false;
         for (int l = 0; l < e.lanes; ++l) {
+            const std::uint64_t todo =
+                (e.cold | (every ? e.busy : 0) |
+                 (dry ? 0 : all & ~e.busy)) &
+                (~std::uint64_t{0} << l);
+            if (!todo)
+                break;
+            l = __builtin_ctzll(todo);
+            const std::uint64_t bit = std::uint64_t{1} << l;
             // Retire-and-refill loop: a lane may complete an injected
             // empty syndrome instantly and take another in the same
             // cycle.
             for (;;) {
-                if (!e.active[l]) {
+                if (!(e.busy & bit)) {
                     const Syndrome *syn = nullptr;
-                    if (!source.pull(l, syn, laneOut[l], laneStats[l]))
+                    if (!source.pull(l, syn, laneOut[l], laneStats[l])) {
+                        dry = true;
                         break;
+                    }
                     e.hotCount[l] = admit(*syn, *laneOut[l], *laneStats[l]);
                     start[l] = e.cycle;
                     e.lastFire[l] = e.cycle;
-                    e.active[l] = true;
-                    ++running;
-                    const int el = e.laneElem[l];
-                    const int base = e.laneBase[l];
-                    syn->forEachHot([&](int a) {
-                        const Coord rc =
-                            lattice().ancillaCoord(type(), a);
-                        const RowSlot at = e.slot[rc.row + 1];
-                        orElem(e.hot[at.word], el + at.elem,
-                               std::uint64_t{1}
-                                   << (base + at.shift + rc.col + 1));
-                    });
+                    e.busy |= bit;
+                    if (e.hotCount[l] == 0)
+                        e.cold |= bit;
+                    else
+                        fresh |= bit;
+                    laneSyn[l] = syn;
+                    watch(l);
                 }
                 const bool pr_empty =
                     e.stacked ? !anyW(e.prOcc)
@@ -524,20 +525,53 @@ MeshDecoder::decodeLanes(LaneEngine<W> &e, Source &source)
                     break; // still stepping
                 }
                 laneStats[l]->cycles = static_cast<int>(e.cycle - start[l]);
+                if (laneStats[l]->cycles > 0)
+                    stale |= bit;
                 finishLane<Isa>(e, l, *laneOut[l], *laneStats[l]);
-                laneStats[l] = &dummy;
-                --running;
                 retired = true;
+                dry = false;
                 source.retire(l);
             }
+            if (every && (e.busy & bit))
+                watch(l);
         }
         // A retirement late in the sweep may have made work pending
         // for lanes already passed: sweep again before concluding the
         // source is dry.
-        if (running == 0 && !retired)
+        if (!e.busy && !retired)
             break;
-        if (running == 0)
+        if (!e.busy)
             continue;
+
+        // Zero the retired lanes everywhere, one whole-word AND per
+        // plane row for all of them: once freed a lane contributes no
+        // signals, no firings, no resets and no stats, and the next
+        // trial injected into it starts from clean planes. The stacked
+        // lane owns whole words.
+        if (stale) {
+            W keep{};
+            if (!e.stacked) {
+                keep = ~W{};
+                for (; stale; stale &= stale - 1) {
+                    const int l = __builtin_ctzll(stale);
+                    andElem(keep, e.laneElem[l], ~e.laneSub[l]);
+                }
+            }
+            stale = 0;
+            keepOnly(keep);
+        }
+        for (; fresh; fresh &= fresh - 1) {
+            const int l = __builtin_ctzll(fresh);
+            const int el = e.laneElem[l];
+            const int base = e.laneBase[l];
+            laneSyn[l]->forEachHot([&](int a) {
+                const Coord rc = sites[a];
+                const RowSlot at = e.slot[rc.row + 1];
+                orElem(e.hot[at.word], el + at.elem,
+                       std::uint64_t{1} << (base + at.shift + rc.col + 1));
+            });
+        }
+
         if (e.stacked)
             stepLanes<Isa, true>(e, laneStats.data());
         else

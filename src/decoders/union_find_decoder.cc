@@ -186,8 +186,9 @@ UnionFindDecoder::peelErasure(const Graph &graph,
     // A BFS forest over the fully grown edges. The FIFO queue IS the
     // visit order; `head` persists across roots (each BFS drains fully
     // before the next root is offered). Every step writes its queue
-    // slot and selects, rather than branches on, whether it counts,
-    // so `order` holds one slot past the erasure. Roots get parent
+    // slot and computes whether it counts as a select, so `order`
+    // holds one slot past the erasure; GCC 12 at -O3 still branches on
+    // `take` (see the header). Roots get parent
     // edge -1; every other vertex the flip pass reads was reached, and
     // so written, first.
     std::size_t head = 0;

@@ -23,8 +23,10 @@
  * reference implementation).
  *
  * The peel is a BFS forest over the fully grown edges, then a
- * leaves-to-roots flip pass; their inner loops select instead of
- * branching on the data. A decode pays for its erasure, not for its
+ * leaves-to-roots flip pass. The BFS step is written as a select, but
+ * GCC 12 at -O3 compiles its `take` into a conditional jump, and a
+ * forced branch-free BFS measured slower (908 vs 852 ns per decode at
+ * d = 9, p = 5%). A decode pays for its erasure, not for its
  * graph: the erasure is enumerated ascending from a bitset instead of
  * sorted, and the flip pass rewinds only the erasure's vertices and
  * the edges bordering them, so no buffer is re-initialized per decode.

@@ -138,8 +138,7 @@ SurfaceLattice::ancillaIndex(ErrorType type, Coord rc) const
 Coord
 SurfaceLattice::ancillaCoord(ErrorType type, int idx) const
 {
-    const auto &sites = (type == ErrorType::Z) ? xSites_ : zSites_;
-    return sites.at(idx);
+    return ancillaSites(type).at(idx);
 }
 
 const std::vector<int> &

@@ -87,6 +87,15 @@ class SurfaceLattice
     /** Compact data index of a data site; panics on non-data sites. */
     int dataIndex(Coord rc) const;
 
+    /**
+     * Compact data index of the in-bounds site @p rc, or -1 for an
+     * ancilla site: the unchecked table read behind dataIndex().
+     */
+    int dataIndexOrNone(Coord rc) const
+    {
+        return dataIndexBySite_[siteIndex(rc)];
+    }
+
     /** Coordinate of compact data index @p idx. */
     Coord dataCoord(int idx) const { return dataSites_.at(idx); }
 
@@ -98,6 +107,12 @@ class SurfaceLattice
 
     /** Coordinate of ancilla @p idx in the family detecting @p type. */
     Coord ancillaCoord(ErrorType type, int idx) const;
+
+    /** Every ancillaCoord() of the family detecting @p type, by index. */
+    const std::vector<Coord> &ancillaSites(ErrorType type) const
+    {
+        return type == ErrorType::Z ? xSites_ : zSites_;
+    }
 
     /**
      * Data-qubit neighbors (compact data indices) stabilized by ancilla

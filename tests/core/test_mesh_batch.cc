@@ -491,6 +491,93 @@ TEST(MeshBatch, OneLaneMatchesScalarStripAtEveryWidth)
     }
 }
 
+TEST(MeshBatch, RefilledLanesHitEveryExitAtEveryWidthAndBuild)
+{
+    // Under tight limits a batch of three times the lane count keeps
+    // refilling lanes that were capped or quiesced mid-flight, next to
+    // lanes that complete. Between steps the engine visits only lanes
+    // that can change (no hot module left, idle, or past the earliest
+    // cap/quiescence deadline), so every trial must still retire on
+    // its own cycle, exactly as decoding it alone: corrections and
+    // every MeshDecodeStats field, at every width and build. A 3d cap
+    // with a 4-cycle window exits mostly by quiescence; a 2d cap
+    // inside a 16d window by the cap alone.
+    BuildGuard guard;
+    struct Build
+    {
+        simd::Width width;
+        bool portable;
+        bool capped = false, quiesced = false, completed = false;
+    };
+    // The 64-bit word has a single build.
+    std::vector<Build> builds{{simd::Width::Scalar, false}};
+    for (simd::Width w : {simd::Width::V256, simd::Width::V512}) {
+        builds.push_back({w, true});
+        if (simd::cpuSupports(w))
+            builds.push_back({w, false});
+    }
+    Rng rng(0x3ef111ULL);
+    for (int d : {3, 5, 9}) {
+        SurfaceLattice lat(d);
+        for (const MeshConfig &config : allVariants()) {
+            std::vector<Syndrome> syns;
+            for (int t = 0; t < 3 * MeshDecoder::kMaxLanes; ++t)
+                syns.push_back(randomSyndrome(
+                    lat, ErrorType::Z, 0.1 * (t % 6), rng));
+            for (const bool quiet : {true, false}) {
+                const int cap = quiet ? 3 * d : 2 * d;
+                const int window = quiet ? 4 : 16 * d;
+                simd::setActiveWidth(simd::Width::Scalar);
+                simd::setPortableForTest(false);
+                MeshDecoder reference(lat, ErrorType::Z, config);
+                reference.setLimitsForTest(cap, window);
+
+                for (Build &b : builds) {
+                    simd::setActiveWidth(b.width);
+                    simd::setPortableForTest(b.portable);
+                    const std::string label =
+                        "d=" + std::to_string(d) + " " + config.label() +
+                        " " + simd::widthName(b.width) +
+                        (b.portable ? " portable" : " native") +
+                        " cap " + std::to_string(cap) + " window " +
+                        std::to_string(window);
+                    MeshDecoder batched(lat, ErrorType::Z, config);
+                    batched.setLimitsForTest(cap, window);
+                    ASSERT_EQ(batched.batchNative(), !b.portable) << label;
+                    ASSERT_LE(3 * batched.batchLanes(),
+                              static_cast<int>(syns.size()))
+                        << label;
+                    expectBatchMatchesScalar(reference, batched, syns,
+                                             label.c_str());
+
+                    // Trials past the first batchLanes() ran in
+                    // refilled lanes; each batch exits them by its
+                    // binding limit.
+                    bool capped = false, quiesced = false;
+                    for (std::size_t i = batched.batchLanes();
+                         i < syns.size(); ++i) {
+                        const MeshDecodeStats &s = *batched.meshStats(i);
+                        capped |= s.timedOut;
+                        quiesced |= s.quiesced;
+                        b.completed |=
+                            s.cycles > 0 && !s.timedOut && !s.quiesced;
+                    }
+                    EXPECT_TRUE(quiet ? quiesced : capped) << label;
+                    b.capped |= capped;
+                    b.quiesced |= quiesced;
+                }
+            }
+        }
+    }
+    for (const Build &b : builds) {
+        const std::string label = std::string(simd::widthName(b.width)) +
+                                  (b.portable ? " portable" : " native");
+        EXPECT_TRUE(b.capped) << label;
+        EXPECT_TRUE(b.quiesced) << label;
+        EXPECT_TRUE(b.completed) << label;
+    }
+}
+
 TEST(MeshBatch, NativeBuildMatchesPortableAtV256)
 {
     expectNativeMatchesPortable(simd::Width::V256);

@@ -13,11 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/simd.hh"
+#include "core/mesh_decoder.hh"
 #include "obs/metrics.hh"
 #include "sim/experiment.hh"
 
@@ -334,6 +336,116 @@ TEST(LifetimeLanes, DepolarizingMeshCellDecodesBothFamilies)
                          " threads=" + std::to_string(threads));
             EXPECT_EQ(describe(Engine(options(threads)).runCell(spec)),
                       kDepolarizingMesh);
+        }
+    }
+}
+
+/** The final-design mesh with a 3d-cycle cap and a 4-cycle window. */
+std::unique_ptr<MeshDecoder>
+tightMesh(const SurfaceLattice &lattice, ErrorType type)
+{
+    auto mesh = std::make_unique<MeshDecoder>(lattice, type,
+                                              MeshConfig::finalDesign());
+    mesh->setLimitsForTest(3 * lattice.distance(), 4);
+    return mesh;
+}
+
+/**
+ * tightMesh() behind the plain Decoder interface: not a MeshDecoder,
+ * so the engine runs one lifetime per simulator and decodes each round
+ * as a batch of one.
+ */
+class OneLaneTightMesh : public Decoder
+{
+  public:
+    OneLaneTightMesh(const SurfaceLattice &lattice, ErrorType type)
+        : Decoder(lattice, type), mesh_(tightMesh(lattice, type))
+    {}
+
+    using Decoder::decodeBatch;
+
+    void
+    decodeBatch(const Syndrome *const *syndromes, std::size_t count,
+                Correction *out, TrialWorkspace &ws) override
+    {
+        mesh_->decodeBatch(syndromes, count, out, ws);
+    }
+
+    const MeshDecodeStats *
+    meshStats(std::size_t lane) const override
+    {
+        return mesh_->meshStats(lane);
+    }
+
+    void
+    exportMetrics(obs::MetricSet &out) const override
+    {
+        mesh_->exportMetrics(out);
+    }
+
+    std::string name() const override { return mesh_->name(); }
+
+  private:
+    std::unique_ptr<MeshDecoder> mesh_;
+};
+
+TEST(LifetimeLanes, TightLimitsMatchOneLifetimePerSimulator)
+{
+    // Under a 3d-cycle cap and a 4-cycle quiescence window, lanes of
+    // the lifetime pump exit by cap and quiescence mid-flight and take
+    // the next pending round at once. Every cell must still equal the
+    // run that decodes each round alone, at every width and thread
+    // count.
+    WidthGuard guard;
+    const SweepConfig config = meshSweep();
+    const DecoderFactory alone = [](const SurfaceLattice &lattice,
+                                    ErrorType type) {
+        return std::unique_ptr<Decoder>(
+            std::make_unique<OneLaneTightMesh>(lattice, type));
+    };
+    const DecoderFactory lanes = [](const SurfaceLattice &lattice,
+                                    ErrorType type) {
+        return std::unique_ptr<Decoder>(tightMesh(lattice, type));
+    };
+
+    std::vector<std::string> expected;
+    obs::MetricSet totals;
+    {
+        Engine engine(options(1));
+        const SweepResult result = engine.runSweep(config, alone);
+        obs::MetricSet runtime;
+        engine.runtimeMetricsInto(runtime);
+        EXPECT_EQ(runtime.value("sched.lifetime.groups"),
+                  runtime.value("sched.lifetime.lanes"));
+        for (const auto &row : result.cells)
+            for (const MonteCarloResult &cell : row) {
+                expected.push_back(describe(cell));
+                totals.merge(cell.metrics);
+            }
+    }
+    // The limits bind: rounds exit by both.
+    EXPECT_GT(totals.value("decoder.mesh.cycles_capped"), 0u);
+    EXPECT_GT(totals.value("decoder.mesh.quiesced"), 0u);
+
+    for (simd::Width width : kWidths) {
+        for (int threads : {1, 3}) {
+            simd::setActiveWidth(width);
+            SCOPED_TRACE(std::string("width=") + simd::widthName(width) +
+                         " threads=" + std::to_string(threads));
+            Engine engine(options(threads));
+            const SweepResult result = engine.runSweep(config, lanes);
+            std::size_t i = 0;
+            for (const auto &row : result.cells)
+                for (const MonteCarloResult &cell : row) {
+                    ASSERT_LT(i, expected.size());
+                    EXPECT_EQ(describe(cell), expected[i]) << "cell " << i;
+                    ++i;
+                }
+            EXPECT_EQ(i, expected.size());
+            obs::MetricSet runtime;
+            engine.runtimeMetricsInto(runtime);
+            EXPECT_GT(runtime.value("sched.lifetime.lanes"),
+                      runtime.value("sched.lifetime.groups"));
         }
     }
 }

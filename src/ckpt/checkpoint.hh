@@ -108,7 +108,7 @@ struct CellLedger
 };
 
 /**
- * Ledger of one engine invocation (one runSweep/runCell call). The
+ * Ledger of one engine invocation (one Engine::runCells call). The
  * config text is the canonical cell-grid description whose FNV-64 is
  * the invocation's config fingerprint; resume refuses to apply a
  * ledger whose fingerprint differs from the run it is fed into.

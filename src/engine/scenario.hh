@@ -94,7 +94,8 @@ class ScenarioContext
 
     /**
      * The sharded engine, constructed on first use. It starts worker
-     * threads only inside its runSweep/runCell/runJobs calls.
+     * threads only inside its runCells/runJobs calls (runCell and
+     * runSweep each make one runCells call).
      */
     Engine &engine();
     OutputFormat format() const { return options_.format; }

@@ -9,7 +9,7 @@
 
 #include "engine/scenarios.hh"
 
-#include <memory>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -32,39 +32,44 @@ fig10Measurement(ScenarioContext &ctx)
     const std::vector<double> rates =
         SweepConfig::logSpaced(0.004, 0.03, 6);
     const std::vector<std::string> families{"mwpm", "union_find"};
+    std::deque<SurfaceLattice> lattices;
+    for (int d : distances)
+        lattices.emplace_back(d);
 
+    // Every (decoder, p, d) cell in one invocation: q tracks p and the
+    // window length tracks d, so no two cells form a sweep grid. Each
+    // keeps the seed a one-cell sweep draws from the master seed.
+    const std::uint64_t seed = Rng(ctx.seed(0x3ea5ULL)).split().next();
+    std::vector<CellSpec> specs;
+    for (const std::string &family : families)
+        for (double p : rates)
+            for (const SurfaceLattice &lattice : lattices) {
+                CellSpec &spec = specs.emplace_back();
+                spec.lattice = &lattice;
+                spec.physicalRate = p;
+                spec.noise = NoiseSpec::dephasing().withQ(p);
+                spec.windowRounds = lattice.distance();
+                spec.rule = ctx.scaled({800, 800, 1u << 30});
+                spec.seed = seed;
+                spec.factory =
+                    &decoderFamilies()[decoderFamilyIndex(family)].factory;
+            }
+    const std::vector<MonteCarloResult> cells =
+        ctx.engine().runCells(specs);
+
+    auto cell = cells.begin();
     for (const std::string &family : families) {
         ctx.note("--- decoder: " + family + " (spacetime "
                  "decodeWindow) ---");
-        const DecoderFactory &factory =
-            decoderFamilies()[decoderFamilyIndex(family)].factory;
         std::vector<std::string> header{"p = q (%)"};
         for (int d : distances)
             header.push_back("PL d=" + std::to_string(d));
         TablePrinter table(header);
-
-        // One sweep per rate: q tracks the sweep axis, so each p is
-        // its own single-rate sweep with noise.q = p.
         for (double p : rates) {
-            SweepConfig config;
-            config.distances = distances;
-            config.physicalRates = {p};
-            config.noise = NoiseSpec::dephasing().withQ(p);
-            config.stopRule = ctx.scaled({800, 800, 1u << 30});
-            config.seed = ctx.seed(0x3ea5ULL);
-            // Window length scales with distance: runSweep applies
-            // windowRounds uniformly, so sweep each distance alone.
-            std::vector<std::string> row{
-                TablePrinter::num(100 * p, 3)};
-            for (std::size_t di = 0; di < distances.size(); ++di) {
-                SweepConfig cell = config;
-                cell.distances = {distances[di]};
-                cell.windowRounds = distances[di];
-                const SweepResult result =
-                    ctx.engine().runSweep(cell, factory);
-                const double pl = result.curves[0].pl[0];
-                row.push_back(TablePrinter::num(100 * pl, 3));
-            }
+            std::vector<std::string> row{TablePrinter::num(100 * p, 3)};
+            for (std::size_t di = 0; di < distances.size(); ++di)
+                row.push_back(TablePrinter::num(
+                    100 * (cell++)->logicalErrorRate, 3));
             table.addRow(row);
         }
         ctx.table("fig10_measurement_" + family, table);

@@ -31,6 +31,25 @@ SweepConfig::logSpaced(double lo, double hi, int count)
     return out;
 }
 
+void
+CellSpec::validate() const
+{
+    require(lattice && factory,
+            "Engine: cell needs a lattice and a decoder factory");
+    require(batchLanes <= kMaxBatchLanes,
+            "Engine: batchLanes exceeds kMaxBatchLanes");
+    require(windowRounds == 0 || !lifetimeMode,
+            "LifetimeSimulator: windowed decoding and lifetime mode are "
+            "mutually exclusive (use the streaming pipeline for "
+            "persistent windowed runs)");
+    // Single-round protocols never call flipMeasurements: running a
+    // noisy-readout model without a window would silently simulate
+    // q = 0 while reporting a q > 0 configuration.
+    require(windowRounds > 0 || noise.q == 0.0,
+            "LifetimeSimulator: measurement noise (q > 0) requires a "
+            "decode window (setMeasurementWindow)");
+}
+
 namespace {
 
 /** Fixed trial budget and seed of one shard of a cell. */
@@ -49,7 +68,6 @@ std::vector<Shard>
 planShards(const StopRule &rule, std::size_t shardTrials,
            std::uint64_t cellSeed)
 {
-    require(shardTrials > 0, "Engine: shardTrials must be positive");
     std::vector<Shard> shards;
     Rng cellRng(cellSeed);
     for (std::size_t done = 0; done < rule.maxTrials;
@@ -66,7 +84,7 @@ planShards(const StopRule &rule, std::size_t shardTrials,
 /**
  * Whether cells @p a and @p b may run as lanes of one simulator: the
  * same lattice, decoders and protocol, differing at most in physical
- * rate and seed (in runSweep: the cells of one distance).
+ * rate and seed (in a sweep: the cells of one distance).
  */
 bool
 sharesSimulator(const CellSpec &a, const CellSpec &b)
@@ -356,23 +374,6 @@ Engine::runShards(TrialWorkspace &workspace)
 }
 
 void
-Engine::prepareCell(const CellSpec &spec, CellRun &run)
-{
-    require(spec.lattice && spec.factory,
-            "Engine: cell needs a lattice and a decoder factory");
-    require(spec.batchLanes <= kMaxBatchLanes,
-            "Engine: batchLanes exceeds kMaxBatchLanes");
-    run.spec = spec;
-    if (run.spec.batchLanes == 0)
-        run.spec.batchLanes = options_.batchLanes;
-    run.shards = planShards(spec.rule, options_.shardTrials, spec.seed);
-    run.pending.resize(run.shards.size());
-    run.stop = run.shards.size();
-    run.stopHint.store(run.shards.size(), std::memory_order_release);
-    run.nextShard = 0;
-}
-
-void
 Engine::runGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
 {
     groups_.clear();
@@ -383,41 +384,30 @@ Engine::runGroups(const std::vector<std::unique_ptr<CellRun>> &runs)
             groups_.push_back(std::make_unique<CellGroup>());
         groups_.back()->cells.push_back(run.get());
     }
-    // Largest lattices first: their lifetimes are the longest, so the
-    // workers share them and the small ones fill in at the end.
+    // Slowest shards first, in cells and in groups: largest lattices,
+    // then highest rates, so the workers share the longest shards and
+    // the short ones fill in at the end.
+    const auto slower = [](const CellRun *a, const CellRun *b) {
+        const int da = a->spec.lattice->distance();
+        const int db = b->spec.lattice->distance();
+        return da != db ? da > db
+                        : a->spec.physicalRate > b->spec.physicalRate;
+    };
+    for (const auto &group : groups_)
+        std::stable_sort(group->cells.begin(), group->cells.end(), slower);
     std::stable_sort(groups_.begin(), groups_.end(),
-                     [](const auto &a, const auto &b) {
-                         return a->cells.front()->spec.lattice->distance() >
-                                b->cells.front()->spec.lattice->distance();
+                     [&slower](const auto &a, const auto &b) {
+                         return slower(a->cells.front(), b->cells.front());
                      });
     // No more workers than shards to claim (a restored cell starts at
     // its frontier; a restored-stopped cell needs nothing).
     std::size_t unclaimed = 0;
-    for (const auto &group : groups_) {
-        std::stable_sort(group->cells.begin(), group->cells.end(),
-                         [](const CellRun *a, const CellRun *b) {
-                             return a->spec.physicalRate >
-                                    b->spec.physicalRate;
-                         });
+    for (const auto &group : groups_)
         unclaimed += group->unclaimed();
-    }
     runWorkers(std::min(unclaimed, workspaces_.size()),
                [this](std::size_t worker) {
                    runShards(workspaces_[worker]);
                });
-}
-
-MonteCarloResult
-Engine::collectCell(CellRun &run)
-{
-    MonteCarloResult result = std::move(run.acc);
-    result.metrics.add("engine.cells");
-    result.finalize();
-    // Fold in collect order, which is fixed (runSweep collects in grid
-    // order, runCell immediately) — so engine totals inherit the
-    // per-cell determinism.
-    totals_.merge(result.metrics);
-    return result;
 }
 
 void
@@ -675,14 +665,43 @@ Engine::checkpointMetricsInto(obs::MetricSet &out) const
                          (steadyNowNs() - last) / 1000000));
 }
 
+std::vector<MonteCarloResult>
+Engine::runCells(const std::vector<CellSpec> &specs)
+{
+    // All of them first: a bad cell must fail before any shard runs.
+    for (const CellSpec &spec : specs)
+        spec.validate();
+    std::vector<std::unique_ptr<CellRun>> runs;
+    runs.reserve(specs.size());
+    for (const CellSpec &spec : specs) {
+        CellRun &run = *runs.emplace_back(std::make_unique<CellRun>());
+        run.spec = spec;
+        if (run.spec.batchLanes == 0)
+            run.spec.batchLanes = options_.batchLanes;
+        run.shards = planShards(spec.rule, options_.shardTrials, spec.seed);
+        run.pending.resize(run.shards.size());
+        run.stop = run.shards.size();
+        run.stopHint.store(run.stop, std::memory_order_release);
+    }
+    executeInvocation(runs);
+
+    // Fold in spec order, which the caller fixes, so engine totals
+    // inherit the per-cell determinism.
+    std::vector<MonteCarloResult> results;
+    results.reserve(runs.size());
+    for (const auto &run : runs) {
+        MonteCarloResult &result = results.emplace_back(std::move(run->acc));
+        result.metrics.add("engine.cells");
+        result.finalize();
+        totals_.merge(result.metrics);
+    }
+    return results;
+}
+
 MonteCarloResult
 Engine::runCell(const CellSpec &spec)
 {
-    std::vector<std::unique_ptr<CellRun>> runs;
-    runs.push_back(std::make_unique<CellRun>());
-    prepareCell(spec, *runs.front());
-    executeInvocation(runs);
-    return collectCell(*runs.front());
+    return std::move(runCells({spec}).front());
 }
 
 void
@@ -708,21 +727,20 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
             "runSweep: no physical rates given");
 
     // Lattices are shared read-only across every shard of a distance.
-    std::vector<std::unique_ptr<SurfaceLattice>> lattices;
-    lattices.reserve(config.distances.size());
+    std::deque<SurfaceLattice> lattices;
     for (int d : config.distances)
-        lattices.push_back(std::make_unique<SurfaceLattice>(d));
+        lattices.emplace_back(d);
 
     // Cell seeds are drawn in fixed grid order from the master stream,
     // mirroring the legacy serial sweep's per-cell split() sequence.
     Rng master(config.seed);
     const std::size_t cols = config.physicalRates.size();
-    std::vector<std::unique_ptr<CellRun>> runs;
-    runs.reserve(config.distances.size() * cols);
+    std::vector<CellSpec> specs;
+    specs.reserve(config.distances.size() * cols);
     for (std::size_t di = 0; di < config.distances.size(); ++di) {
         for (double p : config.physicalRates) {
-            CellSpec spec;
-            spec.lattice = lattices[di].get();
+            CellSpec &spec = specs.emplace_back();
+            spec.lattice = &lattices[di];
             spec.physicalRate = p;
             spec.noise = config.noise;
             spec.windowRounds = config.windowRounds;
@@ -731,11 +749,9 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
             Rng child = master.split();
             spec.seed = child.next();
             spec.factory = &factory;
-            runs.push_back(std::make_unique<CellRun>());
-            prepareCell(spec, *runs.back());
         }
     }
-    executeInvocation(runs);
+    std::vector<MonteCarloResult> cells = runCells(specs);
 
     SweepResult result;
     for (std::size_t di = 0; di < config.distances.size(); ++di) {
@@ -743,7 +759,7 @@ Engine::runSweep(const SweepConfig &config, const DecoderFactory &factory)
         curve.distance = config.distances[di];
         std::vector<MonteCarloResult> row;
         for (std::size_t pi = 0; pi < cols; ++pi) {
-            MonteCarloResult mc = collectCell(*runs[di * cols + pi]);
+            MonteCarloResult &mc = cells[di * cols + pi];
             curve.p.push_back(config.physicalRates[pi]);
             curve.pl.push_back(mc.logicalErrorRate);
             row.push_back(std::move(mc));

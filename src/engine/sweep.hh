@@ -7,17 +7,18 @@
  * seed (via Rng::split child streams) and the merge order is fixed, an
  * N-thread run produces byte-identical aggregates to a 1-thread run.
  *
- * Each invocation starts min(threads, unclaimed shards) workers and
+ * Engine::runCells is the one Monte Carlo invocation: it starts
+ * min(threads, unclaimed shards) workers over all of its cells and
  * joins them before it returns; worker 0 is the calling thread, so a
  * 1-thread engine or a one-shard cell starts no thread at all. Cells
- * that can share decoders form groups (in runSweep, the cells of one
- * distance), and every worker walks the groups in the same order,
- * claiming shards in index order until a group is drained, so an
- * early-stopped cell never runs a shard past its stop index. A worker
- * runs one claimed shard on fresh decoders; in lifetime mode on the
- * mesh decoder it runs as many shards side by side as the decoder has
- * lanes, claiming the next shard whenever one ends, until the group is
- * drained.
+ * that can share decoders form groups, and every worker walks the
+ * groups in the same order (largest distance first, then highest
+ * rate), claiming shards in index order until a group is drained, so
+ * an early-stopped cell never runs a shard past its stop index. A
+ * worker runs one claimed shard on fresh decoders; in lifetime mode on
+ * the mesh decoder it runs as many shards side by side as the decoder
+ * has lanes, claiming the next shard whenever one ends, until the
+ * group is drained.
  *
  * Protocol note: each shard is its own lifetime from a clean lattice
  * state, whether it runs alone or as a lane. In lifetime mode a cell
@@ -134,12 +135,21 @@ struct CellSpec
     const DecoderFactory *factory = nullptr;
     /** Per-round trials per decodeBatch group; 0 = engine default. */
     std::size_t batchLanes = 0;
+
+    /**
+     * Die with one clear message on a cell the simulator cannot run: no
+     * lattice or factory, batchLanes past kMaxBatchLanes, a decode
+     * window in lifetime mode, or measurement noise (q > 0) without a
+     * window, which would silently simulate q = 0.
+     */
+    void validate() const;
 };
 
 /**
- * Sharded, deterministic Monte Carlo executor. Each runSweep/runCell/
- * runJobs call runs its own workers and joins them before returning;
- * calls may repeat but not run concurrently from multiple threads.
+ * Sharded, deterministic Monte Carlo executor. Each runCells/runJobs
+ * call runs its own workers and joins them before returning; runCell
+ * and runSweep only build specs for runCells. Calls may repeat but not
+ * run concurrently from multiple threads.
  */
 class Engine
 {
@@ -150,14 +160,23 @@ class Engine
     int threads() const;
     const EngineOptions &options() const { return options_; }
 
-    /** Run one grid cell sharded across the workers; result finalized. */
+    /**
+     * Run @p specs as one invocation, their shards sharing the
+     * workers, and return their finalized results in spec order. Every
+     * spec is validated before any worker starts. Results depend only
+     * on the specs and shardTrials — never on the thread count or on
+     * which other specs share the call.
+     */
+    std::vector<MonteCarloResult>
+    runCells(const std::vector<CellSpec> &specs);
+
+    /** runCells of one spec. */
     MonteCarloResult runCell(const CellSpec &spec);
 
     /**
      * Run a full (distance, physical-rate) grid for @p factory
-     * decoders. Cell seeds are drawn from config.seed in fixed grid
-     * order, so results depend only on the configuration, the master
-     * seed and shardTrials — never on the thread count.
+     * decoders as one runCells call. Cell seeds are drawn from
+     * config.seed in fixed grid order.
      */
     SweepResult runSweep(const SweepConfig &config,
                          const DecoderFactory &factory);
@@ -196,19 +215,19 @@ class Engine
     void runtimeMetricsInto(obs::MetricSet &out) const;
 
     /**
-     * Enable periodic checkpointing: every runSweep/runCell call
-     * becomes one ledger invocation, snapshotted to policy.path after
-     * every policy.intervalShards shard completions and at each
-     * invocation boundary. Set before the first runSweep/runCell.
+     * Enable periodic checkpointing: every runCells call becomes one
+     * ledger invocation, snapshotted to policy.path after every
+     * policy.intervalShards shard completions and at each invocation
+     * boundary. Set before the first run.
      *
      * With a policy installed, SIGINT/SIGTERM (or requestInterrupt())
      * drains in-flight shards, writes a final checkpoint and throws
-     * ckpt::InterruptedError from the interrupted runSweep/runCell.
+     * ckpt::InterruptedError from the interrupted call.
      */
     void setCheckpointPolicy(const ckpt::CheckpointPolicy &policy);
 
     /**
-     * Resume from a loaded ledger: each subsequent runSweep/runCell
+     * Resume from a loaded ledger: each subsequent runCells call
      * validates its canonical config text against the matching
      * restored invocation (a mismatch — different grid, rates, seed,
      * shardTrials — is a hard ckpt::CheckpointError), restores every
@@ -217,7 +236,7 @@ class Engine
      * restored without recomputation. Because restored accumulators
      * and shard seeds are exact, a resumed run is byte-identical to an
      * uninterrupted one at any thread count. Call before the first
-     * runSweep/runCell; composes with setCheckpointPolicy.
+     * run; composes with setCheckpointPolicy.
      */
     void resumeFrom(ckpt::CheckpointLedger ledger);
 
@@ -235,12 +254,10 @@ class Engine
     struct CellGroup; ///< cells whose shards may share a simulator
     struct ShardSource; ///< a simulator's claims, as lifetimes
 
-    void prepareCell(const CellSpec &spec, CellRun &run);
     /** Group @p runs, then run workers until every group is drained. */
     void runGroups(const std::vector<std::unique_ptr<CellRun>> &runs);
     /** One worker: claim and run shards group by group. */
     void runShards(TrialWorkspace &workspace);
-    MonteCarloResult collectCell(CellRun &run);
 
     /**
      * Run one prepared invocation (restore / schedule / drain /

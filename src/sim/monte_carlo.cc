@@ -63,17 +63,6 @@ MonteCarloResult::finalize()
 }
 
 LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
-                                     const NoiseModel &model,
-                                     Decoder &zDecoder, Decoder *xDecoder,
-                                     std::uint64_t seed,
-                                     TrialWorkspace *workspace)
-    : LifetimeSimulator(lattice, zDecoder, xDecoder, workspace)
-{
-    model_ = &model;
-    seed_ = seed;
-}
-
-LifetimeSimulator::LifetimeSimulator(const SurfaceLattice &lattice,
                                      Decoder &zDecoder, Decoder *xDecoder,
                                      TrialWorkspace *workspace)
     : lattice_(lattice),
@@ -154,16 +143,6 @@ LifetimeSimulator::startLane(std::size_t slot, const LifetimeLane &spec)
 {
     require(spec.model != nullptr,
             "LifetimeSimulator: lifetime has no error model");
-    require(windowRounds_ == 0 || !lifetimeMode_,
-            "LifetimeSimulator: windowed decoding and lifetime mode are "
-            "mutually exclusive (use the streaming pipeline for "
-            "persistent windowed runs)");
-    // Single-round protocols never call flipMeasurements: running a
-    // noisy-readout model without a window would silently simulate
-    // q = 0 while reporting a q > 0 configuration.
-    require(windowRounds_ > 0 || spec.model->measurementFlipRate() == 0.0,
-            "LifetimeSimulator: measurement noise (q > 0) requires a "
-            "decode window (setMeasurementWindow)");
     Lane &lane = lanes_[slot];
     lane.model = spec.model;
     lane.rng = Rng(spec.seed);
@@ -472,14 +451,6 @@ LifetimeSimulator::claimInto(std::size_t slot)
         endLifetime(slot);
     }
     return false;
-}
-
-MonteCarloResult
-LifetimeSimulator::run(const StopRule &rule)
-{
-    require(model_ != nullptr,
-            "LifetimeSimulator: run() needs the constructor's model");
-    return runAlone({model_, seed_, rule, 0});
 }
 
 } // namespace nisqpp

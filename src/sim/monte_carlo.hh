@@ -135,21 +135,12 @@ class LifetimeSimulator : private LifetimeFeed
   public:
     /**
      * @param lattice  Lattice under test.
-     * @param model    Error channel sampled each round by run().
      * @param zDecoder Decoder for Z data errors (X-ancilla syndromes).
      * @param xDecoder Decoder for X data errors; may be null when the
      *                 channel produces no X component (pure dephasing).
-     * @param seed     Master RNG seed of run() (deterministic
-     *                 reproduction).
      * @param workspace Scratch shared with other simulators on the
      *                 same thread; null = allocate a private one.
      */
-    LifetimeSimulator(const SurfaceLattice &lattice,
-                      const NoiseModel &model, Decoder &zDecoder,
-                      Decoder *xDecoder, std::uint64_t seed,
-                      TrialWorkspace *workspace = nullptr);
-
-    /** A simulator for runLifetimes only (no run()). */
     LifetimeSimulator(const SurfaceLattice &lattice, Decoder &zDecoder,
                       Decoder *xDecoder,
                       TrialWorkspace *workspace = nullptr);
@@ -186,17 +177,12 @@ class LifetimeSimulator : private LifetimeFeed
      * accumulated SyndromeWindow to Decoder::decodeWindowBatch,
      * commits the returned correction at the window boundary and
      * classifies the residual. 0 (the default) keeps the single-round
-     * protocols. Mutually exclusive with lifetime mode (the streaming
-     * pipeline owns the persistent-state windowed regime); mesh cycle
-     * telemetry is not collected in windowed mode.
+     * protocols, which ignore the model's flip rate q. Not for
+     * lifetime mode (the streaming pipeline owns the persistent-state
+     * windowed regime); CellSpec::validate rejects both combinations.
+     * Mesh cycle telemetry is not collected in windowed mode.
      */
     void setMeasurementWindow(int rounds);
-
-    /**
-     * Run @p rule-governed trials from the constructor's model and
-     * seed, and aggregate.
-     */
-    MonteCarloResult run(const StopRule &rule);
 
     /**
      * Lifetimes runLifetimes runs side by side: in lifetime mode on a
@@ -208,13 +194,14 @@ class LifetimeSimulator : private LifetimeFeed
     std::size_t lifetimeLanes() const;
 
     /**
-     * Run every lifetime @p source hands out, each exactly as run()
-     * would with its model, seed and rule, and give each result back
-     * to the source as it ends. With lifetimeLanes() > 1 they run side
-     * by side through the Z decoder's lane pump: each lifetime's next
-     * round starts the moment its last decode finishes, and a lifetime
-     * that ends hands its lane to the next one claimed. Otherwise they
-     * run one after another.
+     * Run every lifetime @p source hands out, each on its own RNG
+     * stream from its seed until its rule stops it, and give each
+     * result back to the source as it ends; no result depends on the
+     * lifetimes that ran beside it. With lifetimeLanes() > 1 they run
+     * side by side through the Z decoder's lane pump: each lifetime's
+     * next round starts the moment its last decode finishes, and a
+     * lifetime that ends hands its lane to the next one claimed.
+     * Otherwise they run one after another.
      */
     void runLifetimes(LifetimeSource &source);
 
@@ -308,8 +295,6 @@ class LifetimeSimulator : private LifetimeFeed
     const SurfaceLattice &lattice_;
     /** Largest cycle count the histograms track exactly. */
     const std::size_t maxCycles_;
-    const NoiseModel *model_ = nullptr; ///< run()'s lifetime
-    std::uint64_t seed_ = 0;
     bool lifetimeMode_ = false;
     std::size_t batchLanes_ = 1;
     int windowRounds_ = 0; ///< noisy rounds per window; 0 = off

@@ -8,6 +8,7 @@
 #include "common/rng.hh"
 #include "core/mesh_decoder.hh"
 #include "sim/monte_carlo.hh"
+#include "support/one_lifetime.hh"
 #include "noise/noise_model.hh"
 #include "surface/logical.hh"
 
@@ -88,10 +89,10 @@ TEST(MeshVariants, LadderImprovesAccuracy)
         SurfaceLattice lat(d);
         MeshDecoder dec(lat, ErrorType::Z, config);
         const NoiseModel model = NoiseModel::dephasing(p);
-        LifetimeSimulator sim(lat, model, dec, nullptr, 42);
+        LifetimeSimulator sim(lat, dec, nullptr);
         sim.setLifetimeMode(true);
         const StopRule rule{trials, trials, 1u << 30};
-        return static_cast<int>(sim.run(rule).failures);
+        return static_cast<int>(runOneLifetime(sim, model, 42, rule).failures);
     };
     const int f_base = lifetime_fails(MeshConfig::baseline());
     const int f_reset = lifetime_fails(MeshConfig::withReset());

@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "ckpt/checkpoint.hh"
 #include "sim/experiment.hh"
@@ -258,6 +259,47 @@ TEST(CheckpointResume, ConfigMismatchIsAHardError)
         FAIL() << "mismatched checkpoint applied";
     } catch (const ckpt::CheckpointError &e) {
         EXPECT_NE(std::string(e.what()).find("config mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, OneCallPerCellLedgerIsRefusedByOneRunCells)
+{
+    // A ledger written as one invocation per cell (two runCell calls)
+    // must not resume the same cells planned as one invocation.
+    CkptStateGuard guard;
+    const DecoderFactory factory = unionFindDecoderFactory();
+    const SurfaceLattice lattice(3);
+    std::vector<CellSpec> specs(2);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        specs[i].lattice = &lattice;
+        specs[i].physicalRate = 0.03 + 0.02 * i;
+        specs[i].rule = {128, 128, 1u << 30};
+        specs[i].seed = i + 1;
+        specs[i].factory = &factory;
+    }
+    EngineOptions options;
+    options.shardTrials = 64;
+
+    const std::string path = ckptPath("layout.ckpt");
+    std::remove(path.c_str());
+    ckpt::CheckpointPolicy policy;
+    policy.path = path;
+    Engine writer(options);
+    writer.setCheckpointPolicy(policy);
+    for (const CellSpec &spec : specs)
+        writer.runCell(spec);
+
+    Engine reader(options);
+    reader.resumeFrom(ckpt::loadCheckpoint(path));
+    try {
+        reader.runCells(specs);
+        FAIL() << "ledger of separate calls resumed one runCells";
+    } catch (const ckpt::CheckpointError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "checkpoint config mismatch in invocation 0"),
                   std::string::npos)
             << e.what();
     }

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "sim/experiment.hh"
 
 namespace nisqpp {
@@ -21,6 +27,17 @@ smallSweep()
     config.stopRule = {600, 600, 1u << 30};
     config.seed = 0xfeedULL;
     return config;
+}
+
+/** Every counter, gauge and histogram of @p metrics, as JSON. */
+std::string
+metricsText(const obs::MetricSet &metrics)
+{
+    std::ostringstream os;
+    metrics.writeScalarsJson(os, false);
+    metrics.writeScalarsJson(os, true);
+    metrics.writeHistogramsJson(os);
+    return os.str();
 }
 
 void
@@ -271,6 +288,75 @@ TEST(EngineDeterminism, RunCellFinalizesDerivedFields)
                      static_cast<double>(res.failures) / res.trials);
     EXPECT_LE(res.ci.lo, res.logicalErrorRate);
     EXPECT_GE(res.ci.hi, res.logicalErrorRate);
+}
+
+/**
+ * Every field of @p cell, bit for bit: counts, the cycle statistics'
+ * doubles as bit patterns, every histogram bin and all of its metrics.
+ */
+std::string
+fingerprint(const MonteCarloResult &cell)
+{
+    std::ostringstream os;
+    os << cell.trials << ' ' << cell.failures << ' '
+       << cell.syndromeResidualFailures << ' ' << std::hex
+       << std::bit_cast<std::uint64_t>(cell.logicalErrorRate) << ' '
+       << cell.cycles.count() << ' '
+       << std::bit_cast<std::uint64_t>(cell.cycles.mean()) << ' '
+       << std::bit_cast<std::uint64_t>(cell.cycles.variance()) << ' '
+       << std::bit_cast<std::uint64_t>(cell.cycles.max()) << " hist";
+    for (std::size_t bin = 0; bin < cell.cycleHistogram.numBins(); ++bin)
+        os << ' ' << cell.cycleHistogram.bin(bin);
+    os << ' ' << cell.cycleHistogram.overflow() << std::dec << '\n';
+    return os.str() + metricsText(cell.metrics);
+}
+
+TEST(EngineDeterminism, RunCellsMatchesSeparateCalls)
+{
+    // One runCells call shares its workers across all of its cells,
+    // yet each result, and the engine totals folded in spec order,
+    // equal running the same specs one runCell call at a time.
+    const SurfaceLattice d3(3), d5(5);
+    const DecoderFactory unionFind = unionFindDecoderFactory();
+    const DecoderFactory mesh =
+        meshDecoderFactory(MeshConfig::finalDesign());
+    const auto cell = [](const SurfaceLattice &lattice, double p,
+                         std::uint64_t seed, const DecoderFactory &f) {
+        CellSpec spec;
+        spec.lattice = &lattice;
+        spec.physicalRate = p;
+        spec.rule = {300, 300, 1u << 30};
+        spec.seed = seed;
+        spec.factory = &f;
+        return spec;
+    };
+    std::vector<CellSpec> specs{cell(d3, 0.05, 1, unionFind),
+                                cell(d5, 0.08, 2, unionFind),
+                                cell(d3, 0.03, 3, unionFind),
+                                cell(d5, 0.04, 4, mesh)};
+    specs[2].noise = NoiseSpec::dephasing().withQ(0.03);
+    specs[2].windowRounds = 3;
+    specs[3].lifetimeMode = true;
+    specs.push_back(specs[1]); // a repeated spec
+
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        EngineOptions options;
+        options.threads = threads;
+        options.shardTrials = 64;
+        Engine separate(options), together(options);
+        std::vector<MonteCarloResult> expected;
+        for (const CellSpec &spec : specs)
+            expected.push_back(separate.runCell(spec));
+        const std::vector<MonteCarloResult> results =
+            together.runCells(specs);
+        ASSERT_EQ(results.size(), expected.size());
+        for (std::size_t i = 0; i < results.size(); ++i)
+            EXPECT_EQ(fingerprint(results[i]), fingerprint(expected[i]))
+                << "cell " << i;
+        EXPECT_EQ(metricsText(together.metrics()),
+                  metricsText(separate.metrics()));
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <set>
@@ -218,6 +220,30 @@ TEST(EngineWorkers, OneShardCellRunsOnCallingThread)
     EXPECT_EQ(recorder.ids,
               std::set<std::thread::id>{std::this_thread::get_id()});
     EXPECT_EQ(taskCount(engine), 1u);
+}
+
+TEST(EngineWorkersDeath, InvalidLastCellDiesBeforeAnyDecoderIsBuilt)
+{
+    // Every spec is validated before any worker starts: a bad last
+    // cell stops the run before the first cell builds a decoder.
+    const DecoderFactory first = [](const SurfaceLattice &,
+                                    ErrorType) -> std::unique_ptr<Decoder> {
+        std::fprintf(stderr, "first factory called\n");
+        std::abort();
+    };
+    const DecoderFactory factory = unionFindDecoderFactory();
+    const SurfaceLattice lattice(3);
+    std::vector<CellSpec> specs(3);
+    for (CellSpec &spec : specs) {
+        spec.lattice = &lattice;
+        spec.physicalRate = 0.05;
+        spec.rule = {100, 100, 1u << 30};
+        spec.factory = &factory;
+    }
+    specs.front().factory = &first;
+    specs.back().noise.q = 0.01; // q > 0 without a decode window
+    EXPECT_DEATH(engineWith(4).runCells(specs),
+                 "requires a decode window");
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include "decoders/union_find_decoder.hh"
 #include "noise/noise_model.hh"
 #include "sim/monte_carlo.hh"
+#include "support/one_lifetime.hh"
 
 #include "aggregates.hh"
 
@@ -19,11 +20,11 @@ TEST(MonteCarlo, DeterministicForSeed)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.05);
     MeshDecoder dec1(lat, ErrorType::Z), dec2(lat, ErrorType::Z);
-    LifetimeSimulator sim1(lat, model, dec1, nullptr, 99);
-    LifetimeSimulator sim2(lat, model, dec2, nullptr, 99);
+    LifetimeSimulator sim1(lat, dec1, nullptr);
+    LifetimeSimulator sim2(lat, dec2, nullptr);
     StopRule rule{500, 500, 1u << 30};
-    const auto r1 = sim1.run(rule);
-    const auto r2 = sim2.run(rule);
+    const auto r1 = runOneLifetime(sim1, model, 99, rule);
+    const auto r2 = runOneLifetime(sim2, model, 99, rule);
     EXPECT_EQ(r1.failures, r2.failures);
     EXPECT_EQ(r1.trials, r2.trials);
 }
@@ -33,9 +34,9 @@ TEST(MonteCarlo, ZeroNoiseZeroFailures)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.0);
     MeshDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 1);
+    LifetimeSimulator sim(lat, dec, nullptr);
     StopRule rule{200, 200, 1u << 30};
-    const auto res = sim.run(rule);
+    const auto res = runOneLifetime(sim, model, 1, rule);
     EXPECT_EQ(res.failures, 0u);
     EXPECT_DOUBLE_EQ(res.logicalErrorRate, 0.0);
 }
@@ -45,9 +46,9 @@ TEST(MonteCarlo, EarlyStopOnTargetFailures)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.2);
     MeshDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 5);
+    LifetimeSimulator sim(lat, dec, nullptr);
     StopRule rule{100, 100000, 50};
-    const auto res = sim.run(rule);
+    const auto res = runOneLifetime(sim, model, 5, rule);
     EXPECT_GE(res.failures, 50u);
     EXPECT_LT(res.trials, 5000u);
 }
@@ -57,9 +58,9 @@ TEST(MonteCarlo, CollectsMeshCycleStats)
     SurfaceLattice lat(5);
     const NoiseModel model = NoiseModel::dephasing(0.05);
     MeshDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 7);
+    LifetimeSimulator sim(lat, dec, nullptr);
     StopRule rule{300, 300, 1u << 30};
-    const auto res = sim.run(rule);
+    const auto res = runOneLifetime(sim, model, 7, rule);
     EXPECT_EQ(res.cycles.count(), res.trials);
     EXPECT_GT(res.cycles.max(), 0.0);
     EXPECT_GT(res.cycleHistogram.total(), 0u);
@@ -70,9 +71,9 @@ TEST(MonteCarlo, SoftwareDecoderHasNoCycleStats)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.05);
     MwpmDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 7);
+    LifetimeSimulator sim(lat, dec, nullptr);
     StopRule rule{100, 100, 1u << 30};
-    const auto res = sim.run(rule);
+    const auto res = runOneLifetime(sim, model, 7, rule);
     EXPECT_EQ(res.cycles.count(), 0u);
 }
 
@@ -81,8 +82,9 @@ TEST(MonteCarlo, DepolarizingNeedsXDecoder)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::depolarizing(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 7);
-    EXPECT_DEATH(sim.run(StopRule{50, 50, 1u << 30}), "no X decoder");
+    LifetimeSimulator sim(lat, dec, nullptr);
+    EXPECT_DEATH(runOneLifetime(sim, model, 7, StopRule{50, 50, 1u << 30}),
+                 "no X decoder");
 }
 
 TEST(MonteCarlo, DepolarizingWithBothDecoders)
@@ -91,9 +93,9 @@ TEST(MonteCarlo, DepolarizingWithBothDecoders)
     const NoiseModel model = NoiseModel::depolarizing(0.05);
     MeshDecoder dz(lat, ErrorType::Z);
     MeshDecoder dx(lat, ErrorType::X);
-    LifetimeSimulator sim(lat, model, dz, &dx, 7);
+    LifetimeSimulator sim(lat, dz, &dx);
     StopRule rule{300, 300, 1u << 30};
-    const auto res = sim.run(rule);
+    const auto res = runOneLifetime(sim, model, 7, rule);
     EXPECT_EQ(res.trials, 300u);
 }
 
@@ -107,10 +109,10 @@ TEST(MonteCarlo, MergeMatchesOneLongRun)
     StopRule half{250, 250, 1u << 30};
 
     MeshDecoder d1(lat, ErrorType::Z), d2(lat, ErrorType::Z);
-    LifetimeSimulator sim1(lat, model, d1, nullptr, 41);
-    LifetimeSimulator sim2(lat, model, d2, nullptr, 42);
-    MonteCarloResult a = sim1.run(half);
-    const MonteCarloResult b = sim2.run(half);
+    LifetimeSimulator sim1(lat, d1, nullptr);
+    LifetimeSimulator sim2(lat, d2, nullptr);
+    MonteCarloResult a = runOneLifetime(sim1, model, 41, half);
+    const MonteCarloResult b = runOneLifetime(sim2, model, 42, half);
 
     a.merge(b);
     a.finalize();
@@ -128,8 +130,9 @@ TEST(MonteCarlo, MergeIntoDefaultAccumulator)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.08);
     MeshDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 43);
-    const MonteCarloResult shard = sim.run({100, 100, 1u << 30});
+    LifetimeSimulator sim(lat, dec, nullptr);
+    const MonteCarloResult shard =
+        runOneLifetime(sim, model, 43, {100, 100, 1u << 30});
 
     MonteCarloResult acc; // default: unsized histogram, zero counts
     acc.merge(shard);
@@ -172,9 +175,9 @@ TEST(MonteCarlo, WilsonIntervalBracketsRate)
     SurfaceLattice lat(3);
     const NoiseModel model = NoiseModel::dephasing(0.1);
     MeshDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 3);
+    LifetimeSimulator sim(lat, dec, nullptr);
     StopRule rule{1000, 1000, 1u << 30};
-    const auto res = sim.run(rule);
+    const auto res = runOneLifetime(sim, model, 3, rule);
     EXPECT_LE(res.ci.lo, res.logicalErrorRate);
     EXPECT_GE(res.ci.hi, res.logicalErrorRate);
 }
@@ -190,14 +193,16 @@ TEST(MonteCarlo, BatchLanesPreserveAggregates)
     const StopRule rule{301, 301, ~std::size_t{0}};
 
     MeshDecoder scalar_dec(lat, ErrorType::Z);
-    LifetimeSimulator scalar(lat, model, scalar_dec, nullptr, 1234);
-    const MonteCarloResult reference = scalar.run(rule);
+    LifetimeSimulator scalar(lat, scalar_dec, nullptr);
+    const MonteCarloResult reference =
+        runOneLifetime(scalar, model, 1234, rule);
 
     for (std::size_t lanes : {2u, 7u, 64u}) {
         MeshDecoder dec(lat, ErrorType::Z);
-        LifetimeSimulator batched(lat, model, dec, nullptr, 1234);
+        LifetimeSimulator batched(lat, dec, nullptr);
         batched.setBatchLanes(lanes);
-        expectSameAggregates(reference, batched.run(rule));
+        expectSameAggregates(reference,
+                             runOneLifetime(batched, model, 1234, rule));
     }
 }
 
@@ -208,13 +213,14 @@ TEST(MonteCarlo, BatchedDepolarizingRunsBothFamilies)
     const StopRule rule{250, 250, ~std::size_t{0}};
 
     MeshDecoder z1(lat, ErrorType::Z), x1(lat, ErrorType::X);
-    LifetimeSimulator scalar(lat, model, z1, &x1, 777);
-    const MonteCarloResult reference = scalar.run(rule);
+    LifetimeSimulator scalar(lat, z1, &x1);
+    const MonteCarloResult reference =
+        runOneLifetime(scalar, model, 777, rule);
 
     MeshDecoder z2(lat, ErrorType::Z), x2(lat, ErrorType::X);
-    LifetimeSimulator batched(lat, model, z2, &x2, 777);
+    LifetimeSimulator batched(lat, z2, &x2);
     batched.setBatchLanes(32);
-    expectSameAggregates(reference, batched.run(rule));
+    expectSameAggregates(reference, runOneLifetime(batched, model, 777, rule));
 }
 
 TEST(MonteCarlo, BatchedEarlyStopMatchesScalar)
@@ -226,15 +232,15 @@ TEST(MonteCarlo, BatchedEarlyStopMatchesScalar)
     const StopRule rule{10, 4000, 25};
 
     MeshDecoder d1(lat, ErrorType::Z);
-    LifetimeSimulator scalar(lat, model, d1, nullptr, 42);
-    const MonteCarloResult reference = scalar.run(rule);
+    LifetimeSimulator scalar(lat, d1, nullptr);
+    const MonteCarloResult reference = runOneLifetime(scalar, model, 42, rule);
     ASSERT_GE(reference.failures, 25u);
     ASSERT_LT(reference.trials, 4000u);
 
     MeshDecoder d2(lat, ErrorType::Z);
-    LifetimeSimulator batched(lat, model, d2, nullptr, 42);
+    LifetimeSimulator batched(lat, d2, nullptr);
     batched.setBatchLanes(17);
-    expectSameAggregates(reference, batched.run(rule));
+    expectSameAggregates(reference, runOneLifetime(batched, model, 42, rule));
 }
 
 TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
@@ -248,15 +254,15 @@ TEST(MonteCarlo, BatchFallsBackToScalarInLifetimeMode)
     const StopRule rule{200, 200, ~std::size_t{0}};
 
     MeshDecoder d1(lat, ErrorType::Z);
-    LifetimeSimulator scalar(lat, model, d1, nullptr, 9);
+    LifetimeSimulator scalar(lat, d1, nullptr);
     scalar.setLifetimeMode(true);
-    const MonteCarloResult reference = scalar.run(rule);
+    const MonteCarloResult reference = runOneLifetime(scalar, model, 9, rule);
 
     MeshDecoder d2(lat, ErrorType::Z);
-    LifetimeSimulator batched(lat, model, d2, nullptr, 9);
+    LifetimeSimulator batched(lat, d2, nullptr);
     batched.setLifetimeMode(true);
     batched.setBatchLanes(16);
-    expectSameAggregates(reference, batched.run(rule));
+    expectSameAggregates(reference, runOneLifetime(batched, model, 9, rule));
 }
 
 /**
@@ -274,10 +280,10 @@ largestGroupAtBatch64(const SurfaceLattice &lat, const NoiseModel &model,
     GroupCounting<DecoderT> one(lat, ErrorType::Z);
     GroupCounting<DecoderT> many(lat, ErrorType::Z);
     const auto run = [&](Decoder &dec, std::size_t lanes) {
-        LifetimeSimulator sim(lat, model, dec, nullptr, 11);
+        LifetimeSimulator sim(lat, dec, nullptr);
         sim.setMeasurementWindow(window);
         sim.setBatchLanes(lanes);
-        return sim.run(rule);
+        return runOneLifetime(sim, model, 11, rule);
     };
     expectSameAggregates(run(one, 1), run(many, 64));
     EXPECT_EQ(decoderCounters(many), decoderCounters(one));

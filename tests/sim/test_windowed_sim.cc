@@ -10,8 +10,11 @@
 #include "decoders/mwpm_decoder.hh"
 #include "decoders/tiered_decoder.hh"
 #include "decoders/union_find_decoder.hh"
+#include "engine/sweep.hh"
 #include "noise/noise_model.hh"
+#include "sim/experiment.hh"
 #include "sim/monte_carlo.hh"
+#include "support/one_lifetime.hh"
 
 #include "aggregates.hh"
 
@@ -30,10 +33,10 @@ runWindowed(const SurfaceLattice &lat, const NoiseModel &model,
             Decoder &zDec, Decoder *xDec, int windowRounds,
             std::size_t lanes, const StopRule &rule, std::uint64_t seed)
 {
-    LifetimeSimulator sim(lat, model, zDec, xDec, seed);
+    LifetimeSimulator sim(lat, zDec, xDec);
     sim.setMeasurementWindow(windowRounds);
     sim.setBatchLanes(lanes);
-    return sim.run(rule);
+    return runOneLifetime(sim, model, seed, rule);
 }
 
 /**
@@ -194,28 +197,41 @@ TEST(WindowedSim, PerfectMeasurementWindowStillCorrects)
     EXPECT_LT(r.logicalErrorRate, 0.2);
 }
 
+/** A one-shard union-find cell of @p lattice with noise q = 0.01. */
+CellSpec
+noisyReadoutCell(const SurfaceLattice &lattice,
+                 const DecoderFactory &factory)
+{
+    CellSpec spec;
+    spec.lattice = &lattice;
+    spec.physicalRate = 0.01;
+    spec.noise = NoiseSpec::dephasing().withQ(0.01);
+    spec.rule = fixedTrials(10);
+    spec.seed = 1;
+    spec.factory = &factory;
+    return spec;
+}
+
 TEST(WindowedSimDeath, MeasurementNoiseWithoutWindowPanics)
 {
     // q > 0 without a window would silently simulate q = 0 (the
     // single-round protocols never corrupt measurements).
     SurfaceLattice lat(3);
-    const NoiseModel model = NoiseModel::dephasing(0.01, 0.01);
-    UnionFindDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 1);
-    StopRule rule{10, 10, ~std::size_t{0}};
-    EXPECT_DEATH(sim.run(rule), "requires a decode window");
+    const DecoderFactory factory = unionFindDecoderFactory();
+    Engine engine;
+    EXPECT_DEATH(engine.runCell(noisyReadoutCell(lat, factory)),
+                 "requires a decode window");
 }
 
 TEST(WindowedSimDeath, LifetimeModeIsMutuallyExclusive)
 {
     SurfaceLattice lat(3);
-    const NoiseModel model = NoiseModel::dephasing(0.01, 0.01);
-    UnionFindDecoder dec(lat, ErrorType::Z);
-    LifetimeSimulator sim(lat, model, dec, nullptr, 1);
-    sim.setMeasurementWindow(3);
-    sim.setLifetimeMode(true);
-    StopRule rule{10, 10, ~std::size_t{0}};
-    EXPECT_DEATH(sim.run(rule), "mutually exclusive");
+    const DecoderFactory factory = unionFindDecoderFactory();
+    CellSpec spec = noisyReadoutCell(lat, factory);
+    spec.windowRounds = 3;
+    spec.lifetimeMode = true;
+    Engine engine;
+    EXPECT_DEATH(engine.runCell(spec), "mutually exclusive");
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 
 #include "sim/experiment.hh"
 #include "sim/monte_carlo.hh"
+#include "support/one_lifetime.hh"
 #include "stream/stream_sim.hh"
 
 namespace nisqpp {
@@ -93,12 +94,13 @@ TEST(StreamEquivalence, FailuresMatchLifetimeSimulator)
 
         const NoiseModel model = NoiseModel::dephasing(0.05);
         auto batch = family.factory(lattice, ErrorType::Z);
-        LifetimeSimulator sim(lattice, model, *batch, nullptr, kSeed);
+        LifetimeSimulator sim(lattice, *batch, nullptr);
         sim.setLifetimeMode(true);
         StopRule rule;
         rule.minTrials = rule.maxTrials = kRounds;
         rule.targetFailures = ~std::size_t{0};
-        const MonteCarloResult reference = sim.run(rule);
+        const MonteCarloResult reference =
+            runOneLifetime(sim, model, kSeed, rule);
 
         EXPECT_EQ(streamed.rounds, reference.trials);
         EXPECT_EQ(streamed.failures, reference.failures);
